@@ -87,8 +87,7 @@ def _override_field(source_model, q: int | None):
     matrices = {
         node: FieldMatrix(m.rows, m.cols, [x for row in m.to_lists() for x in row], q)
         for node, m in source_model.matrices.items()}
-    return LinearSource(q, source_model.n_packets, matrices,
-                        blocklength=source_model.blocklength)
+    return LinearSource(q, source_model.n_packets, matrices)
 
 
 def _feas_json(report: feasibility.FeasibilityReport) -> dict:

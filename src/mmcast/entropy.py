@@ -23,6 +23,7 @@ from itertools import product
 
 from . import gf
 from .errors import InvalidInstance, UnknownSubset
+from .submodular import members
 
 MAX_GROUND = 63
 PMF_ROUND_BITS = 40
@@ -36,7 +37,6 @@ class LinearSource:
     q: int
     n_packets: int                      # N, length of the data vector W
     matrices: dict                      # node -> FieldMatrix (ell_m x N)
-    blocklength: int = 1
     unit: str = "packets"
 
     def __post_init__(self):
@@ -54,10 +54,10 @@ class LinearSource:
         return self.matrices.get(node, gf.FieldMatrix.zeros(0, self.n_packets, self.q))
 
     def stacked(self, nodes) -> gf.FieldMatrix:
-        m = gf.FieldMatrix.zeros(0, self.n_packets, self.q)
-        for node in nodes:
-            m = m.stack(self.matrix_for(node))
-        return m
+        # relays (absent nodes) observe nothing and add no rows
+        blocks = [self.matrices[node] for node in nodes if node in self.matrices]
+        rows = [m.row(i) for m in blocks for i in range(m.rows)]
+        return gf.FieldMatrix.from_rows(rows, self.q, cols=self.n_packets)
 
     def entropy(self, nodes) -> Fraction:
         return Fraction(gf.rank(self.stacked(nodes)))
@@ -138,7 +138,8 @@ class EntropyOracle:
     def from_model(cls, ground, model) -> "EntropyOracle":
         return cls(tuple(ground), model, unit=model.unit)
 
-    def _mask(self, nodes) -> int:
+    def mask(self, nodes) -> int:
+        """Bitmask of the nodes over the oracle's ground order."""
         mask = 0
         for node in nodes:
             try:
@@ -147,15 +148,15 @@ class EntropyOracle:
                 raise UnknownSubset(f"{node!r} is not in the ground set") from None
         return mask
 
-    def _unmask(self, mask: int) -> tuple:
-        return tuple(node for i, node in enumerate(self.ground) if mask >> i & 1)
-
     def entropy(self, nodes) -> Fraction:
         """H(X_S) for S = nodes, in the oracle's declared unit."""
-        mask = self._mask(nodes)
+        return self.entropy_of_mask(self.mask(nodes))
+
+    def entropy_of_mask(self, mask: int) -> Fraction:
+        """H(X_S) for the S given as a bitmask over the ground order."""
         hit = self._memo.get(mask)
         if hit is None:
-            hit = self._memo[mask] = self.model.entropy(self._unmask(mask))
+            hit = self._memo[mask] = self.model.entropy(members(self.ground, mask))
         return hit
 
     def conditional(self, nodes, within) -> Fraction:
@@ -165,14 +166,6 @@ class EntropyOracle:
         if not s <= g:
             raise UnknownSubset(f"{sorted(s - g)} not contained in the conditioning ground set")
         return self.entropy(g) - self.entropy(g - s)
-
-
-def entropy(oracle: EntropyOracle, nodes) -> Fraction:
-    return oracle.entropy(nodes)
-
-
-def conditional_entropy(oracle: EntropyOracle, nodes, within) -> Fraction:
-    return oracle.conditional(nodes, within)
 
 
 @dataclass
@@ -206,13 +199,13 @@ def validate_polymatroid(oracle: EntropyOracle, exhaustive_bound: int = 12,
     sub: list = []
 
     def check_pair(a_mask: int, b_mask: int):
-        a = oracle._unmask(a_mask)
-        b = oracle._unmask(b_mask)
+        a = members(oracle.ground, a_mask)
+        b = members(oracle.ground, b_mask)
         ha, hb = oracle.entropy(a), oracle.entropy(b)
-        cap = oracle.entropy(oracle._unmask(a_mask & b_mask))
-        cup = oracle.entropy(oracle._unmask(a_mask | b_mask))
+        cap = oracle.entropy(members(oracle.ground, a_mask & b_mask))
+        cup = oracle.entropy(members(oracle.ground, a_mask | b_mask))
         if cap > ha + slack:  # A cap B is a subset of A and must not exceed its entropy
-            mono.append((oracle._unmask(a_mask & b_mask), a, cap, ha))
+            mono.append((members(oracle.ground, a_mask & b_mask), a, cap, ha))
         if a_mask & b_mask == a_mask and ha > hb + slack:
             mono.append((a, b, ha, hb))
         if ha + hb < cup + cap - slack:
@@ -239,7 +232,7 @@ def tabular_from_oracle(oracle: EntropyOracle, unit: str | None = None) -> Tabul
         raise InvalidInstance("ground set too large to tabulate")
     table = {}
     for mask in range(1, 1 << n):
-        nodes = oracle._unmask(mask)
+        nodes = members(oracle.ground, mask)
         table[frozenset(nodes)] = oracle.entropy(nodes)
     return TabularSource(oracle.ground, table, unit=unit or oracle.unit)
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import model, submodular
 from .errors import Infeasible, ReconstructabilityViolated
-from .model import ClientSubproblem, NetworkInstance, cut_capacity
-from .submodular import SetFunction, conditional_entropy_function, sfm_brute_force
+from .model import ClientSubproblem, NetworkInstance, Region, cut_capacity
+from .submodular import SetFunction, conditional_entropy_function, members, sfm_brute_force
 
 
 @dataclass(frozen=True)
@@ -43,24 +43,22 @@ class FeasibilityReport:
 
 
 def slack_function(sub: ClientSubproblem, oracle, capacities: dict) -> SetFunction:
-    """S -> c(out(S)) - g(S) over the client's sources; submodular."""
-    g = conditional_entropy_function(oracle, sub.sources)
-
-    def slack(nodes):
-        return cut_capacity(capacities, nodes, sub.edges) - g.evaluate(nodes)
-
-    return SetFunction(sub.sources, slack, "submodular")
+    """S -> c(out(S)) - g(S) over the client's sources; submodular, tabulated."""
+    region = Region(sub, oracle)
+    slack = [c - g for c, g in zip(region.cut(capacities), region.g)]
+    return SetFunction.tabulated(sub.sources, slack, "submodular")
 
 
 def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> FeasibilityCertificate:
     """Certificate for one client: worst subset of the slack function.
 
-    The empty set is skipped (its slack is identically zero).
+    The empty set is skipped (its slack is identically zero).  The cut and
+    the requirement of the witness are evaluated again from their per-subset
+    definitions, so ``slack == cut - required`` checks the tables.
     """
     f = slack_function(sub, oracle, capacities)
     witness, worst = sfm_brute_force(f, include_empty=False)
-    g = conditional_entropy_function(oracle, sub.sources)
-    required = g(witness)
+    required = oracle.conditional(witness, sub.sources)
     cut = cut_capacity(capacities, witness, sub.edges)
     return FeasibilityCertificate(sub.client, worst >= 0, witness, cut, required, worst)
 
@@ -91,20 +89,22 @@ def check_feasible_multi(instance: NetworkInstance, oracle,
 def enumerate_feasibility(sub: ClientSubproblem, oracle, capacities: dict) -> FeasibilityCertificate:
     """Reference path: materialize every subset inequality directly.
 
-    Same verdict contract as :func:`check_feasible_single`, kept as an
-    independent cross-check route (no submodular machinery).
+    Same contract as :func:`check_feasible_single`, witness tie-break
+    included (smallest cardinality, then earliest index tuple), kept as an
+    independent cross-check route (no region tables, no submodular
+    machinery).
     """
     g = conditional_entropy_function(oracle, sub.sources)
     n = len(sub.sources)
     best = None
     for mask in range(1, 1 << n):
-        nodes = tuple(e for i, e in enumerate(sub.sources) if mask >> i & 1)
+        nodes = members(sub.sources, mask)
         cut = cut_capacity(capacities, nodes, sub.edges)
         required = g(nodes)
-        slack = cut - required
-        if best is None or slack < best[0]:
-            best = (slack, nodes, cut, required)
-    slack, nodes, cut, required = best
+        key = (cut - required, len(nodes), tuple(i for i in range(n) if mask >> i & 1))
+        if best is None or key < best[0]:
+            best = (key, nodes, cut, required)
+    (slack, _, _), nodes, cut, required = best
     return FeasibilityCertificate(sub.client, slack >= 0, nodes, cut, required, slack)
 
 
@@ -122,9 +122,8 @@ def achievable_point(sub: ClientSubproblem, oracle, capacities: dict) -> dict:
     costs = {e.id: Fraction(1) for e in sub.edges}
     solution = single_client.solve_single_client(
         sub, oracle, costs, capacities, check_feasibility=False)
-    membership = submodular.in_base_polyhedron(
-        model.boundary_vector(solution.rates, sub),
-        conditional_entropy_function(oracle, sub.sources))
+    g = SetFunction.tabulated(sub.sources, Region(sub, oracle).g, "supermodular")
+    membership = submodular.in_base_polyhedron(model.boundary_vector(solution.rates, sub), g)
     if not membership:
         raise Infeasible(
             f"achievable point left the region at {membership.violating_set}", (cert,))

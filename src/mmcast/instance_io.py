@@ -63,8 +63,7 @@ def parse_source_model(description: dict, sources):
         matrices = {}
         for node, rows in raw.items():
             matrices[node] = FieldMatrix.from_rows(rows, q, cols=n)
-        blocklength = int(description.get("blocklength", 1))
-        return LinearSource(q, n, matrices, blocklength=blocklength)
+        return LinearSource(q, n, matrices)
     if kind == "tabular":
         unit = description.get("unit", "packets")
         try:

@@ -1,10 +1,17 @@
-"""Network instances, client subgraphs and the boundary operator.
+"""Network instances, client subgraphs, the boundary operator and region tables.
 
 An instance is a capacitated, cost-weighted DAG whose sinks are the
 clients and whose remaining nodes all count as sources (relay nodes are
 sources with an empty observation).  All capacities, costs and rates are
 exact rationals in the entropy unit of the attached source model
 ("packets" for the linear model).
+
+Every region inequality of a client compares a cut or a boundary of a
+source subset S with g(S) = H(X_S | X_rest).  :class:`Region` holds these
+as exact tables indexed by the subset mask over the client's sources.  A
+table is filled in increasing mask order with one recurrence on the lowest
+set bit v of S, ``t[S] = t[S - v] + delta(v, S)``, which costs O(deg v)
+per mask instead of a scan of every edge per subset.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from fractions import Fraction
 
 from .errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, EmptyReachableSet,
                      InvalidInstance, NegativeCapacity, NonpositiveCost, UnknownEdgeRate)
+from .submodular import mask_table, modular_table
 
 
 @dataclass(frozen=True)
@@ -225,6 +233,76 @@ def cut_capacity(capacities: dict, nodes, edges) -> Fraction:
     s = set(nodes)
     return sum((capacities[e.id] for e in edges if e.tail in s and e.head not in s),
                Fraction(0))
+
+
+def _integral(x):
+    # an integral value as an int: exact like its Fraction, and several times
+    # faster to add and compare, which is most of the cost of filling a table
+    return x.numerator if x.denominator == 1 else x
+
+
+class Region:
+    """Mask-indexed tables of one client's region inequalities.
+
+    Bit i of a mask is ``sub.sources[i]``.  Holds ``g``, the table of
+    g(S) = H(G) - H(G \\ S) over G = ``sub.sources``; its global oracle
+    masks come from the same lowest-bit recurrence and are read straight
+    from the oracle memo.  The cut and boundary tables depend on the
+    capacities or rates and are filled on request.  Tables cover all 2^m
+    masks, so they are for the brute-force paths (m <= BRUTE_FORCE_LIMIT).
+    Entries are exact: ints where the value is integral, Fractions elsewhere.
+    """
+
+    def __init__(self, sub: ClientSubproblem, oracle):
+        self.sub = sub
+        index = {v: i for i, v in enumerate(sub.sources)}
+        self._out = [[] for _ in sub.sources]   # per source: (head bit, edge position)
+        self._in = [[] for _ in sub.sources]    # per source: (tail bit, edge position)
+        for j, e in enumerate(sub.edges):
+            head = index.get(e.head)            # None for the client itself
+            self._out[index[e.tail]].append((0 if head is None else 1 << head, j))
+            if head is not None:
+                self._in[head].append((1 << index[e.tail], j))
+        outer = [oracle.mask((v,)) for v in sub.sources]
+        h = [_integral(oracle.entropy_of_mask(m))
+             for m in mask_table(len(outer), 0, lambda prev, v, _: prev | outer[v])]
+        self.full = len(h) - 1
+        self.g = [h[-1] - h[self.full ^ mask] for mask in range(len(h))]
+
+    def cut(self, capacities: dict) -> list:
+        """c(out(S)) for every mask: add v's edges leaving S, drop those from S - v into v."""
+        caps = [_integral(capacities[e.id]) for e in self.sub.edges]
+        out, into = self._out, self._in
+
+        def step(prev, v, mask):
+            for bit, j in out[v]:
+                if not mask & bit:
+                    prev += caps[j]
+            for bit, j in into[v]:
+                if mask & bit:
+                    prev -= caps[j]
+            return prev
+
+        return mask_table(len(out), 0, step)
+
+    def boundary(self, rates: dict) -> list:
+        """boundary(R, S) for every mask, summed from the singleton boundaries."""
+        return modular_table(map(_integral, boundary_vector(rates, self.sub).values()))
+
+    def row(self, mask: int) -> list:
+        """LP coefficients of boundary(R, S) over the edge order of the subproblem.
+
+        The sum of the incidence rows (+1 out of v, -1 into v) of the sources
+        v in S; the two entries of an edge inside S cancel.
+        """
+        row = [0] * len(self.sub.edges)
+        for v, (out, into) in enumerate(zip(self._out, self._in)):
+            if mask >> v & 1:
+                for _, j in out:
+                    row[j] += 1
+                for _, j in into:
+                    row[j] -= 1
+        return row
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ import numpy as np
 from . import feasibility, model
 from .errors import BudgetExceeded, InvalidParameters
 from .lp import LinearProgram, SimplexSolver
-from .model import NetworkInstance
-from .single_client import RegionOptimizer, boundary_row
+from .model import NetworkInstance, Region
+from .single_client import RegionOptimizer
 
 DEFAULT_MAX_ITERS = 50000
 DEFAULT_GAP_TOL = Fraction(1, 100)
@@ -152,11 +152,11 @@ def solve_multi_exact(instance: NetworkInstance, oracle,
 
     rows = []
     for t, sub in subs.items():
-        full = (1 << len(sub.sources)) - 1
-        g = feasibility.conditional_entropy_function(oracle, sub.sources)
+        region = Region(sub, oracle)
+        full = region.full
         for mask in range(1, full + 1):
-            base = boundary_row(sub, mask)
-            rhs = g.value(mask)
+            base = region.row(mask)
+            rhs = region.g[mask]
             if mask != full and rhs <= 0 and all(c >= 0 for c in base):
                 continue            # implied by the nonnegativity bounds
             row = [Fraction(0)] * n

@@ -23,8 +23,8 @@ from fractions import Fraction
 from . import model, submodular
 from .errors import GroundTooLarge, Infeasible
 from .lp import LinearProgram, SimplexSolver
-from .model import ClientSubproblem
-from .submodular import SetFunction, conditional_entropy_function, sfm_brute_force
+from .model import ClientSubproblem, Region
+from .submodular import SetFunction, members, sfm_brute_force
 
 BRUTE_FORCE_SOURCES = 16
 
@@ -35,24 +35,6 @@ class SingleClientSolution:
     cost: Fraction
     tight_sets: list            # subsets whose region inequality is tight
     iterations: int             # LP solves performed
-
-
-def _subset(sources: tuple, mask: int) -> tuple:
-    return tuple(e for i, e in enumerate(sources) if mask >> i & 1)
-
-
-def boundary_row(sub: ClientSubproblem, mask: int) -> list:
-    """LP coefficients of boundary(R, S) over the subproblem's edge order."""
-    s = set(_subset(sub.sources, mask))
-    row = []
-    for e in sub.edges:
-        if e.tail in s and e.head not in s:
-            row.append(Fraction(1))
-        elif e.head in s and e.tail not in s:
-            row.append(Fraction(-1))
-        else:
-            row.append(Fraction(0))
-    return row
 
 
 class RegionOptimizer:
@@ -66,18 +48,19 @@ class RegionOptimizer:
     def __init__(self, sub: ClientSubproblem, oracle, capacities: dict):
         self.sub = sub
         self.capacities = capacities
-        self.g = conditional_entropy_function(oracle, sub.sources)
+        self.region = Region(sub, oracle)
+        self.g = SetFunction.tabulated(sub.sources, self.region.g, "supermodular")
         m = len(sub.sources)
-        self.full_mask = (1 << m) - 1
+        self.full_mask = self.region.full
         pool = [1 << i for i in range(m)]
         pool += [self.full_mask ^ (1 << i) for i in range(m) if m > 1]
         self.pool = sorted(set(pool) - {0, self.full_mask})
         self._solver = None
 
     def _build(self, objective: list) -> SimplexSolver:
-        sub = self.sub
-        rows = [(boundary_row(sub, mask), ">=", self.g.value(mask)) for mask in self.pool]
-        rows.append((boundary_row(sub, self.full_mask), "==", sub.ground_entropy))
+        sub, region = self.sub, self.region
+        rows = [(region.row(mask), ">=", region.g[mask]) for mask in self.pool]
+        rows.append((region.row(self.full_mask), "==", sub.ground_entropy))
         bounds = [(Fraction(0), self.capacities[e.id]) for e in sub.edges]
         solver = SimplexSolver(LinearProgram(objective, rows, bounds))
         return solver
@@ -109,28 +92,15 @@ class RegionOptimizer:
 
     def _most_violated(self, rates: dict):
         """Mask of the subset minimizing boundary(R, S) - g(S), if negative."""
-        sub = self.sub
-
-        def slack(nodes):
-            return model.boundary(rates, nodes, sub.edges) - self.g.evaluate(nodes)
-
-        h = SetFunction(sub.sources, slack, "submodular")
+        slack = [b - g for b, g in zip(self.region.boundary(rates), self.region.g)]
+        h = SetFunction.tabulated(self.sub.sources, slack, "submodular")
         witness, worst = sfm_brute_force(h)
-        if worst >= 0:
-            return None
-        mask = 0
-        index = {m: i for i, m in enumerate(sub.sources)}
-        for v in witness:
-            mask |= 1 << index[v]
-        return mask
+        return None if worst >= 0 else h.mask(witness)
 
     def tight_sets(self, rates: dict) -> list:
-        tight = []
-        for mask in sorted(self.pool) + [self.full_mask]:
-            nodes = _subset(self.sub.sources, mask)
-            if model.boundary(rates, nodes, self.sub.edges) == self.g.value(mask):
-                tight.append(nodes)
-        return tight
+        b, g = self.region.boundary(rates), self.region.g
+        return [members(self.sub.sources, mask) for mask in sorted(self.pool) + [self.full_mask]
+                if b[mask] == g[mask]]
 
 
 def solve_single_client(sub: ClientSubproblem, oracle, costs: dict, capacities: dict,
@@ -158,22 +128,21 @@ def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
     m = len(sub.sources)
     if m > BRUTE_FORCE_SOURCES:
         raise GroundTooLarge(f"{m} sources exceeds brute-force limit {BRUTE_FORCE_SOURCES}")
-    g = conditional_entropy_function(oracle, sub.sources)
-    full = (1 << m) - 1
+    region = Region(sub, oracle)
+    g, full = region.g, region.full
     rows = []
     for mask in range(1, full):
-        base = boundary_row(sub, mask)
-        rhs = g.value(mask)
-        if rhs <= 0 and all(c >= 0 for c in base):
+        base = region.row(mask)
+        if g[mask] <= 0 and all(c >= 0 for c in base):
             continue                # implied by the nonnegativity bounds
-        rows.append((base, ">=", rhs))
-    rows.append((boundary_row(sub, full), "==", sub.ground_entropy))
+        rows.append((base, ">=", g[mask]))
+    rows.append((region.row(full), "==", sub.ground_entropy))
     bounds = [(Fraction(0), capacities[e.id]) for e in sub.edges]
     objective = [Fraction(costs[e.id]) for e in sub.edges]
     solution = SimplexSolver(LinearProgram(objective, rows, bounds)).solve()
     if solution.status == "infeasible":
         raise Infeasible(f"client {sub.client}: region is empty under capacities")
     rates = {e.id: x for e, x in zip(sub.edges, solution.x)}
-    tight = [_subset(sub.sources, mask) for mask in range(1, full + 1)
-             if model.boundary(rates, _subset(sub.sources, mask), sub.edges) == g.value(mask)]
+    b = region.boundary(rates)
+    tight = [members(sub.sources, mask) for mask in range(1, full + 1) if b[mask] == g[mask]]
     return SingleClientSolution(rates, solution.value, tight, 1)

@@ -4,7 +4,12 @@ Two minimization engines are provided: an exact brute-force enumeration
 (the reference path, ground sets up to 20 elements) and the Fujishige-Wolfe
 minimum-norm-point method (floating point, for larger grounds).  Set
 functions evaluate to exact rationals; the ground set is an ordered tuple
-and subsets are handled as bitmasks internally.
+and subsets are handled as bitmasks internally (bit i is ``ground[i]``).
+
+A set function is either lazy (each mask evaluated on first use) or
+tabulated: every mask's value given up front, typically filled by
+:func:`mask_table`, which walks the masks in increasing order and derives
+``t[S]`` from ``t[S - v]`` for the lowest set bit ``v`` of ``S``.
 
 Tie-breaking for minimizers is fixed everywhere: smallest cardinality
 first, then lexicographically earliest element-index tuple, so certificates
@@ -23,6 +28,36 @@ from .errors import GroundTooLarge, InvalidParameters, MaxIterationsExceeded
 BRUTE_FORCE_LIMIT = 20
 
 
+def members(ground, mask: int) -> tuple:
+    """The elements of the ordered ground set selected by the bitmask."""
+    return tuple(e for i, e in enumerate(ground) if mask >> i & 1)
+
+
+def _check_enumerable(n: int) -> None:
+    if n > BRUTE_FORCE_LIMIT:
+        raise GroundTooLarge(f"{n} elements exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
+
+
+def mask_table(n: int, empty, step) -> list:
+    """Table over all 2^n masks: ``t[0] = empty``, ``t[S] = step(t[S - v], v, S)``.
+
+    ``v`` is the index of the lowest set bit of ``S``, so ``S - v`` is an
+    earlier mask and one increment per mask fills the whole table.
+    """
+    _check_enumerable(n)
+    table = [empty] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        table[mask] = step(table[mask ^ low], low.bit_length() - 1, mask)
+    return table
+
+
+def modular_table(weights) -> list:
+    """x(S) = sum of weights[i] over the bits i of S, for every mask S."""
+    weights = list(weights)
+    return mask_table(len(weights), 0, lambda prev, v, _: prev + weights[v])
+
+
 @dataclass
 class SetFunction:
     """A rational-valued set function over an ordered ground set."""
@@ -35,31 +70,31 @@ class SetFunction:
         self._memo: dict = {}
         self._index = {e: i for i, e in enumerate(self.ground)}
 
-    def members(self, mask: int) -> tuple:
-        return tuple(e for i, e in enumerate(self.ground) if mask >> i & 1)
+    @classmethod
+    def tabulated(cls, ground, values: list, kind: str = "unknown") -> "SetFunction":
+        """Set function whose value at every mask is given: values[mask].
+
+        Entries may be ints where the value is integral (exact, and faster to
+        compare); :func:`sfm_brute_force` still returns a Fraction.
+        """
+        f = cls(tuple(ground), lambda nodes: values[f.mask(nodes)], kind)
+        f._memo = dict(enumerate(values))
+        return f
+
+    def mask(self, nodes) -> int:
+        mask = 0
+        for v in nodes:
+            mask |= 1 << self._index[v]
+        return mask
 
     def value(self, mask: int) -> Fraction:
         hit = self._memo.get(mask)
         if hit is None:
-            hit = self._memo[mask] = Fraction(self.evaluate(self.members(mask)))
+            hit = self._memo[mask] = Fraction(self.evaluate(members(self.ground, mask)))
         return hit
 
     def __call__(self, nodes) -> Fraction:
-        mask = 0
-        for v in nodes:
-            mask |= 1 << self._index[v]
-        return self.value(mask)
-
-    def negated(self) -> "SetFunction":
-        flip = {"submodular": "supermodular", "supermodular": "submodular"}
-        return SetFunction(self.ground, lambda s: -self.evaluate(s),
-                           flip.get(self.kind, "unknown"))
-
-    def minus_modular(self, weights: dict) -> "SetFunction":
-        """f(S) - sum of weights over S; preserves sub/supermodularity."""
-        def shifted(nodes):
-            return self.evaluate(nodes) - sum((weights[v] for v in nodes), Fraction(0))
-        return SetFunction(self.ground, shifted, self.kind)
+        return self.value(self.mask(nodes))
 
 
 def conditional_entropy_function(oracle, ground) -> SetFunction:
@@ -93,18 +128,15 @@ def sfm_brute_force(f: SetFunction, include_empty: bool = True):
     which f(empty) = 0 holds trivially).
     """
     n = len(f.ground)
-    if n > BRUTE_FORCE_LIMIT:
-        raise GroundTooLarge(f"{n} elements exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
-    best_mask = None
-    best_val = None
+    _check_enumerable(n)
     start = 0 if include_empty else 1
-    for mask in range(start, 1 << n):
-        v = f.value(mask)
-        if best_val is None or v < best_val or (v == best_val and _tie_key(mask) < _tie_key(best_mask)):
-            best_mask, best_val = mask, v
-    if best_mask is None:
+    values = [f.value(mask) for mask in range(start, 1 << n)]
+    if not values:
         raise InvalidParameters("empty search space")
-    return f.members(best_mask), best_val
+    best_val = min(values)
+    best_mask = min((mask for mask, v in enumerate(values, start) if v == best_val),
+                    key=_tie_key)
+    return members(f.ground, best_mask), Fraction(best_val)
 
 
 def greedy_base_vertex(f: SetFunction, ordering) -> dict:
@@ -149,16 +181,14 @@ def in_base_polyhedron(x: dict, f: SetFunction) -> MembershipResult:
     f_total = f(f.ground)
     if ground_total != f_total:
         return MembershipResult(False, tuple(f.ground), abs(ground_total - f_total))
-    if f.kind == "supermodular":
-        slack = SetFunction(
-            f.ground,
-            lambda s: sum((x[e] for e in s), Fraction(0)) - f.evaluate(s),
-            "submodular")
-    elif f.kind == "submodular":
-        slack = f.minus_modular(x)
-    else:
+    if f.kind not in ("submodular", "supermodular"):
         raise InvalidParameters("membership requires a declared sub/supermodular kind")
-    witness, worst = sfm_brute_force(slack)
+    xs = modular_table(x[e] for e in f.ground)
+    if f.kind == "supermodular":
+        slack = [xv - f.value(mask) for mask, xv in enumerate(xs)]
+    else:
+        slack = [f.value(mask) - xv for mask, xv in enumerate(xs)]
+    witness, worst = sfm_brute_force(SetFunction.tabulated(f.ground, slack, "submodular"))
     if worst < 0:
         return MembershipResult(False, witness, -worst)
     return MembershipResult(True, None, None)
@@ -232,15 +262,15 @@ def min_norm_point(f: SetFunction, eps: float = 1e-9, max_major: int = 10000):
             v = f.value(mask)
             if v < best_val or (v == best_val and _tie_key(mask) < _tie_key(best_mask)):
                 best_mask, best_val = mask, v
-        return f.members(best_mask), best_val
+        return members(f.ground, best_mask), best_val
 
     best_members, best_value = extract(x)
     for _ in range(max_major):
         order = np.argsort(x, kind="stable")
         q = _greedy_vertex_array(f, order)
-        members, value = extract(x)
+        found, value = extract(x)
         if value < best_value:
-            best_members, best_value = members, value
+            best_members, best_value = found, value
         # optimality: x'x <= x'q (+ tolerance) against the minimizing vertex q
         if float(x @ x) <= float(x @ q) + max(tol, eps * eps):
             return {e: float(x[i]) for i, e in enumerate(f.ground)}, best_members, best_value

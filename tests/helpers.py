@@ -137,3 +137,41 @@ def long_chain_doc(n_sources: int, n_clients: int = 1) -> dict:
     return {"nodes": nodes + clients, "edges": edges, "clients": clients,
             "source_model": {"kind": "linear", "q": 5, "N": 2,
                              "matrices": {nodes[0]: [[1, 0]], nodes[1]: [[0, 1]]}}}
+
+
+def random_pmf_doc(rng: random.Random, **kwargs) -> dict:
+    """``random_instance_doc``'s network with a random binary pmf on some sources.
+
+    The sources left out of the pmf are relays (zero entropy); probabilities
+    are random multiples of 1/total, so entropies are irrational and take
+    the rounded ``pmf`` path.
+    """
+    doc = random_instance_doc(rng, **kwargs)
+    sources = [v for v in doc["nodes"] if v not in doc["clients"]]
+    order = sorted(rng.sample(sources, rng.randint(1, min(4, len(sources)))))
+    weights = [rng.randint(0, 4) for _ in range(1 << len(order))]
+    weights[0] += 1                     # at least one outcome has mass
+    total = sum(weights)
+
+    def nest(depth: int, offset: int):
+        if depth == len(order):
+            return f"{weights[offset]}/{total}"
+        return [nest(depth + 1, 2 * offset + bit) for bit in (0, 1)]
+
+    doc["source_model"] = {"kind": "pmf", "order": order,
+                           "alphabets": {v: 2 for v in order}, "table": nest(0, 0)}
+    return doc
+
+
+def region_cases(seed: int, count: int, make_doc=random_instance_doc, **kwargs):
+    """Seeded ``(index, instance, oracle, rates)`` cases for the region tables.
+
+    ``rates`` puts a random half-integer in [0, capacity + 1] on every edge,
+    so separation sees both violated and satisfied subsets.
+    """
+    rng = random.Random(seed)
+    for index in range(count):
+        instance, oracle, _ = load_instance(make_doc(rng, **kwargs))
+        rates = {e.id: Fraction(rng.randint(0, 2 * int(e.capacity) + 2), 2)
+                 for e in instance.edges}
+        yield index, instance, oracle, rates

@@ -78,7 +78,7 @@ def test_multi_requires_reconstructability():
 def test_agreement_with_enumeration():
     rng = random.Random(79)
     both = {True: 0, False: 0}
-    for _ in range(60):
+    for index in range(150):
         instance, oracle, _ = load_instance(random_instance_doc(rng))
         for t in instance.clients:
             sub = client_subproblem(instance, oracle, t)
@@ -86,6 +86,11 @@ def test_agreement_with_enumeration():
             slow = enumerate_feasibility(sub, oracle, instance.capacities())
             assert fast.feasible == slow.feasible
             assert fast.slack == slow.slack
+            assert fast.witness_set == slow.witness_set
+            assert (fast.cut, fast.required) == (slow.cut, slow.required)
+            if (index, t) == (144, "t1"):
+                # a tie at slack 0 between ("s5",) and the earlier mask of ("s1", "s2")
+                assert slow.witness_set == ("s5",) and slow.slack == 0
             both[fast.feasible] += 1
     assert both[True] > 0 and both[False] > 0
 

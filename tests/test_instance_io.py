@@ -94,3 +94,10 @@ def test_missing_source_model():
     del doc["source_model"]
     with pytest.raises(InvalidInstance):
         load_instance(doc)
+
+
+def test_linear_model_ignores_a_blocklength_key():
+    # no code reads a block length, so the key is ignored like any other unknown key
+    model = parse_source_model({"kind": "linear", "q": 5, "N": 2, "blocklength": "two",
+                                "matrices": {"a": [[1, 0]]}}, ("a",))
+    assert model.entropy(["a"]) == 1
