@@ -17,7 +17,7 @@ from .instance_io import load_instance
 from .model import (ClientSubproblem, Edge, NetworkInstance, boundary, check_reconstructability,
                     client_subproblem, validate_instance)
 from .multi_client import (MulticastRates, StepSchedule, SubgradientResult,
-                           project_scaled_simplex, solve_multi_exact,
+                           project_scaled_simplex, solve_multi_bruteforce, solve_multi_exact,
                            solve_multi_subgradient, step_size)
 from .netcode import (CodeAssignment, CodedNetwork, assign_coefficients, build_coded_network,
                       build_decoder, propagate_global_vectors, simulate, transfer_matrix)
@@ -36,7 +36,7 @@ __all__ = [
     "ClientSubproblem", "Edge", "NetworkInstance", "boundary", "check_reconstructability",
     "client_subproblem", "validate_instance",
     "MulticastRates", "StepSchedule", "SubgradientResult", "project_scaled_simplex",
-    "solve_multi_exact", "solve_multi_subgradient", "step_size",
+    "solve_multi_bruteforce", "solve_multi_exact", "solve_multi_subgradient", "step_size",
     "CodeAssignment", "CodedNetwork", "assign_coefficients", "build_coded_network",
     "build_decoder", "propagate_global_vectors", "simulate", "transfer_matrix",
     "SingleClientSolution", "solve_single_client", "solve_single_client_bruteforce",

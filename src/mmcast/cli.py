@@ -286,7 +286,7 @@ def _cmd_oracle(args) -> tuple:
                 sub, oracle, instance.costs(), instance.capacities())
             singles[t] = {"rates": rates_to_json(solution.rates),
                           "cost": frac_str(solution.cost)}
-        multi = multi_client.solve_multi_exact(instance, oracle, check_feasibility=False)
+        multi = multi_client.solve_multi_bruteforce(instance, oracle, check_feasibility=False)
         payload["single_client"] = singles
         payload["multi"] = {"Z": rates_to_json(multi.envelope),
                             "cost": frac_str(multi.cost)}

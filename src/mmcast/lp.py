@@ -6,9 +6,17 @@ pivot rule is steepest-coefficient (Dantzig) with an automatic permanent
 switch to Bland's rule after a run of degenerate pivots, which preserves
 the no-cycling guarantee without paying Bland's price on every solve.
 
-:class:`SimplexSolver` keeps its final tableau so callers that repeatedly
-minimize different objectives over the same constraints (the Lagrangian
-inner problems) can re-optimize from the previous basis.
+:class:`SimplexSolver` keeps its final tableau, so a solved LP can be
+changed and re-optimized from its previous basis instead of from scratch:
+
+* :meth:`SimplexSolver.resolve` minimizes a new objective over the same
+  constraints (the Lagrangian inner problems) with primal simplex;
+* :meth:`SimplexSolver.add_rows` appends ``<=``/``>=`` rows (cutting
+  planes) and restores primal feasibility with dual simplex, which keeps
+  the basis optimal for the last objective.
+
+Artificial columns are dropped as soon as phase 1 has driven them out of
+the basis, so no later pivot walks them.
 """
 
 from __future__ import annotations
@@ -31,21 +39,25 @@ class LinearProgram:
     def __post_init__(self):
         n = len(self.objective)
         self.objective = [Fraction(c) for c in self.objective]
-        self.rows = [([Fraction(a) for a in coeffs], rel, Fraction(rhs))
-                     for coeffs, rel, rhs in self.rows]
+        self.rows = [self.checked_row(row) for row in self.rows]
         self.bounds = [(None if lo is None else Fraction(lo),
                         None if hi is None else Fraction(hi))
                        for lo, hi in self.bounds]
         if len(self.bounds) != n:
             raise ValueError("bounds length must match variable count")
-        for coeffs, rel, _ in self.rows:
-            if len(coeffs) != n:
-                raise ValueError("row length must match variable count")
-            if rel not in ("<=", ">=", "=="):
-                raise ValueError(f"unknown relation {rel!r}")
         for lo, hi in self.bounds:
             if lo is not None and hi is not None and lo > hi:
                 raise ValueError("empty variable bound interval")
+
+    def checked_row(self, row) -> tuple:
+        """``(coeffs, rel, rhs)`` over Fractions; raises ValueError on a malformed row."""
+        coeffs, rel, rhs = row
+        coeffs = [Fraction(a) for a in coeffs]
+        if len(coeffs) != len(self.objective):
+            raise ValueError("row length must match variable count")
+        if rel not in ("<=", ">=", "=="):
+            raise ValueError(f"unknown relation {rel!r}")
+        return coeffs, rel, Fraction(rhs)
 
 
 @dataclass
@@ -63,6 +75,7 @@ class SimplexSolver:
         self.n_vars = len(lp.objective)
         self._build_standard_form()
         self._solved = False
+        self._objective = None     # objective the current basis is optimal for
 
     # -- standard form ----------------------------------------------------
 
@@ -86,28 +99,7 @@ class SimplexSolver:
                 n_y += 2
         self.n_y = n_y
 
-        def to_y(coeffs):
-            row = [ZERO] * n_y
-            shift = ZERO
-            for i, c in enumerate(coeffs):
-                if not c:
-                    continue
-                kind = self.var_map[i]
-                if kind[0] == "shift":
-                    row[kind[1]] += c
-                    shift += c * kind[2]
-                elif kind[0] == "flip":
-                    row[kind[1]] -= c
-                    shift += c * kind[2]
-                else:
-                    row[kind[1]] += c
-                    row[kind[2]] -= c
-            return row, shift
-
-        rows = []
-        for coeffs, rel, rhs in lp.rows:
-            row, shift = to_y(coeffs)
-            rows.append((row, rel, rhs - shift))
+        rows = [self._to_y(coeffs, rel, rhs) for coeffs, rel, rhs in lp.rows]
         for i, ub in extra_rows:
             row = [ZERO] * n_y
             row[self.var_map[i][1]] = ONE
@@ -122,8 +114,6 @@ class SimplexSolver:
         slack_at = n_y
         art_rows = []
         for row, rel, rhs in rows:
-            if rel == ">=":
-                row, rel, rhs = [-a for a in row], "<=", -rhs
             if rel == "<=":
                 if rhs >= 0:
                     full = row + [ZERO] * slack_count + [rhs]
@@ -156,6 +146,26 @@ class SimplexSolver:
             col = total_slots + k
             self.tableau[i][col] = ONE
             self.basis[i] = col
+
+    def _to_y(self, coeffs, rel, rhs) -> tuple:
+        """A row over the solver variables y; ``>=`` rows come back as ``<=``."""
+        row = [ZERO] * self.n_y
+        for i, c in enumerate(coeffs):
+            if not c:
+                continue
+            kind = self.var_map[i]
+            if kind[0] == "shift":
+                row[kind[1]] += c
+                rhs -= c * kind[2]
+            elif kind[0] == "flip":
+                row[kind[1]] -= c
+                rhs -= c * kind[2]
+            else:
+                row[kind[1]] += c
+                row[kind[2]] -= c
+        if rel == ">=":
+            return [-a for a in row], "<=", -rhs
+        return row, rel, rhs
 
     # -- pivoting ----------------------------------------------------------
 
@@ -190,21 +200,22 @@ class SimplexSolver:
                 obj = [a - cb * v for a, v in zip(obj, row)]
         return obj
 
-    def _optimize(self, obj: list, allowed: int) -> str:
-        """Primal simplex until optimal/unbounded over columns < allowed."""
+    def _optimize(self, obj: list) -> str:
+        """Primal simplex until optimal or unbounded."""
         tab = self.tableau
         stall = 0
         bland = False
         while True:
+            bland = bland or stall >= DEGENERATE_STALL
             entering = -1
             if bland:
-                for j in range(allowed):
+                for j in range(self.n_cols):
                     if obj[j] < 0:
                         entering = j
                         break
             else:
                 best = ZERO
-                for j in range(allowed):
+                for j in range(self.n_cols):
                     v = obj[j]
                     if v < best:
                         best = v
@@ -223,15 +234,49 @@ class SimplexSolver:
                         leaving = i
             if leaving < 0:
                 return "unbounded"
-            if best_ratio == 0:
-                stall += 1
-                if stall >= DEGENERATE_STALL:
-                    bland = True
-            else:
-                stall = 0
+            stall = stall + 1 if best_ratio == 0 else 0
+            self._pivot(leaving, entering, obj)
+
+    def _dual_optimize(self, obj: list) -> str:
+        """Dual simplex from a dual-feasible basis until primal feasible or infeasible.
+
+        The leaving row has the most negative right-hand side (under Bland's
+        rule, the smallest basic index among the negative ones); the entering
+        column minimizes obj[j] / -a over the row's negative entries a, the
+        smallest column winning ties, so the reduced costs stay nonnegative.
+        """
+        tab, basis = self.tableau, self.basis
+        stall = 0
+        bland = False
+        while True:
+            bland = bland or stall >= DEGENERATE_STALL
+            leaving = -1
+            worst = ZERO
+            for i, row in enumerate(tab):
+                rhs = row[-1]
+                if rhs < 0 and (leaving < 0 or (basis[i] < basis[leaving] if bland
+                                                else rhs < worst)):
+                    worst = rhs
+                    leaving = i
+            if leaving < 0:
+                return "optimal"
+            row = tab[leaving]
+            entering = -1
+            best_ratio = None
+            for j in range(self.n_cols):
+                a = row[j]
+                if a < 0:
+                    ratio = obj[j] / -a
+                    if best_ratio is None or ratio < best_ratio:
+                        best_ratio = ratio
+                        entering = j
+            if entering < 0:
+                return "infeasible"     # a negative sum of nonnegative terms
+            stall = stall + 1 if best_ratio == 0 else 0
             self._pivot(leaving, entering, obj)
 
     def _drive_out_artificials(self):
+        """Pivot the artificials out of a phase-1 optimal basis, then drop their columns."""
         drop = []
         for r, b in enumerate(self.basis):
             if b >= self.artificial_start:
@@ -245,6 +290,10 @@ class SimplexSolver:
         for r in sorted(drop, reverse=True):
             del self.tableau[r]
             del self.basis[r]
+        keep = self.artificial_start
+        if self.n_cols > keep:
+            self.tableau = [row[:keep] + row[-1:] for row in self.tableau]
+            self.n_cols = keep
 
     # -- public ------------------------------------------------------------
 
@@ -253,7 +302,7 @@ class SimplexSolver:
         for j in range(self.artificial_start, self.n_cols):
             phase1[j] = ONE
         obj = self._reduced_row(phase1)
-        status = self._optimize(obj, self.n_cols)
+        status = self._optimize(obj)
         if status != "optimal" or obj[-1] != 0:
             # phase-1 objective row carries -(sum of artificials)
             self._solved = False
@@ -268,31 +317,57 @@ class SimplexSolver:
             raise RuntimeError("resolve requires a previous successful solve")
         cost_y, const = self._objective_in_y(objective)
         obj = self._reduced_row(cost_y)
-        status = self._optimize(obj, self.artificial_start)
+        status = self._optimize(obj)
         if status == "unbounded":
+            self._objective = None
             return LpSolution("unbounded")
+        self._objective = list(objective)
         x = self._extract_x()
         value = const - obj[-1]   # obj[-1] holds -(c_B B^-1 b)
         return LpSolution("optimal", value, x)
 
+    def add_rows(self, rows) -> bool:
+        """Append ``<=``/``>=`` rows to the solved LP and restore feasibility.
+
+        Each row enters the current basis with a new basic slack.  Dual
+        simplex under the objective of the last optimal solve or resolve then
+        brings the basis back to primal feasibility, so a following
+        :meth:`resolve` with that objective needs no pivot.  The rows are
+        appended to ``self.lp`` as well.  Returns False when the enlarged LP
+        is infeasible; the solver then needs a new :meth:`solve` before it
+        can resolve again.
+        """
+        if self._objective is None:
+            raise RuntimeError("add_rows requires a previous optimal solve or resolve")
+        rows = [self.lp.checked_row(row) for row in rows]
+        if any(rel == "==" for _, rel, _ in rows):
+            raise ValueError("add_rows takes <= and >= rows only")
+        for coeffs, rel, rhs in rows:
+            y_row, _, rhs = self._to_y(coeffs, rel, rhs)
+            slack = self.n_cols
+            new = y_row + [ZERO] * (slack - self.n_y) + [ONE, rhs]
+            for r, b in zip(self.tableau, self.basis):
+                r.insert(slack, ZERO)
+                factor = new[b]
+                if factor:              # keep every basic column a unit column
+                    for j, v in enumerate(r):
+                        if v:
+                            new[j] -= factor * v
+            self.tableau.append(new)
+            self.basis.append(slack)
+            self.n_cols += 1
+        self.lp.rows += rows
+        cost_y, _ = self._objective_in_y(self._objective)
+        if self._dual_optimize(self._reduced_row(cost_y)) == "infeasible":
+            self._solved = False
+            self._objective = None
+            return False
+        return True
+
     def _objective_in_y(self, objective):
-        cost = [ZERO] * self.n_cols
-        const = ZERO
-        for i, c in enumerate(objective):
-            c = Fraction(c)
-            if not c:
-                continue
-            kind = self.var_map[i]
-            if kind[0] == "shift":
-                cost[kind[1]] += c
-                const += c * kind[2]
-            elif kind[0] == "flip":
-                cost[kind[1]] -= c
-                const += c * kind[2]
-            else:
-                cost[kind[1]] += c
-                cost[kind[2]] -= c
-        return cost, const
+        """Cost row over all columns and the constant the shifts add to the value."""
+        cost, _, minus_const = self._to_y([Fraction(c) for c in objective], "==", ZERO)
+        return cost + [ZERO] * (self.n_cols - self.n_y), -minus_const
 
     def _extract_x(self) -> list:
         y = [ZERO] * self.n_cols

@@ -4,8 +4,16 @@ The multi-client problem minimizes sum(alpha_e * Z_e) where Z_e dominates
 every client's rate on edge e and each client's rates lie in its own
 rate-flow region.  Two routes:
 
-* :func:`solve_multi_exact` -- one exact LP with every region constraint
-  of every client materialized (desk-scale row budgets).
+* :func:`solve_multi_exact` -- one exact LP over the envelope and every
+  client's rates, with region rows added lazily (Kelley's cutting planes).
+  It starts from a seed pool per client (singletons, their complements,
+  the ground equality) and the couplings Z_e >= R_e^(t); each round, exact
+  submodular separation finds the most violated region row of every
+  client, the rows are appended and the LP is re-optimized warm by dual
+  simplex.  It stops when no client has a violated row, so the optimum is
+  exact and certified by that separation.
+  :func:`solve_multi_bruteforce` builds the same LP with every region row
+  materialized; it is the reference the lazy route is tested against.
 * :func:`solve_multi_subgradient` -- dualize the coupling Z_e >= R_e^(t).
   The per-edge multipliers live on scaled simplices {lam >= 0,
   sum_t lam_e^(t) = alpha_e}; each iteration solves one weighted
@@ -26,15 +34,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import feasibility, model
-from .errors import BudgetExceeded, InvalidParameters
+from .errors import BudgetExceeded, Infeasible, InvalidParameters
 from .lp import LinearProgram, SimplexSolver
 from .model import NetworkInstance, Region
-from .single_client import RegionOptimizer
+from .single_client import RegionOptimizer, most_violated, seed_pool
 
 DEFAULT_MAX_ITERS = 50000
 DEFAULT_GAP_TOL = Fraction(1, 100)
 DEFAULT_ROW_BUDGET = 2 ** 16
 DEFAULT_PATIENCE = 5000
+_EMPTY = "no rate vectors of the clients meet every region under the capacities"
 
 
 @dataclass
@@ -124,62 +133,117 @@ def exact_simplex_projection(v: list, total: Fraction) -> list:
 
 # -- exact LP route ----------------------------------------------------------
 
+class _MultiLP:
+    """Variables, bounds, rows and read-out of the exact multi-client LP.
+
+    The columns are Z_e for every edge of the instance, then R_e^(t) for
+    every edge of every client's subproblem.  Region rows are chosen by
+    client and mask, so the lazy and the brute-force route assemble the
+    same LP from different masks.
+    """
+
+    def __init__(self, instance: NetworkInstance, subs: dict, oracle):
+        self.instance, self.subs = instance, subs
+        self.regions = {t: Region(sub, oracle) for t, sub in subs.items()}
+        self.z_index = {e.id: i for i, e in enumerate(instance.edges)}
+        n = len(instance.edges)
+        self.r_index = {}
+        for t, sub in subs.items():
+            for e in sub.edges:
+                self.r_index[(t, e.id)] = n
+                n += 1
+        self.n = n
+
+    def region_row(self, t, mask: int) -> tuple:
+        """boundary(R^(t), S) >= g(S) for the mask of S; equality at the full set."""
+        region = self.regions[t]
+        row = [0] * self.n
+        for e, coeff in zip(self.subs[t].edges, region.row(mask)):
+            if coeff:
+                row[self.r_index[(t, e.id)]] = coeff
+        return row, "==" if mask == region.full else ">=", region.g[mask]
+
+    def program(self, masks: dict) -> LinearProgram:
+        """The LP with the region rows of ``masks[t]`` plus every ground equality and coupling."""
+        caps = self.instance.capacities()
+        covered = {eid for (_, eid) in self.r_index}
+        bounds = [(0, caps[e.id] if e.id in covered else 0) for e in self.instance.edges]
+        # R_e^(t) <= Z_e <= c_e already caps the rates; a bound would add a row each
+        bounds += [(0, None)] * len(self.r_index)
+        rows = []
+        for t, sub in self.subs.items():
+            for mask in masks[t]:
+                row = self.region_row(t, mask)
+                if row[2] <= 0 and all(c >= 0 for c in row[0]):
+                    continue        # implied by the nonnegativity bounds
+                rows.append(row)
+            rows.append(self.region_row(t, self.regions[t].full))
+            for e in sub.edges:
+                row = [0] * self.n
+                row[self.z_index[e.id]] = 1
+                row[self.r_index[(t, e.id)]] = -1
+                rows.append((row, ">=", 0))
+        objective = [e.cost for e in self.instance.edges]
+        objective += [0] * (self.n - len(objective))
+        return LinearProgram(objective, rows, bounds)
+
+    def per_client(self, x: list) -> dict:
+        return {t: {e.id: x[self.r_index[(t, e.id)]] for e in sub.edges}
+                for t, sub in self.subs.items()}
+
+    def result(self, solution) -> MulticastRates:
+        envelope = {e.id: solution.x[self.z_index[e.id]] for e in self.instance.edges}
+        return MulticastRates(envelope, self.per_client(solution.x), solution.value)
+
+
+def _multi_lp(instance, oracle, row_budget: int, check: bool) -> _MultiLP:
+    subs = _subproblems(instance, oracle, check)
+    masks = sum(1 << len(s.sources) for s in subs.values())
+    if masks > row_budget:
+        raise BudgetExceeded(
+            f"region tables of {masks} masks exceed the {row_budget}-mask budget")
+    return _MultiLP(instance, subs, oracle)
+
+
 def solve_multi_exact(instance: NetworkInstance, oracle,
                       row_budget: int = DEFAULT_ROW_BUDGET,
                       check_feasibility: bool = True) -> MulticastRates:
-    """Exact optimum of the multi-client problem by full materialization."""
-    subs = _subproblems(instance, oracle, check_feasibility)
-    if sum(1 << len(s.sources) for s in subs.values()) > row_budget:
-        raise BudgetExceeded(
-            f"materialized region rows exceed the {row_budget}-row budget")
+    """Exact optimum of the multi-client problem by lazily added region rows.
 
-    edges = instance.edges
-    z_index = {e.id: i for i, e in enumerate(edges)}
-    n = len(edges)
-    r_index = {}
-    for t in instance.clients:
-        for e in subs[t].edges:
-            r_index[(t, e.id)] = n
-            n += 1
+    ``row_budget`` bounds sum_t 2^{m_t}, the size of the clients' mask-indexed
+    region tables that separation reads (BudgetExceeded above it).  Raises
+    Infeasible when no allocation exists, with the clients' certificates
+    when ``check_feasibility`` is set.
+    """
+    lp = _multi_lp(instance, oracle, row_budget, check_feasibility)
+    solver = SimplexSolver(lp.program({t: seed_pool(len(s.sources))
+                                       for t, s in lp.subs.items()}))
+    solution = solver.solve()
+    while solution.status == "optimal":
+        rates = lp.per_client(solution.x)
+        cuts = []
+        for t in lp.subs:
+            mask = most_violated(lp.regions[t], rates[t])
+            if mask is not None:
+                cuts.append(lp.region_row(t, mask))
+        if not cuts:
+            return lp.result(solution)
+        if not solver.add_rows(cuts):
+            break
+        solution = solver.resolve(solver.lp.objective)
+    raise Infeasible(_EMPTY)
 
-    covered = {eid for (_, eid) in r_index}
-    caps = instance.capacities()
-    bounds = []
-    for e in edges:
-        hi = caps[e.id] if e.id in covered else Fraction(0)
-        bounds.append((Fraction(0), hi))
-    bounds += [(Fraction(0), caps[eid]) for (_, eid) in r_index]
 
-    rows = []
-    for t, sub in subs.items():
-        region = Region(sub, oracle)
-        full = region.full
-        for mask in range(1, full + 1):
-            base = region.row(mask)
-            rhs = region.g[mask]
-            if mask != full and rhs <= 0 and all(c >= 0 for c in base):
-                continue            # implied by the nonnegativity bounds
-            row = [Fraction(0)] * n
-            for e, coeff in zip(sub.edges, base):
-                if coeff:
-                    row[r_index[(t, e.id)]] = coeff
-            rel = "==" if mask == full else ">="
-            rows.append((row, rel, rhs))
-        for e in sub.edges:
-            row = [Fraction(0)] * n
-            row[z_index[e.id]] = Fraction(1)
-            row[r_index[(t, e.id)]] = Fraction(-1)
-            rows.append((row, ">=", Fraction(0)))
-
-    objective = [e.cost for e in edges] + [Fraction(0)] * (n - len(edges))
-    solution = SimplexSolver(LinearProgram(objective, rows, bounds)).solve()
+def solve_multi_bruteforce(instance: NetworkInstance, oracle,
+                           row_budget: int = DEFAULT_ROW_BUDGET,
+                           check_feasibility: bool = True) -> MulticastRates:
+    """Reference optimum: one LP with every region row of every client materialized."""
+    lp = _multi_lp(instance, oracle, row_budget, check_feasibility)
+    solution = SimplexSolver(lp.program({t: range(1, r.full)
+                                         for t, r in lp.regions.items()})).solve()
     if solution.status != "optimal":
-        raise RuntimeError(f"multi-client LP came back {solution.status} after feasibility passed")
-    envelope = {e.id: solution.x[z_index[e.id]] for e in edges}
-    per_client = {
-        t: {e.id: solution.x[r_index[(t, e.id)]] for e in subs[t].edges}
-        for t in instance.clients}
-    return MulticastRates(envelope, per_client, solution.value)
+        raise Infeasible(_EMPTY)
+    return lp.result(solution)
 
 
 def _subproblems(instance, oracle, check: bool) -> dict:
@@ -187,7 +251,6 @@ def _subproblems(instance, oracle, check: bool) -> dict:
         report = feasibility.check_feasible_multi(instance, oracle)
         if not report.feasible:
             bad = [c for c in report.certificates if not c.feasible]
-            from .errors import Infeasible
             raise Infeasible(
                 "no achievable rate vector: " + "; ".join(
                     f"client {c.client} needs {c.required} through {c.witness_set} "

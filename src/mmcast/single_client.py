@@ -7,7 +7,8 @@ source set, intersected with the capacity box.  Two solvers cover it:
 * :func:`solve_single_client` -- cutting planes.  The LP starts from a
   small constraint pool (singletons, their complements, the ground
   equality) and grows it with the most violated subset found by exact
-  submodular minimization until none is violated.
+  submodular minimization until none is violated.  Each cut is appended
+  to the solved LP and re-optimized warm by dual simplex.
 * :func:`solve_single_client_bruteforce` -- materializes all 2^m - 2
   subset inequalities at once; the oracle baseline the cutting-plane
   path is tested against.
@@ -37,12 +38,31 @@ class SingleClientSolution:
     iterations: int             # LP solves performed
 
 
+def seed_pool(m: int) -> list:
+    """Masks the cutting planes start from: the m singletons and their complements."""
+    full = (1 << m) - 1
+    pool = {1 << i for i in range(m)} | {full ^ (1 << i) for i in range(m) if m > 1}
+    return sorted(pool - {0, full})
+
+
+def most_violated(region: Region, rates: dict):
+    """Exact separation: the mask minimizing boundary(R, S) - g(S), if that is negative.
+
+    None certifies that the rates satisfy every region inequality.
+    """
+    slack = [b - g for b, g in zip(region.boundary(rates), region.g)]
+    h = SetFunction.tabulated(region.sub.sources, slack, "submodular")
+    witness, worst = sfm_brute_force(h)
+    return None if worst >= 0 else h.mask(witness)
+
+
 class RegionOptimizer:
     """Repeatedly minimize linear objectives over one client's region.
 
-    Keeps the constraint pool and the simplex basis across calls, so the
-    Lagrangian inner problems (same region, changing weights) cost a few
-    warm pivots each after the pool stabilizes.
+    Keeps the constraint pool and the simplex basis across calls: a cut is
+    appended to the solved LP and re-optimized warm, and a new objective
+    (the Lagrangian inner problems: same region, changing weights) starts
+    from the last basis, so each costs a few pivots once the pool settles.
     """
 
     def __init__(self, sub: ClientSubproblem, oracle, capacities: dict):
@@ -50,20 +70,18 @@ class RegionOptimizer:
         self.capacities = capacities
         self.region = Region(sub, oracle)
         self.g = SetFunction.tabulated(sub.sources, self.region.g, "supermodular")
-        m = len(sub.sources)
         self.full_mask = self.region.full
-        pool = [1 << i for i in range(m)]
-        pool += [self.full_mask ^ (1 << i) for i in range(m) if m > 1]
-        self.pool = sorted(set(pool) - {0, self.full_mask})
+        self.pool = seed_pool(len(sub.sources))
         self._solver = None
 
+    def _row(self, mask: int) -> tuple:
+        return self.region.row(mask), ">=", self.region.g[mask]
+
     def _build(self, objective: list) -> SimplexSolver:
-        sub, region = self.sub, self.region
-        rows = [(region.row(mask), ">=", region.g[mask]) for mask in self.pool]
-        rows.append((region.row(self.full_mask), "==", sub.ground_entropy))
-        bounds = [(Fraction(0), self.capacities[e.id]) for e in sub.edges]
-        solver = SimplexSolver(LinearProgram(objective, rows, bounds))
-        return solver
+        rows = [self._row(mask) for mask in self.pool]
+        rows.append((self.region.row(self.full_mask), "==", self.sub.ground_entropy))
+        bounds = [(Fraction(0), self.capacities[e.id]) for e in self.sub.edges]
+        return SimplexSolver(LinearProgram(objective, rows, bounds))
 
     def minimize(self, costs: dict):
         """Exact minimum of sum(costs[e] * R_e) over the region.
@@ -72,30 +90,27 @@ class RegionOptimizer:
         region is empty within the capacity box.
         """
         objective = [Fraction(costs[e.id]) for e in self.sub.edges]
-        solves = 0
-        while True:
-            if self._solver is None:
-                self._solver = self._build(objective)
-                solution = self._solver.solve()
-            else:
-                solution = self._solver.resolve(objective)
-            solves += 1
-            if solution.status == "infeasible":
-                self._solver = None
-                raise Infeasible(f"client {self.sub.client}: region is empty under capacities")
+        if self._solver is None:
+            self._solver = self._build(objective)
+            solution = self._solver.solve()
+        else:
+            solution = self._solver.resolve(objective)
+        solves = 1
+        while solution.status == "optimal":
             rates = {e.id: x for e, x in zip(self.sub.edges, solution.x)}
             violated = self._most_violated(rates)
             if violated is None:
                 return rates, solution.value, solves
             self.pool.append(violated)
-            self._solver = None
+            if not self._solver.add_rows([self._row(violated)]):
+                break
+            solution = self._solver.resolve(objective)
+            solves += 1
+        self._solver = None
+        raise Infeasible(f"client {self.sub.client}: region is empty under capacities")
 
     def _most_violated(self, rates: dict):
-        """Mask of the subset minimizing boundary(R, S) - g(S), if negative."""
-        slack = [b - g for b, g in zip(self.region.boundary(rates), self.region.g)]
-        h = SetFunction.tabulated(self.sub.sources, slack, "submodular")
-        witness, worst = sfm_brute_force(h)
-        return None if worst >= 0 else h.mask(witness)
+        return most_violated(self.region, rates)
 
     def tight_sets(self, rates: dict) -> list:
         b, g = self.region.boundary(rates), self.region.g

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from mmcast.lp import LinearProgram, SimplexSolver, solve_lp
 
 F = Fraction
@@ -226,3 +228,82 @@ def test_fuzz_mixed_relations_and_bounds():
                 assert abs(float(mine.value) - ref.fun) < 1e-7
             agreements += 1
     assert agreements >= 100
+
+
+def _random_row(rng, n, relations):
+    return ([F(rng.randint(-3, 3)) for _ in range(n)], rng.choice(relations),
+            F(rng.randint(-4, 8)))
+
+
+def _holds(row, x):
+    coeffs, rel, rhs = row
+    lhs = sum(a * xj for a, xj in zip(coeffs, x))
+    return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
+
+
+def _assert_feasible(lp, x):
+    assert all(isinstance(xj, Fraction) for xj in x)
+    assert all(_holds(row, x) for row in lp.rows)
+    assert all(lo <= xj <= hi for (lo, hi), xj in zip(lp.bounds, x))
+
+
+def _appended_rows_match_cold_solves(seed):
+    # append 1-3 rows to a solved bounded LP, re-optimize warm, and compare
+    # with a cold solve of the enlarged program, also under a new objective
+    rng = random.Random(seed)
+    outcomes = {"optimal": 0, "infeasible": 0}
+    cut_off = 0                 # appends that the previous optimum violated
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        bounds = [(F(rng.randint(-3, 0)), F(rng.randint(1, 6))) for _ in range(n)]
+        rows = [_random_row(rng, n, ["<=", ">=", "=="]) for _ in range(rng.randint(0, 3))]
+        c = [F(rng.randint(-3, 3)) for _ in range(n)]
+        solver = SimplexSolver(LinearProgram(c, rows, bounds))
+        first = solver.solve()
+        if first.status != "optimal":
+            continue
+        extra = [_random_row(rng, n, ["<=", ">="]) for _ in range(rng.randint(1, 3))]
+        cut_off += not all(_holds(row, first.x) for row in extra)
+        enlarged = LinearProgram(c, rows + extra, bounds)
+        cold = solve_lp(enlarged)
+        if not solver.add_rows(extra):
+            assert cold.status == "infeasible"
+            outcomes["infeasible"] += 1
+            continue
+        pivots = []
+        solver._pivot = lambda *args: pivots.append(args) or SimplexSolver._pivot(solver, *args)
+        warm = solver.resolve(c)
+        assert not pivots       # dual simplex left the basis optimal for c
+        del solver._pivot
+        assert warm.status == cold.status == "optimal" and warm.value == cold.value
+        _assert_feasible(enlarged, warm.x)
+        assert sum(a * xj for a, xj in zip(c, warm.x)) == warm.value
+        c2 = [F(rng.randint(-3, 3)) for _ in range(n)]
+        again = solver.resolve(c2)
+        assert again.value == solve_lp(LinearProgram(c2, rows + extra, bounds)).value
+        _assert_feasible(enlarged, again.x)
+        outcomes["optimal"] += 1
+    assert outcomes["optimal"] >= 40 and outcomes["infeasible"] >= 5
+    assert cut_off >= 40
+
+
+def test_add_rows_matches_cold_solve():
+    _appended_rows_match_cold_solves(89)
+
+
+def test_add_rows_under_blands_rule(monkeypatch):
+    # a zero stall budget runs both the primal and the dual simplex on
+    # Bland's rule from the first pivot
+    import mmcast.lp
+    monkeypatch.setattr(mmcast.lp, "DEGENERATE_STALL", 0)
+    _appended_rows_match_cold_solves(97)
+
+
+def test_add_rows_reports_infeasibility():
+    solver = SimplexSolver(LinearProgram([1, 1], [([1, 1], "==", 4)], [(0, 5), (0, 5)]))
+    assert solver.solve().x == [4, 0]
+    assert solver.add_rows([([0, 1], ">=", 1)])     # cuts off [4, 0]
+    assert solver.resolve([1, 1]).x == [3, 1]
+    assert not solver.add_rows([([1, 0], ">=", 3), ([0, 1], ">=", 2)])
+    with pytest.raises(RuntimeError):
+        solver.resolve([1, 1])

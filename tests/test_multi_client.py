@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import single_edge_instance
-from mmcast import load_instance
+from helpers import random_feasible_instance, random_instance_doc, single_edge_instance
+from mmcast import check_feasible_multi, load_instance
 from mmcast.errors import Infeasible, InvalidParameters
 from mmcast.model import boundary_vector, client_subproblem
 from mmcast.multi_client import (StepSchedule, exact_simplex_projection,
-                                 project_scaled_simplex, solve_multi_exact,
-                                 solve_multi_subgradient, step_size)
+                                 project_scaled_simplex, solve_multi_bruteforce,
+                                 solve_multi_exact, solve_multi_subgradient, step_size)
 from mmcast.single_client import solve_single_client
 from mmcast.submodular import conditional_entropy_function, in_base_polyhedron
 
@@ -74,6 +74,61 @@ def test_exact_infeasible_raises():
     instance, oracle, _ = load_instance(doc)
     with pytest.raises(Infeasible):
         solve_multi_exact(instance, oracle)
+
+
+def test_infeasible_without_feasibility_check(monkeypatch):
+    # with the feasibility pass skipped, the LPs themselves must report the
+    # empty region as Infeasible, whether the seed LP or an appended cut finds it
+    from mmcast.lp import SimplexSolver
+    refused = []
+    add_rows = SimplexSolver.add_rows
+
+    def counting(self, rows):
+        ok = add_rows(self, rows)
+        refused.append(not ok)
+        return ok
+
+    monkeypatch.setattr(SimplexSolver, "add_rows", counting)
+    doc = two_client_symmetric_doc()
+    doc["edges"][0]["capacity"] = "2"
+    cases = [load_instance(doc)]
+    rng = random.Random(5)
+    for _ in range(30):
+        cases.append(load_instance(random_instance_doc(rng, n_clients=rng.randint(2, 3))))
+    infeasible = 0
+    for instance, oracle, _ in cases:
+        if check_feasible_multi(instance, oracle).feasible:
+            continue
+        infeasible += 1
+        for solve in (solve_multi_exact, solve_multi_bruteforce):
+            with pytest.raises(Infeasible):
+                solve(instance, oracle, check_feasibility=False)
+    assert infeasible >= 20
+    assert any(refused)         # draw 28 of the stream gets past its seed rows
+
+
+def test_lazy_rows_match_bruteforce_random(monkeypatch):
+    from mmcast.lp import SimplexSolver
+    appends = []
+    add_rows = SimplexSolver.add_rows
+    monkeypatch.setattr(SimplexSolver, "add_rows",
+                        lambda self, rows: appends.append(rows) or add_rows(self, rows))
+    rng = random.Random(131)
+    cut = 0                     # instances whose seed rows were not enough
+    for _ in range(40):
+        instance, oracle, _ = random_feasible_instance(
+            rng, n_sources=rng.randint(4, 6), n_clients=rng.randint(2, 3))
+        before = len(appends)
+        lazy = solve_multi_exact(instance, oracle, check_feasibility=False)
+        cut += len(appends) > before
+        brute = solve_multi_bruteforce(instance, oracle, check_feasibility=False)
+        assert lazy.cost == brute.cost
+        for t, rates in lazy.per_client.items():
+            sub = client_subproblem(instance, oracle, t)
+            g = conditional_entropy_function(oracle, sub.sources)
+            assert in_base_polyhedron(boundary_vector(rates, sub), g).member
+            assert all(r <= lazy.envelope[eid] for eid, r in rates.items())
+    assert cut >= 15
 
 
 def test_cost_scaling_invariance(f2):
