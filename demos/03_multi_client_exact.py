@@ -4,8 +4,9 @@ With several clients, a link must carry the maximum of what the individual
 clients want on it (a coded packet can serve everyone simultaneously), so
 the objective prices the per-edge envelope Z_e = max_t R_e^(t) rather than
 the sum.  This script solves the exact LP coupling every client's region
-through the envelope and shows how the two clients share links e2/e3
-instead of paying for them twice.
+through the envelope and lists the links that carry both clients' traffic
+at once instead of being paid for twice.  Which links those are depends on
+the optimal vertex the solver's tie-breaking picks; the cost does not.
 """
 
 from pathlib import Path

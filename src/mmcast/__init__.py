@@ -17,8 +17,8 @@ from .instance_io import load_instance
 from .model import (ClientSubproblem, Edge, NetworkInstance, boundary, check_reconstructability,
                     client_subproblem, validate_instance)
 from .multi_client import (MulticastRates, StepSchedule, SubgradientResult,
-                           project_scaled_simplex, solve_multi_bruteforce, solve_multi_exact,
-                           solve_multi_subgradient, step_size)
+                           solve_multi_bruteforce, solve_multi_exact, solve_multi_subgradient,
+                           step_size)
 from .netcode import (CodeAssignment, CodedNetwork, assign_coefficients, build_coded_network,
                       build_decoder, propagate_global_vectors, simulate, transfer_matrix)
 from .single_client import (SingleClientSolution, solve_single_client,
@@ -35,8 +35,8 @@ __all__ = [
     "load_instance",
     "ClientSubproblem", "Edge", "NetworkInstance", "boundary", "check_reconstructability",
     "client_subproblem", "validate_instance",
-    "MulticastRates", "StepSchedule", "SubgradientResult", "project_scaled_simplex",
-    "solve_multi_bruteforce", "solve_multi_exact", "solve_multi_subgradient", "step_size",
+    "MulticastRates", "StepSchedule", "SubgradientResult", "solve_multi_bruteforce",
+    "solve_multi_exact", "solve_multi_subgradient", "step_size",
     "CodeAssignment", "CodedNetwork", "assign_coefficients", "build_coded_network",
     "build_decoder", "propagate_global_vectors", "simulate", "transfer_matrix",
     "SingleClientSolution", "solve_single_client", "solve_single_client_bruteforce",

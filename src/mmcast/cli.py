@@ -3,9 +3,8 @@
 Subcommands: validate, feas, solve, code, simulate, oracle.  Every output
 carries a run manifest (subcommand, input digest, resolved parameters,
 tool version); reruns with an identical manifest produce byte-identical
-output regardless of ``--threads``.  Rationals are printed as "p/q"
-strings; floats appear only inside subgradient traces and are rounded to
-12 significant digits.
+output.  Rationals are printed as "p/q" strings; floats appear only inside
+subgradient traces and are rounded to 12 significant digits.
 
 Exit codes: 0 success, 2 infeasible or verification failure (diagnostic
 JSON), 1 malformed input or parameters (machine-readable error object).
@@ -17,7 +16,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,17 +50,6 @@ def _manifest(args, command: str, parameters: dict) -> dict:
         "parameters": parameters,
         "version": __version__,
     }
-
-
-def _runner(threads: int):
-    if threads <= 1:
-        return map
-    pool = ThreadPoolExecutor(max_workers=threads)
-
-    def run(fn, items):
-        return list(pool.map(fn, items))
-
-    return run
 
 
 def _parse_schedule(text: str) -> StepSchedule:
@@ -145,8 +132,7 @@ def _cmd_validate(args) -> tuple:
 
 def _cmd_feas(args) -> tuple:
     instance, oracle, _ = instance_io.load_instance(args.instance)
-    report = feasibility.check_feasible_multi(
-        instance, oracle, client_runner=_runner(args.threads))
+    report = feasibility.check_feasible_multi(instance, oracle)
     payload = {"manifest": _manifest(args, "feas", {})}
     payload.update(_feas_json(report))
     return payload, 0 if report.feasible else 2
@@ -177,8 +163,7 @@ def _cmd_solve(args) -> tuple:
                        "gap": frac_str(Fraction(args.gap).limit_denominator(10 ** 12))})
         result = multi_client.solve_multi_subgradient(
             instance, oracle, schedule=schedule, max_iters=args.iters,
-            gap_tol=Fraction(args.gap).limit_denominator(10 ** 12),
-            client_runner=_runner(args.threads))
+            gap_tol=Fraction(args.gap).limit_denominator(10 ** 12))
         trace = [{"n": t.n, "dual": _round12(t.dual), "primal": _round12(t.primal),
                   "gap": _round12(t.gap)} for t in result.trace]
         if args.trace_csv:
@@ -299,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmcast",
         description="Multisource multicast: feasibility, rate allocation, network coding.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent per-client solves")
     commands = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):

@@ -57,10 +57,6 @@ class UnknownSubset(MmcastError):
 
 # --- finite field ---------------------------------------------------------
 
-class DivisionByZero(MmcastError):
-    pass
-
-
 class ModulusMismatch(MmcastError):
     pass
 

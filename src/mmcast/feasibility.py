@@ -64,12 +64,11 @@ def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> Fe
 
 
 def check_feasible_multi(instance: NetworkInstance, oracle,
-                         capacities: dict | None = None,
-                         client_runner=map) -> FeasibilityReport:
+                         capacities: dict | None = None) -> FeasibilityReport:
     """Per-client certificates plus the overall verdict.
 
     Requires the reconstructability precondition; certificates are returned
-    in instance client order regardless of the runner used.
+    in instance client order.
     """
     recon = model.check_reconstructability(instance, oracle)
     if not recon.ok:
@@ -77,12 +76,8 @@ def check_feasible_multi(instance: NetworkInstance, oracle,
         raise ReconstructabilityViolated(
             f"clients {failed} cannot see the full process", recon)
     caps = capacities if capacities is not None else instance.capacities()
-
-    def one(t):
-        sub = model.client_subproblem(instance, oracle, t)
-        return check_feasible_single(sub, oracle, caps)
-
-    certs = tuple(client_runner(one, instance.clients))
+    certs = tuple(check_feasible_single(model.client_subproblem(instance, oracle, t), oracle, caps)
+                  for t in instance.clients)
     return FeasibilityReport(all(c.feasible for c in certs), certs)
 
 

@@ -7,9 +7,7 @@ is exact; matrices are never mutated in place by the public operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DivisionByZero, Inconsistent, ModulusMismatch
+from .errors import Inconsistent, ModulusMismatch
 
 
 def is_prime(q: int) -> bool:
@@ -25,67 +23,6 @@ def is_prime(q: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of F_q, value reduced into [0, q)."""
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ModulusMismatch(f"modulus {self.q} is not prime")
-        object.__setattr__(self, "value", self.value % self.q)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.q != self.q:
-                raise ModulusMismatch(f"mixed moduli {self.q} and {other.q}")
-            return other
-        return FieldElement(int(other), self.q)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value + other.value, self.q)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value - other.value, self.q)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value * other.value, self.q)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.value == 0:
-            raise DivisionByZero(f"division by zero in F_{self.q}")
-        return self * other.inverse()
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.q)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise DivisionByZero(f"0 has no inverse in F_{self.q}")
-        return FieldElement(pow(self.value, self.q - 2, self.q), self.q)
-
-
-def field_arithmetic(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Apply one of {add, sub, mul, div} to two elements of the same field."""
-    if a.q != b.q:
-        raise ModulusMismatch(f"mixed moduli {a.q} and {b.q}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 class FieldMatrix:

@@ -1,10 +1,17 @@
-"""Exact rational linear programming via two-phase tableau simplex.
+"""Exact rational linear programming via tableau simplex from the slack basis.
 
 All arithmetic is over :class:`fractions.Fraction`; optima are exact
 vertices and every run is deterministic given the input ordering.  The
 pivot rule is steepest-coefficient (Dantzig) with an automatic permanent
 switch to Bland's rule after a run of degenerate pivots, which preserves
 the no-cycling guarantee without paying Bland's price on every solve.
+
+Every row enters the tableau as a ``<=`` row over nonnegative solver
+variables with its own basic slack (an ``==`` row as a ``<=``/``>=`` pair),
+whatever the sign of its right-hand side.  That slack basis is dual
+feasible for the nonnegative part of the costs, so dual simplex (Lemke's
+method) finds a feasible basis or proves that there is none; no artificial
+variables and no phase-1 objective are needed.
 
 :class:`SimplexSolver` keeps its final tableau, so a solved LP can be
 changed and re-optimized from its previous basis instead of from scratch:
@@ -14,9 +21,6 @@ changed and re-optimized from its previous basis instead of from scratch:
 * :meth:`SimplexSolver.add_rows` appends ``<=``/``>=`` rows (cutting
   planes) and restores primal feasibility with dual simplex, which keeps
   the basis optimal for the last objective.
-
-Artificial columns are dropped as soon as phase 1 has driven them out of
-the basis, so no later pivot walks them.
 """
 
 from __future__ import annotations
@@ -68,11 +72,10 @@ class LpSolution:
 
 
 class SimplexSolver:
-    """Two-phase simplex on the standard-form image of a LinearProgram."""
+    """Dual-then-primal simplex on the slack-basis tableau of a LinearProgram."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.n_vars = len(lp.objective)
         self._build_standard_form()
         self._solved = False
         self._objective = None     # objective the current basis is optimal for
@@ -83,13 +86,13 @@ class SimplexSolver:
         lp = self.lp
         # map each original variable to nonnegative solver variables
         self.var_map = []          # ("shift", j, lo) | ("flip", j, hi) | ("split", j+, j-)
-        extra_rows = []            # upper-bound rows produced by shifts
+        upper = []                 # (j, hi - lo) upper-bound rows produced by shifts
         n_y = 0
-        for i, (lo, hi) in enumerate(lp.bounds):
+        for lo, hi in lp.bounds:
             if lo is not None:
                 self.var_map.append(("shift", n_y, lo))
                 if hi is not None:
-                    extra_rows.append((i, hi - lo))
+                    upper.append((n_y, hi - lo))
                 n_y += 1
             elif hi is not None:
                 self.var_map.append(("flip", n_y, hi))
@@ -98,57 +101,18 @@ class SimplexSolver:
                 self.var_map.append(("split", n_y, n_y + 1))
                 n_y += 2
         self.n_y = n_y
-
-        rows = [self._to_y(coeffs, rel, rhs) for coeffs, rel, rhs in lp.rows]
-        for i, ub in extra_rows:
-            row = [ZERO] * n_y
-            row[self.var_map[i][1]] = ONE
-            rows.append((row, "<=", ub))
-
-        # normalize: slack rows where possible, artificials elsewhere
         self.tableau = []          # each row: coefficients + [rhs]
         self.basis = []
-        slack_count = sum(1 for _, rel, _ in rows if rel != "==")
-        total_slots = n_y + slack_count
-        self.artificial_start = total_slots
-        slack_at = n_y
-        art_rows = []
-        for row, rel, rhs in rows:
-            if rel == "<=":
-                if rhs >= 0:
-                    full = row + [ZERO] * slack_count + [rhs]
-                    full[slack_at] = ONE
-                    self.tableau.append(full)
-                    self.basis.append(slack_at)
-                else:
-                    # flip into >= with positive rhs: surplus + artificial
-                    full = [-a for a in row] + [ZERO] * slack_count + [-rhs]
-                    full[slack_at] = -ONE
-                    self.tableau.append(full)
-                    self.basis.append(None)
-                    art_rows.append(len(self.tableau) - 1)
-                slack_at += 1
-            else:  # equality
-                if rhs < 0:
-                    row, rhs = [-a for a in row], -rhs
-                self.tableau.append(row + [ZERO] * slack_count + [rhs])
-                self.basis.append(None)
-                art_rows.append(len(self.tableau) - 1)
+        self.n_cols = n_y
+        rows = [y for row in lp.rows for y in self._y_rows(*row)]
+        for j, ub in upper:
+            row = [ZERO] * n_y
+            row[j] = ONE
+            rows.append((row, ub))
+        self._append_rows(rows)
 
-        # append artificial columns for rows without a basic slack
-        n_art = len(art_rows)
-        self.n_cols = total_slots + n_art
-        for r in self.tableau:
-            rhs = r.pop()
-            r.extend([ZERO] * n_art)
-            r.append(rhs)
-        for k, i in enumerate(art_rows):
-            col = total_slots + k
-            self.tableau[i][col] = ONE
-            self.basis[i] = col
-
-    def _to_y(self, coeffs, rel, rhs) -> tuple:
-        """A row over the solver variables y; ``>=`` rows come back as ``<=``."""
+    def _to_y(self, coeffs, rhs) -> tuple:
+        """``coeffs . x <= rhs`` as ``(row, rhs)`` over the solver variables y."""
         row = [ZERO] * self.n_y
         for i, c in enumerate(coeffs):
             if not c:
@@ -163,9 +127,42 @@ class SimplexSolver:
             else:
                 row[kind[1]] += c
                 row[kind[2]] -= c
-        if rel == ">=":
-            return [-a for a in row], "<=", -rhs
-        return row, rel, rhs
+        return row, rhs
+
+    def _y_rows(self, coeffs, rel, rhs) -> list:
+        """The ``<=`` rows over y of one LP row: an ``==`` row gives two."""
+        row, rhs = self._to_y(coeffs, rhs)
+        rows = [] if rel == ">=" else [(row, rhs)]
+        if rel != "<=":
+            rows.append(([-a for a in row], -rhs))
+        return rows
+
+    def _append_rows(self, rows):
+        """Append ``(row, rhs)`` rows over y, each with a new basic slack.
+
+        A right-hand side may be negative: the basis then is not primal
+        feasible, and dual simplex restores it.  Each new row is rewritten
+        in terms of the current basis, so every basic column stays a unit
+        column.
+        """
+        k = len(rows)
+        for r in self.tableau:
+            r[-1:-1] = [ZERO] * k
+        old = list(zip(self.tableau, self.basis))
+        width = self.n_cols + k
+        for row, rhs in rows:
+            slack = self.n_cols
+            new = row + [ZERO] * (width - self.n_y) + [rhs]
+            new[slack] = ONE
+            for r, b in old:
+                factor = new[b]
+                if factor:
+                    for j, v in enumerate(r):
+                        if v:
+                            new[j] -= factor * v
+            self.tableau.append(new)
+            self.basis.append(slack)
+            self.n_cols += 1
 
     # -- pivoting ----------------------------------------------------------
 
@@ -275,39 +272,21 @@ class SimplexSolver:
             stall = stall + 1 if best_ratio == 0 else 0
             self._pivot(leaving, entering, obj)
 
-    def _drive_out_artificials(self):
-        """Pivot the artificials out of a phase-1 optimal basis, then drop their columns."""
-        drop = []
-        for r, b in enumerate(self.basis):
-            if b >= self.artificial_start:
-                row = self.tableau[r]
-                col = next((j for j in range(self.artificial_start) if row[j] != 0), None)
-                if col is None:
-                    drop.append(r)      # redundant constraint
-                else:
-                    dummy = [ZERO] * (self.n_cols + 1)
-                    self._pivot(r, col, dummy)
-        for r in sorted(drop, reverse=True):
-            del self.tableau[r]
-            del self.basis[r]
-        keep = self.artificial_start
-        if self.n_cols > keep:
-            self.tableau = [row[:keep] + row[-1:] for row in self.tableau]
-            self.n_cols = keep
-
     # -- public ------------------------------------------------------------
 
     def solve(self) -> LpSolution:
-        phase1 = [ZERO] * self.n_cols
-        for j in range(self.artificial_start, self.n_cols):
-            phase1[j] = ONE
-        obj = self._reduced_row(phase1)
-        status = self._optimize(obj)
-        if status != "optimal" or obj[-1] != 0:
-            # phase-1 objective row carries -(sum of artificials)
+        """Find a feasible basis by dual simplex from the slack basis, then optimize.
+
+        The slack basis has reduced costs ``c+ = max(c_y, 0)``, so it is dual
+        feasible for ``c+``; dual simplex under ``c+`` reaches a primal
+        feasible basis or proves that there is none.  :meth:`resolve` then
+        optimizes the true objective, which needs no pivot when every cost
+        over y is nonnegative.
+        """
+        cost_y, _ = self._objective_in_y(self.lp.objective)
+        if self._dual_optimize(self._reduced_row([max(c, ZERO) for c in cost_y])) == "infeasible":
             self._solved = False
             return LpSolution("infeasible")
-        self._drive_out_artificials()
         self._solved = True
         return self.resolve(self.lp.objective)
 
@@ -342,20 +321,7 @@ class SimplexSolver:
         rows = [self.lp.checked_row(row) for row in rows]
         if any(rel == "==" for _, rel, _ in rows):
             raise ValueError("add_rows takes <= and >= rows only")
-        for coeffs, rel, rhs in rows:
-            y_row, _, rhs = self._to_y(coeffs, rel, rhs)
-            slack = self.n_cols
-            new = y_row + [ZERO] * (slack - self.n_y) + [ONE, rhs]
-            for r, b in zip(self.tableau, self.basis):
-                r.insert(slack, ZERO)
-                factor = new[b]
-                if factor:              # keep every basic column a unit column
-                    for j, v in enumerate(r):
-                        if v:
-                            new[j] -= factor * v
-            self.tableau.append(new)
-            self.basis.append(slack)
-            self.n_cols += 1
+        self._append_rows([y for row in rows for y in self._y_rows(*row)])
         self.lp.rows += rows
         cost_y, _ = self._objective_in_y(self._objective)
         if self._dual_optimize(self._reduced_row(cost_y)) == "infeasible":
@@ -366,7 +332,7 @@ class SimplexSolver:
 
     def _objective_in_y(self, objective):
         """Cost row over all columns and the constant the shifts add to the value."""
-        cost, _, minus_const = self._to_y([Fraction(c) for c in objective], "==", ZERO)
+        cost, minus_const = self._to_y([Fraction(c) for c in objective], ZERO)
         return cost + [ZERO] * (self.n_cols - self.n_y), -minus_const
 
     def _extract_x(self) -> list:

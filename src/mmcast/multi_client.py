@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import feasibility, model
 from .errors import BudgetExceeded, Infeasible, InvalidParameters
 from .lp import LinearProgram, SimplexSolver
@@ -104,21 +102,8 @@ def step_size(schedule: StepSchedule, n: int) -> float:
 
 # -- simplex projection ------------------------------------------------------
 
-def project_scaled_simplex(v, total) -> np.ndarray:
-    """Euclidean projection of v onto {x >= 0, sum(x) = total}, total > 0."""
-    v = np.asarray(v, dtype=float)
-    total = float(total)
-    if total <= 0:
-        raise InvalidParameters("simplex scale must be positive")
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - total
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > cumulative)[0][-1]
-    tau = cumulative[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
 def exact_simplex_projection(v: list, total: Fraction) -> list:
-    """Same projection in exact rational arithmetic (sort-and-threshold)."""
+    """Euclidean projection of v onto {x >= 0, sum(x) = total}, total > 0 (sort-and-threshold)."""
     v = [Fraction(x) for x in v]
     u = sorted(v, reverse=True)
     rho, tau = 0, None
@@ -267,8 +252,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
                             gap_tol=DEFAULT_GAP_TOL,
                             initial_multipliers: dict | None = None,
                             patience: int = DEFAULT_PATIENCE,
-                            check_feasibility: bool = True,
-                            client_runner=map) -> SubgradientResult:
+                            check_feasibility: bool = True) -> SubgradientResult:
     """Projected dual ascent with ergodic primal recovery.
 
     Stops when the relative gap between the recovered primal cost and the
@@ -320,7 +304,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
 
     n = 0
     for n in range(1, max_iters + 1):
-        results = list(client_runner(inner, clients))
+        results = [inner(t) for t in clients]
         dual_value = sum((value for _, value in results), Fraction(0))
         dual_history.append(dual_value)
         if best_dual is None or dual_value > best_dual:

@@ -98,7 +98,7 @@ class RegionOptimizer:
         solves = 1
         while solution.status == "optimal":
             rates = {e.id: x for e, x in zip(self.sub.edges, solution.x)}
-            violated = self._most_violated(rates)
+            violated = most_violated(self.region, rates)
             if violated is None:
                 return rates, solution.value, solves
             self.pool.append(violated)
@@ -108,9 +108,6 @@ class RegionOptimizer:
             solves += 1
         self._solver = None
         raise Infeasible(f"client {self.sub.client}: region is empty under capacities")
-
-    def _most_violated(self, rates: dict):
-        return most_violated(self.region, rates)
 
     def tight_sets(self, rates: dict) -> list:
         b, g = self.region.boundary(rates), self.region.g

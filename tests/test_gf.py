@@ -3,29 +3,29 @@ import random
 import pytest
 
 from mmcast import gf
-from mmcast.errors import DivisionByZero, Inconsistent, ModulusMismatch
-from mmcast.gf import FieldElement, FieldMatrix, field_arithmetic
-
-
-def test_field_arithmetic_examples():
-    assert field_arithmetic(FieldElement(3, 5), FieldElement(4, 5), "mul") == FieldElement(2, 5)
-    assert field_arithmetic(FieldElement(1, 5), FieldElement(2, 5), "div") == FieldElement(3, 5)
-    assert field_arithmetic(FieldElement(1, 2), FieldElement(1, 2), "add") == FieldElement(0, 2)
+from mmcast.errors import Inconsistent, ModulusMismatch
+from mmcast.gf import FieldMatrix
 
 
 def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
-        field_arithmetic(FieldElement(1, 5), FieldElement(0, 5), "div")
+    # the scalar 0 and a rank-deficient matrix have no inverse
+    for rows in ([[0]], [[1, 2], [2, 4]]):
+        with pytest.raises(Inconsistent):
+            gf.inverse(FieldMatrix.from_rows(rows, 5))
 
 
 def test_modulus_mismatch():
+    a = FieldMatrix.identity(2, 5)
+    b = FieldMatrix.identity(2, 7)
     with pytest.raises(ModulusMismatch):
-        field_arithmetic(FieldElement(1, 5), FieldElement(1, 7), "add")
+        a.matmul(b)
+    with pytest.raises(ModulusMismatch):
+        a.stack(b)
 
 
 def test_nonprime_modulus_rejected():
     with pytest.raises(ModulusMismatch):
-        FieldElement(1, 6)
+        FieldMatrix.from_rows([[1]], 6)
 
 
 def test_rank_examples():

@@ -15,10 +15,13 @@ def test_lower_bound_only():
 
 
 def test_equality_vertex_deterministic():
-    lp = LinearProgram([1, 1], [([1, 1], "==", 1)], [(0, None), (0, None)])
-    s = solve_lp(lp)
-    assert s.value == 1
-    assert s.x == [1, 0]      # pinned: deterministic pivoting picks this vertex
+    # a duplicated and an implied copy of the equality change nothing: each
+    # keeps its own slack pair instead of being dropped as redundant
+    for extra in ([], [([1, 1], "==", 1), ([2, 2], "==", 2)]):
+        lp = LinearProgram([1, 1], [([1, 1], "==", 1)] + extra, [(0, None), (0, None)])
+        s = solve_lp(lp)
+        assert s.value == 1
+        assert s.x == [1, 0]      # pinned: deterministic pivoting picks this vertex
 
 
 def test_infeasible():
@@ -32,11 +35,21 @@ def test_unbounded():
 
 
 def test_free_and_flipped_variables():
-    lp = LinearProgram([1, -1], [([1, 0], ">=", -5), ([0, 1], "<=", 7)],
-                       [(None, None), (None, 7)])
-    s = solve_lp(lp)
-    assert s.value == -12
-    assert s.x == [-5, 7]
+    # negative costs over the solver variables of free and flipped columns:
+    # the first feasible basis is optimal only for max(c, 0), so the primal
+    # pass after the dual one must pivot
+    for c, rows, bounds, value, x in (
+            ([1, -1], [([1, 0], ">=", -5), ([0, 1], "<=", 7)],
+             [(None, None), (None, 7)], -12, [-5, 7]),
+            ([-1, 2], [([1, 1], ">=", -5), ([1, -1], "<=", 3)],
+             [(None, None), (None, 4)], -7, [-1, -4])):
+        solver = SimplexSolver(LinearProgram(c, rows, bounds))
+        primal_pivots = []      # emptied when solve hands over to resolve
+        solver._pivot = lambda *a: primal_pivots.append(a) or SimplexSolver._pivot(solver, *a)
+        solver.resolve = lambda cost: primal_pivots.clear() or SimplexSolver.resolve(solver, cost)
+        s = solver.solve()
+        assert (s.value, s.x) == (value, x)
+        assert primal_pivots
 
 
 def test_exact_rationals():
@@ -145,10 +158,22 @@ def test_deterministic_repeat():
         assert (a.status, a.value, a.x) == (b.status, b.value, b.x)
 
 
-def test_against_independent_float_solver():
+def _stall_budgets(monkeypatch):
+    """The default degenerate-stall budget, then 0: Bland's rule from the first pivot."""
+    import mmcast.lp
+    for stall in (mmcast.lp.DEGENERATE_STALL, 0):
+        monkeypatch.setattr(mmcast.lp, "DEGENERATE_STALL", stall)
+        yield stall
+
+
+def test_against_independent_float_solver(monkeypatch):
     # scipy's HiGHS as an unrelated implementation; values agree to float accuracy
     from scipy.optimize import linprog
-    rng = random.Random(79)
+    for _ in _stall_budgets(monkeypatch):
+        _compare_with_float_solver(linprog, random.Random(79))
+
+
+def _compare_with_float_solver(linprog, rng):
     compared = 0
     for _ in range(80):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
@@ -175,11 +200,15 @@ def test_against_independent_float_solver():
     assert compared >= 20
 
 
-def test_fuzz_mixed_relations_and_bounds():
+def test_fuzz_mixed_relations_and_bounds(monkeypatch):
     # random LPs with equalities and one-sided/free bounds: returned optima
     # must satisfy every row exactly, and statuses must match scipy
     from scipy.optimize import linprog
-    rng = random.Random(83)
+    for _ in _stall_budgets(monkeypatch):
+        _fuzz_against_float_solver(linprog, random.Random(83))
+
+
+def _fuzz_against_float_solver(linprog, rng):
     agreements = 0
     for _ in range(120):
         n = rng.randint(1, 4)
@@ -193,6 +222,12 @@ def test_fuzz_mixed_relations_and_bounds():
         for _ in range(m):
             coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
             rows.append((coeffs, rng.choice(["<=", ">=", "=="]), F(rng.randint(-4, 6))))
+        equalities = [row for row in rows if row[1] == "=="]
+        if equalities and rng.random() < 0.5:
+            # a duplicated equality, or one implied by two others
+            (a, _, b), (a2, _, b2) = rng.choice(equalities), rng.choice(equalities)
+            k = rng.choice([1, -2, 3])
+            rows.append(([k * x + y for x, y in zip(a, a2)], "==", k * b + b2))
         c = [F(rng.randint(-3, 3)) for _ in range(n)]
         lp = LinearProgram(c, rows, bounds)
         mine = solve_lp(lp)

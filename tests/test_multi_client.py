@@ -2,7 +2,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from helpers import random_feasible_instance, random_instance_doc, single_edge_instance
@@ -10,8 +9,8 @@ from mmcast import check_feasible_multi, load_instance
 from mmcast.errors import Infeasible, InvalidParameters
 from mmcast.model import boundary_vector, client_subproblem
 from mmcast.multi_client import (StepSchedule, exact_simplex_projection,
-                                 project_scaled_simplex, solve_multi_bruteforce,
-                                 solve_multi_exact, solve_multi_subgradient, step_size)
+                                 solve_multi_bruteforce, solve_multi_exact,
+                                 solve_multi_subgradient, step_size)
 from mmcast.single_client import solve_single_client
 from mmcast.submodular import conditional_entropy_function, in_base_polyhedron
 
@@ -146,56 +145,62 @@ def test_cost_scaling_invariance(f2):
 
 
 def test_projection_examples():
-    assert np.allclose(project_scaled_simplex([0.7, 0.7], 1), [0.5, 0.5])
-    assert np.allclose(project_scaled_simplex([2.0, -1.0], 1), [1.0, 0.0])
-    on_simplex = [0.25, 0.75]
-    assert np.allclose(project_scaled_simplex(on_simplex, 1), on_simplex)
+    F = Fraction
+    assert exact_simplex_projection([F(7, 10), F(7, 10)], 1) == [F(1, 2), F(1, 2)]
+    assert exact_simplex_projection([2, -1], 1) == [1, 0]
+    on_simplex = [F(1, 4), F(3, 4)]
+    assert exact_simplex_projection(on_simplex, 1) == on_simplex
+
+
+def _random_point(rng, k, spread):
+    return [Fraction(rng.randint(-spread, spread), rng.randint(1, 7)) for _ in range(k)]
 
 
 def test_projection_constraint_satisfaction_and_idempotence():
     rng = random.Random(109)
     for _ in range(200):
         k = rng.randint(2, 5)
-        total = rng.uniform(0.5, 4.0)
-        v = [rng.uniform(-3, 3) for _ in range(k)]
-        p = project_scaled_simplex(v, total)
-        assert abs(p.sum() - total) < 1e-12
-        assert (p >= 0).all()
-        assert np.allclose(project_scaled_simplex(p, total), p, atol=1e-12)
+        total = Fraction(rng.randint(2, 16), 4)
+        p = exact_simplex_projection(_random_point(rng, k, 21), total)
+        assert sum(p) == total
+        assert all(x >= 0 for x in p)
+        assert exact_simplex_projection(p, total) == p
 
 
 def test_projection_against_grid_search():
+    # no point of an exact grid on the simplex is closer to v than the projection
     rng = random.Random(113)
+    steps = 60
     for k in (2, 3):
         for _ in range(20):
-            total = 1.0
-            v = np.array([rng.uniform(-1.5, 1.5) for _ in range(k)])
-            p = project_scaled_simplex(v, total)
-            steps = 60
+            v = _random_point(rng, k, 10)
+            p = exact_simplex_projection(v, 1)
+            dist = sum((x - y) ** 2 for x, y in zip(p, v))
             best, best_d = None, None
             for combo in itertools.product(range(steps + 1), repeat=k - 1):
-                head = np.array(combo) / steps
-                tail = total - head.sum()
-                if tail < -1e-12:
+                if sum(combo) > steps:
                     continue
-                cand = np.append(head, max(tail, 0.0))
-                d = float(((cand - v) ** 2).sum())
+                cand = [Fraction(c, steps) for c in combo] + [Fraction(steps - sum(combo), steps)]
+                d = sum((x - y) ** 2 for x, y in zip(cand, v))
                 if best_d is None or d < best_d:
                     best, best_d = cand, d
-            assert np.linalg.norm(p - best) <= 2.0 / steps
+            assert dist <= best_d
+            assert sum((x - y) ** 2 for x, y in zip(p, best)) <= Fraction(2, steps) ** 2
 
 
-def test_exact_projection_matches_float():
+def test_exact_projection_optimality():
+    # optimality conditions: one threshold tau with x_i = max(v_i - tau, 0)
     rng = random.Random(127)
     for _ in range(50):
         k = rng.randint(2, 4)
         v = [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(k)]
         total = Fraction(rng.randint(1, 5))
-        exact = exact_simplex_projection(v, total)
-        assert sum(exact, Fraction(0)) == total
-        assert all(x >= 0 for x in exact)
-        approx = project_scaled_simplex([float(x) for x in v], float(total))
-        assert np.allclose([float(x) for x in exact], approx, atol=1e-9)
+        x = exact_simplex_projection(v, total)
+        assert sum(x) == total
+        taus = {vi - xi for vi, xi in zip(v, x) if xi > 0}
+        assert len(taus) == 1
+        tau = taus.pop()
+        assert x == [max(vi - tau, 0) for vi in v]
 
 
 def test_step_size_schedules():
@@ -263,20 +268,6 @@ def test_subgradient_trace_is_deterministic(f2):
     assert [(t.n, t.dual, t.primal, t.gap) for t in a.trace] == \
         [(t.n, t.dual, t.primal, t.gap) for t in b.trace]
     assert a.cost == b.cost and a.envelope == b.envelope
-
-
-def test_subgradient_threaded_matches_sequential(f2):
-    from concurrent.futures import ThreadPoolExecutor
-    instance, oracle, _ = f2
-
-    def threaded(fn, items):
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            return list(pool.map(fn, items))
-
-    a = solve_multi_subgradient(instance, oracle, max_iters=300)
-    b = solve_multi_subgradient(instance, oracle, max_iters=300, client_runner=threaded)
-    assert a.cost == b.cost
-    assert [(t.n, t.dual) for t in a.trace] == [(t.n, t.dual) for t in b.trace]
 
 
 def test_subgradient_power_schedule(f2):

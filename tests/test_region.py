@@ -8,7 +8,7 @@ from helpers import random_pmf_doc, region_cases
 from mmcast.entropy import EntropyOracle, tabular_from_oracle
 from mmcast.feasibility import check_feasible_single
 from mmcast.model import Region, boundary, client_subproblem, cut_capacity
-from mmcast.single_client import RegionOptimizer
+from mmcast.single_client import RegionOptimizer, most_violated
 from mmcast.submodular import SetFunction, members, sfm_brute_force
 
 REFERENCE = Path(__file__).resolve().parent / "data" / "region_reference.json"
@@ -69,7 +69,7 @@ def test_kernel_reproduces_recorded_certificates_and_separations():
                         str(cert.required)] == [want[k] for k in
                                                 ("witness", "slack", "cut", "required")]
                 opt = RegionOptimizer(sub, oracle, caps)
-                assert opt._most_violated(rates) == want["violated"]
+                assert most_violated(opt.region, rates) == want["violated"]
                 slack = [b - g for b, g in zip(opt.region.boundary(rates), opt.region.g)]
                 witness, worst = sfm_brute_force(SetFunction.tabulated(sub.sources, slack))
                 assert list(witness) == want["separation_witness"]
