@@ -25,7 +25,7 @@ def main():
 
     recon = check_reconstructability(instance, oracle)
     for c in recon.clients:
-        print(f"client {c.client}: sees {set(c.sources)} with H = {c.entropy} "
+        print(f"client {c.client}: sees {tuple(sorted(c.sources))} with H = {c.entropy} "
               f"-> {'complete' if c.complete else 'INCOMPLETE'}")
     print()
 
@@ -37,7 +37,7 @@ def main():
     print(f"\noverall feasible: {report.feasible}")
     for cert in report.certificates:
         kind = "binding" if cert.slack == 0 else "slack"
-        print(f"  {cert.client}: worst subset {set(cert.witness_set)} needs "
+        print(f"  {cert.client}: worst subset {tuple(sorted(cert.witness_set))} needs "
               f"{cert.required}, cut capacity {cert.cut} ({kind} {cert.slack})")
 
     # squeeze the t2 sink link below the file entropy and watch it fail
@@ -49,7 +49,8 @@ def main():
     tight_instance, tight_oracle, _ = load_instance(doc)
     tight = check_feasible_multi(tight_instance, tight_oracle)
     cert = tight.by_client()["t2"]
-    print(f"\nwith c(e7)=3: t2 infeasible, deficit {cert.deficit} at {set(cert.witness_set)}")
+    print(f"\nwith c(e7)=3: t2 infeasible, deficit {cert.deficit} "
+          f"at {tuple(sorted(cert.witness_set))}")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ def main():
         for eid, rate in sorted(solution.rates.items()):
             if rate:
                 print(f"  {eid}: {rate}")
-        tight = [set(s) for s in solution.tight_sets]
+        tight = [tuple(sorted(s)) for s in solution.tight_sets]
         print(f"  binding subsets: {tight}\n")
 
 

@@ -84,14 +84,6 @@ class FieldMatrix:
         if self.q != other.q:
             raise ModulusMismatch(f"mixed moduli {self.q} and {other.q}")
 
-    def sub(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sub")
-        return FieldMatrix(self.rows, self.cols,
-                           [(a - b) % self.q for a, b in zip(self._data, other._data)],
-                           self.q)
-
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(
             self.cols, self.rows,
@@ -177,17 +169,12 @@ def rank(m: FieldMatrix) -> int:
 
 
 def independent_rows(m: FieldMatrix) -> list:
-    """Indices of a row basis: greedy scan keeping each row that increases rank."""
-    q = m.q
-    basis_rows: list = []
-    kept = []
-    for i in range(m.rows):
-        trial = basis_rows + [list(m.row(i))]
-        work = [row[:] for row in trial]
-        if len(_forward_eliminate(work, q, m.cols)) > len(basis_rows):
-            basis_rows = trial
-            kept.append(i)
-    return kept
+    """Indices of the greedy row basis: each row not in the span of the rows before it.
+
+    These are the pivot columns of one elimination of the transpose.
+    """
+    work = [[m[i, j] for i in range(m.rows)] for j in range(m.cols)]
+    return [c for _, c in _forward_eliminate(work, m.q, m.rows)]
 
 
 def solve_right(m: FieldMatrix, y: FieldMatrix) -> FieldMatrix:

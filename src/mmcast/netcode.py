@@ -4,8 +4,11 @@ A feasible rate vector is turned into a unit-capacity symbol network: a
 super node holding the whole data vector feeds each source a basis of its
 observation space, and every graph edge becomes beta * R_e parallel
 channels (beta clears rate denominators by coding over that many blocks).
-Local mixing coefficients then define global coding vectors, per-client
-transfer matrices M(t) = A (I - Gamma)^-1 B(t), and exact decoders.
+Local mixing coefficients then define global coding vectors and the
+per-client transfer matrices M(t) = A (I - Gamma)^-1 B(t).  No c x c matrix
+is inverted: (I - Gamma) is unipotent in the topological channel order, so
+A (I - Gamma)^-1 is read off the coding vectors by forward substitution, and
+each client decodes through the inverse of one n x n block of M(t).
 Coefficients are drawn uniformly from F_q with a seeded generator and the
 resulting transfer ranks are verified, retrying on failure.
 """
@@ -244,38 +247,41 @@ def assign_coefficients(net: CodedNetwork, seed: int = 0,
         max_attempts, best_ranks)
 
 
-def _gamma_matrix(net: CodedNetwork, assignment: CodeAssignment) -> FieldMatrix:
-    c = len(net.channels)
-    entries = [0] * (c * c)
-    for (src, dst), coeff in assignment.coefficients.items():
-        entries[src * c + dst] = coeff
-    return FieldMatrix(c, c, entries, net.q)
-
-
 def transfer_matrix(net: CodedNetwork, assignment: CodeAssignment, t: str) -> FieldMatrix:
     """M(t) = A (I - Gamma)^-1 B(t); row vector W . M(t) is what t receives.
 
-    (I - Gamma) is unipotent because channel adjacency follows the DAG, so
-    the inverse always exists.
+    X = A (I - Gamma)^-1 is the solution of X = A + X Gamma.  Channel
+    adjacency follows the DAG, so Gamma is strictly upper triangular in the
+    topological channel order and forward substitution solves it: column j
+    of X is channel j's global coding vector, recomputed here from the local
+    coefficients.  B(t) keeps the columns of the channels entering t.
     """
-    c = len(net.channels)
-    gamma = _gamma_matrix(net, assignment)
-    inv = gf.inverse(FieldMatrix.identity(c, net.q).sub(gamma))
-    return net.source_matrix.matmul(inv).select_columns(net.sink_channels[t])
+    vectors = _propagate(net, assignment.coefficients)
+    sinks = net.sink_channels[t]
+    return FieldMatrix(net.n_symbols, len(sinks),
+                       [vectors[c][i] for i in range(net.n_symbols) for c in sinks], net.q)
 
 
 def build_decoder(net: CodedNetwork, assignment: CodeAssignment, t: str) -> FieldMatrix:
     """Decoder D with D . received = W for every data vector W.
 
-    Raises RankDeficient when the client's transfer matrix cannot be
-    inverted (rank below the expanded data dimension).
+    The leftmost linearly independent columns of M(t) form an invertible
+    n x n block B; D holds (B^-1)^T in those columns and zero in the rest,
+    which is the solution of M(t) D^T = I with every free variable zero.
+    Raises RankDeficient when M(t) has rank below the expanded data
+    dimension n.
     """
     m = transfer_matrix(net, assignment, t)
-    if gf.rank(m) < net.n_symbols:
-        raise RankDeficient(
-            f"client {t} transfer matrix has rank {gf.rank(m)} < {net.n_symbols}")
-    x = gf.solve_right(m, FieldMatrix.identity(net.n_symbols, net.q))
-    return x.transpose()
+    n = net.n_symbols
+    basis = gf.independent_rows(m.transpose())
+    if len(basis) < n:
+        raise RankDeficient(f"client {t} transfer matrix has rank {len(basis)} < {n}")
+    block_inv = gf.inverse(m.select_columns(basis))
+    entries = [0] * (n * m.cols)
+    for k, c in enumerate(basis):
+        for i in range(n):
+            entries[i * m.cols + c] = block_inv[k, i]
+    return FieldMatrix(n, m.cols, entries, net.q)
 
 
 @dataclass
@@ -295,9 +301,11 @@ class SimulationResult:
 def simulate(net: CodedNetwork, assignment: CodeAssignment, w) -> SimulationResult:
     """Run the message passes numerically for the data vector w.
 
-    Every channel symbol is computed in topological order from the actual
-    local maps (not the precomputed coding vectors), then each client's
-    decoder is applied and compared against w.
+    Two independent passes meet here.  Every channel symbol is computed in
+    topological order from the actual local maps, one scalar per channel.
+    Each client's decoder comes from its transfer matrix, whose columns are
+    the coding vectors propagated separately from the same coefficients;
+    ``exact`` records that the decoded symbols equal w.
     """
     w = [int(x) % net.q for x in w]
     if len(w) != net.n_symbols:

@@ -111,3 +111,25 @@ def test_solve_right_remultiplication():
 def test_independent_rows():
     m = FieldMatrix.from_rows([[1, 0], [2, 0], [0, 1]], 5)
     assert gf.independent_rows(m) == [0, 2]
+
+
+def test_independent_rows_is_greedy_rank_increase():
+    rng = random.Random(11)
+    for _ in range(400):
+        q = rng.choice((2, 3, 5, 7))
+        r, c = rng.randint(0, 7), rng.randint(1, 5)
+        rows = []
+        for _ in range(r):
+            if rows and rng.random() < 0.4:     # a combination of earlier rows
+                a, b = rng.choice(rows), rng.choice(rows)
+                k = rng.randrange(q)
+                rows.append([(x + k * y) % q for x, y in zip(a, b)])
+            else:
+                rows.append([rng.randrange(q) for _ in range(c)])
+        m = FieldMatrix(r, c, [x for row in rows for x in row], q)
+        kept = []
+        for i in range(r):
+            trial = [rows[j] for j in kept] + [rows[i]]
+            if gf.rank(FieldMatrix.from_rows(trial, q)) > len(kept):
+                kept.append(i)
+        assert gf.independent_rows(m) == kept

@@ -152,7 +152,9 @@ def test_corrupted_assignment_rank_deficient(f2_net):
     coeffs = {k: (0 if k[1] == victim else v)
               for k, v in assignment.coefficients.items()}
     broken = assignment_from_coefficients(net, coeffs)
-    with pytest.raises(RankDeficient):
+    true_rank = gf.rank(transfer_matrix(net, broken, "t1"))
+    assert true_rank < net.n_symbols
+    with pytest.raises(RankDeficient, match=f"rank {true_rank} < {net.n_symbols}"):
         build_decoder(net, broken, "t1")
 
 
@@ -307,3 +309,61 @@ def test_envelope_beyond_literal_membership_is_accepted():
     assignment = assign_coefficients(net, seed=0)
     sim = simulate(net, assignment, [3, 4])
     assert all(rep.exact for rep in sim.clients.values())
+
+
+def dense_transfer(net, assignment, t):
+    """A (I - Gamma)^-1 B(t) with a dense Gamma and one c x c inverse."""
+    c = len(net.channels)
+    entries = [int(i == j) for i in range(c) for j in range(c)]
+    for (src, dst), coeff in assignment.coefficients.items():
+        entries[src * c + dst] = -coeff
+    inv = gf.inverse(FieldMatrix(c, c, entries, net.q))
+    return net.source_matrix.matmul(inv).select_columns(net.sink_channels[t])
+
+
+def test_transfer_and_decoder_match_dense_formula():
+    from helpers import load_f2, random_feasible_instance
+    instance, oracle, sm = load_f2()
+    fixture_rates = {k: Fraction(v) for k, v in FIXTURE_RATES.items()}
+    half = dict(fixture_rates, e2=Fraction(3, 2), e3=Fraction(3, 2))
+    cases = []
+    for rates, seed in ((fixture_rates, 0), (half, 3), (instance.capacities(), 0)):
+        net = build_coded_network(instance, sm, rates, oracle=oracle)
+        cases.append((net, assign_coefficients(net, seed=seed)))
+    net3 = identity_network(3)
+    cases.append((net3, assign_coefficients(net3, seed=0)))
+
+    # t1 gets 8 symbols of a 4-symbol file at capacity; silence its first one
+    net, assignment = cases[2]
+    first = net.sink_channels["t1"][0]
+    muted = assignment_from_coefficients(net, {k: (0 if k[1] == first else v)
+                                               for k, v in assignment.coefficients.items()})
+    cases.append((net, muted))
+
+    rng = random.Random(353)
+    coded = 0
+    while coded < 3:
+        inst, orc, model = random_feasible_instance(rng, n_clients=2)
+        if gf.rank(model.stacked(inst.sources)) < model.n_packets:
+            continue
+        net = build_coded_network(inst, model, inst.capacities(), oracle=orc)
+        if len(net.channels) <= 64:
+            cases.append((net, assign_coefficients(net, seed=coded)))
+            coded += 1
+
+    skipped_first = False
+    for net, assignment in cases:
+        assert len(net.channels) <= 64
+        identity = FieldMatrix.identity(net.n_symbols, net.q)
+        for t in net.clients:
+            m = dense_transfer(net, assignment, t)
+            assert transfer_matrix(net, assignment, t) == m
+            decoder = build_decoder(net, assignment, t)
+            assert decoder == gf.solve_right(m, identity).transpose()
+            if not any(m[i, 0] for i in range(m.rows)):
+                assert not any(decoder[i, 0] for i in range(decoder.rows))
+                skipped_first = True
+    assert skipped_first
+    assert any(net.beta == 2 for net, _ in cases)
+    assert any(len(sinks) > net.n_symbols for net, _ in cases
+               for sinks in net.sink_channels.values())
