@@ -249,10 +249,7 @@ def _cmd_simulate(args) -> tuple:
 def _cmd_oracle(args) -> tuple:
     """Brute-force baselines: enumerated feasibility and full-materialization LPs."""
     instance, oracle, _ = instance_io.load_instance(args.instance)
-    recon = model.check_reconstructability(instance, oracle)
-    if not recon.ok:
-        raise ReconstructabilityViolated(
-            "clients cannot see the full process", recon)
+    feasibility.require_reconstructable(instance, oracle)
     certs = []
     for t in instance.clients:
         sub = model.client_subproblem(instance, oracle, t)
@@ -271,7 +268,7 @@ def _cmd_oracle(args) -> tuple:
                 sub, oracle, instance.costs(), instance.capacities())
             singles[t] = {"rates": rates_to_json(solution.rates),
                           "cost": frac_str(solution.cost)}
-        multi = multi_client.solve_multi_bruteforce(instance, oracle, check_feasibility=False)
+        multi = multi_client.solve_multi_bruteforce(instance, oracle)
         payload["single_client"] = singles
         payload["multi"] = {"Z": rates_to_json(multi.envelope),
                             "cost": frac_str(multi.cost)}

@@ -25,9 +25,9 @@ from . import gf
 from .errors import InvalidInstance, UnknownSubset
 from .submodular import members
 
-MAX_GROUND = 63
 PMF_ROUND_BITS = 40
 PMF_TABLE_CAP = 2 ** 20
+POLYMATROID_EXHAUSTIVE = 12
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,6 @@ class EntropyOracle:
     _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.ground) > MAX_GROUND:
-            raise InvalidInstance(f"ground set of {len(self.ground)} sources exceeds {MAX_GROUND}")
         self._index = {node: i for i, node in enumerate(self.ground)}
         self._memo = {0: Fraction(0)}
 
@@ -181,12 +179,12 @@ class PolymatroidReport:
         return self.normalized and not self.monotone_violations and not self.submodular_violations
 
 
-def validate_polymatroid(oracle: EntropyOracle, exhaustive_bound: int = 12,
-                         samples: int = 2000, seed: int = 0) -> PolymatroidReport:
+def validate_polymatroid(oracle: EntropyOracle, samples: int = 2000) -> PolymatroidReport:
     """Check H(0)=0, monotonicity and submodularity of the oracle.
 
     Exhaustive over all subset pairs when the ground set has at most
-    ``exhaustive_bound`` elements, otherwise over seeded random pairs.
+    ``POLYMATROID_EXHAUSTIVE`` elements, otherwise over ``samples`` random
+    pairs drawn from a generator seeded with 0.
     Models with an approximate entropy path declare a ``rounding_slack``
     that the inequality checks absorb.
     """
@@ -211,7 +209,7 @@ def validate_polymatroid(oracle: EntropyOracle, exhaustive_bound: int = 12,
         if ha + hb < cup + cap - slack:
             sub.append((a, b, ha + hb, cup + cap))
 
-    if n <= exhaustive_bound:
+    if n <= POLYMATROID_EXHAUSTIVE:
         pairs = ((a, b) for a in range(1 << n) for b in range(1 << n))
         count = 0
         for a_mask, b_mask in pairs:
@@ -219,14 +217,14 @@ def validate_polymatroid(oracle: EntropyOracle, exhaustive_bound: int = 12,
             count += 1
         return PolymatroidReport(normalized, mono, sub, True, count)
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(samples):
         check_pair(rng.randrange(1 << n), rng.randrange(1 << n))
     return PolymatroidReport(normalized, mono, sub, False, samples)
 
 
-def tabular_from_oracle(oracle: EntropyOracle, unit: str | None = None) -> TabularSource:
-    """Materialize the full subset table of an oracle (small grounds only)."""
+def tabular_from_oracle(oracle: EntropyOracle) -> TabularSource:
+    """Materialize the full subset table of an oracle (small grounds only), in its unit."""
     n = len(oracle.ground)
     if n > 20:
         raise InvalidInstance("ground set too large to tabulate")
@@ -234,7 +232,7 @@ def tabular_from_oracle(oracle: EntropyOracle, unit: str | None = None) -> Tabul
     for mask in range(1, 1 << n):
         nodes = members(oracle.ground, mask)
         table[frozenset(nodes)] = oracle.entropy(nodes)
-    return TabularSource(oracle.ground, table, unit=unit or oracle.unit)
+    return TabularSource(oracle.ground, table, unit=oracle.unit)
 
 
 def pmf_from_nested(order, alphabets, nested) -> PmfSource:

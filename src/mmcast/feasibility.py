@@ -5,7 +5,8 @@ innovative information out: cut capacity c(out-edges of S) must cover the
 conditional entropy H(X_S | X_{rest}).  The slack function
 ``c(out(S)) - g(S)`` is submodular, so the worst subset comes from a single
 submodular minimization; the whole instance is feasible iff every client's
-worst subset has nonnegative slack.
+worst subset has nonnegative slack.  The solvers' own LPs decide
+feasibility; they compute these certificates only to explain an empty LP.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import model, submodular
-from .errors import Infeasible, ReconstructabilityViolated
+from . import model
+from .errors import ReconstructabilityViolated
 from .model import ClientSubproblem, NetworkInstance, Region, cut_capacity
 from .submodular import SetFunction, conditional_entropy_function, members, sfm_brute_force
 
@@ -63,6 +64,15 @@ def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> Fe
     return FeasibilityCertificate(sub.client, worst >= 0, witness, cut, required, worst)
 
 
+def require_reconstructable(instance: NetworkInstance, oracle) -> None:
+    """Raise ReconstructabilityViolated, naming the clients, unless every client sees the process."""
+    recon = model.check_reconstructability(instance, oracle)
+    if not recon.ok:
+        failed = [c.client for c in recon.clients if not c.complete]
+        raise ReconstructabilityViolated(
+            f"clients {failed} cannot see the full process", recon)
+
+
 def check_feasible_multi(instance: NetworkInstance, oracle,
                          capacities: dict | None = None) -> FeasibilityReport:
     """Per-client certificates plus the overall verdict.
@@ -70,11 +80,7 @@ def check_feasible_multi(instance: NetworkInstance, oracle,
     Requires the reconstructability precondition; certificates are returned
     in instance client order.
     """
-    recon = model.check_reconstructability(instance, oracle)
-    if not recon.ok:
-        failed = [c.client for c in recon.clients if not c.complete]
-        raise ReconstructabilityViolated(
-            f"clients {failed} cannot see the full process", recon)
+    require_reconstructable(instance, oracle)
     caps = capacities if capacities is not None else instance.capacities()
     certs = tuple(check_feasible_single(model.client_subproblem(instance, oracle, t), oracle, caps)
                   for t in instance.clients)
@@ -104,22 +110,8 @@ def enumerate_feasibility(sub: ClientSubproblem, oracle, capacities: dict) -> Fe
 
 
 def achievable_point(sub: ClientSubproblem, oracle, capacities: dict) -> dict:
-    """A rate vector inside the client's rate-flow region and capacity box.
-
-    Obtained by running the single-client optimizer with unit costs; the
-    region membership of the result is re-verified before returning.
-    """
+    """A rate vector in the client's region and capacity box: the unit-cost single-client optimum."""
     from . import single_client
 
-    cert = check_feasible_single(sub, oracle, capacities)
-    if not cert.feasible:
-        raise Infeasible(f"client {sub.client} infeasible", (cert,))
     costs = {e.id: Fraction(1) for e in sub.edges}
-    solution = single_client.solve_single_client(
-        sub, oracle, costs, capacities, check_feasibility=False)
-    g = SetFunction.tabulated(sub.sources, Region(sub, oracle).g, "supermodular")
-    membership = submodular.in_base_polyhedron(model.boundary_vector(solution.rates, sub), g)
-    if not membership:
-        raise Infeasible(
-            f"achievable point left the region at {membership.violating_set}", (cert,))
-    return solution.rates
+    return single_client.solve_single_client(sub, oracle, costs, capacities).rates

@@ -68,7 +68,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
-        if value != int(value):
+        if not value.is_integer():      # also rejects inf and nan
             raise InvalidInstance(
                 f"non-integer float {value!r}: use a decimal string for exact rationals")
         return Fraction(int(value))

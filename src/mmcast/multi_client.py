@@ -23,6 +23,10 @@ rate-flow region.  Two routes:
   average is kept in exact arithmetic, so every recovered point is exactly
   region-feasible and every recorded dual value is a true lower bound.
 
+Each route checks only reconstructability up front; its own LPs decide
+feasibility, and the clients' certificates are computed only to explain an
+empty LP (or inner problem) in Infeasible.
+
 Floating point appears only in the ascent step and the step-size schedule.
 """
 
@@ -35,13 +39,12 @@ from . import feasibility, model
 from .errors import BudgetExceeded, Infeasible, InvalidParameters
 from .lp import LinearProgram, SimplexSolver
 from .model import NetworkInstance, Region
-from .single_client import RegionOptimizer, most_violated, seed_pool
+from .single_client import BRUTE_FORCE_SOURCES, RegionOptimizer, most_violated, seed_pool
 
 DEFAULT_MAX_ITERS = 50000
 DEFAULT_GAP_TOL = Fraction(1, 100)
-DEFAULT_ROW_BUDGET = 2 ** 16
 DEFAULT_PATIENCE = 5000
-_EMPTY = "no rate vectors of the clients meet every region under the capacities"
+BRUTE_FORCE_MASKS = 1 << BRUTE_FORCE_SOURCES     # the single-client reference's cap
 
 
 @dataclass
@@ -181,26 +184,33 @@ class _MultiLP:
         return MulticastRates(envelope, self.per_client(solution.x), solution.value)
 
 
-def _multi_lp(instance, oracle, row_budget: int, check: bool) -> _MultiLP:
-    subs = _subproblems(instance, oracle, check)
-    masks = sum(1 << len(s.sources) for s in subs.values())
-    if masks > row_budget:
-        raise BudgetExceeded(
-            f"region tables of {masks} masks exceed the {row_budget}-mask budget")
-    return _MultiLP(instance, subs, oracle)
+def _subproblems(instance: NetworkInstance, oracle) -> dict:
+    feasibility.require_reconstructable(instance, oracle)
+    return {t: model.client_subproblem(instance, oracle, t) for t in instance.clients}
 
 
-def solve_multi_exact(instance: NetworkInstance, oracle,
-                      row_budget: int = DEFAULT_ROW_BUDGET,
-                      check_feasibility: bool = True) -> MulticastRates:
+def _infeasible(instance: NetworkInstance, oracle) -> Infeasible:
+    """The error for an empty LP, with the certificates of the clients that fail."""
+    report = feasibility.check_feasible_multi(instance, oracle)
+    bad = [c for c in report.certificates if not c.feasible]
+    if not bad:
+        raise RuntimeError("the LP found no allocation, but every client's certificate is feasible")
+    return Infeasible(
+        "no achievable rate vector: " + "; ".join(
+            f"client {c.client} needs {c.required} through {c.witness_set} "
+            f"but has capacity {c.cut}" for c in bad),
+        bad)
+
+
+def solve_multi_exact(instance: NetworkInstance, oracle) -> MulticastRates:
     """Exact optimum of the multi-client problem by lazily added region rows.
 
-    ``row_budget`` bounds sum_t 2^{m_t}, the size of the clients' mask-indexed
-    region tables that separation reads (BudgetExceeded above it).  Raises
-    Infeasible when no allocation exists, with the clients' certificates
-    when ``check_feasibility`` is set.
+    Separation reads each client's mask-indexed region tables, so a client
+    may reach at most ``submodular.BRUTE_FORCE_LIMIT`` sources
+    (GroundTooLarge).  Raises Infeasible, with the certificates of the
+    failing clients, when the LP finds no allocation.
     """
-    lp = _multi_lp(instance, oracle, row_budget, check_feasibility)
+    lp = _MultiLP(instance, _subproblems(instance, oracle), oracle)
     solver = SimplexSolver(lp.program({t: seed_pool(len(s.sources))
                                        for t, s in lp.subs.items()}))
     solution = solver.solve()
@@ -216,32 +226,22 @@ def solve_multi_exact(instance: NetworkInstance, oracle,
         if not solver.add_rows(cuts):
             break
         solution = solver.resolve(solver.lp.objective)
-    raise Infeasible(_EMPTY)
+    raise _infeasible(instance, oracle)
 
 
-def solve_multi_bruteforce(instance: NetworkInstance, oracle,
-                           row_budget: int = DEFAULT_ROW_BUDGET,
-                           check_feasibility: bool = True) -> MulticastRates:
+def solve_multi_bruteforce(instance: NetworkInstance, oracle) -> MulticastRates:
     """Reference optimum: one LP with every region row of every client materialized."""
-    lp = _multi_lp(instance, oracle, row_budget, check_feasibility)
+    subs = _subproblems(instance, oracle)
+    masks = sum(1 << len(s.sources) for s in subs.values())
+    if masks > BRUTE_FORCE_MASKS:
+        raise BudgetExceeded(
+            f"region tables of {masks} masks exceed the {BRUTE_FORCE_MASKS}-mask budget")
+    lp = _MultiLP(instance, subs, oracle)
     solution = SimplexSolver(lp.program({t: range(1, r.full)
                                          for t, r in lp.regions.items()})).solve()
     if solution.status != "optimal":
-        raise Infeasible(_EMPTY)
+        raise _infeasible(instance, oracle)
     return lp.result(solution)
-
-
-def _subproblems(instance, oracle, check: bool) -> dict:
-    if check:
-        report = feasibility.check_feasible_multi(instance, oracle)
-        if not report.feasible:
-            bad = [c for c in report.certificates if not c.feasible]
-            raise Infeasible(
-                "no achievable rate vector: " + "; ".join(
-                    f"client {c.client} needs {c.required} through {c.witness_set} "
-                    f"but has capacity {c.cut}" for c in bad),
-                bad)
-    return {t: model.client_subproblem(instance, oracle, t) for t in instance.clients}
 
 
 # -- subgradient route -------------------------------------------------------
@@ -251,8 +251,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
                             max_iters: int = DEFAULT_MAX_ITERS,
                             gap_tol=DEFAULT_GAP_TOL,
                             initial_multipliers: dict | None = None,
-                            patience: int = DEFAULT_PATIENCE,
-                            check_feasibility: bool = True) -> SubgradientResult:
+                            patience: int = DEFAULT_PATIENCE) -> SubgradientResult:
     """Projected dual ascent with ergodic primal recovery.
 
     Stops when the relative gap between the recovered primal cost and the
@@ -265,7 +264,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     gap_tol = Fraction(gap_tol).limit_denominator(10 ** 12)
     if max_iters < 1:
         raise InvalidParameters("max_iters must be at least 1")
-    subs = _subproblems(instance, oracle, check_feasibility)
+    subs = _subproblems(instance, oracle)
     clients = instance.clients
     caps = instance.capacities()
     costs = instance.costs()
@@ -299,7 +298,10 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
 
     def inner(t):
         weights = {e.id: lam[(e.id, t)] for e in subs[t].edges}
-        rates, value, _ = optimizers[t].minimize(weights)
+        try:
+            rates, value, _ = optimizers[t].minimize(weights)
+        except Infeasible:
+            raise _infeasible(instance, oracle) from None
         return rates, value
 
     n = 0

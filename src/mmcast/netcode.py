@@ -20,15 +20,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import gf, model
+from . import gf
 from .entropy import LinearSource
 from .errors import (FieldTooSmall, InfeasibleRates, InvalidParameters, NotLinearModel,
-                     RankDeficient, ScaleOverflow, UnknownEdgeRate,
-                     VerificationFailedAllAttempts)
+                     RankDeficient, ReconstructabilityViolated, ScaleOverflow,
+                     UnknownEdgeRate, VerificationFailedAllAttempts)
+from .feasibility import check_feasible_multi
 from .gf import FieldMatrix
 from .model import NetworkInstance
 
-DEFAULT_BETA_CAP = 2 ** 12
+BETA_CAP = 2 ** 12
 DEFAULT_MAX_ATTEMPTS = 64
 
 
@@ -77,7 +78,7 @@ class CodeAssignment:
     seed: int | None
 
 
-def _verify_rates_serve_all_clients(instance, oracle, rates, n_packets):
+def _verify_rates_serve_all_clients(instance, oracle, rates):
     """Every client's rate-flow region must contain a point dominated by the rates.
 
     This is feasibility of the sub-network whose capacities are the rates
@@ -87,25 +88,19 @@ def _verify_rates_serve_all_clients(instance, oracle, rates, n_packets):
     a subset's conditional entropy without hurting decodability (extra
     received symbols never reduce rank).
     """
-    from .feasibility import check_feasible_single
-
-    for t in instance.clients:
-        sub = model.client_subproblem(instance, oracle, t)
-        if sub.ground_entropy < n_packets:
-            raise InfeasibleRates(
-                f"client {t} can reach only rank {sub.ground_entropy} of the "
-                f"{n_packets}-dimensional data vector")
-        on_subgraph = {e.id: rates[e.id] for e in sub.edges}
-        cert = check_feasible_single(sub, oracle, on_subgraph)
+    try:
+        report = check_feasible_multi(instance, oracle, rates)
+    except ReconstructabilityViolated as exc:
+        raise InfeasibleRates(str(exc)) from exc
+    for cert in report.certificates:
         if not cert.feasible:
             raise InfeasibleRates(
-                f"rates cannot serve client {t}: subset {cert.witness_set} needs "
+                f"rates cannot serve client {cert.client}: subset {cert.witness_set} needs "
                 f"{cert.required} but is granted {cert.cut}")
 
 
 def build_coded_network(instance: NetworkInstance, source_model,
-                        rates: dict, oracle=None,
-                        beta_cap: int = DEFAULT_BETA_CAP) -> CodedNetwork:
+                        rates: dict, oracle=None) -> CodedNetwork:
     """Expand a feasible rate vector into a unit-capacity symbol network."""
     if not isinstance(source_model, LinearSource):
         raise NotLinearModel("code construction requires the linear source model")
@@ -129,13 +124,13 @@ def build_coded_network(instance: NetworkInstance, source_model,
         raise InfeasibleRates(
             f"joint observations have rank {gf.rank(joint)} < {n_packets}: "
             "the data vector is not determined by the sources")
-    _verify_rates_serve_all_clients(instance, oracle, full_rates, n_packets)
+    _verify_rates_serve_all_clients(instance, oracle, full_rates)
 
     beta = 1
     for r in full_rates.values():
         beta = beta * r.denominator // math.gcd(beta, r.denominator)
-    if beta > beta_cap:
-        raise ScaleOverflow(f"block scale {beta} exceeds cap {beta_cap}")
+    if beta > BETA_CAP:
+        raise ScaleOverflow(f"block scale {beta} exceeds cap {BETA_CAP}")
     n_symbols = beta * n_packets
     q = source_model.q
 

@@ -8,7 +8,8 @@ source set, intersected with the capacity box.  Two solvers cover it:
   small constraint pool (singletons, their complements, the ground
   equality) and grows it with the most violated subset found by exact
   submodular minimization until none is violated.  Each cut is appended
-  to the solved LP and re-optimized warm by dual simplex.
+  to the solved LP and re-optimized warm by dual simplex.  The LP decides
+  feasibility; the certificate is computed only to explain an empty region.
 * :func:`solve_single_client_bruteforce` -- materializes all 2^m - 2
   subset inequalities at once; the oracle baseline the cutting-plane
   path is tested against.
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import model, submodular
+from . import feasibility, model, submodular
 from .errors import GroundTooLarge, Infeasible
 from .lp import LinearProgram, SimplexSolver
 from .model import ClientSubproblem, Region
@@ -115,18 +116,24 @@ class RegionOptimizer:
                 if b[mask] == g[mask]]
 
 
-def solve_single_client(sub: ClientSubproblem, oracle, costs: dict, capacities: dict,
-                        check_feasibility: bool = True) -> SingleClientSolution:
-    """Cutting-plane optimum of the single-client allocation problem."""
-    if check_feasibility:
-        from . import feasibility
-        cert = feasibility.check_feasible_single(sub, oracle, capacities)
-        if not cert.feasible:
-            raise Infeasible(
-                f"client {sub.client}: subset {cert.witness_set} needs rate "
-                f"{cert.required} but has cut capacity {cert.cut}", (cert,))
+def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
+                        capacities: dict) -> SingleClientSolution:
+    """Cutting-plane optimum of the single-client allocation problem.
+
+    Infeasible carries the client's certificate, computed only once the LP
+    comes back empty; a feasible certificate then means the routes disagree.
+    """
     opt = RegionOptimizer(sub, oracle, capacities)
-    rates, value, solves = opt.minimize(costs)
+    try:
+        rates, value, solves = opt.minimize(costs)
+    except Infeasible:
+        cert = feasibility.check_feasible_single(sub, oracle, capacities)
+        if cert.feasible:
+            raise RuntimeError(
+                f"client {sub.client}: empty LP, but its certificate is feasible") from None
+        raise Infeasible(
+            f"client {sub.client}: subset {cert.witness_set} needs rate "
+            f"{cert.required} but has cut capacity {cert.cut}", (cert,)) from None
     membership = submodular.in_base_polyhedron(model.boundary_vector(rates, sub), opt.g)
     if not membership:
         raise RuntimeError(

@@ -177,12 +177,12 @@ def in_base_polyhedron(x: dict, f: SetFunction) -> MembershipResult:
     Supermodular f: inequalities reversed.  On failure the minimizing
     violating set is returned with the (positive) violation amount.
     """
+    if f.kind not in ("submodular", "supermodular"):
+        raise InvalidParameters("membership requires a declared sub/supermodular kind")
     ground_total = sum((x[e] for e in f.ground), Fraction(0))
     f_total = f(f.ground)
     if ground_total != f_total:
         return MembershipResult(False, tuple(f.ground), abs(ground_total - f_total))
-    if f.kind not in ("submodular", "supermodular"):
-        raise InvalidParameters("membership requires a declared sub/supermodular kind")
     xs = modular_table(x[e] for e in f.ground)
     if f.kind == "supermodular":
         slack = [xv - f.value(mask) for mask, xv in enumerate(xs)]

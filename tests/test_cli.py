@@ -107,6 +107,24 @@ def test_validation_error_exit_one(tmp_path, capsys):
     assert out["error"]["code"] == "NegativeCapacity"
 
 
+@pytest.mark.parametrize("literal", [float("inf"), float("nan")])
+def test_non_finite_numbers_rejected(tmp_path, capsys, literal):
+    # json accepts the Infinity and NaN literals; they are not rationals
+    doc = json.loads(FIXTURE_F2.read_text())
+    doc["edges"][0]["capacity"] = literal
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert "Infinity" in path.read_text() or "NaN" in path.read_text()
+    code, out = run_cli(capsys, "feas", str(path))
+    assert code == 1
+    assert out["error"]["code"] == "InvalidInstance"
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"e1": "0", "e2": literal}))
+    code, out = run_cli(capsys, "code", str(FIXTURE_F2), "--rates", str(rates))
+    assert code == 1
+    assert out["error"]["code"] == "InvalidInstance"
+
+
 @pytest.fixture()
 def rates_file(tmp_path):
     path = tmp_path / "rates.json"

@@ -10,6 +10,8 @@ from mmcast.errors import Infeasible, ReconstructabilityViolated
 from mmcast.feasibility import (achievable_point, check_feasible_multi, check_feasible_single,
                                 enumerate_feasibility, slack_function)
 from mmcast.model import boundary_vector, client_subproblem
+from mmcast.multi_client import (solve_multi_bruteforce, solve_multi_exact,
+                                 solve_multi_subgradient)
 from mmcast.submodular import conditional_entropy_function, in_base_polyhedron
 
 
@@ -73,6 +75,9 @@ def test_multi_requires_reconstructability():
     instance, oracle, _ = load_instance(doc)
     with pytest.raises(ReconstructabilityViolated):
         check_feasible_multi(instance, oracle)
+    for solve in (solve_multi_exact, solve_multi_bruteforce, solve_multi_subgradient):
+        with pytest.raises(ReconstructabilityViolated):
+            solve(instance, oracle)
 
 
 def test_agreement_with_enumeration():

@@ -76,8 +76,9 @@ def test_exact_infeasible_raises():
 
 
 def test_infeasible_without_feasibility_check(monkeypatch):
-    # with the feasibility pass skipped, the LPs themselves must report the
-    # empty region as Infeasible, whether the seed LP or an appended cut finds it
+    # no solver runs a feasibility test first: each LP must find the empty
+    # region itself, whether the seed LP or an appended cut finds it, and
+    # the error must carry the certificates of exactly the failing clients
     from mmcast.lp import SimplexSolver
     refused = []
     add_rows = SimplexSolver.add_rows
@@ -95,15 +96,40 @@ def test_infeasible_without_feasibility_check(monkeypatch):
     for _ in range(30):
         cases.append(load_instance(random_instance_doc(rng, n_clients=rng.randint(2, 3))))
     infeasible = 0
+    solvers = (solve_multi_exact, solve_multi_bruteforce,
+               lambda instance, oracle: solve_multi_subgradient(instance, oracle, max_iters=1))
     for instance, oracle, _ in cases:
-        if check_feasible_multi(instance, oracle).feasible:
+        report = check_feasible_multi(instance, oracle)
+        if report.feasible:
             continue
         infeasible += 1
-        for solve in (solve_multi_exact, solve_multi_bruteforce):
-            with pytest.raises(Infeasible):
-                solve(instance, oracle, check_feasibility=False)
+        failing = tuple(c for c in report.certificates if not c.feasible)
+        for solve in solvers:
+            with pytest.raises(Infeasible) as err:
+                solve(instance, oracle)
+            assert err.value.certificates == failing
+        for cert in failing:
+            sub = client_subproblem(instance, oracle, cert.client)
+            with pytest.raises(Infeasible) as err:
+                solve_single_client(sub, oracle, instance.costs(), instance.capacities())
+            assert err.value.certificates == (cert,)
     assert infeasible >= 20
     assert any(refused)         # draw 28 of the stream gets past its seed rows
+
+
+def test_empty_lp_with_feasible_certificates_is_an_error(monkeypatch):
+    # the LP and the certificates are independent routes; if they disagree
+    # the solvers must say so rather than report a verdict
+    from mmcast.lp import LpSolution, SimplexSolver
+    instance, oracle, _ = load_instance(two_client_symmetric_doc())
+    monkeypatch.setattr(SimplexSolver, "solve", lambda self: LpSolution("infeasible"))
+    for solve in (solve_multi_exact, solve_multi_bruteforce,
+                  lambda instance, oracle: solve_multi_subgradient(instance, oracle, max_iters=1)):
+        with pytest.raises(RuntimeError):
+            solve(instance, oracle)
+    sub = client_subproblem(instance, oracle, "t1")
+    with pytest.raises(RuntimeError):
+        solve_single_client(sub, oracle, instance.costs(), instance.capacities())
 
 
 def test_lazy_rows_match_bruteforce_random(monkeypatch):
@@ -118,9 +144,9 @@ def test_lazy_rows_match_bruteforce_random(monkeypatch):
         instance, oracle, _ = random_feasible_instance(
             rng, n_sources=rng.randint(4, 6), n_clients=rng.randint(2, 3))
         before = len(appends)
-        lazy = solve_multi_exact(instance, oracle, check_feasibility=False)
+        lazy = solve_multi_exact(instance, oracle)
         cut += len(appends) > before
-        brute = solve_multi_bruteforce(instance, oracle, check_feasibility=False)
+        brute = solve_multi_bruteforce(instance, oracle)
         assert lazy.cost == brute.cost
         for t, rates in lazy.per_client.items():
             sub = client_subproblem(instance, oracle, t)
@@ -346,9 +372,34 @@ def test_subgradient_no_progress_warning(f2):
     assert result.cost >= result.best_dual   # best iterate still returned
 
 
-def test_exact_row_budget_guard():
+def test_exact_solves_past_the_reference_budget():
+    # the lazy LP has no mask budget: 17 chained sources are 2^17 masks,
+    # above the 2^16 that the brute-force reference materializes
     from mmcast.errors import BudgetExceeded
     from helpers import long_chain_doc
     instance, oracle, _ = load_instance(long_chain_doc(17, n_clients=1))
+    assert solve_multi_exact(instance, oracle).cost == 2 * 17 - 1
     with pytest.raises(BudgetExceeded):
-        solve_multi_exact(instance, oracle, check_feasibility=False)
+        solve_multi_bruteforce(instance, oracle)
+
+
+def test_more_than_64_sources():
+    # oracle masks are Python ints, so a document may hold any number of
+    # sources; each client here reaches only the root and its own chain
+    chains, length = 8, 8
+    nodes, edges, clients = ["r"], [], []
+    for i in range(chains):
+        chain = [f"c{i}_{j}" for j in range(length)]
+        nodes += chain
+        clients.append(f"t{i}")
+        for j, (tail, head) in enumerate(zip(["r"] + chain, chain + [f"t{i}"])):
+            edges.append({"id": f"e{i}_{j}", "tail": tail, "head": head,
+                          "capacity": "3", "cost": "1"})
+    doc = {"nodes": nodes + clients, "edges": edges, "clients": clients,
+           "source_model": {"kind": "linear", "q": 5, "N": 2,
+                            "matrices": {"r": [[1, 0], [0, 1]]}}}
+    instance, oracle, _ = load_instance(doc)
+    assert len(instance.sources) == 65
+    assert check_feasible_multi(instance, oracle).feasible
+    # every client draws the root's 2 packets over its own 9 edges
+    assert solve_multi_exact(instance, oracle).cost == 2 * (length + 1) * chains

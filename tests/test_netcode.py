@@ -86,7 +86,7 @@ def test_scale_overflow(f2_net):
     rates["e2"] = Fraction(1) + Fraction(1, 8191)
     rates["e3"] = Fraction(2) - Fraction(1, 8191)
     with pytest.raises(ScaleOverflow):
-        build_coded_network(instance, sm, rates, oracle=oracle, beta_cap=2 ** 12)
+        build_coded_network(instance, sm, rates, oracle=oracle)
 
 
 def test_identity_network_with_unit_coefficients():

@@ -6,6 +6,7 @@ import pytest
 from helpers import chain_instance, random_feasible_instance, single_edge_instance
 from mmcast import load_instance
 from mmcast.errors import Infeasible
+from mmcast.feasibility import check_feasible_single
 from mmcast.model import boundary_vector, client_subproblem
 from mmcast.single_client import solve_single_client, solve_single_client_bruteforce
 from mmcast.submodular import (conditional_entropy_function, entropy_function,
@@ -67,8 +68,10 @@ def test_bruteforce_matches_on_examples(f2):
 def test_infeasible_chain_raises():
     instance, oracle, _ = load_instance(chain_instance(cap1="0"))
     sub = client_subproblem(instance, oracle, "t")
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible) as err:
         solve_single_client(sub, oracle, instance.costs(), instance.capacities())
+    # the certificate is computed only after the LP comes back empty
+    assert err.value.certificates == (check_feasible_single(sub, oracle, instance.capacities()),)
     with pytest.raises(Infeasible):
         solve_single_client_bruteforce(sub, oracle, instance.costs(), instance.capacities())
 

@@ -112,6 +112,8 @@ def test_membership_requires_declared_kind():
     f = SetFunction((1, 2), lambda s: Fraction(len(tuple(s))), "unknown")
     with pytest.raises(InvalidParameters):
         in_base_polyhedron({1: Fraction(1), 2: Fraction(1)}, f)
+    with pytest.raises(InvalidParameters):      # the ground totals differ: 6 against 2
+        in_base_polyhedron({1: Fraction(1), 2: Fraction(5)}, f)
 
 
 def test_base_polyhedra_of_dual_pair_coincide(f2):
