@@ -76,7 +76,12 @@ class GroundTooLarge(MmcastError):
 
 
 class MaxIterationsExceeded(MmcastError):
-    """Carries the best iterate found before the iteration cap was hit."""
+    """Carries the best iterate found before the iteration cap was hit.
+
+    For the minimum-norm point, ``best_point`` is the exact current point x,
+    ``best_set`` is {x < 0} and ``gap`` the exact Fraction
+    f(best_set) - x^-(ground), an upper bound on f(best_set) - min f.
+    """
 
     def __init__(self, message, best_point=None, best_set=None, gap=None):
         self.best_point = best_point

@@ -45,6 +45,14 @@ def parse_rates(data: dict) -> dict:
     return {str(eid): parse_rational(v) for eid, v in data.items()}
 
 
+def parse_integer(value) -> int:
+    """An integer field: a rational (see ``parse_rational``) that is integral."""
+    r = parse_rational(value)
+    if r.denominator != 1:
+        raise InvalidInstance(f"expected an integer, got {value!r}")
+    return r.numerator
+
+
 def parse_source_model(description: dict, sources):
     try:
         kind = description["kind"]
@@ -52,17 +60,21 @@ def parse_source_model(description: dict, sources):
         raise InvalidInstance("source_model must declare a kind") from exc
     if kind == "linear":
         try:
-            q = int(description["q"])
-            n = int(description["N"])
+            q = parse_integer(description["q"])
+            n = parse_integer(description["N"])
             raw = description["matrices"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidInstance(f"malformed linear source model: {exc}") from exc
         unknown = set(raw) - set(sources)
         if unknown:
             raise InvalidInstance(f"observation matrices for unknown nodes {sorted(unknown)}")
         matrices = {}
         for node, rows in raw.items():
-            matrices[node] = FieldMatrix.from_rows(rows, q, cols=n)
+            try:
+                entries = [[parse_integer(x) for x in row] for row in rows]
+            except TypeError as exc:
+                raise InvalidInstance(f"matrix of {node} must be a list of rows: {exc}") from exc
+            matrices[node] = FieldMatrix.from_rows(entries, q, cols=n)
         return LinearSource(q, n, matrices)
     if kind == "tabular":
         unit = description.get("unit", "packets")
@@ -83,9 +95,9 @@ def parse_source_model(description: dict, sources):
         return TabularSource(tuple(sources), table, unit=unit)
     if kind == "pmf":
         try:
-            alphabets = {str(k): int(v) for k, v in description["alphabets"].items()}
+            alphabets = {str(k): parse_integer(v) for k, v in description["alphabets"].items()}
             nested = description["table"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidInstance(f"malformed pmf source model: {exc}") from exc
         order = [str(v) for v in description.get("order", sorted(alphabets))]
         if set(order) != set(alphabets):

@@ -1,9 +1,9 @@
 """Submodular minimization and base-polyhedron primitives.
 
-Two minimization engines are provided: an exact brute-force enumeration
-(the reference path, ground sets up to 20 elements) and the Fujishige-Wolfe
-minimum-norm-point method (floating point, for larger grounds).  Set
-functions evaluate to exact rationals; the ground set is an ordered tuple
+Two minimization engines are provided, both exact: a brute-force
+enumeration (the reference path, ground sets up to 20 elements) and the
+Fujishige-Wolfe minimum-norm-point method, which has no cap on the ground
+and returns the same minimizer.  Set functions evaluate to exact rationals; the ground set is an ordered tuple
 and subsets are handled as bitmasks internally (bit i is ``ground[i]``).
 
 A set function is either lazy (each mask evaluated on first use) or
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import GroundTooLarge, InvalidParameters, MaxIterationsExceeded
 
@@ -139,6 +137,18 @@ def sfm_brute_force(f: SetFunction, include_empty: bool = True):
     return members(f.ground, best_mask), Fraction(best_val)
 
 
+def _greedy_vertex(f: SetFunction, order) -> list:
+    """Greedy vertex for an ordering of element indices, as a list indexed like the ground."""
+    x = [0] * len(f.ground)
+    mask, prev = 0, f.value(0)
+    for i in order:
+        mask |= 1 << i
+        cur = f.value(mask)
+        x[i] = cur - prev
+        prev = cur
+    return x
+
+
 def greedy_base_vertex(f: SetFunction, ordering) -> dict:
     """Greedy vertex of the base polyhedron for the given element ordering.
 
@@ -146,18 +156,14 @@ def greedy_base_vertex(f: SetFunction, ordering) -> dict:
     to f(ground).  Valid for submodular f (vertices of B(f)) and, with the
     inequalities reversed, for supermodular f.
     """
-    ordering = tuple(ordering)
-    if sorted(ordering) != sorted(f.ground):
+    try:
+        order = [f._index[e] for e in ordering]
+    except (KeyError, TypeError) as exc:
+        raise InvalidParameters(f"ordering has an element outside the ground set: {exc}") from exc
+    if sorted(order) != list(range(len(f.ground))):
         raise InvalidParameters("ordering must be a permutation of the ground set")
-    x = {}
-    prefix: list = []
-    prev = f(prefix)
-    for e in ordering:
-        prefix.append(e)
-        cur = f(prefix)
-        x[e] = cur - prev
-        prev = cur
-    return x
+    x = _greedy_vertex(f, order)
+    return {f.ground[i]: x[i] for i in order}
 
 
 @dataclass(frozen=True)
@@ -179,6 +185,8 @@ def in_base_polyhedron(x: dict, f: SetFunction) -> MembershipResult:
     """
     if f.kind not in ("submodular", "supermodular"):
         raise InvalidParameters("membership requires a declared sub/supermodular kind")
+    if x.keys() != set(f.ground):
+        raise InvalidParameters("the point needs exactly one coordinate per ground element")
     ground_total = sum((x[e] for e in f.ground), Fraction(0))
     f_total = f(f.ground)
     if ground_total != f_total:
@@ -194,110 +202,81 @@ def in_base_polyhedron(x: dict, f: SetFunction) -> MembershipResult:
     return MembershipResult(True, None, None)
 
 
-def _greedy_vertex_array(f: SetFunction, order: np.ndarray) -> np.ndarray:
-    """Greedy vertex as floats for the ordering given by element indices."""
-    n = len(f.ground)
-    x = np.empty(n)
-    mask = 0
-    prev = f.value(0)
-    for idx in order:
-        mask |= 1 << int(idx)
-        cur = f.value(mask)
-        x[int(idx)] = float(cur - prev)
-        prev = cur
-    return x
+def _dot(p: list, q: list):
+    return sum(a * b for a, b in zip(p, q))
 
 
-def _affine_minimizer(points: list):
-    """Min-norm point of the affine hull of the given points.
+def _affine_minimizer(gram: list) -> list:
+    """Weights mu, summing to 1, of the min-norm point of the points' affine hull.
 
-    Returns (coefficients, point).  Solves the bordered Gram system; falls
-    back to least squares when nearly singular.
+    Solves the bordered system [0 1'; 1 G] [s; mu] = [1; 0] over the Gram
+    matrix G by exact Gauss-Jordan elimination.
     """
-    s = np.array(points)
-    m = len(points)
-    gram = s @ s.T
-    a = np.zeros((m + 1, m + 1))
-    a[0, 1:] = 1.0
-    a[1:, 0] = 1.0
-    a[1:, 1:] = gram
-    rhs = np.zeros(m + 1)
-    rhs[0] = 1.0
-    try:
-        sol = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    mu = sol[1:]
-    return mu, mu @ s
+    size = len(gram) + 1
+    a = [[0] + [1] * len(gram) + [1]] + [[1] + row + [0] for row in gram]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if a[r][col]), None)
+        if pivot is None:
+            raise RuntimeError("Wolfe's corral is affinely dependent")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / Fraction(a[col][col])
+        row = a[col] = [v * inv for v in a[col]]
+        for r in range(size):
+            factor = a[r][col]
+            if r != col and factor:
+                a[r] = [v - factor * w for v, w in zip(a[r], row)]
+    return [a[r][-1] for r in range(1, size)]
 
 
-def min_norm_point(f: SetFunction, eps: float = 1e-9, max_major: int = 10000):
-    """Fujishige-Wolfe minimum-norm point in the base polyhedron of f.
+def _negative_part(x: list):
+    """The mask of {x < 0} and x^-(ground), the sum of the negative entries."""
+    return sum(1 << i for i, v in enumerate(x) if v < 0), sum(v for v in x if v < 0)
 
-    Returns ``(x, members, value)``: the (float) min-norm point keyed by
-    ground element, a minimizer of f extracted from it, and the exact value
-    f(members).  The extraction scans every threshold prefix of x and keeps
-    the best exact evaluation, so the reported value is attained.
 
-    Requires submodular f with f(empty) = 0.
+def min_norm_point(f: SetFunction, max_major: int = 10000):
+    """Fujishige-Wolfe minimum-norm point in the base polyhedron of f, exact.
+
+    Returns ``(x, members, value)``: the min-norm point x* keyed by ground
+    element (exact rationals), S = {x* < 0} and f(S).  Requires submodular
+    f with f(empty) = 0.  Then x* lies in B(f), so x*^-(ground) <= f(T)
+    for every T, and S is accepted only when x*^-(ground) == f(S) (Edmonds'
+    min-max theorem); a failed check proves f is not submodular and raises
+    InvalidParameters.  {x* < 0} is the unique inclusion-minimal minimizer
+    (Fujishige), so ``(members, value)`` equals :func:`sfm_brute_force`'s.
     """
     if f.value(0) != 0:
         raise InvalidParameters("min_norm_point requires f(empty) = 0")
     n = len(f.ground)
-    if n == 0:
-        return {}, (), Fraction(0)
-
-    x = _greedy_vertex_array(f, np.arange(n))
-    points = [x.copy()]
-    lam = np.array([1.0])
-    scale = max(1.0, float(np.max(np.abs(x))))
-    tol = 1e-12 * scale * scale
-
-    def extract(xv: np.ndarray):
-        order = sorted(range(n), key=lambda i: (xv[i], i))
-        best_mask, best_val = 0, f.value(0)
-        mask = 0
-        for i in order:
-            mask |= 1 << i
-            v = f.value(mask)
-            if v < best_val or (v == best_val and _tie_key(mask) < _tie_key(best_mask)):
-                best_mask, best_val = mask, v
-        return members(f.ground, best_mask), best_val
-
-    best_members, best_value = extract(x)
+    x = _greedy_vertex(f, range(n))
+    points, lam, gram = [x], [Fraction(1)], [[_dot(x, x)]]
     for _ in range(max_major):
-        order = np.argsort(x, kind="stable")
-        q = _greedy_vertex_array(f, order)
-        found, value = extract(x)
-        if value < best_value:
-            best_members, best_value = found, value
-        # optimality: x'x <= x'q (+ tolerance) against the minimizing vertex q
-        if float(x @ x) <= float(x @ q) + max(tol, eps * eps):
-            return {e: float(x[i]) for i, e in enumerate(f.ground)}, best_members, best_value
+        q = _greedy_vertex(f, sorted(range(n), key=x.__getitem__))
+        if _dot(x, x) <= _dot(x, q):
+            mask, lower = _negative_part(x)
+            if f.value(mask) != lower:
+                raise InvalidParameters(
+                    f"f is not submodular: f(S) = {f.value(mask)} at S = {{x* < 0}}, "
+                    f"but x*^-(ground) = {lower}")
+            return dict(zip(f.ground, x)), members(f.ground, mask), f.value(mask)
+        cross = [_dot(p, q) for p in points]
+        gram = [row + [c] for row, c in zip(gram, cross)] + [cross + [_dot(q, q)]]
         points.append(q)
-        lam = np.append(lam, 0.0)
+        lam.append(Fraction(0))
         while True:
-            mu, y = _affine_minimizer(points)
-            if np.all(mu >= -1e-12):
-                x = y
-                lam = np.maximum(mu, 0.0)
+            mu = _affine_minimizer(gram)
+            if min(mu) > 0:
+                lam = mu
                 break
-            # move toward y until the first convex coefficient hits zero, drop it
-            shrink = lam - mu
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(shrink > 1e-15, lam / shrink, np.inf)
-            theta = min(1.0, float(np.min(ratios)))
-            lam = (1 - theta) * lam + theta * mu
-            keep = lam > 1e-12
-            if keep.all():
-                keep[int(np.argmin(lam))] = False
-            points = [p for p, k in zip(points, keep) if k]
-            lam = lam[keep]
-            total = lam.sum()
-            lam = lam / total if total > 0 else np.ones(len(points)) / len(points)
-            x = lam @ np.array(points)
+            # step toward the affine minimizer until a convex weight reaches 0
+            theta = min(l / (l - m) for l, m in zip(lam, mu) if m <= 0)
+            lam = [l + theta * (m - l) for l, m in zip(lam, mu)]
+            keep = [i for i, l in enumerate(lam) if l > 0]
+            points, lam = [points[i] for i in keep], [lam[i] for i in keep]
+            gram = [[gram[i][j] for j in keep] for i in keep]
+        x = [_dot(lam, column) for column in zip(*points)]
+    mask, lower = _negative_part(x)
     raise MaxIterationsExceeded(
         f"minimum-norm point did not converge in {max_major} major cycles",
-        best_point={e: float(x[i]) for i, e in enumerate(f.ground)},
-        best_set=best_members,
-        gap=float(best_value) - float(np.minimum(x, 0.0).sum()))
+        best_point=dict(zip(f.ground, x)),
+        best_set=members(f.ground, mask),
+        gap=f.value(mask) - lower)

@@ -283,7 +283,7 @@ def test_criterion_7_min_norm_point_vs_brute_force():
     for _ in range(50):
         f = random_submodular_function(rng, 8)
         _, brute_value = sfm_brute_force(f)
-        _, _, wolfe_value = min_norm_point(f, eps=1e-9)
+        _, _, wolfe_value = min_norm_point(f)
         diff = wolfe_value - brute_value
         assert 0 <= diff <= Fraction(1, 10 ** 9)
         worst = max(worst, diff)

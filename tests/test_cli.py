@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from helpers import FIXTURE_F2, chain_instance
+from helpers import FIXTURE_F2, REPO, chain_instance
 from mmcast.cli import main
 
 
@@ -125,6 +126,54 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, literal):
     assert out["error"]["code"] == "InvalidInstance"
 
 
+PMF_DOC = {
+    "nodes": ["x", "y", "t"],
+    "edges": [{"id": "a", "tail": "x", "head": "y", "capacity": "2", "cost": "1"},
+              {"id": "b", "tail": "y", "head": "t", "capacity": "3", "cost": "1"}],
+    "clients": ["t"],
+    "source_model": {"kind": "pmf", "order": ["x", "y"], "alphabets": {"x": 2, "y": 2},
+                     "table": [["1/4", "1/4"], ["1/4", "1/4"]]},
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("q", 5.9), ("q", float("inf")), ("q", True), ("N", 4.5), ("N", "4/3"),
+    ("entry", 1.5), ("entry", float("nan")), ("rows", 5), ("alphabet", 2.5),
+    ("alphabet", float("inf")),
+])
+def test_integer_fields_rejected(tmp_path, capsys, field, value):
+    # q, N, matrix entries and pmf alphabet sizes are integers: never truncated
+    if field == "alphabet":
+        doc = json.loads(json.dumps(PMF_DOC))
+        doc["source_model"]["alphabets"]["x"] = value
+    else:
+        doc = json.loads(FIXTURE_F2.read_text())
+        model = doc["source_model"]
+        if field == "entry":
+            model["matrices"]["m1"][0][0] = value
+        elif field == "rows":
+            model["matrices"]["m1"] = value
+        else:
+            model[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "feas", str(path))
+    assert code == 1
+    assert out["error"]["code"] == "InvalidInstance"
+
+
+def test_integral_spellings_of_integer_fields_accepted(tmp_path, capsys):
+    _, expected = run_cli(capsys, "feas", str(FIXTURE_F2))
+    doc = json.loads(FIXTURE_F2.read_text())
+    doc["source_model"].update(q=5.0, N="4")
+    doc["source_model"]["matrices"]["m1"][0][0] = "1"
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "feas", str(path))
+    assert code == 0
+    assert out["clients"] == expected["clients"]
+
+
 @pytest.fixture()
 def rates_file(tmp_path):
     path = tmp_path / "rates.json"
@@ -212,6 +261,14 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["reconstructability"]["ok"]
+
+
+def test_import_does_not_load_numpy():
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mmcast, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solve_subgradient_power_schedule(capsys):

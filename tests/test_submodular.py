@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_submodular_function
-from mmcast import client_subproblem
-from mmcast.errors import GroundTooLarge, InvalidParameters
+from helpers import random_instance_doc, random_submodular_function
+from mmcast import client_subproblem, load_instance
+from mmcast.errors import GroundTooLarge, InvalidParameters, MaxIterationsExceeded
+from mmcast.feasibility import slack_function
 from mmcast.model import boundary_vector, cut_capacity
 from mmcast.submodular import (SetFunction, conditional_entropy_function, entropy_function,
                                greedy_base_vertex, in_base_polyhedron, min_norm_point,
@@ -116,6 +117,18 @@ def test_membership_requires_declared_kind():
         in_base_polyhedron({1: Fraction(1), 2: Fraction(5)}, f)
 
 
+def test_base_polyhedron_helpers_raise_typed_errors():
+    f = SetFunction((1, "a"), lambda s: Fraction(len(tuple(s))), "submodular")
+    assert greedy_base_vertex(f, ("a", 1)) == {"a": 1, 1: 1}   # a mixed ground needs no sort
+    for ordering in [(1, "b"), (1, 1), (1,), (1, "a", 1), ([1], "a")]:
+        with pytest.raises(InvalidParameters):
+            greedy_base_vertex(f, ordering)
+    with pytest.raises(InvalidParameters):      # a ground element has no coordinate
+        in_base_polyhedron({1: Fraction(1)}, f)
+    with pytest.raises(InvalidParameters):      # a coordinate outside the ground
+        in_base_polyhedron({1: Fraction(1), "a": Fraction(1), "b": Fraction(0)}, f)
+
+
 def test_base_polyhedra_of_dual_pair_coincide(f2):
     # greedy vertices of the entropy function satisfy the conditional form's
     # region constraints with equality at the ground set, and vice versa
@@ -138,7 +151,7 @@ def test_min_norm_point_modular():
     x, members, value = min_norm_point(modular([-1, 2, -3]))
     assert members == (1, 3)
     assert value == -4
-    assert abs(x[1] + 1) < 1e-9 and abs(x[2] - 2) < 1e-9 and abs(x[3] + 3) < 1e-9
+    assert x == {1: -1, 2: 2, 3: -3}
 
 
 def test_min_norm_point_matroid_cut():
@@ -159,8 +172,38 @@ def test_min_norm_point_matches_brute_force():
     for _ in range(15):
         f = random_submodular_function(rng, 8)
         _, value = sfm_brute_force(f)
-        _, _, wolfe_value = min_norm_point(f, eps=1e-9)
+        _, _, wolfe_value = min_norm_point(f)
         assert 0 <= wolfe_value - value <= Fraction(1, 10 ** 9)
+
+
+def assert_wolfe_certified(f):
+    x, found, value = min_norm_point(f)
+    assert (found, value) == sfm_brute_force(f)
+    assert all(type(v) is Fraction for v in x.values())
+    assert in_base_polyhedron(x, f).member
+    assert sum(min(v, 0) for v in x.values()) == value
+
+
+def test_min_norm_point_returns_brute_force_witness():
+    rng = random.Random(67)
+    for k in range(210):
+        assert_wolfe_certified(random_submodular_function(rng, 1 + k % 10))
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_min_norm_point_on_region_slacks(m):
+    for seed in range(3):
+        doc = random_instance_doc(random.Random(seed), n_sources=m, n_clients=2, max_capacity=2)
+        instance, oracle, _ = load_instance(doc)
+        sub = client_subproblem(instance, oracle, instance.clients[0])
+        assert_wolfe_certified(slack_function(sub, oracle, instance.capacities()))
+
+
+def test_min_norm_point_rejects_non_submodular():
+    # f({0}) + f({1}) = -3 < f({0, 1}) + f({}) = -1; x* = (0, -1) but f({1}) = -3
+    f = SetFunction.tabulated((0, 1), [0, 0, -3, -1])
+    with pytest.raises(InvalidParameters):
+        min_norm_point(f)
 
 
 def test_sfm_lower_bounds_random_subsets():
@@ -191,10 +234,12 @@ def test_dual_pair_membership_on_random_instances():
 
 
 def test_min_norm_point_iteration_cap():
-    from mmcast.errors import MaxIterationsExceeded
     rng = random.Random(433)
     f = random_submodular_function(rng, 6)
     with pytest.raises(MaxIterationsExceeded) as err:
         min_norm_point(f, max_major=0)
     assert err.value.best_set is not None
     assert err.value.gap is not None
+    lower = sum(min(v, 0) for v in err.value.best_point.values())
+    assert type(err.value.gap) is Fraction
+    assert err.value.gap == f(err.value.best_set) - lower >= 0
