@@ -10,19 +10,36 @@ from __future__ import annotations
 from .errors import Inconsistent, ModulusMismatch
 
 
+MODULUS_LIMIT = 1 << 64        # field moduli must be primes below this
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin over the primes 2..37: exact below 3.18e23."""
     if q < 2:
         return False
-    if q < 4:
-        return True
-    if q % 2 == 0:
-        return False
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
+    for p in _WITNESSES:
+        if q % p == 0:
+            return q == p
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def is_field_modulus(q: int) -> bool:
+    """A prime below MODULUS_LIMIT, the moduli the package computes over."""
+    return q < MODULUS_LIMIT and is_prime(q)
 
 
 class FieldMatrix:
@@ -31,8 +48,8 @@ class FieldMatrix:
     __slots__ = ("rows", "cols", "q", "_data")
 
     def __init__(self, rows: int, cols: int, entries, q: int):
-        if not is_prime(q):
-            raise ModulusMismatch(f"modulus {q} is not prime")
+        if not is_field_modulus(q):
+            raise ModulusMismatch(f"modulus {q} is not a prime below 2^64")
         data = tuple(int(x) % q for x in entries)
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")

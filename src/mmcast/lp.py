@@ -6,12 +6,14 @@ pivot rule is steepest-coefficient (Dantzig) with an automatic permanent
 switch to Bland's rule after a run of degenerate pivots, which preserves
 the no-cycling guarantee without paying Bland's price on every solve.
 
-Every row enters the tableau as a ``<=`` row over nonnegative solver
-variables with its own basic slack (an ``==`` row as a ``<=``/``>=`` pair),
-whatever the sign of its right-hand side.  That slack basis is dual
-feasible for the nonnegative part of the costs, so dual simplex (Lemke's
-method) finds a feasible basis or proves that there is none; no artificial
-variables and no phase-1 objective are needed.
+A :class:`LinearProgram` minimizes c.x over x >= 0, each variable with
+an optional cap x_j <= u_j.  Every row enters the tableau as a ``<=`` row
+with its own basic slack (an ``==`` row as a ``<=``/``>=`` pair), whatever
+the sign of its right-hand side, and each cap as a ``<=`` row after them.
+That slack basis is dual feasible for the nonnegative part of the costs,
+so dual simplex (Lemke's method) finds a feasible basis or proves that
+there is none; no artificial variables and no phase-1 objective are
+needed.
 
 :class:`SimplexSolver` keeps its final tableau, so a solved LP can be
 changed and re-optimized from its previous basis instead of from scratch:
@@ -36,22 +38,18 @@ DEGENERATE_STALL = 25          # consecutive zero-progress pivots before Bland
 
 @dataclass
 class LinearProgram:
-    objective: list            # minimize c . x
+    objective: list            # minimize c . x over x >= 0
     rows: list                 # (coeffs, rel, rhs) with rel in {"<=", ">=", "=="}
-    bounds: list               # (lo, hi) per variable, None for an open side
+    upper: list                # cap x_j <= upper[j] >= 0, None for no cap
 
     def __post_init__(self):
-        n = len(self.objective)
         self.objective = [Fraction(c) for c in self.objective]
         self.rows = [self.checked_row(row) for row in self.rows]
-        self.bounds = [(None if lo is None else Fraction(lo),
-                        None if hi is None else Fraction(hi))
-                       for lo, hi in self.bounds]
-        if len(self.bounds) != n:
-            raise ValueError("bounds length must match variable count")
-        for lo, hi in self.bounds:
-            if lo is not None and hi is not None and lo > hi:
-                raise ValueError("empty variable bound interval")
+        self.upper = [None if u is None else Fraction(u) for u in self.upper]
+        if len(self.upper) != len(self.objective):
+            raise ValueError("upper length must match variable count")
+        if any(u is not None and u < 0 for u in self.upper):
+            raise ValueError("negative upper bound")
 
     def checked_row(self, row) -> tuple:
         """``(coeffs, rel, rhs)`` over Fractions; raises ValueError on a malformed row."""
@@ -76,69 +74,28 @@ class SimplexSolver:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self._build_standard_form()
+        n = len(lp.objective)
+        self.tableau = []          # each row: coefficients + [rhs]
+        self.basis = []
+        self.n_cols = n
+        caps = [([ONE if i == j else ZERO for i in range(n)], u)
+                for j, u in enumerate(lp.upper) if u is not None]
+        self._append_rows([r for row in lp.rows for r in self._le_rows(*row)] + caps)
         self._solved = False
         self._objective = None     # objective the current basis is optimal for
 
-    # -- standard form ----------------------------------------------------
+    # -- tableau -----------------------------------------------------------
 
-    def _build_standard_form(self):
-        lp = self.lp
-        # map each original variable to nonnegative solver variables
-        self.var_map = []          # ("shift", j, lo) | ("flip", j, hi) | ("split", j+, j-)
-        upper = []                 # (j, hi - lo) upper-bound rows produced by shifts
-        n_y = 0
-        for lo, hi in lp.bounds:
-            if lo is not None:
-                self.var_map.append(("shift", n_y, lo))
-                if hi is not None:
-                    upper.append((n_y, hi - lo))
-                n_y += 1
-            elif hi is not None:
-                self.var_map.append(("flip", n_y, hi))
-                n_y += 1
-            else:
-                self.var_map.append(("split", n_y, n_y + 1))
-                n_y += 2
-        self.n_y = n_y
-        self.tableau = []          # each row: coefficients + [rhs]
-        self.basis = []
-        self.n_cols = n_y
-        rows = [y for row in lp.rows for y in self._y_rows(*row)]
-        for j, ub in upper:
-            row = [ZERO] * n_y
-            row[j] = ONE
-            rows.append((row, ub))
-        self._append_rows(rows)
-
-    def _to_y(self, coeffs, rhs) -> tuple:
-        """``coeffs . x <= rhs`` as ``(row, rhs)`` over the solver variables y."""
-        row = [ZERO] * self.n_y
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            kind = self.var_map[i]
-            if kind[0] == "shift":
-                row[kind[1]] += c
-                rhs -= c * kind[2]
-            elif kind[0] == "flip":
-                row[kind[1]] -= c
-                rhs -= c * kind[2]
-            else:
-                row[kind[1]] += c
-                row[kind[2]] -= c
-        return row, rhs
-
-    def _y_rows(self, coeffs, rel, rhs) -> list:
-        """The ``<=`` rows over y of one LP row: an ``==`` row gives two."""
-        row, rhs = self._to_y(coeffs, rhs)
-        rows = [] if rel == ">=" else [(row, rhs)]
+    @staticmethod
+    def _le_rows(coeffs, rel, rhs) -> list:
+        """The ``(row, rhs)`` ``<=`` rows of one LP row: an ``==`` row gives two."""
+        rows = [] if rel == ">=" else [(coeffs, rhs)]
         if rel != "<=":
-            rows.append(([-a for a in row], -rhs))
+            rows.append(([-a for a in coeffs], -rhs))
         return rows
 
     def _append_rows(self, rows):
-        """Append ``(row, rhs)`` rows over y, each with a new basic slack.
+        """Append ``(row, rhs)`` rows over x, each with a new basic slack.
 
         A right-hand side may be negative: the basis then is not primal
         feasible, and dual simplex restores it.  Each new row is rewritten
@@ -152,7 +109,7 @@ class SimplexSolver:
         width = self.n_cols + k
         for row, rhs in rows:
             slack = self.n_cols
-            new = row + [ZERO] * (width - self.n_y) + [rhs]
+            new = row + [ZERO] * (width - len(row)) + [rhs]
             new[slack] = ONE
             for r, b in old:
                 factor = new[b]
@@ -277,14 +234,14 @@ class SimplexSolver:
     def solve(self) -> LpSolution:
         """Find a feasible basis by dual simplex from the slack basis, then optimize.
 
-        The slack basis has reduced costs ``c+ = max(c_y, 0)``, so it is dual
+        The slack basis has reduced costs ``c+ = max(c, 0)``, so it is dual
         feasible for ``c+``; dual simplex under ``c+`` reaches a primal
         feasible basis or proves that there is none.  :meth:`resolve` then
         optimizes the true objective, which needs no pivot when every cost
-        over y is nonnegative.
+        is nonnegative.
         """
-        cost_y, _ = self._objective_in_y(self.lp.objective)
-        if self._dual_optimize(self._reduced_row([max(c, ZERO) for c in cost_y])) == "infeasible":
+        cost = self._cost(self.lp.objective)
+        if self._dual_optimize(self._reduced_row([max(c, ZERO) for c in cost])) == "infeasible":
             self._solved = False
             return LpSolution("infeasible")
         self._solved = True
@@ -294,16 +251,17 @@ class SimplexSolver:
         """Re-optimize with a new objective over the existing feasible basis."""
         if not self._solved:
             raise RuntimeError("resolve requires a previous successful solve")
-        cost_y, const = self._objective_in_y(objective)
-        obj = self._reduced_row(cost_y)
+        obj = self._reduced_row(self._cost(objective))
         status = self._optimize(obj)
         if status == "unbounded":
             self._objective = None
             return LpSolution("unbounded")
         self._objective = list(objective)
-        x = self._extract_x()
-        value = const - obj[-1]   # obj[-1] holds -(c_B B^-1 b)
-        return LpSolution("optimal", value, x)
+        x = [ZERO] * self.n_cols
+        for r, b in enumerate(self.basis):
+            x[b] = self.tableau[r][-1]
+        # obj[-1] holds -(c_B B^-1 b)
+        return LpSolution("optimal", -obj[-1], x[:len(self.lp.objective)])
 
     def add_rows(self, rows) -> bool:
         """Append ``<=``/``>=`` rows to the solved LP and restore feasibility.
@@ -321,35 +279,14 @@ class SimplexSolver:
         rows = [self.lp.checked_row(row) for row in rows]
         if any(rel == "==" for _, rel, _ in rows):
             raise ValueError("add_rows takes <= and >= rows only")
-        self._append_rows([y for row in rows for y in self._y_rows(*row)])
+        self._append_rows([r for row in rows for r in self._le_rows(*row)])
         self.lp.rows += rows
-        cost_y, _ = self._objective_in_y(self._objective)
-        if self._dual_optimize(self._reduced_row(cost_y)) == "infeasible":
+        if self._dual_optimize(self._reduced_row(self._cost(self._objective))) == "infeasible":
             self._solved = False
             self._objective = None
             return False
         return True
 
-    def _objective_in_y(self, objective):
-        """Cost row over all columns and the constant the shifts add to the value."""
-        cost, minus_const = self._to_y([Fraction(c) for c in objective], ZERO)
-        return cost + [ZERO] * (self.n_cols - self.n_y), -minus_const
-
-    def _extract_x(self) -> list:
-        y = [ZERO] * self.n_cols
-        for r, b in enumerate(self.basis):
-            y[b] = self.tableau[r][-1]
-        x = []
-        for kind in self.var_map:
-            if kind[0] == "shift":
-                x.append(kind[2] + y[kind[1]])
-            elif kind[0] == "flip":
-                x.append(kind[2] - y[kind[1]])
-            else:
-                x.append(y[kind[1]] - y[kind[2]])
-        return x
-
-
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve a linear program exactly; see :class:`SimplexSolver`."""
-    return SimplexSolver(lp).solve()
+    def _cost(self, objective) -> list:
+        """Cost row over all columns: the slacks cost nothing."""
+        return [Fraction(c) for c in objective] + [ZERO] * (self.n_cols - len(objective))

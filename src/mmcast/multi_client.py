@@ -122,7 +122,7 @@ def exact_simplex_projection(v: list, total: Fraction) -> list:
 # -- exact LP route ----------------------------------------------------------
 
 class _MultiLP:
-    """Variables, bounds, rows and read-out of the exact multi-client LP.
+    """Variables, caps, rows and read-out of the exact multi-client LP.
 
     The columns are Z_e for every edge of the instance, then R_e^(t) for
     every edge of every client's subproblem.  Region rows are chosen by
@@ -155,9 +155,9 @@ class _MultiLP:
         """The LP with the region rows of ``masks[t]`` plus every ground equality and coupling."""
         caps = self.instance.capacities()
         covered = {eid for (_, eid) in self.r_index}
-        bounds = [(0, caps[e.id] if e.id in covered else 0) for e in self.instance.edges]
-        # R_e^(t) <= Z_e <= c_e already caps the rates; a bound would add a row each
-        bounds += [(0, None)] * len(self.r_index)
+        upper = [caps[e.id] if e.id in covered else 0 for e in self.instance.edges]
+        # R_e^(t) <= Z_e <= c_e already caps the rates; a cap would add a row each
+        upper += [None] * len(self.r_index)
         rows = []
         for t, sub in self.subs.items():
             for mask in masks[t]:
@@ -173,7 +173,7 @@ class _MultiLP:
                 rows.append((row, ">=", 0))
         objective = [e.cost for e in self.instance.edges]
         objective += [0] * (self.n - len(objective))
-        return LinearProgram(objective, rows, bounds)
+        return LinearProgram(objective, rows, upper)
 
     def per_client(self, x: list) -> dict:
         return {t: {e.id: x[self.r_index[(t, e.id)]] for e in sub.edges}
@@ -250,7 +250,6 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
                             schedule: StepSchedule | None = None,
                             max_iters: int = DEFAULT_MAX_ITERS,
                             gap_tol=DEFAULT_GAP_TOL,
-                            initial_multipliers: dict | None = None,
                             patience: int = DEFAULT_PATIENCE) -> SubgradientResult:
     """Projected dual ascent with ergodic primal recovery.
 
@@ -275,14 +274,10 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
             sharing.setdefault(e.id, []).append(t)
 
     lam = {}                    # (edge id, t) -> Fraction, simplex-feasible
-    if initial_multipliers is None:
-        for eid, ts in sharing.items():
-            share = costs[eid] / len(ts)
-            for t in ts:
-                lam[(eid, t)] = share
-    else:
-        lam = {k: Fraction(v) for k, v in initial_multipliers.items()}
-        _check_dual_feasible(lam, sharing, costs)
+    for eid, ts in sharing.items():
+        share = costs[eid] / len(ts)
+        for t in ts:
+            lam[(eid, t)] = share
 
     optimizers = {t: RegionOptimizer(subs[t], oracle, caps) for t in clients}
     rate_sum = {t: {e.id: Fraction(0) for e in subs[t].edges} for t in clients}
@@ -365,13 +360,3 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     cost, envelope, per_client = best_primal
     return SubgradientResult(envelope, per_client, cost, trace, n,
                              converged, warning, best_dual, dual_history)
-
-
-def _check_dual_feasible(lam: dict, sharing: dict, costs: dict):
-    for eid, ts in sharing.items():
-        total = sum((lam.get((eid, t), Fraction(0)) for t in ts), Fraction(0))
-        if total != costs[eid]:
-            raise InvalidParameters(
-                f"multipliers on edge {eid} sum to {total}, expected {costs[eid]}")
-        if any(lam.get((eid, t), Fraction(0)) < 0 for t in ts):
-            raise InvalidParameters(f"negative multiplier on edge {eid}")

@@ -7,8 +7,9 @@ channels (beta clears rate denominators by coding over that many blocks).
 Local mixing coefficients then define global coding vectors and the
 per-client transfer matrices M(t) = A (I - Gamma)^-1 B(t).  No c x c matrix
 is inverted: (I - Gamma) is unipotent in the topological channel order, so
-A (I - Gamma)^-1 is read off the coding vectors by forward substitution, and
-each client decodes through the inverse of one n x n block of M(t).
+the columns of A (I - Gamma)^-1 are the coding vectors, propagated once per
+assignment by forward substitution; M(t) is a slice of them, and each client
+decodes through the inverse of one n x n block of M(t).
 Coefficients are drawn uniformly from F_q with a seeded generator and the
 resulting transfer ranks are verified, retrying on failure.
 """
@@ -248,10 +249,10 @@ def transfer_matrix(net: CodedNetwork, assignment: CodeAssignment, t: str) -> Fi
     X = A (I - Gamma)^-1 is the solution of X = A + X Gamma.  Channel
     adjacency follows the DAG, so Gamma is strictly upper triangular in the
     topological channel order and forward substitution solves it: column j
-    of X is channel j's global coding vector, recomputed here from the local
-    coefficients.  B(t) keeps the columns of the channels entering t.
+    of X is channel j's global coding vector, which the assignment already
+    holds.  B(t) keeps the columns of the channels entering t.
     """
-    vectors = _propagate(net, assignment.coefficients)
+    vectors = assignment.global_vectors
     sinks = net.sink_channels[t]
     return FieldMatrix(net.n_symbols, len(sinks),
                        [vectors[c][i] for i in range(net.n_symbols) for c in sinks], net.q)
@@ -299,8 +300,9 @@ def simulate(net: CodedNetwork, assignment: CodeAssignment, w) -> SimulationResu
     Two independent passes meet here.  Every channel symbol is computed in
     topological order from the actual local maps, one scalar per channel.
     Each client's decoder comes from its transfer matrix, whose columns are
-    the coding vectors propagated separately from the same coefficients;
-    ``exact`` records that the decoded symbols equal w.
+    the assignment's coding vectors, propagated once from the same
+    coefficients when the assignment was made; ``exact`` records that the
+    decoded symbols equal w.
     """
     w = [int(x) % net.q for x in w]
     if len(w) != net.n_symbols:

@@ -81,8 +81,8 @@ class RegionOptimizer:
     def _build(self, objective: list) -> SimplexSolver:
         rows = [self._row(mask) for mask in self.pool]
         rows.append((self.region.row(self.full_mask), "==", self.sub.ground_entropy))
-        bounds = [(Fraction(0), self.capacities[e.id]) for e in self.sub.edges]
-        return SimplexSolver(LinearProgram(objective, rows, bounds))
+        upper = [self.capacities[e.id] for e in self.sub.edges]
+        return SimplexSolver(LinearProgram(objective, rows, upper))
 
     def minimize(self, costs: dict):
         """Exact minimum of sum(costs[e] * R_e) over the region.
@@ -156,9 +156,9 @@ def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
             continue                # implied by the nonnegativity bounds
         rows.append((base, ">=", g[mask]))
     rows.append((region.row(full), "==", sub.ground_entropy))
-    bounds = [(Fraction(0), capacities[e.id]) for e in sub.edges]
+    upper = [capacities[e.id] for e in sub.edges]
     objective = [Fraction(costs[e.id]) for e in sub.edges]
-    solution = SimplexSolver(LinearProgram(objective, rows, bounds)).solve()
+    solution = SimplexSolver(LinearProgram(objective, rows, upper)).solve()
     if solution.status == "infeasible":
         raise Infeasible(f"client {sub.client}: region is empty under capacities")
     rates = {e.id: x for e, x in zip(sub.edges, solution.x)}

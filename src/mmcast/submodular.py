@@ -238,12 +238,15 @@ def min_norm_point(f: SetFunction, max_major: int = 10000):
 
     Returns ``(x, members, value)``: the min-norm point x* keyed by ground
     element (exact rationals), S = {x* < 0} and f(S).  Requires submodular
-    f with f(empty) = 0.  Then x* lies in B(f), so x*^-(ground) <= f(T)
+    f with f(empty) = 0: an f whose kind is not declared "submodular"
+    raises InvalidParameters.  Then x* lies in B(f), so x*^-(ground) <= f(T)
     for every T, and S is accepted only when x*^-(ground) == f(S) (Edmonds'
     min-max theorem); a failed check proves f is not submodular and raises
     InvalidParameters.  {x* < 0} is the unique inclusion-minimal minimizer
     (Fujishige), so ``(members, value)`` equals :func:`sfm_brute_force`'s.
     """
+    if f.kind != "submodular":
+        raise InvalidParameters("min_norm_point requires a declared submodular kind")
     if f.value(0) != 0:
         raise InvalidParameters("min_norm_point requires f(empty) = 0")
     n = len(f.ground)

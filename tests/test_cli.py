@@ -1,11 +1,12 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from helpers import FIXTURE_F2, REPO, chain_instance
+from helpers import FIXTURE_F2, REPO, chain_instance, random_instance_doc
 from mmcast.cli import main
 
 
@@ -160,6 +161,33 @@ def test_integer_fields_rejected(tmp_path, capsys, field, value):
     code, out = run_cli(capsys, "feas", str(path))
     assert code == 1
     assert out["error"]["code"] == "InvalidInstance"
+
+
+def test_validate_ten_sources(tmp_path, capsys):
+    # the elemental inequalities: 10 + C(10, 2) 2^8 checks, not 4^10 subset pairs
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps(random_instance_doc(random.Random(10), n_sources=10,
+                                                   n_clients=2, max_capacity=8)))
+    code, doc = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    assert doc["polymatroid"]["ok"] and doc["polymatroid"]["exhaustive"]
+    assert doc["polymatroid"]["pairs_checked"] == 11530
+
+
+@pytest.mark.parametrize("q, code", [
+    (2 ** 61 - 1, 0),       # prime: decided at once, not by trial division
+    (2 ** 61 + 1, 1),       # divisible by 3
+    (2 ** 64 + 13, 1),      # prime, but above the 2^64 modulus limit
+])
+def test_large_field_modulus(tmp_path, q, code):
+    doc = json.loads(FIXTURE_F2.read_text())
+    doc["source_model"]["q"] = q
+    path = tmp_path / "big-q.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-m", "mmcast.cli", "validate", str(path)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == code, proc.stderr
 
 
 def test_integral_spellings_of_integer_fields_accepted(tmp_path, capsys):

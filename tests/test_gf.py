@@ -26,6 +26,17 @@ def test_modulus_mismatch():
 def test_nonprime_modulus_rejected():
     with pytest.raises(ModulusMismatch):
         FieldMatrix.from_rows([[1]], 6)
+    with pytest.raises(ModulusMismatch):
+        FieldMatrix.from_rows([[1]], 2 ** 64 + 13)     # prime, but above the limit
+
+
+def test_is_prime_matches_trial_division():
+    def trial(q):
+        return q >= 2 and all(q % d for d in range(2, int(q ** 0.5) + 1))
+    assert [q for q in range(5000) if gf.is_prime(q)] == [q for q in range(5000) if trial(q)]
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    assert not gf.is_prime(3215031751) and not gf.is_prime(3825123056546413051)
+    assert gf.is_prime(2 ** 61 - 1) and not gf.is_prime(2 ** 61 + 1)
 
 
 def test_rank_examples():

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from mmcast.lp import LinearProgram, SimplexSolver, solve_lp
+from mmcast.lp import LinearProgram, SimplexSolver
 
 F = Fraction
 
 
 def test_lower_bound_only():
-    lp = LinearProgram([1], [([1], ">=", 3), ([1], "<=", 10)], [(0, None)])
-    s = solve_lp(lp)
+    lp = LinearProgram([1], [([1], ">=", 3), ([1], "<=", 10)], [None])
+    s = SimplexSolver(lp).solve()
     assert (s.status, s.value, s.x) == ("optimal", 3, [3])
 
 
@@ -18,45 +18,44 @@ def test_equality_vertex_deterministic():
     # a duplicated and an implied copy of the equality change nothing: each
     # keeps its own slack pair instead of being dropped as redundant
     for extra in ([], [([1, 1], "==", 1), ([2, 2], "==", 2)]):
-        lp = LinearProgram([1, 1], [([1, 1], "==", 1)] + extra, [(0, None), (0, None)])
-        s = solve_lp(lp)
+        lp = LinearProgram([1, 1], [([1, 1], "==", 1)] + extra, [None, None])
+        s = SimplexSolver(lp).solve()
         assert s.value == 1
         assert s.x == [1, 0]      # pinned: deterministic pivoting picks this vertex
 
 
 def test_infeasible():
-    lp = LinearProgram([0], [([1], ">=", 1), ([1], "<=", 0)], [(0, None)])
-    assert solve_lp(lp).status == "infeasible"
+    lp = LinearProgram([0], [([1], ">=", 1), ([1], "<=", 0)], [None])
+    assert SimplexSolver(lp).solve().status == "infeasible"
+    # an empty box is a malformed program, not an infeasible one
+    with pytest.raises(ValueError):
+        LinearProgram([0], [], [-1])
+    with pytest.raises(ValueError):
+        LinearProgram([0, 0], [], [None])
 
 
 def test_unbounded():
-    lp = LinearProgram([-1], [], [(0, None)])
-    assert solve_lp(lp).status == "unbounded"
+    lp = LinearProgram([-1], [], [None])
+    assert SimplexSolver(lp).solve().status == "unbounded"
 
 
-def test_free_and_flipped_variables():
-    # negative costs over the solver variables of free and flipped columns:
-    # the first feasible basis is optimal only for max(c, 0), so the primal
-    # pass after the dual one must pivot
-    for c, rows, bounds, value, x in (
-            ([1, -1], [([1, 0], ">=", -5), ([0, 1], "<=", 7)],
-             [(None, None), (None, 7)], -12, [-5, 7]),
-            ([-1, 2], [([1, 1], ">=", -5), ([1, -1], "<=", 3)],
-             [(None, None), (None, 4)], -7, [-1, -4])):
-        solver = SimplexSolver(LinearProgram(c, rows, bounds))
-        primal_pivots = []      # emptied when solve hands over to resolve
-        solver._pivot = lambda *a: primal_pivots.append(a) or SimplexSolver._pivot(solver, *a)
-        solver.resolve = lambda cost: primal_pivots.clear() or SimplexSolver.resolve(solver, cost)
-        s = solver.solve()
-        assert (s.value, s.x) == (value, x)
-        assert primal_pivots
+def test_negative_cost_needs_primal_pivots():
+    # the first feasible basis is optimal only for max(c, 0), so under a
+    # negative cost the primal pass after the dual one must pivot
+    solver = SimplexSolver(LinearProgram([-1, 1], [([1, 1], ">=", 2)], [5, None]))
+    log = []
+    solver._pivot = lambda *a: log.append("pivot") or SimplexSolver._pivot(solver, *a)
+    solver.resolve = lambda cost: log.append("resolve") or SimplexSolver.resolve(solver, cost)
+    s = solver.solve()
+    assert (s.value, s.x) == (-5, [5, 0])
+    assert log == ["pivot", "resolve", "pivot"]     # one dual, then one primal pivot
 
 
 def test_exact_rationals():
     lp = LinearProgram([F(1, 3), F(1, 7)],
                        [([F(2, 5), 1], ">=", F(9, 10))],
-                       [(0, None), (0, None)])
-    s = solve_lp(lp)
+                       [None, None])
+    s = SimplexSolver(lp).solve()
     assert s.status == "optimal"
     # cheapest unit of constraint satisfaction: compare the two column rates
     assert s.value == min(F(1, 3) / F(2, 5), F(1, 7)) * F(9, 10)
@@ -69,11 +68,11 @@ def _random_primal_dual(rng):
     x0 = [F(rng.randint(0, 3)) for _ in range(n)]
     b = [sum(row[j] * x0[j] for j in range(n)) - F(rng.randint(0, 3)) for row in a]
     primal = LinearProgram(c, [(row, ">=", bi) for row, bi in zip(a, b)],
-                           [(0, None)] * n)
+                           [None] * n)
     dual = LinearProgram(
         [-bi for bi in b],
         [([a[i][j] for i in range(m)], "<=", c[j]) for j in range(n)],
-        [(0, None)] * m)
+        [None] * m)
     return primal, dual
 
 
@@ -82,8 +81,8 @@ def test_strong_duality_random():
     checked = 0
     for _ in range(60):
         primal, dual = _random_primal_dual(rng)
-        ps = solve_lp(primal)
-        ds = solve_lp(dual)
+        ps = SimplexSolver(primal).solve()
+        ds = SimplexSolver(dual).solve()
         if ps.status != "optimal" or ds.status != "optimal":
             continue
         checked += 1
@@ -112,7 +111,7 @@ def _exact_rank(rows):
 
 
 def test_solution_is_a_vertex():
-    # the active constraints (rows + bounds) at the optimum span all variables
+    # the active constraints (rows, x >= 0 and caps) at the optimum span all variables
     rng = random.Random(71)
     checked = 0
     for _ in range(40):
@@ -122,8 +121,8 @@ def test_solution_is_a_vertex():
             coeffs = [F(rng.randint(-2, 3)) for _ in range(n)]
             rows.append((coeffs, rng.choice(["<=", ">="]), F(rng.randint(-4, 8))))
         lp = LinearProgram([F(rng.randint(-3, 3)) for _ in range(n)], rows,
-                           [(0, 6)] * n)
-        s = solve_lp(lp)
+                           [6] * n)
+        s = SimplexSolver(lp).solve()
         if s.status != "optimal":
             continue
         checked += 1
@@ -141,7 +140,7 @@ def test_solution_is_a_vertex():
 
 def test_resolve_reuses_constraints():
     lp = LinearProgram([1, 1], [([1, 1], ">=", 2), ([1, -1], "<=", 1)],
-                       [(0, 5), (0, 5)])
+                       [5, 5])
     solver = SimplexSolver(lp)
     first = solver.solve()
     assert first.value == 2
@@ -153,8 +152,8 @@ def test_deterministic_repeat():
     rng = random.Random(73)
     for _ in range(10):
         primal, _ = _random_primal_dual(rng)
-        a = solve_lp(primal)
-        b = solve_lp(primal)
+        a = SimplexSolver(primal).solve()
+        b = SimplexSolver(primal).solve()
         assert (a.status, a.value, a.x) == (b.status, b.value, b.x)
 
 
@@ -182,8 +181,8 @@ def _compare_with_float_solver(linprog, rng):
             coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
             rows.append((coeffs, rng.choice(["<=", ">="]), F(rng.randint(-5, 8))))
         c = [F(rng.randint(-4, 4)) for _ in range(n)]
-        lp = LinearProgram(c, rows, [(0, 7)] * n)
-        mine = solve_lp(lp)
+        lp = LinearProgram(c, rows, [7] * n)
+        mine = SimplexSolver(lp).solve()
         a_ub, b_ub = [], []
         for coeffs, rel, rhs in rows:
             sign = 1 if rel == "<=" else -1
@@ -201,23 +200,19 @@ def _compare_with_float_solver(linprog, rng):
 
 
 def test_fuzz_mixed_relations_and_bounds(monkeypatch):
-    # random LPs with equalities and one-sided/free bounds: returned optima
-    # must satisfy every row exactly, and statuses must match scipy
+    # random LPs with equalities and optional caps: returned optima must
+    # satisfy every row exactly, and statuses must match scipy or be proved
     from scipy.optimize import linprog
     for _ in _stall_budgets(monkeypatch):
         _fuzz_against_float_solver(linprog, random.Random(83))
 
 
 def _fuzz_against_float_solver(linprog, rng):
-    agreements = 0
+    agreements = proved = 0
     for _ in range(120):
         n = rng.randint(1, 4)
         m = rng.randint(0, 4)
-        bounds = []
-        for _ in range(n):
-            lo = rng.choice([None, F(rng.randint(-3, 0))])
-            hi = rng.choice([None, F(rng.randint(1, 6))])
-            bounds.append((lo, hi))
+        upper = [rng.choice([None, F(rng.randint(1, 6))]) for _ in range(n)]
         rows = []
         for _ in range(m):
             coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
@@ -229,16 +224,10 @@ def _fuzz_against_float_solver(linprog, rng):
             k = rng.choice([1, -2, 3])
             rows.append(([k * x + y for x, y in zip(a, a2)], "==", k * b + b2))
         c = [F(rng.randint(-3, 3)) for _ in range(n)]
-        lp = LinearProgram(c, rows, bounds)
-        mine = solve_lp(lp)
+        lp = LinearProgram(c, rows, upper)
+        mine = SimplexSolver(lp).solve()
         if mine.status == "optimal":
-            for coeffs, rel, rhs in rows:
-                lhs = sum(a * x for a, x in zip(coeffs, mine.x))
-                assert (lhs <= rhs if rel == "<=" else
-                        lhs >= rhs if rel == ">=" else lhs == rhs)
-            for (lo, hi), x in zip(bounds, mine.x):
-                assert lo is None or x >= lo
-                assert hi is None or x <= hi
+            _assert_feasible(lp, mine.x)
             assert sum(a * x for a, x in zip(c, mine.x)) == mine.value
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
         for coeffs, rel, rhs in rows:
@@ -252,17 +241,22 @@ def _fuzz_against_float_solver(linprog, rng):
         ref = linprog([float(x) for x in c],
                       A_ub=a_ub or None, b_ub=b_ub or None,
                       A_eq=a_eq or None, b_eq=b_eq or None,
-                      bounds=[(None if lo is None else float(lo),
-                               None if hi is None else float(hi))
-                              for lo, hi in bounds],
+                      bounds=[(0, None if u is None else float(u)) for u in upper],
                       method="highs")
         expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status)
-        if expected is not None:
-            assert mine.status == expected
+        if expected == mine.status:
             if expected == "optimal":
                 assert abs(float(mine.value) - ref.fun) < 1e-7
             agreements += 1
-    assert agreements >= 100
+        elif expected is not None:
+            # the float solver disagrees: prove our status exactly
+            assert mine.status != "infeasible"
+            _assert_has_feasible_point(lp)
+            if mine.status == "unbounded":
+                _assert_has_feasible_point(
+                    LinearProgram(c, rows + [(c, "<=", -10 ** 6)], upper))
+            proved += 1
+    assert agreements >= 100 and proved <= 2
 
 
 def _random_row(rng, n, relations):
@@ -279,7 +273,14 @@ def _holds(row, x):
 def _assert_feasible(lp, x):
     assert all(isinstance(xj, Fraction) for xj in x)
     assert all(_holds(row, x) for row in lp.rows)
-    assert all(lo <= xj <= hi for (lo, hi), xj in zip(lp.bounds, x))
+    assert all(0 <= xj and (u is None or xj <= u) for u, xj in zip(lp.upper, x))
+
+
+def _assert_has_feasible_point(lp):
+    """A zero-objective solve of ``lp`` returns a point that satisfies it exactly."""
+    s = SimplexSolver(LinearProgram([0] * len(lp.objective), lp.rows, lp.upper)).solve()
+    assert s.status == "optimal"
+    _assert_feasible(lp, s.x)
 
 
 def _appended_rows_match_cold_solves(seed):
@@ -290,17 +291,17 @@ def _appended_rows_match_cold_solves(seed):
     cut_off = 0                 # appends that the previous optimum violated
     for _ in range(150):
         n = rng.randint(1, 4)
-        bounds = [(F(rng.randint(-3, 0)), F(rng.randint(1, 6))) for _ in range(n)]
+        upper = [F(rng.randint(1, 6)) for _ in range(n)]
         rows = [_random_row(rng, n, ["<=", ">=", "=="]) for _ in range(rng.randint(0, 3))]
         c = [F(rng.randint(-3, 3)) for _ in range(n)]
-        solver = SimplexSolver(LinearProgram(c, rows, bounds))
+        solver = SimplexSolver(LinearProgram(c, rows, upper))
         first = solver.solve()
         if first.status != "optimal":
             continue
         extra = [_random_row(rng, n, ["<=", ">="]) for _ in range(rng.randint(1, 3))]
         cut_off += not all(_holds(row, first.x) for row in extra)
-        enlarged = LinearProgram(c, rows + extra, bounds)
-        cold = solve_lp(enlarged)
+        enlarged = LinearProgram(c, rows + extra, upper)
+        cold = SimplexSolver(enlarged).solve()
         if not solver.add_rows(extra):
             assert cold.status == "infeasible"
             outcomes["infeasible"] += 1
@@ -315,7 +316,7 @@ def _appended_rows_match_cold_solves(seed):
         assert sum(a * xj for a, xj in zip(c, warm.x)) == warm.value
         c2 = [F(rng.randint(-3, 3)) for _ in range(n)]
         again = solver.resolve(c2)
-        assert again.value == solve_lp(LinearProgram(c2, rows + extra, bounds)).value
+        assert again.value == SimplexSolver(LinearProgram(c2, rows + extra, upper)).solve().value
         _assert_feasible(enlarged, again.x)
         outcomes["optimal"] += 1
     assert outcomes["optimal"] >= 40 and outcomes["infeasible"] >= 5
@@ -335,7 +336,7 @@ def test_add_rows_under_blands_rule(monkeypatch):
 
 
 def test_add_rows_reports_infeasibility():
-    solver = SimplexSolver(LinearProgram([1, 1], [([1, 1], "==", 4)], [(0, 5), (0, 5)]))
+    solver = SimplexSolver(LinearProgram([1, 1], [([1, 1], "==", 4)], [5, 5]))
     assert solver.solve().x == [4, 0]
     assert solver.add_rows([([0, 1], ">=", 1)])     # cuts off [4, 0]
     assert solver.resolve([1, 1]).x == [3, 1]

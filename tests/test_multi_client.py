@@ -280,13 +280,6 @@ def test_subgradient_recovered_rates_stay_in_region(f2):
             assert result.envelope[eid] >= r
 
 
-def test_subgradient_custom_start_must_be_dual_feasible(f2):
-    instance, oracle, _ = f2
-    with pytest.raises(InvalidParameters):
-        solve_multi_subgradient(instance, oracle, max_iters=10,
-                                initial_multipliers={("e2", "t1"): Fraction(2)})
-
-
 def test_subgradient_trace_is_deterministic(f2):
     instance, oracle, _ = f2
     a = solve_multi_subgradient(instance, oracle, max_iters=500)

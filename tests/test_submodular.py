@@ -200,8 +200,15 @@ def test_min_norm_point_on_region_slacks(m):
 
 
 def test_min_norm_point_rejects_non_submodular():
-    # f({0}) + f({1}) = -3 < f({0, 1}) + f({}) = -1; x* = (0, -1) but f({1}) = -3
-    f = SetFunction.tabulated((0, 1), [0, 0, -3, -1])
+    # f({0}) + f({1}) = -3 < f({0, 1}) + f({}) = -1; x* = (0, -1) but f({1}) = -3:
+    # the Edmonds check catches the false declaration
+    f = SetFunction.tabulated((0, 1), [0, 0, -3, -1], "submodular")
+    with pytest.raises(InvalidParameters):
+        min_norm_point(f)
+    # an undeclared kind is refused up front: this table is not submodular
+    # (f({0}) + f({1}) = -5 < f({0, 1}) = 0), and the Edmonds check passes
+    # on ({0}, -2) although brute force finds ({1}, -3)
+    f = SetFunction.tabulated((0, 1), [0, -2, -3, 0])
     with pytest.raises(InvalidParameters):
         min_norm_point(f)
 
