@@ -1,10 +1,20 @@
 """Exact rational linear programming via tableau simplex from the slack basis.
 
-All arithmetic is over :class:`fractions.Fraction`; optima are exact
-vertices and every run is deterministic given the input ordering.  The
-pivot rule is steepest-coefficient (Dantzig) with an automatic permanent
-switch to Bland's rule after a run of degenerate pivots, which preserves
-the no-cycling guarantee without paying Bland's price on every solve.
+Every tableau entry, right-hand side and objective-row entry is exact: an
+``int`` where the value is integral, a :class:`fractions.Fraction`
+elsewhere.  Each arithmetic result goes through :func:`integral`, so an
+entry that becomes integral is held as an ``int`` again; the LP tableaus
+of the multicast solvers hold mostly small integers, and an ``int``
+operation skips the gcd that every ``Fraction`` operation pays.  No float
+ever enters: a division is taken with a ``Fraction`` operand, and the
+ratio tests compare ``p/q < r/s`` as ``p*s < r*q`` over positive ``q``
+and ``s``, with no division at all.  Solutions are returned as Fractions.
+
+Optima are exact vertices and every run is deterministic given the input
+ordering.  The pivot rule is steepest-coefficient (Dantzig) with an
+automatic permanent switch to Bland's rule after a run of degenerate
+pivots, which preserves the no-cycling guarantee without paying Bland's
+price on every solve.
 
 A :class:`LinearProgram` minimizes c.x over x >= 0, each variable with
 an optional cap x_j <= u_j.  Every row enters the tableau as a ``<=`` row
@@ -30,10 +40,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 DEGENERATE_STALL = 25          # consecutive zero-progress pivots before Bland
+
+
+def integral(x):
+    """An exact value as an int when it is integral, else unchanged.
+
+    The int is exact like its Fraction and compares equal to it, and it is
+    several times faster to add, multiply and compare, which is most of the
+    cost of filling a table or a simplex tableau.
+    """
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass
@@ -75,10 +92,10 @@ class SimplexSolver:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = len(lp.objective)
-        self.tableau = []          # each row: coefficients + [rhs]
+        self.tableau = []          # each row: coefficients + [rhs], ints or Fractions
         self.basis = []
         self.n_cols = n
-        caps = [([ONE if i == j else ZERO for i in range(n)], u)
+        caps = [([1 if i == j else 0 for i in range(n)], integral(u))
                 for j, u in enumerate(lp.upper) if u is not None]
         self._append_rows([r for row in lp.rows for r in self._le_rows(*row)] + caps)
         self._solved = False
@@ -88,7 +105,11 @@ class SimplexSolver:
 
     @staticmethod
     def _le_rows(coeffs, rel, rhs) -> list:
-        """The ``(row, rhs)`` ``<=`` rows of one LP row: an ``==`` row gives two."""
+        """The ``(row, rhs)`` ``<=`` rows of one LP row, over ints where integral.
+
+        An ``==`` row gives two.
+        """
+        coeffs, rhs = [integral(a) for a in coeffs], integral(rhs)
         rows = [] if rel == ">=" else [(coeffs, rhs)]
         if rel != "<=":
             rows.append(([-a for a in coeffs], -rhs))
@@ -97,26 +118,27 @@ class SimplexSolver:
     def _append_rows(self, rows):
         """Append ``(row, rhs)`` rows over x, each with a new basic slack.
 
-        A right-hand side may be negative: the basis then is not primal
-        feasible, and dual simplex restores it.  Each new row is rewritten
-        in terms of the current basis, so every basic column stays a unit
-        column.
+        Entries are already normalized by :func:`integral` (see
+        :meth:`_le_rows`).  A right-hand side may be negative: the basis
+        then is not primal feasible, and dual simplex restores it.  Each
+        new row is rewritten in terms of the current basis, so every basic
+        column stays a unit column.
         """
         k = len(rows)
         for r in self.tableau:
-            r[-1:-1] = [ZERO] * k
+            r[-1:-1] = [0] * k
         old = list(zip(self.tableau, self.basis))
         width = self.n_cols + k
         for row, rhs in rows:
             slack = self.n_cols
-            new = row + [ZERO] * (width - len(row)) + [rhs]
-            new[slack] = ONE
+            new = row + [0] * (width - len(row)) + [rhs]
+            new[slack] = 1
             for r, b in old:
                 factor = new[b]
                 if factor:
                     for j, v in enumerate(r):
                         if v:
-                            new[j] -= factor * v
+                            new[j] = integral(new[j] - factor * v)
             self.tableau.append(new)
             self.basis.append(slack)
             self.n_cols += 1
@@ -128,35 +150,45 @@ class SimplexSolver:
         row = tab[r]
         piv = row[e]
         if piv != 1:
-            inv = ONE / piv
-            row = tab[r] = [v * inv if v else v for v in row]
-        nonzero = [j for j, v in enumerate(row) if v]
+            inv = integral(1 / Fraction(piv))      # never int / int: that is a float
+            row = tab[r] = [integral(v * inv) if v else v for v in row]
+        nonzero = [(j, v) for j, v in enumerate(row) if v]
         for i, other in enumerate(tab):
             if i == r:
                 continue
             factor = other[e]
             if factor:
-                for j in nonzero:
-                    other[j] -= factor * row[j]
+                for j, v in nonzero:
+                    other[j] = integral(other[j] - factor * v)
         factor = obj[e]
         if factor:
-            for j in nonzero:
-                obj[j] -= factor * row[j]
+            for j, v in nonzero:
+                obj[j] = integral(obj[j] - factor * v)
         self.basis[r] = e
 
     def _reduced_row(self, cost: list) -> list:
-        """Objective row (reduced costs + current value) for the basis."""
-        obj = list(cost) + [ZERO]
-        for r, b in enumerate(self.basis):
+        """Objective row (reduced costs + current value) for the basis.
+
+        Starts from the cost row and subtracts each basic row times its
+        basic cost, in place and over the row's nonzero entries only.
+        """
+        obj = cost + [0]
+        for row, b in zip(self.tableau, self.basis):
             cb = obj[b]
             if cb:
-                row = self.tableau[r]
-                obj = [a - cb * v for a, v in zip(obj, row)]
+                for j, v in enumerate(row):
+                    if v:
+                        obj[j] = integral(obj[j] - cb * v)
         return obj
 
     def _optimize(self, obj: list) -> str:
-        """Primal simplex until optimal or unbounded."""
-        tab = self.tableau
+        """Primal simplex until optimal or unbounded.
+
+        The leaving row minimizes rhs / a over the entering column's
+        positive entries a, the smallest basic index winning ties; the
+        ratios are compared by cross-multiplication.
+        """
+        tab, basis = self.tableau, self.basis
         stall = 0
         bland = False
         while True:
@@ -168,7 +200,7 @@ class SimplexSolver:
                         entering = j
                         break
             else:
-                best = ZERO
+                best = 0
                 for j in range(self.n_cols):
                     v = obj[j]
                     if v < best:
@@ -177,18 +209,18 @@ class SimplexSolver:
             if entering < 0:
                 return "optimal"
             leaving = -1
-            best_ratio = None
             for i, row in enumerate(tab):
                 a = row[entering]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if (best_ratio is None or ratio < best_ratio or
-                            (ratio == best_ratio and self.basis[i] < self.basis[leaving])):
-                        best_ratio = ratio
-                        leaving = i
+                    rhs = row[-1]
+                    if leaving >= 0:
+                        lhs, other = rhs * best_a, best_rhs * a     # rhs/a vs best_rhs/best_a
+                        if not (lhs < other or (lhs == other and basis[i] < basis[leaving])):
+                            continue
+                    best_rhs, best_a, leaving = rhs, a, i
             if leaving < 0:
                 return "unbounded"
-            stall = stall + 1 if best_ratio == 0 else 0
+            stall = stall + 1 if best_rhs == 0 else 0
             self._pivot(leaving, entering, obj)
 
     def _dual_optimize(self, obj: list) -> str:
@@ -198,6 +230,7 @@ class SimplexSolver:
         rule, the smallest basic index among the negative ones); the entering
         column minimizes obj[j] / -a over the row's negative entries a, the
         smallest column winning ties, so the reduced costs stay nonnegative.
+        The ratios are compared by cross-multiplication.
         """
         tab, basis = self.tableau, self.basis
         stall = 0
@@ -205,7 +238,7 @@ class SimplexSolver:
         while True:
             bland = bland or stall >= DEGENERATE_STALL
             leaving = -1
-            worst = ZERO
+            worst = 0
             for i, row in enumerate(tab):
                 rhs = row[-1]
                 if rhs < 0 and (leaving < 0 or (basis[i] < basis[leaving] if bland
@@ -216,17 +249,13 @@ class SimplexSolver:
                 return "optimal"
             row = tab[leaving]
             entering = -1
-            best_ratio = None
             for j in range(self.n_cols):
                 a = row[j]
-                if a < 0:
-                    ratio = obj[j] / -a
-                    if best_ratio is None or ratio < best_ratio:
-                        best_ratio = ratio
-                        entering = j
+                if a < 0 and (entering < 0 or obj[j] * best_d < best_cost * -a):
+                    best_cost, best_d, entering = obj[j], -a, j
             if entering < 0:
                 return "infeasible"     # a negative sum of nonnegative terms
-            stall = stall + 1 if best_ratio == 0 else 0
+            stall = stall + 1 if best_cost == 0 else 0
             self._pivot(leaving, entering, obj)
 
     # -- public ------------------------------------------------------------
@@ -241,14 +270,18 @@ class SimplexSolver:
         is nonnegative.
         """
         cost = self._cost(self.lp.objective)
-        if self._dual_optimize(self._reduced_row([max(c, ZERO) for c in cost])) == "infeasible":
+        if self._dual_optimize(self._reduced_row([max(c, 0) for c in cost])) == "infeasible":
             self._solved = False
             return LpSolution("infeasible")
         self._solved = True
         return self.resolve(self.lp.objective)
 
     def resolve(self, objective) -> LpSolution:
-        """Re-optimize with a new objective over the existing feasible basis."""
+        """Re-optimize with a new objective over the existing feasible basis.
+
+        The objective has one entry per LP variable; any other length
+        raises ValueError.
+        """
         if not self._solved:
             raise RuntimeError("resolve requires a previous successful solve")
         obj = self._reduced_row(self._cost(objective))
@@ -257,11 +290,12 @@ class SimplexSolver:
             self._objective = None
             return LpSolution("unbounded")
         self._objective = list(objective)
-        x = [ZERO] * self.n_cols
+        x = [0] * self.n_cols
         for r, b in enumerate(self.basis):
             x[b] = self.tableau[r][-1]
         # obj[-1] holds -(c_B B^-1 b)
-        return LpSolution("optimal", -obj[-1], x[:len(self.lp.objective)])
+        return LpSolution("optimal", Fraction(-obj[-1]),
+                          [Fraction(v) for v in x[:len(self.lp.objective)]])
 
     def add_rows(self, rows) -> bool:
         """Append ``<=``/``>=`` rows to the solved LP and restore feasibility.
@@ -289,4 +323,7 @@ class SimplexSolver:
 
     def _cost(self, objective) -> list:
         """Cost row over all columns: the slacks cost nothing."""
-        return [Fraction(c) for c in objective] + [ZERO] * (self.n_cols - len(objective))
+        if len(objective) != len(self.lp.objective):
+            raise ValueError("objective length must match variable count")
+        return ([integral(Fraction(c)) for c in objective] +
+                [0] * (self.n_cols - len(objective)))

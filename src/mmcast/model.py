@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, EmptyReachableSet,
                      InvalidInstance, NegativeCapacity, NonpositiveCost, UnknownEdgeRate)
+from .lp import integral
 from .submodular import mask_table, modular_table
 
 
@@ -235,12 +236,6 @@ def cut_capacity(capacities: dict, nodes, edges) -> Fraction:
                Fraction(0))
 
 
-def _integral(x):
-    # an integral value as an int: exact like its Fraction, and several times
-    # faster to add and compare, which is most of the cost of filling a table
-    return x.numerator if x.denominator == 1 else x
-
-
 class Region:
     """Mask-indexed tables of one client's region inequalities.
 
@@ -264,14 +259,14 @@ class Region:
             if head is not None:
                 self._in[head].append((1 << index[e.tail], j))
         outer = [oracle.mask((v,)) for v in sub.sources]
-        h = [_integral(oracle.entropy_of_mask(m))
+        h = [integral(oracle.entropy_of_mask(m))
              for m in mask_table(len(outer), 0, lambda prev, v, _: prev | outer[v])]
         self.full = len(h) - 1
         self.g = [h[-1] - h[self.full ^ mask] for mask in range(len(h))]
 
     def cut(self, capacities: dict) -> list:
         """c(out(S)) for every mask: add v's edges leaving S, drop those from S - v into v."""
-        caps = [_integral(capacities[e.id]) for e in self.sub.edges]
+        caps = [integral(capacities[e.id]) for e in self.sub.edges]
         out, into = self._out, self._in
 
         def step(prev, v, mask):
@@ -287,7 +282,7 @@ class Region:
 
     def boundary(self, rates: dict) -> list:
         """boundary(R, S) for every mask, summed from the singleton boundaries."""
-        return modular_table(map(_integral, boundary_vector(rates, self.sub).values()))
+        return modular_table(map(integral, boundary_vector(rates, self.sub).values()))
 
     def row(self, mask: int) -> list:
         """LP coefficients of boundary(R, S) over the edge order of the subproblem.

@@ -51,6 +51,40 @@ def test_negative_cost_needs_primal_pivots():
     assert log == ["pivot", "resolve", "pivot"]     # one dual, then one primal pivot
 
 
+def test_resolve_rejects_wrong_objective_length():
+    # a short objective must not be padded with zeros, nor extra entries
+    # land on the slack columns
+    solver = SimplexSolver(LinearProgram([1, 1], [([1, 1], ">=", 2)], [None, None]))
+    assert solver.solve().value == 2
+    for objective in ([1, 1, 5, 7], [1]):
+        with pytest.raises(ValueError):
+            solver.resolve(objective)
+    assert solver.resolve([1, 1]).value == 2
+
+
+def test_primal_ratio_test_is_exact():
+    # the ratios 1/1 and (10**17 - 1)/10**17 are both 1.0 as floats, and the
+    # tie-break would then pick the first row, whose bound x <= 1 overshoots
+    big = 10 ** 17
+    lp = LinearProgram([-1], [([1], "<=", 1), ([big], "<=", big - 1)], [None])
+    s = SimplexSolver(lp).solve()
+    assert (s.value, s.x) == (-F(big - 1, big), [F(big - 1, big)])
+
+
+def test_dual_ratio_test_is_exact():
+    # the dual ratios obj/-a of the two columns, 1/1 and (10**17 - 1)/10**17,
+    # differ by less than 2^-53; the exact test enters x1 at once, so the
+    # basis stays dual feasible and the primal pass needs no pivot
+    big = 10 ** 17
+    solver = SimplexSolver(LinearProgram([1, big - 1], [([1, big], ">=", 1)], [None, None]))
+    log = []
+    solver._pivot = lambda *a: log.append("pivot") or SimplexSolver._pivot(solver, *a)
+    solver.resolve = lambda cost: log.append("resolve") or SimplexSolver.resolve(solver, cost)
+    s = solver.solve()
+    assert (s.value, s.x) == (F(big - 1, big), [0, F(1, big)])
+    assert log == ["pivot", "resolve"]
+
+
 def test_exact_rationals():
     lp = LinearProgram([F(1, 3), F(1, 7)],
                        [([F(2, 5), 1], ">=", F(9, 10))],
@@ -225,9 +259,12 @@ def _fuzz_against_float_solver(linprog, rng):
             rows.append(([k * x + y for x, y in zip(a, a2)], "==", k * b + b2))
         c = [F(rng.randint(-3, 3)) for _ in range(n)]
         lp = LinearProgram(c, rows, upper)
-        mine = SimplexSolver(lp).solve()
+        solver = SimplexSolver(lp)
+        solver._pivot = lambda *a: _checked_pivot(solver, *a)
+        mine = solver.solve()
         if mine.status == "optimal":
             _assert_feasible(lp, mine.x)
+            assert type(mine.value) is Fraction
             assert sum(a * x for a, x in zip(c, mine.x)) == mine.value
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
         for coeffs, rel, rhs in rows:
@@ -257,6 +294,13 @@ def _fuzz_against_float_solver(linprog, rng):
                     LinearProgram(c, rows + [(c, "<=", -10 ** 6)], upper))
             proved += 1
     assert agreements >= 100 and proved <= 2
+
+
+def _checked_pivot(solver, r, e, obj):
+    """Pivot, then check that every entry is an int, or a Fraction that is not integral."""
+    SimplexSolver._pivot(solver, r, e, obj)
+    for v in [v for row in solver.tableau for v in row] + obj:
+        assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
 def _random_row(rng, n, relations):
