@@ -11,7 +11,11 @@ A model assigns a joint entropy H(X_S) to every subset S of source nodes:
   absolute 2**-40 grid (documented approximate path).
 
 The oracle memoizes by subset bitmask, so repeated evaluations during
-submodular minimization are cheap and deterministic.
+submodular minimization are cheap and deterministic.  It also fills whole
+tables: :meth:`EntropyOracle.table` gives the entropy of every subset of a
+node set, which a linear model computes in one depth-first rank sweep over
+the subset tree (:meth:`LinearSource.rank_table`) instead of one Gaussian
+elimination per subset; the other models are evaluated subset by subset.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from itertools import product
 
 from . import gf
 from .errors import InvalidInstance, UnknownSubset
-from .submodular import members
+from .submodular import mask_table, members
 
 PMF_ROUND_BITS = 40
 PMF_TABLE_CAP = 2 ** 20
@@ -61,6 +65,52 @@ class LinearSource:
 
     def entropy(self, nodes) -> Fraction:
         return Fraction(gf.rank(self.stacked(nodes)))
+
+    def rank_table(self, nodes) -> list:
+        """Rank of the stacked observations of every subset of ``nodes``, by local mask.
+
+        Bit i of a mask is ``nodes[i]``.  One depth-first sweep over the
+        subset tree, in which the children of S are S + v for v after every
+        member of S: a child extends its parent's echelon basis by reducing
+        v's rows alone against it, and a relay (no rows) keeps its parent's
+        basis.  A basis of rank N spans F_q^N, so every mask under it is N
+        and is filled without a sweep.  Equals ``gf.rank(self.stacked(S))``,
+        the per-subset path, on every subset S.
+        """
+        q, full = self.q, self.n_packets
+        blocks = [self.matrix_for(v) for v in nodes]
+        blocks = [[m.row(i) for i in range(m.rows)] for m in blocks]
+        n = len(blocks)
+        table = [0] * (1 << n)
+
+        def extend(basis, rows):
+            # basis: (pivot, row) pairs; each row is 1 at its pivot and 0 at
+            # the pivots of the rows before it, so one pass reduces a new row
+            for row in rows:
+                for p, b in basis:
+                    f = row[p]
+                    if f:
+                        row = [(x - f * y) % q for x, y in zip(row, b)]
+                for pivot, x in enumerate(row):
+                    if x:
+                        inv = pow(x, -1, q)
+                        basis = basis + [(pivot, [y * inv % q for y in row])]
+                        break
+            return basis
+
+        def sweep(mask, basis, start):
+            for v in range(start, n):
+                child = mask | 1 << v
+                grown = extend(basis, blocks[v])
+                if len(grown) == full:
+                    # child | T for every T over the bits above v: stride 2^(v+1)
+                    table[child::2 << v] = [full] * (1 << (n - 1 - v))
+                else:
+                    table[child] = len(grown)
+                    sweep(child, grown, v + 1)
+
+        sweep(0, [], 0)
+        return table
 
 
 @dataclass(frozen=True)
@@ -157,6 +207,26 @@ class EntropyOracle:
             hit = self._memo[mask] = self.model.entropy(members(self.ground, mask))
         return hit
 
+    def table(self, nodes) -> list:
+        """H(X_S) for every subset S of nodes, indexed by local mask (bit i is ``nodes[i]``).
+
+        Each value is memoized under its global mask as well, so later
+        :meth:`entropy` calls on these subsets are hits.  A model with a
+        ``rank_table`` (the linear one) fills the table in one sweep, one
+        shared Fraction per rank; the others are evaluated per mask.
+        """
+        nodes = tuple(nodes)
+        outer = [self.mask((v,)) for v in nodes]
+        masks = mask_table(len(outer), 0, lambda prev, v, _: prev | outer[v])
+        rank_table = getattr(self.model, "rank_table", None)
+        if rank_table is None:
+            return [self.entropy_of_mask(m) for m in masks]
+        ranks = rank_table(nodes)
+        values = [Fraction(r) for r in range(ranks[-1] + 1)]    # the full set has the top rank
+        table = [values[r] for r in ranks]
+        self._memo.update(zip(masks, table))
+        return table
+
     def conditional(self, nodes, within) -> Fraction:
         """H(X_S | X_{G \\ S}) for S = nodes inside the ground subset G = within."""
         g = frozenset(within)
@@ -214,12 +284,13 @@ def validate_polymatroid(oracle: EntropyOracle, samples: int = 2000) -> Polymatr
             sub.append((a, b, ha + hb, cup + cap))
 
     if n <= POLYMATROID_EXHAUSTIVE:
-        ground, h = oracle.ground, oracle.entropy_of_mask
+        ground = oracle.ground
+        h = oracle.table(ground)        # local masks over the ground are the global ones
         full = (1 << n) - 1
         for i in range(n):
             rest = full & ~(1 << i)
-            if h(rest) > h(full) + slack:
-                mono.append((members(ground, rest), members(ground, full), h(rest), h(full)))
+            if h[rest] > h[full] + slack:
+                mono.append((members(ground, rest), members(ground, full), h[rest], h[full]))
         count = n
         for i in range(n):
             for j in range(i + 1, n):
@@ -227,8 +298,8 @@ def validate_polymatroid(oracle: EntropyOracle, samples: int = 2000) -> Polymatr
                 for k in range(1 << n):
                     if k & pair:
                         continue
-                    lhs = h(k | 1 << i) + h(k | 1 << j)
-                    rhs = h(k | pair) + h(k)
+                    lhs = h[k | 1 << i] + h[k | 1 << j]
+                    rhs = h[k | pair] + h[k]
                     if lhs < rhs - slack:
                         sub.append((members(ground, k | 1 << i), members(ground, k | 1 << j),
                                     lhs, rhs))
@@ -246,10 +317,8 @@ def tabular_from_oracle(oracle: EntropyOracle) -> TabularSource:
     n = len(oracle.ground)
     if n > 20:
         raise InvalidInstance("ground set too large to tabulate")
-    table = {}
-    for mask in range(1, 1 << n):
-        nodes = members(oracle.ground, mask)
-        table[frozenset(nodes)] = oracle.entropy(nodes)
+    h = oracle.table(oracle.ground)
+    table = {frozenset(members(oracle.ground, mask)): h[mask] for mask in range(1, 1 << n)}
     return TabularSource(oracle.ground, table, unit=oracle.unit)
 
 

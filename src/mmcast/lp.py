@@ -53,30 +53,41 @@ def integral(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _exact(x):
+    """A number as an exact value: an int where integral, a Fraction elsewhere."""
+    return x if type(x) is int else integral(Fraction(x))
+
+
 @dataclass
 class LinearProgram:
-    objective: list            # minimize c . x over x >= 0
-    rows: list                 # (coeffs, rel, rhs) with rel in {"<=", ">=", "=="}
-    upper: list                # cap x_j <= upper[j] >= 0, None for no cap
+    """Minimize c.x over x >= 0 subject to the rows and the caps.
+
+    Every number is stored exact on construction: an ``int`` where integral,
+    a ``Fraction`` elsewhere, the form the tableau holds.
+    """
+
+    objective: list            # c, exact values
+    rows: list                 # (coeffs, rel, rhs), rel in {"<=", ">=", "=="}, exact values
+    upper: list                # cap x_j <= upper[j] >= 0 (exact), None for no cap
 
     def __post_init__(self):
-        self.objective = [Fraction(c) for c in self.objective]
+        self.objective = [_exact(c) for c in self.objective]
         self.rows = [self.checked_row(row) for row in self.rows]
-        self.upper = [None if u is None else Fraction(u) for u in self.upper]
+        self.upper = [None if u is None else _exact(u) for u in self.upper]
         if len(self.upper) != len(self.objective):
             raise ValueError("upper length must match variable count")
         if any(u is not None and u < 0 for u in self.upper):
             raise ValueError("negative upper bound")
 
     def checked_row(self, row) -> tuple:
-        """``(coeffs, rel, rhs)`` over Fractions; raises ValueError on a malformed row."""
+        """``(coeffs, rel, rhs)`` over exact values; raises ValueError on a malformed row."""
         coeffs, rel, rhs = row
-        coeffs = [Fraction(a) for a in coeffs]
+        coeffs = [_exact(a) for a in coeffs]
         if len(coeffs) != len(self.objective):
             raise ValueError("row length must match variable count")
         if rel not in ("<=", ">=", "=="):
             raise ValueError(f"unknown relation {rel!r}")
-        return coeffs, rel, Fraction(rhs)
+        return coeffs, rel, _exact(rhs)
 
 
 @dataclass
@@ -95,7 +106,7 @@ class SimplexSolver:
         self.tableau = []          # each row: coefficients + [rhs], ints or Fractions
         self.basis = []
         self.n_cols = n
-        caps = [([1 if i == j else 0 for i in range(n)], integral(u))
+        caps = [([1 if i == j else 0 for i in range(n)], u)
                 for j, u in enumerate(lp.upper) if u is not None]
         self._append_rows([r for row in lp.rows for r in self._le_rows(*row)] + caps)
         self._solved = False
@@ -105,11 +116,7 @@ class SimplexSolver:
 
     @staticmethod
     def _le_rows(coeffs, rel, rhs) -> list:
-        """The ``(row, rhs)`` ``<=`` rows of one LP row, over ints where integral.
-
-        An ``==`` row gives two.
-        """
-        coeffs, rhs = [integral(a) for a in coeffs], integral(rhs)
+        """The ``(row, rhs)`` ``<=`` rows of one checked LP row; an ``==`` row gives two."""
         rows = [] if rel == ">=" else [(coeffs, rhs)]
         if rel != "<=":
             rows.append(([-a for a in coeffs], -rhs))
@@ -118,11 +125,11 @@ class SimplexSolver:
     def _append_rows(self, rows):
         """Append ``(row, rhs)`` rows over x, each with a new basic slack.
 
-        Entries are already normalized by :func:`integral` (see
-        :meth:`_le_rows`).  A right-hand side may be negative: the basis
-        then is not primal feasible, and dual simplex restores it.  Each
-        new row is rewritten in terms of the current basis, so every basic
-        column stays a unit column.
+        Entries are already exact ints or Fractions (see
+        :meth:`LinearProgram.checked_row`).  A right-hand side may be
+        negative: the basis then is not primal feasible, and dual simplex
+        restores it.  Each new row is rewritten in terms of the current
+        basis, so every basic column stays a unit column.
         """
         k = len(rows)
         for r in self.tableau:
@@ -325,5 +332,5 @@ class SimplexSolver:
         """Cost row over all columns: the slacks cost nothing."""
         if len(objective) != len(self.lp.objective):
             raise ValueError("objective length must match variable count")
-        return ([integral(Fraction(c)) for c in objective] +
+        return ([_exact(c) for c in objective] +
                 [0] * (self.n_cols - len(objective)))

@@ -240,11 +240,12 @@ class Region:
     """Mask-indexed tables of one client's region inequalities.
 
     Bit i of a mask is ``sub.sources[i]``.  Holds ``g``, the table of
-    g(S) = H(G) - H(G \\ S) over G = ``sub.sources``; its global oracle
-    masks come from the same lowest-bit recurrence and are read straight
-    from the oracle memo.  The cut and boundary tables depend on the
-    capacities or rates and are filled on request.  Tables cover all 2^m
-    masks, so they are for the brute-force paths (m <= BRUTE_FORCE_LIMIT).
+    g(S) = H(G) - H(G \\ S) over G = ``sub.sources``, read from
+    ``oracle.table`` (one rank sweep for a linear model), which also
+    memoizes every entropy of G's subsets.  The cut and boundary tables
+    depend on the capacities or rates and are filled on request.  Tables
+    cover all 2^m masks, so they are for the brute-force paths
+    (m <= BRUTE_FORCE_LIMIT).
     Entries are exact: ints where the value is integral, Fractions elsewhere.
     """
 
@@ -258,9 +259,7 @@ class Region:
             self._out[index[e.tail]].append((0 if head is None else 1 << head, j))
             if head is not None:
                 self._in[head].append((1 << index[e.tail], j))
-        outer = [oracle.mask((v,)) for v in sub.sources]
-        h = [integral(oracle.entropy_of_mask(m))
-             for m in mask_table(len(outer), 0, lambda prev, v, _: prev | outer[v])]
+        h = [integral(x) for x in oracle.table(sub.sources)]
         self.full = len(h) - 1
         self.g = [h[-1] - h[self.full ^ mask] for mask in range(len(h))]
 

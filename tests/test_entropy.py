@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_instance_doc
-from mmcast import load_instance
-from mmcast.entropy import (EntropyOracle, TabularSource, pmf_from_nested,
+from mmcast import client_subproblem, gf, load_instance
+from mmcast.entropy import (EntropyOracle, LinearSource, TabularSource, pmf_from_nested,
                             tabular_from_oracle, validate_polymatroid)
 from mmcast.errors import UnknownSubset
+from mmcast.gf import FieldMatrix
+from mmcast.model import Region
+from mmcast.submodular import members
 
 
 def test_fixture_linear_entropies(f2):
@@ -80,6 +83,7 @@ def test_fixture_polymatroid(f2):
     _, oracle, _ = f2
     report = validate_polymatroid(oracle)
     assert report.ok and report.exhaustive
+    assert report.pairs_checked == 28           # 4 + C(4, 2) * 2^2 elemental inequalities
 
 
 def test_duality_of_conditional_form(f2):
@@ -137,10 +141,7 @@ def test_pmf_perfectly_correlated_sources():
 
 
 def test_sampled_polymatroid_path_on_large_ground():
-    import random as _random
-    from mmcast.entropy import LinearSource
-    from mmcast.gf import FieldMatrix
-    rng = _random.Random(151)
+    rng = random.Random(151)
     n_sources, n_packets = 13, 6
     matrices = {}
     for i in range(n_sources):
@@ -163,3 +164,85 @@ def test_pmf_rounding_does_not_fake_violations():
         model = pmf_from_nested(["x", "y"], {"x": 2, "y": 2}, nested)
         oracle = EntropyOracle.from_model(("x", "y"), model)
         assert validate_polymatroid(oracle).ok
+
+
+def _random_linear_case(rng, q, m, n_packets, saturate=False):
+    """Fresh dense model over F_q with relays, zero-row blocks, zero rows and repeated rows."""
+    seen = []
+    matrices = {}
+    nodes = [f"v{i}" for i in range(m)]
+    for i, node in enumerate(nodes):
+        kind = rng.random()
+        if saturate and i == 1:                         # unit upper triangular: rank N
+            rows = [[int(j == r) if j <= r else rng.randrange(q) for j in range(n_packets)]
+                    for r in range(n_packets)]
+        elif kind < 0.15:
+            continue                                    # relay: absent from the model
+        elif kind < 0.25:
+            rows = []                                   # present with no rows
+        else:
+            rows = [[rng.randrange(q) for _ in range(n_packets)]
+                    for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                rows.append([0] * n_packets)
+            if seen and rng.random() < 0.4:
+                rows.append(rng.choice(seen))          # repeats a row of an earlier node
+            if rng.random() < 0.2:
+                rows.append(rows[0])
+        seen += rows
+        matrices[node] = FieldMatrix.from_rows(rows, q, cols=n_packets)
+    rng.shuffle(nodes)
+    return LinearSource(q, n_packets, matrices), tuple(nodes)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 2 ** 61 - 1])
+def test_rank_table_matches_per_subset_rank(q):
+    rng = random.Random(q)
+    cases = [(m, rng.randint(1, 6), False) for m in (1, 3, 6, 8, 10)]
+    cases += [(8, 3, True), (10, 4, True)]              # one node alone has rank N
+    for m, n_packets, saturate in cases:
+        model, nodes = _random_linear_case(rng, q, m, n_packets, saturate)
+        table = model.rank_table(nodes)
+        assert len(table) == 1 << m
+        if saturate:
+            assert table[-1] == n_packets
+        for mask in range(1 << m):
+            expected = gf.rank(model.stacked(members(nodes, mask)))
+            assert table[mask] == expected, (q, m, n_packets, mask)
+
+
+def test_rank_table_all_relays_and_no_packets():
+    model = LinearSource(3, 2, {"a": FieldMatrix.from_rows([[1, 2]], 3)})
+    assert model.rank_table(("x", "y")) == [0, 0, 0, 0]
+    assert model.rank_table(("x", "a", "y")) == [0, 0, 1, 1, 0, 0, 1, 1]
+    assert model.rank_table(()) == [0]
+    empty = LinearSource(5, 0, {"a": FieldMatrix.from_rows([], 5, cols=0)})
+    assert empty.rank_table(("a", "b")) == [0, 0, 0, 0]
+
+
+def test_region_fills_the_memo_like_per_mask_evaluation():
+    rng = random.Random(17)
+    for doc in [random_instance_doc(rng, n_sources=7, n_clients=2) for _ in range(3)]:
+        model_doc = doc["source_model"]
+        # dense observations instead of the generator's 0/1 selectors
+        model_doc["matrices"] = {node: [[rng.randrange(5) for _ in row] for row in rows]
+                                 for node, rows in model_doc["matrices"].items()}
+        instance, oracle, model = load_instance(doc)
+        for t in instance.clients:
+            sub = client_subproblem(instance, oracle, t)
+            fresh = EntropyOracle.from_model(oracle.ground, model)
+            Region(sub, fresh)
+            full = fresh.mask(sub.sources)
+            masks = [m for m in range(full + 1) if m & full == m]
+            expected = {m: model.entropy(members(fresh.ground, m)) for m in masks}
+            assert fresh._memo == expected
+            assert all(type(h) is Fraction for h in fresh._memo.values())
+
+
+def test_oracle_table_falls_back_per_mask_for_tabular_models(f2):
+    _, oracle, _ = f2
+    ground = ("m3", "m1", "m4")
+    copy = EntropyOracle.from_model(oracle.ground, tabular_from_oracle(oracle))
+    expected = [oracle.entropy(members(ground, mask)) for mask in range(8)]
+    assert copy.table(ground) == expected
+    assert EntropyOracle.from_model(oracle.ground, oracle.model).table(ground) == expected

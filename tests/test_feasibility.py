@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import FIXTURE_F2, chain_instance, random_instance_doc, single_edge_instance
-from mmcast import load_instance
+from mmcast import gf, load_instance
 from mmcast.errors import Infeasible, ReconstructabilityViolated
 from mmcast.feasibility import (achievable_point, check_feasible_multi, check_feasible_single,
                                 enumerate_feasibility, slack_function)
@@ -178,3 +178,17 @@ def test_ground_too_large_guard():
     sub = client_subproblem(instance, oracle, "t0")
     with pytest.raises(GroundTooLarge):
         check_feasible_single(sub, oracle, instance.capacities())
+
+
+def test_feasibility_ranks_once_per_client_not_per_subset(monkeypatch):
+    # the entropy tables come from one rank sweep per client; only the
+    # reconstructability entropies (all sources, then each client's
+    # sources) and at most one further subset per client reach gf.rank
+    calls = []
+    rank = gf.rank
+    monkeypatch.setattr(gf, "rank", lambda m: calls.append(m) or rank(m))
+    instance, oracle, _ = load_instance(random_instance_doc(random.Random(12), n_sources=12,
+                                                            n_clients=3))
+    report = check_feasible_multi(instance, oracle)
+    assert len(report.certificates) == 3
+    assert 0 < len(calls) <= 1 + 2 * len(instance.clients)
