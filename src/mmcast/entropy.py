@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import gf
-from .errors import InvalidInstance, UnknownSubset
-from .submodular import mask_table, members
+from .errors import InvalidInstance, InvalidParameters, UnknownSubset
+from .submodular import members, modular_table
 
 PMF_ROUND_BITS = 40
 PMF_TABLE_CAP = 2 ** 20
@@ -210,14 +210,15 @@ class EntropyOracle:
     def table(self, nodes) -> list:
         """H(X_S) for every subset S of nodes, indexed by local mask (bit i is ``nodes[i]``).
 
-        Each value is memoized under its global mask as well, so later
+        The nodes must be distinct (InvalidParameters otherwise).  Each value is memoized under its global mask as well, so later
         :meth:`entropy` calls on these subsets are hits.  A model with a
         ``rank_table`` (the linear one) fills the table in one sweep, one
         shared Fraction per rank; the others are evaluated per mask.
         """
         nodes = tuple(nodes)
-        outer = [self.mask((v,)) for v in nodes]
-        masks = mask_table(len(outer), 0, lambda prev, v, _: prev | outer[v])
+        if len(set(nodes)) < len(nodes):
+            raise InvalidParameters(f"repeated node in {nodes}")
+        masks = modular_table(self.mask((v,)) for v in nodes)    # distinct bits: sums are unions
         rank_table = getattr(self.model, "rank_table", None)
         if rank_table is None:
             return [self.entropy_of_mask(m) for m in masks]
@@ -313,12 +314,12 @@ def validate_polymatroid(oracle: EntropyOracle, samples: int = 2000) -> Polymatr
 
 
 def tabular_from_oracle(oracle: EntropyOracle) -> TabularSource:
-    """Materialize the full subset table of an oracle (small grounds only), in its unit."""
-    n = len(oracle.ground)
-    if n > 20:
-        raise InvalidInstance("ground set too large to tabulate")
+    """Materialize the full subset table of an oracle, in its unit.
+
+    Grounds above ``submodular.BRUTE_FORCE_LIMIT`` raise GroundTooLarge.
+    """
     h = oracle.table(oracle.ground)
-    table = {frozenset(members(oracle.ground, mask)): h[mask] for mask in range(1, 1 << n)}
+    table = {frozenset(members(oracle.ground, mask)): h[mask] for mask in range(1, len(h))}
     return TabularSource(oracle.ground, table, unit=oracle.unit)
 
 

@@ -9,9 +9,10 @@ exact rationals in the entropy unit of the attached source model
 Every region inequality of a client compares a cut or a boundary of a
 source subset S with g(S) = H(X_S | X_rest).  :class:`Region` holds these
 as exact tables indexed by the subset mask over the client's sources.  A
-table is filled in increasing mask order with one recurrence on the lowest
-set bit v of S, ``t[S] = t[S - v] + delta(v, S)``, which costs O(deg v)
-per mask instead of a scan of every edge per subset.
+table is filled by doubling: the masks with top bit v are the masks below
+v, each shifted by what adding v changes.  That change is modular in the
+lower bits, so every table costs a few list passes instead of a scan of
+every edge per subset, and no order of the sources is assumed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, EmptyReachableSet,
                      InvalidInstance, NegativeCapacity, NonpositiveCost, UnknownEdgeRate)
 from .lp import integral
-from .submodular import mask_table, modular_table
+from .submodular import modular_table
 
 
 @dataclass(frozen=True)
@@ -239,49 +240,53 @@ def cut_capacity(capacities: dict, nodes, edges) -> Fraction:
 class Region:
     """Mask-indexed tables of one client's region inequalities.
 
-    Bit i of a mask is ``sub.sources[i]``.  Holds ``g``, the table of
-    g(S) = H(G) - H(G \\ S) over G = ``sub.sources``, read from
-    ``oracle.table`` (one rank sweep for a linear model), which also
-    memoizes every entropy of G's subsets.  The cut and boundary tables
-    depend on the capacities or rates and are filled on request.  Tables
-    cover all 2^m masks, so they are for the brute-force paths
-    (m <= BRUTE_FORCE_LIMIT).
+    Bit i of a mask is ``sub.sources[i]``, in any order of the sources.
+    Holds ``g``, the table of g(S) = H(G) - H(G \\ S) over
+    G = ``sub.sources``, read from ``oracle.table`` (one rank sweep for a
+    linear model), which also memoizes every entropy of G's subsets.  The
+    cut and boundary tables depend on the capacities or rates and are
+    filled on request, by doubling over the sources.  Tables cover all 2^m
+    masks, so they are for the brute-force paths (m <= BRUTE_FORCE_LIMIT).
     Entries are exact: ints where the value is integral, Fractions elsewhere.
     """
 
     def __init__(self, sub: ClientSubproblem, oracle):
         self.sub = sub
         index = {v: i for i, v in enumerate(sub.sources)}
-        self._out = [[] for _ in sub.sources]   # per source: (head bit, edge position)
-        self._in = [[] for _ in sub.sources]    # per source: (tail bit, edge position)
+        self._out = [[] for _ in sub.sources]   # per source: (head index, edge position)
+        self._in = [[] for _ in sub.sources]    # per source: (tail index, edge position)
         for j, e in enumerate(sub.edges):
             head = index.get(e.head)            # None for the client itself
-            self._out[index[e.tail]].append((0 if head is None else 1 << head, j))
+            self._out[index[e.tail]].append((head, j))
             if head is not None:
-                self._in[head].append((1 << index[e.tail], j))
+                self._in[head].append((index[e.tail], j))
         h = [integral(x) for x in oracle.table(sub.sources)]
         self.full = len(h) - 1
         self.g = [h[-1] - h[self.full ^ mask] for mask in range(len(h))]
 
     def cut(self, capacities: dict) -> list:
-        """c(out(S)) for every mask: add v's edges leaving S, drop those from S - v into v."""
+        """c(out(S)) for every mask.
+
+        Adding v above every bit of S adds v's out-capacity and drops the
+        capacity between v and S, in either direction: the edges from v
+        into S no longer leave, and those from S into v now stay inside.
+        """
         caps = [integral(capacities[e.id]) for e in self.sub.edges]
-        out, into = self._out, self._in
-
-        def step(prev, v, mask):
-            for bit, j in out[v]:
-                if not mask & bit:
-                    prev += caps[j]
-            for bit, j in into[v]:
-                if mask & bit:
-                    prev -= caps[j]
-            return prev
-
-        return mask_table(len(out), 0, step)
+        table = [0]
+        for v, (out, into) in enumerate(zip(self._out, self._in)):
+            between = [0] * v           # capacity between v and each lower source
+            for u, j in out + into:
+                if u is not None and u < v:
+                    between[u] += caps[j]
+            leaving = sum(caps[j] for _, j in out)
+            table += [x + leaving - y for x, y in zip(table, modular_table(between))]
+        return table
 
     def boundary(self, rates: dict) -> list:
         """boundary(R, S) for every mask, summed from the singleton boundaries."""
-        return modular_table(map(integral, boundary_vector(rates, self.sub).values()))
+        rate = [rates[e.id] for e in self.sub.edges]
+        return modular_table(integral(sum(rate[j] for _, j in out) - sum(rate[j] for _, j in into))
+                             for out, into in zip(self._out, self._in))
 
     def row(self, mask: int) -> list:
         """LP coefficients of boundary(R, S) over the edge order of the subproblem.

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import feasibility, model, submodular
+from . import feasibility
 from .errors import GroundTooLarge, Infeasible
 from .lp import LinearProgram, SimplexSolver
 from .model import ClientSubproblem, Region
@@ -70,8 +70,6 @@ class RegionOptimizer:
         self.sub = sub
         self.capacities = capacities
         self.region = Region(sub, oracle)
-        self.g = SetFunction.tabulated(sub.sources, self.region.g, "supermodular")
-        self.full_mask = self.region.full
         self.pool = seed_pool(len(sub.sources))
         self._solver = None
 
@@ -80,7 +78,7 @@ class RegionOptimizer:
 
     def _build(self, objective: list) -> SimplexSolver:
         rows = [self._row(mask) for mask in self.pool]
-        rows.append((self.region.row(self.full_mask), "==", self.sub.ground_entropy))
+        rows.append((self.region.row(self.region.full), "==", self.sub.ground_entropy))
         upper = [self.capacities[e.id] for e in self.sub.edges]
         return SimplexSolver(LinearProgram(objective, rows, upper))
 
@@ -112,7 +110,7 @@ class RegionOptimizer:
 
     def tight_sets(self, rates: dict) -> list:
         b, g = self.region.boundary(rates), self.region.g
-        return [members(self.sub.sources, mask) for mask in sorted(self.pool) + [self.full_mask]
+        return [members(self.sub.sources, mask) for mask in sorted(self.pool) + [self.region.full]
                 if b[mask] == g[mask]]
 
 
@@ -134,10 +132,11 @@ def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
         raise Infeasible(
             f"client {sub.client}: subset {cert.witness_set} needs rate "
             f"{cert.required} but has cut capacity {cert.cut}", (cert,)) from None
-    membership = submodular.in_base_polyhedron(model.boundary_vector(rates, sub), opt.g)
-    if not membership:
-        raise RuntimeError(
-            f"optimizer postcondition failed at subset {membership.violating_set}")
+    # the last separation found no violated subset; with the ground equality
+    # that puts the boundary vector in the base polyhedron of g
+    full_row = opt.region.row(opt.region.full)
+    if sum(c * rates[e.id] for c, e in zip(full_row, sub.edges)) != sub.ground_entropy:
+        raise RuntimeError(f"client {sub.client}: the rates miss the ground equality")
     return SingleClientSolution(rates, value, opt.tight_sets(rates), solves)
 
 

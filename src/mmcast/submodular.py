@@ -7,9 +7,10 @@ and returns the same minimizer.  Set functions evaluate to exact rationals; the 
 and subsets are handled as bitmasks internally (bit i is ``ground[i]``).
 
 A set function is either lazy (each mask evaluated on first use) or
-tabulated: every mask's value given up front, typically filled by
-:func:`mask_table`, which walks the masks in increasing order and derives
-``t[S]`` from ``t[S - v]`` for the lowest set bit ``v`` of ``S``.
+tabulated: every mask's value given up front as one list indexed by mask.
+Such lists are filled by list passes that double the table once per
+element, as :func:`modular_table` does: the masks with the new top bit
+are the earlier masks, each shifted by that element's contribution.
 
 Tie-breaking for minimizers is fixed everywhere: smallest cardinality
 first, then lexicographically earliest element-index tuple, so certificates
@@ -36,24 +37,14 @@ def _check_enumerable(n: int) -> None:
         raise GroundTooLarge(f"{n} elements exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
 
 
-def mask_table(n: int, empty, step) -> list:
-    """Table over all 2^n masks: ``t[0] = empty``, ``t[S] = step(t[S - v], v, S)``.
-
-    ``v`` is the index of the lowest set bit of ``S``, so ``S - v`` is an
-    earlier mask and one increment per mask fills the whole table.
-    """
-    _check_enumerable(n)
-    table = [empty] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        table[mask] = step(table[mask ^ low], low.bit_length() - 1, mask)
-    return table
-
-
 def modular_table(weights) -> list:
     """x(S) = sum of weights[i] over the bits i of S, for every mask S."""
     weights = list(weights)
-    return mask_table(len(weights), 0, lambda prev, v, _: prev + weights[v])
+    _check_enumerable(len(weights))
+    table = [0]
+    for w in weights:
+        table += [x + w for x in table]
+    return table
 
 
 @dataclass
@@ -61,22 +52,23 @@ class SetFunction:
     """A rational-valued set function over an ordered ground set."""
 
     ground: tuple
-    evaluate: object            # callable(tuple of elements) -> Fraction
+    evaluate: object            # callable(tuple of elements) -> Fraction; None if tabulated
     kind: str = "unknown"       # {"submodular", "supermodular", "unknown"}
 
     def __post_init__(self):
-        self._memo: dict = {}
+        self._memo: dict | list = {}      # mask -> value; a list when tabulated
         self._index = {e: i for i, e in enumerate(self.ground)}
 
     @classmethod
     def tabulated(cls, ground, values: list, kind: str = "unknown") -> "SetFunction":
         """Set function whose value at every mask is given: values[mask].
 
-        Entries may be ints where the value is integral (exact, and faster to
+        The list itself is the table, so it covers all 2^n masks.  Entries
+        may be ints where the value is integral (exact, and faster to
         compare); :func:`sfm_brute_force` still returns a Fraction.
         """
-        f = cls(tuple(ground), lambda nodes: values[f.mask(nodes)], kind)
-        f._memo = dict(enumerate(values))
+        f = cls(tuple(ground), None, kind)
+        f._memo = values
         return f
 
     def mask(self, nodes) -> int:
@@ -86,8 +78,9 @@ class SetFunction:
         return mask
 
     def value(self, mask: int) -> Fraction:
-        hit = self._memo.get(mask)
-        if hit is None:
+        try:
+            return self._memo[mask]
+        except KeyError:
             hit = self._memo[mask] = Fraction(self.evaluate(members(self.ground, mask)))
         return hit
 
@@ -106,18 +99,6 @@ def entropy_function(oracle, ground) -> SetFunction:
     return SetFunction(tuple(ground), lambda s: oracle.entropy(s), "submodular")
 
 
-def _tie_key(mask: int):
-    indices = []
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            indices.append(i)
-        m >>= 1
-        i += 1
-    return (len(indices), tuple(indices))
-
-
 def sfm_brute_force(f: SetFunction, include_empty: bool = True):
     """Exact global minimum of f over all subsets.
 
@@ -133,7 +114,7 @@ def sfm_brute_force(f: SetFunction, include_empty: bool = True):
         raise InvalidParameters("empty search space")
     best_val = min(values)
     best_mask = min((mask for mask, v in enumerate(values, start) if v == best_val),
-                    key=_tie_key)
+                    key=lambda mask: (mask.bit_count(), members(range(n), mask)))
     return members(f.ground, best_mask), Fraction(best_val)
 
 

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_instance_doc
+from helpers import long_chain_doc, random_instance_doc
 from mmcast import client_subproblem, gf, load_instance
 from mmcast.entropy import (EntropyOracle, LinearSource, TabularSource, pmf_from_nested,
                             tabular_from_oracle, validate_polymatroid)
-from mmcast.errors import UnknownSubset
+from mmcast.errors import GroundTooLarge, InvalidParameters, UnknownSubset
 from mmcast.gf import FieldMatrix
 from mmcast.model import Region
 from mmcast.submodular import members
@@ -71,6 +71,12 @@ def test_tabular_copy_matches_linear(f2):
     for mask in range(1 << n):
         subset = [oracle.ground[i] for i in range(n) if mask >> i & 1]
         assert copy.entropy(subset) == oracle.entropy(subset)
+
+
+def test_tabular_copy_above_the_brute_force_limit_is_refused():
+    _, oracle, _ = load_instance(long_chain_doc(21))
+    with pytest.raises(GroundTooLarge):
+        tabular_from_oracle(oracle)
 
 
 def test_tabular_missing_subset():
@@ -246,3 +252,12 @@ def test_oracle_table_falls_back_per_mask_for_tabular_models(f2):
     expected = [oracle.entropy(members(ground, mask)) for mask in range(8)]
     assert copy.table(ground) == expected
     assert EntropyOracle.from_model(oracle.ground, oracle.model).table(ground) == expected
+
+
+def test_oracle_table_refuses_a_repeated_node(f2):
+    # a repeated node would carry into another node's bit of the global masks
+    _, oracle, _ = f2
+    memo = dict(oracle._memo)
+    with pytest.raises(InvalidParameters):
+        oracle.table(("m1", "m3", "m1"))
+    assert oracle._memo == memo

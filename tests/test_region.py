@@ -7,7 +7,7 @@ from pathlib import Path
 from helpers import random_pmf_doc, region_cases
 from mmcast.entropy import EntropyOracle, tabular_from_oracle
 from mmcast.feasibility import check_feasible_single
-from mmcast.model import Region, boundary, client_subproblem, cut_capacity
+from mmcast.model import ClientSubproblem, Region, boundary, client_subproblem, cut_capacity
 from mmcast.single_client import RegionOptimizer, most_violated
 from mmcast.submodular import SetFunction, members, sfm_brute_force
 
@@ -38,17 +38,22 @@ def test_every_table_entry_equals_its_per_subset_definition():
                 seen[kind].add("client edge")
             if any(caps[e.id] == 0 for e in sub.edges):
                 seen[kind].add("zero capacity")
-            region = Region(sub, oracle)
-            cut, b = region.cut(caps), region.boundary(rates)
-            assert len(region.g) == len(cut) == len(b) == region.full + 1 == 1 << len(sub.sources)
-            for mask in range(region.full + 1):
-                nodes = members(sub.sources, mask)
-                assert cut[mask] == cut_capacity(caps, nodes, sub.edges)
-                assert b[mask] == boundary(rates, nodes, sub.edges)
-                assert region.g[mask] == oracle.conditional(nodes, sub.sources)
-                row = region.row(mask)
-                assert sum(c * rates[e.id] for c, e in zip(row, sub.edges)) == b[mask]
-                assert set(row) <= {-1, 0, 1}
+            # the reversed sources put every edge from a higher bit to a lower one
+            reversed_sub = ClientSubproblem(sub.client, sub.sources[::-1], sub.edges,
+                                            sub.ground_entropy)
+            for sub in (sub, reversed_sub):
+                region = Region(sub, oracle)
+                cut, b = region.cut(caps), region.boundary(rates)
+                assert (len(region.g) == len(cut) == len(b) == region.full + 1
+                        == 1 << len(sub.sources))
+                for mask in range(region.full + 1):
+                    nodes = members(sub.sources, mask)
+                    assert cut[mask] == cut_capacity(caps, nodes, sub.edges)
+                    assert b[mask] == boundary(rates, nodes, sub.edges)
+                    assert region.g[mask] == oracle.conditional(nodes, sub.sources)
+                    row = region.row(mask)
+                    assert sum(c * rates[e.id] for c, e in zip(row, sub.edges)) == b[mask]
+                    assert set(row) <= {-1, 0, 1}
     for kind, features in seen.items():
         assert features == {"relay", "client edge", "zero capacity"}, kind
 

@@ -86,6 +86,8 @@ def test_cutting_plane_equals_bruteforce_random():
             b = solve_single_client_bruteforce(sub, oracle, instance.costs(),
                                                instance.capacities())
             assert a.cost == b.cost
+            g = conditional_entropy_function(oracle, sub.sources)
+            assert in_base_polyhedron(boundary_vector(a.rates, sub), g).member
 
 
 def test_optimum_membership_in_both_polyhedra():
