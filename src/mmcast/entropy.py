@@ -27,6 +27,7 @@ from itertools import product
 
 from . import gf
 from .errors import InvalidInstance, InvalidParameters, UnknownSubset
+from .lp import integral
 from .submodular import members, modular_table
 
 PMF_ROUND_BITS = 40
@@ -210,10 +211,13 @@ class EntropyOracle:
     def table(self, nodes) -> list:
         """H(X_S) for every subset S of nodes, indexed by local mask (bit i is ``nodes[i]``).
 
-        The nodes must be distinct (InvalidParameters otherwise).  Each value is memoized under its global mask as well, so later
-        :meth:`entropy` calls on these subsets are hits.  A model with a
-        ``rank_table`` (the linear one) fills the table in one sweep, one
-        shared Fraction per rank; the others are evaluated per mask.
+        The nodes must be distinct (InvalidParameters otherwise).  Entries
+        are exact: ints where the value is integral, Fractions elsewhere.
+        Each value is memoized under its global mask as well, as a
+        Fraction, so later :meth:`entropy` calls on these subsets are hits.
+        A model with a ``rank_table`` (the linear one) fills the table in
+        one sweep and the table is its rank list, memoized as one shared
+        Fraction per rank; the others are evaluated per mask.
         """
         nodes = tuple(nodes)
         if len(set(nodes)) < len(nodes):
@@ -221,12 +225,11 @@ class EntropyOracle:
         masks = modular_table(self.mask((v,)) for v in nodes)    # distinct bits: sums are unions
         rank_table = getattr(self.model, "rank_table", None)
         if rank_table is None:
-            return [self.entropy_of_mask(m) for m in masks]
+            return [integral(self.entropy_of_mask(m)) for m in masks]
         ranks = rank_table(nodes)
         values = [Fraction(r) for r in range(ranks[-1] + 1)]    # the full set has the top rank
-        table = [values[r] for r in ranks]
-        self._memo.update(zip(masks, table))
-        return table
+        self._memo.update(zip(masks, (values[r] for r in ranks)))
+        return ranks
 
     def conditional(self, nodes, within) -> Fraction:
         """H(X_S | X_{G \\ S}) for S = nodes inside the ground subset G = within."""
@@ -319,7 +322,8 @@ def tabular_from_oracle(oracle: EntropyOracle) -> TabularSource:
     Grounds above ``submodular.BRUTE_FORCE_LIMIT`` raise GroundTooLarge.
     """
     h = oracle.table(oracle.ground)
-    table = {frozenset(members(oracle.ground, mask)): h[mask] for mask in range(1, len(h))}
+    table = {frozenset(members(oracle.ground, mask)): Fraction(h[mask])
+             for mask in range(1, len(h))}
     return TabularSource(oracle.ground, table, unit=oracle.unit)
 
 

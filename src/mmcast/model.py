@@ -260,7 +260,7 @@ class Region:
             self._out[index[e.tail]].append((head, j))
             if head is not None:
                 self._in[head].append((index[e.tail], j))
-        h = [integral(x) for x in oracle.table(sub.sources)]
+        h = oracle.table(sub.sources)
         self.full = len(h) - 1
         self.g = [h[-1] - h[self.full ^ mask] for mask in range(len(h))]
 
@@ -284,7 +284,7 @@ class Region:
 
     def boundary(self, rates: dict) -> list:
         """boundary(R, S) for every mask, summed from the singleton boundaries."""
-        rate = [rates[e.id] for e in self.sub.edges]
+        rate = [integral(rates[e.id]) for e in self.sub.edges]
         return modular_table(integral(sum(rate[j] for _, j in out) - sum(rate[j] for _, j in into))
                              for out, into in zip(self._out, self._in))
 

@@ -20,24 +20,30 @@ rate-flow region.  Two routes:
   single-client problem per client (exact), takes a projected ascent step
   on the multipliers, and recovers a primal point as the running average
   of the inner minimizers.  Inner solutions are exact vertices and the
-  average is kept in exact arithmetic, so every recovered point is exactly
-  region-feasible and every recorded dual value is a true lower bound.
+  average is kept as an exact sum (divided by n only for a new best
+  point), so every recovered point is exactly region-feasible and every
+  recorded dual value is a true lower bound.
 
 Each route checks only reconstructability up front; its own LPs decide
 feasibility, and the clients' certificates are computed only to explain an
 empty LP (or inner problem) in Infeasible.
 
-Floating point appears only in the ascent step and the step-size schedule.
+Floating point appears only in the ascent step and the step-size schedule:
+the moved multipliers are floats.  The projection reads them exactly, scales
+them and the simplex total to ints by the lcm of their denominators and
+returns exact Fractions, so every multiplier, inner solve, separation,
+average and cost is exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import feasibility, model
 from .errors import BudgetExceeded, Infeasible, InvalidParameters
-from .lp import LinearProgram, SimplexSolver
+from .lp import LinearProgram, SimplexSolver, integral
 from .model import NetworkInstance, Region
 from .single_client import BRUTE_FORCE_SOURCES, RegionOptimizer, most_violated, seed_pool
 
@@ -106,17 +112,27 @@ def step_size(schedule: StepSchedule, n: int) -> float:
 # -- simplex projection ------------------------------------------------------
 
 def exact_simplex_projection(v: list, total: Fraction) -> list:
-    """Euclidean projection of v onto {x >= 0, sum(x) = total}, total > 0 (sort-and-threshold)."""
-    v = [Fraction(x) for x in v]
-    u = sorted(v, reverse=True)
-    rho, tau = 0, None
-    acc = Fraction(0)
-    for j, uj in enumerate(u, start=1):
-        acc += uj
-        candidate = (acc - total) / j
-        if uj - candidate > 0:
-            rho, tau = j, candidate
-    return [max(x - tau, Fraction(0)) for x in v]
+    """Euclidean projection of v onto {x >= 0, sum(x) = total}, total > 0 (sort-and-threshold).
+
+    v holds exact numbers or floats, read exactly.  Everything is scaled
+    by the lcm d of the denominators (powers of 2 for the ascent step's
+    floats), so the search runs in ints: with a = d*v sorted descending,
+    prefix sums acc_j and T = d*total, the support is the last j with
+    a_j*j > acc_j - T, and x_i = max(a_i*rho - (acc_rho - T), 0) / (rho*d).
+    The output is the same Fractions as the threshold taken in rationals.
+    """
+    ratios = [x.as_integer_ratio() for x in v]
+    t_num, t_den = total.as_integer_ratio()
+    d = math.lcm(t_den, *(den for _, den in ratios))
+    a = [num * (d // den) for num, den in ratios]
+    target = t_num * (d // t_den)
+    rho = excess = acc = 0
+    for j, aj in enumerate(sorted(a, reverse=True), start=1):
+        acc += aj
+        if aj * j > acc - target:
+            rho, excess = j, acc - target
+    scale = rho * d
+    return [Fraction(max(ai * rho - excess, 0), scale) for ai in a]
 
 
 # -- exact LP route ----------------------------------------------------------
@@ -280,7 +296,10 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
             lam[(eid, t)] = share
 
     optimizers = {t: RegionOptimizer(subs[t], oracle, caps) for t in clients}
-    rate_sum = {t: {e.id: Fraction(0) for e in subs[t].edges} for t in clients}
+    # the ergodic average is kept as a sum: the envelope and the cost of the
+    # average are those of the sums divided by n, so only a new best is divided
+    rate_sum = {t: {e.id: 0 for e in subs[t].edges} for t in clients}
+    int_costs = {eid: integral(c) for eid, c in costs.items()}
 
     trace: list = []
     dual_history: list = []
@@ -307,21 +326,19 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
         if best_dual is None or dual_value > best_dual:
             best_dual = dual_value
 
-        inv_n = Fraction(1, n)
-        averaged = {}
+        top = dict.fromkeys(costs, 0)
         for t, (rates, _) in zip(clients, results):
             acc = rate_sum[t]
             for eid, r in rates.items():
-                acc[eid] += r
-            averaged[t] = {eid: v * inv_n for eid, v in acc.items()}
-        envelope = {e.id: Fraction(0) for e in instance.edges}
-        for t in clients:
-            for eid, r in averaged[t].items():
-                if r > envelope[eid]:
-                    envelope[eid] = r
-        primal_cost = sum((costs[eid] * z for eid, z in envelope.items()), Fraction(0))
+                acc[eid] = total = acc[eid] + integral(r)
+                if total > top[eid]:
+                    top[eid] = total
+        primal_cost = Fraction(sum(c * top[eid] for eid, c in int_costs.items()), n)
         if best_primal is None or primal_cost < best_primal[0]:
-            best_primal = (primal_cost, envelope, averaged)
+            best_primal = (primal_cost,
+                           {eid: Fraction(z, n) for eid, z in top.items()},
+                           {t: {eid: Fraction(v, n) for eid, v in rate_sum[t].items()}
+                            for t in clients})
 
         if best_dual > 0:
             gap = (primal_cost - best_dual) / best_dual

@@ -49,12 +49,16 @@ def seed_pool(m: int) -> list:
 def most_violated(region: Region, rates: dict):
     """Exact separation: the mask minimizing boundary(R, S) - g(S), if that is negative.
 
-    None certifies that the rates satisfy every region inequality.
+    None certifies that the rates satisfy every region inequality; it is
+    decided by the minimum of the slack table alone.  Only a negative
+    minimum goes on to :func:`sfm_brute_force` for its tie-broken witness.
     """
     slack = [b - g for b, g in zip(region.boundary(rates), region.g)]
+    if min(slack) >= 0:
+        return None
     h = SetFunction.tabulated(region.sub.sources, slack, "submodular")
-    witness, worst = sfm_brute_force(h)
-    return None if worst >= 0 else h.mask(witness)
+    witness, _ = sfm_brute_force(h)
+    return h.mask(witness)
 
 
 class RegionOptimizer:

@@ -109,7 +109,10 @@ def sfm_brute_force(f: SetFunction, include_empty: bool = True):
     n = len(f.ground)
     _check_enumerable(n)
     start = 0 if include_empty else 1
-    values = [f.value(mask) for mask in range(start, 1 << n)]
+    if f.evaluate is None:          # tabulated: the list is the table
+        values = f._memo[start:]
+    else:
+        values = [f.value(mask) for mask in range(start, 1 << n)]
     if not values:
         raise InvalidParameters("empty search space")
     best_val = min(values)

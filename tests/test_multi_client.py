@@ -229,6 +229,49 @@ def test_exact_projection_optimality():
         assert x == [max(vi - tau, 0) for vi in v]
 
 
+def _reference_projection(v, total):
+    """Sort-and-threshold taken in Fractions throughout."""
+    v = [Fraction(x) for x in v]
+    acc, tau = Fraction(0), None
+    for j, uj in enumerate(sorted(v, reverse=True), start=1):
+        acc += uj
+        candidate = (acc - total) / j
+        if uj - candidate > 0:
+            tau = candidate
+    return [max(x - tau, Fraction(0)) for x in v]
+
+
+def _ascent_like_point(rng, k):
+    # what the ascent step hands the projection: floats of mixed binary
+    # exponents, negatives, exact zeros and repeated values
+    v = []
+    for _ in range(k):
+        draw = rng.random()
+        if draw < 0.15:
+            v.append(rng.choice((0.0, -0.0)))
+        elif draw < 0.3 and v:
+            v.append(rng.choice(v))
+        else:
+            v.append(rng.uniform(-1, 1) * 2.0 ** rng.randint(-40, 8))
+    return v
+
+
+def test_projection_of_ascent_floats_equals_the_fraction_threshold():
+    rng = random.Random(131)
+    for _ in range(400):
+        v = _ascent_like_point(rng, rng.randint(2, 6))
+        d = rng.choice((2, 3, 5, 7, 10, 12))
+        total = Fraction(d * rng.randint(0, 9) + 1, d)      # in lowest terms, denominator d
+        x = exact_simplex_projection(v, total)
+        assert x == _reference_projection(v, total)
+        assert all(type(xi) is Fraction and xi >= 0 for xi in x)
+        assert sum(x) == total
+        taus = {Fraction(vi) - xi for vi, xi in zip(v, x) if xi > 0}
+        assert len(taus) == 1
+        tau = taus.pop()
+        assert x == [max(Fraction(vi) - tau, 0) for vi in v]
+
+
 def test_step_size_schedules():
     assert step_size(StepSchedule(1, 1, 1, 1), 2) == pytest.approx(1 / 3)
     assert step_size(StepSchedule(2, Fraction(1, 2)), 4) == pytest.approx(1 / 2)
@@ -278,6 +321,26 @@ def test_subgradient_recovered_rates_stay_in_region(f2):
     for t, rates in result.per_client.items():
         for eid, r in rates.items():
             assert result.envelope[eid] >= r
+
+
+def test_subgradient_envelope_and_cost_of_the_recovered_point(f2):
+    # on F2 the first iterate stays the best; the 3-client draw improves on it
+    # at iteration 35, so its point is an average of many inner solutions
+    rng = random.Random(140)
+    cases = [f2[:2], random_feasible_instance(rng, n_clients=3)[:2]]
+    for instance, oracle in cases:
+        result = solve_multi_subgradient(instance, oracle, max_iters=100)
+        assert len(result.per_client) == len(instance.clients)
+        for e in instance.edges:
+            rates = [r[e.id] for r in result.per_client.values() if e.id in r]
+            assert result.envelope[e.id] == max(rates, default=0)
+        assert result.cost == sum(e.cost * result.envelope[e.id] for e in instance.edges)
+        values = list(result.envelope.values())
+        values += [r for rates in result.per_client.values() for r in rates.values()]
+        assert all(type(z) is Fraction for z in values + [result.cost])
+        # the returned point is the best recovered one
+        assert float(result.cost) == min(entry.primal for entry in result.trace)
+    assert result.trace[0].primal > result.cost
 
 
 def test_subgradient_trace_is_deterministic(f2):

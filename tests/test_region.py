@@ -6,6 +6,7 @@ from pathlib import Path
 
 from helpers import random_pmf_doc, region_cases
 from mmcast.entropy import EntropyOracle, tabular_from_oracle
+from mmcast.errors import Infeasible
 from mmcast.feasibility import check_feasible_single
 from mmcast.model import ClientSubproblem, Region, boundary, client_subproblem, cut_capacity
 from mmcast.single_client import RegionOptimizer, most_violated
@@ -80,3 +81,33 @@ def test_kernel_reproduces_recorded_certificates_and_separations():
                 assert list(witness) == want["separation_witness"]
                 assert worst == Fraction(want["separation_value"])
     assert next(cases, None) is None
+
+
+def test_separation_is_none_exactly_when_no_slack_is_negative():
+    outcomes = {kind: set() for kind in ("linear", "pmf", "tabular")}
+    for kind, instance, oracle, rates in _model_cases():
+        caps = instance.capacities()
+        for t in instance.clients:
+            sub = client_subproblem(instance, oracle, t)
+            opt = RegionOptimizer(sub, oracle, caps)
+            # the drawn rates, the same scaled down, and an LP vertex of the region
+            points = [rates, {eid: r / 4 for eid, r in rates.items()}]
+            try:
+                points.append(opt.minimize({e.id: 1 for e in sub.edges})[0])
+            except Infeasible:
+                pass
+            for point in points:
+                slack = [boundary(point, nodes, sub.edges) - oracle.conditional(nodes, sub.sources)
+                         for nodes in (members(sub.sources, mask)
+                                       for mask in range(1 << len(sub.sources)))]
+                got = most_violated(opt.region, point)
+                if min(slack) >= 0:
+                    assert got is None
+                else:
+                    f = SetFunction.tabulated(sub.sources, slack)
+                    witness, worst = sfm_brute_force(f)
+                    assert got == f.mask(witness)
+                    assert slack[got] == worst < 0
+                outcomes[kind].add(got is None)
+    for kind, seen in outcomes.items():
+        assert seen == {True, False}, kind
