@@ -1,14 +1,33 @@
 """Exact rational linear programming via tableau simplex from the slack basis.
 
-Every tableau entry, right-hand side and objective-row entry is exact: an
-``int`` where the value is integral, a :class:`fractions.Fraction`
-elsewhere.  Each arithmetic result goes through :func:`integral`, so an
-entry that becomes integral is held as an ``int`` again; the LP tableaus
-of the multicast solvers hold mostly small integers, and an ``int``
-operation skips the gcd that every ``Fraction`` operation pays.  No float
-ever enters: a division is taken with a ``Fraction`` operand, and the
-ratio tests compare ``p/q < r/s`` as ``p*s < r*q`` over positive ``q``
-and ``s``, with no division at all.  Solutions are returned as Fractions.
+The tableau holds only ``int``s, over one positive common denominator
+(Edmonds' integer-preserving simplex; Bareiss 1968).  With B the basis
+matrix, ``det`` is |det B| and each entry is ``det`` times the rational
+tableau entry, an integer by Cramer's rule, because every row enters with
+integral coefficients: a row with a non-integral coefficient is multiplied
+by the lcm of its coefficient denominators on entry, which scales only its
+own slack.  Two more integer scales make the rest integral: the
+right-hand-side column carries sigma, the lcm of the right-hand sides'
+denominators (it grows, multiplying that column, when an appended row
+brings a new denominator), and the objective row carries gamma, the lcm of
+the objective's denominators.  A pivot on an entry P (the pivot row is
+negated first when P < 0) turns every other entry a into
+``(P*a - a_e*p_j) // det``, an exact division, and P becomes the new
+``det``.  When P equals ``det`` a row with a zero in the entering column
+is unchanged, so such a pivot touches only the rows it eliminates, like a
+pivot on 1 over the rationals.  No gcd is taken anywhere in the loop, and
+no float ever enters: ratio tests compare ``p/q < r/s`` as ``p*s < r*q``
+over positive ``q`` and ``s``.  The solution is read out with one division
+per value, ``x_b = rhs / (det*sigma)`` and ``value = -corner /
+(det*sigma*gamma)``, and returned as Fractions.
+
+Every quantity a pivot rule compares is its rational value times a
+positive factor that is the same across the comparison: the reduced costs
+by ``det*gamma``, the right-hand sides by ``det*sigma``, the primal ratios
+by sigma and the dual ratios by gamma.  So the choices, their ties and the
+degenerate-stall count are those of the same simplex over the rationals,
+and on rows with integral coefficients (every LP the multicast solvers
+pose) the pivot sequence is exactly the rational one.
 
 Optima are exact vertices and every run is deterministic given the input
 ordering.  The pivot rule is steepest-coefficient (Dantzig) with an
@@ -39,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 DEGENERATE_STALL = 25          # consecutive zero-progress pivots before Bland
 
@@ -48,7 +68,7 @@ def integral(x):
 
     The int is exact like its Fraction and compares equal to it, and it is
     several times faster to add, multiply and compare, which is most of the
-    cost of filling a table or a simplex tableau.
+    cost of filling a table.
     """
     return x.numerator if x.denominator == 1 else x
 
@@ -63,7 +83,7 @@ class LinearProgram:
     """Minimize c.x over x >= 0 subject to the rows and the caps.
 
     Every number is stored exact on construction: an ``int`` where integral,
-    a ``Fraction`` elsewhere, the form the tableau holds.
+    a ``Fraction`` elsewhere.
     """
 
     objective: list            # c, exact values
@@ -98,14 +118,29 @@ class LpSolution:
 
 
 class SimplexSolver:
-    """Dual-then-primal simplex on the slack-basis tableau of a LinearProgram."""
+    """Dual-then-primal simplex on the slack-basis tableau of a LinearProgram.
+
+    ``tableau`` rows are ints over the common denominator ``det`` (> 0):
+    entry j < ``n_cols`` of row i is ``det`` times the rational entry, and
+    the last entry, the right-hand side, is ``det * rhs_scale`` times it;
+    the basic column of each row holds ``det`` there and 0 in every other
+    row.  An objective row is ``det * gamma`` times the reduced costs, gamma
+    the scale :meth:`_cost` returns, followed by ``-det * rhs_scale *
+    gamma`` times the value of the basic solution.  Every pivot choice
+    compares these quantities against each other, so the positive factors
+    cancel and the pivots are those of the rational tableau (see the module
+    docstring); ``rhs_scale`` only grows and ``det`` changes only at a pivot
+    on an entry other than ``det``.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = len(lp.objective)
-        self.tableau = []          # each row: coefficients + [rhs], ints or Fractions
+        self.tableau = []          # each row: coefficients + [rhs], ints
         self.basis = []
         self.n_cols = n
+        self.det = 1               # |det B|, the tableau's common denominator
+        self.rhs_scale = 1         # lcm of the right-hand sides' denominators
         caps = [([1 if i == j else 0 for i in range(n)], u)
                 for j, u in enumerate(lp.upper) if u is not None]
         self._append_rows([r for row in lp.rows for r in self._le_rows(*row)] + caps)
@@ -125,27 +160,40 @@ class SimplexSolver:
     def _append_rows(self, rows):
         """Append ``(row, rhs)`` rows over x, each with a new basic slack.
 
-        Entries are already exact ints or Fractions (see
-        :meth:`LinearProgram.checked_row`).  A right-hand side may be
+        Entries are exact ints or Fractions (see
+        :meth:`LinearProgram.checked_row`).  A row with a non-integral
+        coefficient is multiplied by the lcm of its coefficient
+        denominators, and the right-hand-side column is rescaled when a new
+        right-hand side brings a new denominator.  A right-hand side may be
         negative: the basis then is not primal feasible, and dual simplex
         restores it.  Each new row is rewritten in terms of the current
-        basis, so every basic column stays a unit column.
+        basis, so every basic column stays ``det`` times a unit column; the
+        new slacks leave ``det`` unchanged.
         """
+        scaled = []
+        for row, rhs in rows:
+            k = lcm(*(a.denominator for a in row if type(a) is not int))
+            scaled.append(([int(a * k) for a in row], rhs * k) if k > 1 else (row, rhs))
+        sigma = lcm(self.rhs_scale, *(rhs.denominator for _, rhs in scaled))
+        grow = sigma // self.rhs_scale
+        self.rhs_scale = sigma
         k = len(rows)
         for r in self.tableau:
             r[-1:-1] = [0] * k
+            r[-1] *= grow
+        det = self.det
         old = list(zip(self.tableau, self.basis))
         width = self.n_cols + k
-        for row, rhs in rows:
+        for row, rhs in scaled:
             slack = self.n_cols
-            new = row + [0] * (width - len(row)) + [rhs]
-            new[slack] = 1
+            new = [det * a for a in row] + [0] * (width - len(row)) + [det * int(rhs * sigma)]
+            new[slack] = det
             for r, b in old:
-                factor = new[b]
+                factor = new[b] // det
                 if factor:
                     for j, v in enumerate(r):
                         if v:
-                            new[j] = integral(new[j] - factor * v)
+                            new[j] -= factor * v
             self.tableau.append(new)
             self.basis.append(slack)
             self.n_cols += 1
@@ -153,39 +201,52 @@ class SimplexSolver:
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, r: int, e: int, obj: list):
-        tab = self.tableau
+        """Integer-preserving pivot on ``tableau[r][e]``; ``obj`` is updated in place.
+
+        With P = |tableau[r][e]| (row r is negated when the entry is
+        negative), every other row becomes ``(P*a - a_e*p) // det`` and P
+        is the new ``det``.  When P == ``det`` that leaves a row with a
+        zero in column e as it is, and subtracts ``a_e*p // det`` over the
+        pivot row's nonzeros from the others.
+        """
+        tab, det = self.tableau, self.det
         row = tab[r]
         piv = row[e]
-        if piv != 1:
-            inv = integral(1 / Fraction(piv))      # never int / int: that is a float
-            row = tab[r] = [integral(v * inv) if v else v for v in row]
-        nonzero = [(j, v) for j, v in enumerate(row) if v]
-        for i, other in enumerate(tab):
-            if i == r:
-                continue
-            factor = other[e]
-            if factor:
-                for j, v in nonzero:
-                    other[j] = integral(other[j] - factor * v)
-        factor = obj[e]
-        if factor:
-            for j, v in nonzero:
-                obj[j] = integral(obj[j] - factor * v)
+        if piv < 0:
+            piv = -piv
+            row = tab[r] = [-v for v in row]
+        others = tab[:r] + tab[r + 1:]
+        others.append(obj)
+        if piv == det:
+            nonzero = [(j, v) for j, v in enumerate(row) if v]
+            for other in others:
+                factor = other[e]
+                if factor:
+                    for j, v in nonzero:
+                        other[j] -= factor * v // det
+        else:
+            for other in others:
+                factor = other[e]
+                other[:] = ([(piv * a - factor * v) // det for a, v in zip(other, row)]
+                            if factor else [piv * a // det if a else 0 for a in other])
+            self.det = piv
         self.basis[r] = e
 
     def _reduced_row(self, cost: list) -> list:
         """Objective row (reduced costs + current value) for the basis.
 
-        Starts from the cost row and subtracts each basic row times its
-        basic cost, in place and over the row's nonzero entries only.
+        ``cost`` is a row of ints from :meth:`_cost`.  Starts from ``det``
+        times it and subtracts each basic row times its basic cost, in
+        place and over the row's nonzero entries only.
         """
-        obj = cost + [0]
+        det = self.det
+        obj = [det * c for c in cost] + [0]
         for row, b in zip(self.tableau, self.basis):
-            cb = obj[b]
+            cb = cost[b]
             if cb:
                 for j, v in enumerate(row):
                     if v:
-                        obj[j] = integral(obj[j] - cb * v)
+                        obj[j] -= cb * v
         return obj
 
     def _optimize(self, obj: list) -> str:
@@ -276,7 +337,7 @@ class SimplexSolver:
         optimizes the true objective, which needs no pivot when every cost
         is nonnegative.
         """
-        cost = self._cost(self.lp.objective)
+        cost, _ = self._cost(self.lp.objective)
         if self._dual_optimize(self._reduced_row([max(c, 0) for c in cost])) == "infeasible":
             self._solved = False
             return LpSolution("infeasible")
@@ -286,12 +347,14 @@ class SimplexSolver:
     def resolve(self, objective) -> LpSolution:
         """Re-optimize with a new objective over the existing feasible basis.
 
-        The objective has one entry per LP variable; any other length
-        raises ValueError.
+        The objective has one entry per LP variable, each an int, a
+        Fraction or a float (read exactly); any other length raises
+        ValueError.
         """
         if not self._solved:
             raise RuntimeError("resolve requires a previous successful solve")
-        obj = self._reduced_row(self._cost(objective))
+        cost, gamma = self._cost(objective)
+        obj = self._reduced_row(cost)
         status = self._optimize(obj)
         if status == "unbounded":
             self._objective = None
@@ -300,9 +363,10 @@ class SimplexSolver:
         x = [0] * self.n_cols
         for r, b in enumerate(self.basis):
             x[b] = self.tableau[r][-1]
-        # obj[-1] holds -(c_B B^-1 b)
-        return LpSolution("optimal", Fraction(-obj[-1]),
-                          [Fraction(v) for v in x[:len(self.lp.objective)]])
+        scale = self.det * self.rhs_scale
+        # obj[-1] holds -(c_B B^-1 b) times scale * gamma
+        return LpSolution("optimal", Fraction(-obj[-1], scale * gamma),
+                          [Fraction(v, scale) for v in x[:len(self.lp.objective)]])
 
     def add_rows(self, rows) -> bool:
         """Append ``<=``/``>=`` rows to the solved LP and restore feasibility.
@@ -322,15 +386,21 @@ class SimplexSolver:
             raise ValueError("add_rows takes <= and >= rows only")
         self._append_rows([r for row in rows for r in self._le_rows(*row)])
         self.lp.rows += rows
-        if self._dual_optimize(self._reduced_row(self._cost(self._objective))) == "infeasible":
+        cost, _ = self._cost(self._objective)
+        if self._dual_optimize(self._reduced_row(cost)) == "infeasible":
             self._solved = False
             self._objective = None
             return False
         return True
 
-    def _cost(self, objective) -> list:
-        """Cost row over all columns: the slacks cost nothing."""
+    def _cost(self, objective) -> tuple:
+        """``(cost row, gamma)``: the objective times gamma, the lcm of its denominators.
+
+        The row covers all columns, as ints; the slacks cost nothing.
+        """
         if len(objective) != len(self.lp.objective):
             raise ValueError("objective length must match variable count")
-        return ([_exact(c) for c in objective] +
-                [0] * (self.n_cols - len(objective)))
+        ratios = [c.as_integer_ratio() for c in objective]
+        gamma = lcm(*(d for _, d in ratios))
+        return ([n * (gamma // d) for n, d in ratios] +
+                [0] * (self.n_cols - len(objective))), gamma

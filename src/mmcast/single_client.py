@@ -92,7 +92,7 @@ class RegionOptimizer:
         Returns (rates, value, lp_solves); raises Infeasible when the
         region is empty within the capacity box.
         """
-        objective = [Fraction(costs[e.id]) for e in self.sub.edges]
+        objective = [costs[e.id] for e in self.sub.edges]
         if self._solver is None:
             self._solver = self._build(objective)
             solution = self._solver.solve()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -241,6 +242,24 @@ def test_fuzz_mixed_relations_and_bounds(monkeypatch):
         _fuzz_against_float_solver(linprog, random.Random(83))
 
 
+def _highs(linprog, c, rows, upper):
+    """scipy's status name and value for the program, None for other statuses."""
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for coeffs, rel, rhs in rows:
+        if rel == "==":
+            a_eq.append([float(x) for x in coeffs])
+            b_eq.append(float(rhs))
+        else:
+            sign = 1 if rel == "<=" else -1
+            a_ub.append([sign * float(x) for x in coeffs])
+            b_ub.append(sign * float(rhs))
+    ref = linprog([float(x) for x in c], A_ub=a_ub or None, b_ub=b_ub or None,
+                  A_eq=a_eq or None, b_eq=b_eq or None,
+                  bounds=[(0, None if u is None else float(u)) for u in upper],
+                  method="highs")
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status), ref.fun
+
+
 def _fuzz_against_float_solver(linprog, rng):
     agreements = proved = 0
     for _ in range(120):
@@ -266,24 +285,10 @@ def _fuzz_against_float_solver(linprog, rng):
             _assert_feasible(lp, mine.x)
             assert type(mine.value) is Fraction
             assert sum(a * x for a, x in zip(c, mine.x)) == mine.value
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for coeffs, rel, rhs in rows:
-            if rel == "==":
-                a_eq.append([float(x) for x in coeffs])
-                b_eq.append(float(rhs))
-            else:
-                sign = 1 if rel == "<=" else -1
-                a_ub.append([sign * float(x) for x in coeffs])
-                b_ub.append(sign * float(rhs))
-        ref = linprog([float(x) for x in c],
-                      A_ub=a_ub or None, b_ub=b_ub or None,
-                      A_eq=a_eq or None, b_eq=b_eq or None,
-                      bounds=[(0, None if u is None else float(u)) for u in upper],
-                      method="highs")
-        expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status)
+        expected, fun = _highs(linprog, c, rows, upper)
         if expected == mine.status:
             if expected == "optimal":
-                assert abs(float(mine.value) - ref.fun) < 1e-7
+                assert abs(float(mine.value) - fun) < 1e-7
             agreements += 1
         elif expected is not None:
             # the float solver disagrees: prove our status exactly
@@ -387,3 +392,211 @@ def test_add_rows_reports_infeasibility():
     assert not solver.add_rows([([1, 0], ">=", 3), ([0, 1], ">=", 2)])
     with pytest.raises(RuntimeError):
         solver.resolve([1, 1])
+
+
+class _FractionReference(SimplexSolver):
+    """The rational tableau simplex: the same pivot rules over Fraction entries.
+
+    Entries are the rational values themselves, so ``det`` and
+    ``rhs_scale`` stay 1 and :meth:`_cost` returns the objective as
+    Fractions with scale 1; the integer solver must reproduce this
+    tableau, divided by its scales, pivot for pivot.
+    """
+
+    def _append_rows(self, rows):
+        k = len(rows)
+        for r in self.tableau:
+            r[-1:-1] = [0] * k
+        old = list(zip(self.tableau, self.basis))
+        width = self.n_cols + k
+        for row, rhs in rows:
+            new = [F(a) for a in row] + [F(0)] * (width - len(row)) + [F(rhs)]
+            new[self.n_cols] = F(1)
+            for r, b in old:
+                factor = new[b]
+                if factor:
+                    new = [a - factor * v for a, v in zip(new, r)]
+            self.tableau.append(new)
+            self.basis.append(self.n_cols)
+            self.n_cols += 1
+
+    def _pivot(self, r, e, obj):
+        tab = self.tableau
+        inv = 1 / tab[r][e]
+        row = tab[r] = [v * inv for v in tab[r]]
+        for other in tab[:r] + tab[r + 1:] + [obj]:
+            factor = other[e]
+            if factor:
+                other[:] = [a - factor * v for a, v in zip(other, row)]
+        self.basis[r] = e
+
+    def _reduced_row(self, cost):
+        obj = list(cost) + [F(0)]
+        for row, b in zip(self.tableau, self.basis):
+            if cost[b]:
+                obj = [o - cost[b] * v for o, v in zip(obj, row)]
+        return obj
+
+    def _cost(self, objective):
+        if len(objective) != len(self.lp.objective):
+            raise ValueError("objective length must match variable count")
+        return [F(c) for c in objective] + [F(0)] * (self.n_cols - len(objective)), 1
+
+
+def _rational(rng, lo, hi):
+    return F(rng.randint(lo * 4, hi * 4), rng.choice([1, 2, 3, 4]))
+
+
+def _pivot_snapshots(solver, gamma):
+    """Record ``(pivot, basis, tableau, objective row)`` as rationals after every pivot.
+
+    The integer solver's entries are checked to be ints over a positive
+    ``det`` and divided by their scales; ``gamma[0]`` is the scale of the
+    objective in effect.  Returns the snapshot list and the list of
+    ``det`` after each pivot.
+    """
+    snapshots, dets = [], []
+
+    def pivot(r, e, obj):
+        type(solver)._pivot(solver, r, e, obj)
+        det, sigma, scale = solver.det, solver.rhs_scale, gamma[0]
+        if isinstance(solver, _FractionReference):
+            scale = 1
+        else:
+            assert type(det) is int and det > 0
+            assert all(type(v) is int for row in solver.tableau for v in row)
+            assert all(type(v) is int for v in obj)
+            assert all(row[b] == det for row, b in zip(solver.tableau, solver.basis))
+        snapshots.append(((r, e), list(solver.basis),
+                          [[F(v, det) for v in row[:-1]] + [F(row[-1], det * sigma)]
+                           for row in solver.tableau],
+                          [F(v, det * scale) for v in obj[:-1]] +
+                          [F(obj[-1], det * sigma * scale)]))
+        dets.append(det)
+
+    solver._pivot = pivot
+    return snapshots, dets
+
+
+def _scale(objective):
+    return lcm(*(F(c).denominator for c in objective))
+
+
+def _lockstep_scenario(rng):
+    """A solve, cuts with new rhs denominators and new objectives on both solvers.
+
+    Returns ``(snapshots, solutions, pivots that changed det)`` of the
+    integer solver, then of the reference.
+    """
+    n = rng.randint(2, 4)
+    x0 = [_rational(rng, 0, 2) for _ in range(n)]      # most programs are feasible
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs, rel = [F(rng.randint(-3, 3)) for _ in range(n)], rng.choice(["<=", ">=", "=="])
+        gap = {"<=": 1, ">=": -1, "==": 0}[rel] * _rational(rng, 0, 2)
+        rows.append((coeffs, rel, sum(a * x for a, x in zip(coeffs, x0)) + gap))
+    upper = [rng.choice([None, x + _rational(rng, 0, 3)]) for x in x0]
+    c = [_rational(rng, -2, 3) for _ in range(n)]
+    cuts = [[([F(rng.randint(-3, 3)) for _ in range(n)], rng.choice(["<=", ">="]),
+              F(rng.randint(-8, 24), rng.choice([5, 6, 7]))) for _ in range(rng.randint(1, 2))]
+            for _ in range(2)]
+    objectives = [[rng.choice([_rational(rng, -2, 3), rng.randint(-3, 3) / 8])
+                   for _ in range(n)] for _ in range(2)]
+    runs = []
+    for cls in (SimplexSolver, _FractionReference):
+        solver = cls(LinearProgram(c, rows, upper))
+        gamma = [_scale(c)]
+        snapshots, dets = _pivot_snapshots(solver, gamma)
+        solutions = [solver.solve()]
+        last = c
+        for cut, objective in zip(cuts, objectives):
+            if solutions[-1].status != "optimal":
+                break
+            gamma[0] = _scale(last)
+            if not solver.add_rows(cut):
+                solutions.append("infeasible")
+                break
+            gamma[0] = _scale(objective)
+            solutions.append(solver.resolve(objective))
+            last = objective
+        runs.append((snapshots, solutions, sum(a != b for a, b in zip([1] + dets, dets))))
+    return runs
+
+
+def test_integer_tableau_is_the_rational_tableau_over_det(monkeypatch):
+    # on integral coefficients the integer-preserving pivots must make the
+    # rational simplex's pivots, and its tableau divided by det (the rhs
+    # column also by rhs_scale, the objective row by the objective's scale)
+    # must be the rational tableau after every one of them
+    rescales = pivots = 0
+    for _ in _stall_budgets(monkeypatch):
+        rng = random.Random(101)
+        for _ in range(120):
+            (mine, mine_solutions, changed), (ref, ref_solutions, _) = _lockstep_scenario(rng)
+            assert mine == ref
+            assert len(mine_solutions) == len(ref_solutions)
+            for a, b in zip(mine_solutions, ref_solutions):
+                if a == "infeasible":
+                    assert b == "infeasible"
+                    continue
+                assert (a.status, a.value, a.x) == (b.status, b.value, b.x)
+                assert a.x is None or all(type(v) is Fraction for v in a.x)
+            rescales += changed
+            pivots += len(mine)
+    assert pivots >= 1000 and rescales >= 600
+
+
+def test_fuzz_non_integral_coefficients(monkeypatch):
+    # rows and caps with Fraction coefficients, rhs and caps, then appended
+    # cuts: statuses and values must match a cold solve and scipy, and every
+    # returned point must satisfy the program exactly.  Such a row enters the
+    # tableau multiplied by the lcm of its coefficient denominators, which
+    # rescales its slack, so the pivots (and hence the optimal vertex among
+    # ties) may differ from the rational simplex on the unscaled row; only
+    # the status, the value and feasibility are pinned here.
+    from scipy.optimize import linprog
+    for _ in _stall_budgets(monkeypatch):
+        _fuzz_fraction_rows(linprog, random.Random(103))
+
+
+def _fraction_row(rng, n, relations):
+    return ([_rational(rng, -3, 3) for _ in range(n)], rng.choice(relations),
+            _rational(rng, -4, 6))
+
+
+def _check_against(linprog, lp, mine):
+    """``mine`` equals a cold solve of ``lp``; returns whether scipy agrees."""
+    cold = SimplexSolver(LinearProgram(lp.objective, lp.rows, lp.upper)).solve()
+    assert mine.status == cold.status and mine.value == cold.value
+    if mine.status == "optimal":
+        _assert_feasible(lp, mine.x)
+        assert sum(a * x for a, x in zip(lp.objective, mine.x)) == mine.value
+    status, value = _highs(linprog, lp.objective, lp.rows, lp.upper)
+    return status == mine.status and (status != "optimal" or abs(float(mine.value) - value) < 1e-7)
+
+
+def _fuzz_fraction_rows(linprog, rng):
+    agreements = checked = appended = 0
+    for _ in range(160):
+        n = rng.randint(1, 4)
+        upper = [rng.choice([None, _rational(rng, 1, 6)]) for _ in range(n)]
+        rows = [_fraction_row(rng, n, ["<=", ">=", "=="]) for _ in range(rng.randint(0, 4))]
+        c = [_rational(rng, -3, 3) for _ in range(n)]
+        lp = LinearProgram(c, rows, upper)
+        solver = SimplexSolver(lp)
+        mine = solver.solve()
+        checked += 1
+        agreements += _check_against(linprog, lp, mine)
+        if mine.status != "optimal":
+            continue
+        extra = [_fraction_row(rng, n, ["<=", ">="]) for _ in range(rng.randint(1, 2))]
+        if not solver.add_rows(extra):
+            assert SimplexSolver(LinearProgram(c, rows + extra, upper)).solve().status == \
+                "infeasible"
+            continue
+        appended += 1
+        for objective in (c, [_rational(rng, -3, 3) for _ in range(n)]):
+            checked += 1
+            agreements += _check_against(linprog, LinearProgram(objective, rows + extra, upper),
+                                         solver.resolve(objective))
+    assert checked >= 250 and appended >= 50 and agreements >= checked - 2
