@@ -16,6 +16,8 @@ tables: :meth:`EntropyOracle.table` gives the entropy of every subset of a
 node set, which a linear model computes in one depth-first rank sweep over
 the subset tree (:meth:`LinearSource.rank_table`) instead of one Gaussian
 elimination per subset; the other models are evaluated subset by subset.
+:meth:`EntropyOracle.conditional_table` keeps the conditional entropies of
+each node tuple, filled once from that table and shared by every caller.
 """
 
 from __future__ import annotations
@@ -171,17 +173,25 @@ class PmfSource:
 
 @dataclass
 class EntropyOracle:
-    """Memoizing subset-entropy function over an ordered ground set."""
+    """Memoizing subset-entropy function over an ordered ground set.
+
+    Besides the per-mask memo it keeps, per node tuple G, the conditional
+    table of :meth:`conditional_table`.  That table is a read-only tuple
+    filled once from :meth:`table` and shared: every client and every stage
+    that asks for the same G on this oracle reads the same object.
+    """
 
     ground: tuple
     model: object
     unit: str = "packets"
     _index: dict = field(init=False, repr=False)
     _memo: dict = field(init=False, repr=False)
+    _conditional: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self._index = {node: i for i, node in enumerate(self.ground)}
         self._memo = {0: Fraction(0)}
+        self._conditional = {}
 
     @classmethod
     def from_model(cls, ground, model) -> "EntropyOracle":
@@ -230,6 +240,24 @@ class EntropyOracle:
         values = [Fraction(r) for r in range(ranks[-1] + 1)]    # the full set has the top rank
         self._memo.update(zip(masks, (values[r] for r in ranks)))
         return ranks
+
+    def conditional_table(self, nodes) -> tuple:
+        """g(S) = H(G) - H(G \\ S) for every subset S of G = nodes, indexed by local mask.
+
+        Bit i of a mask is ``nodes[i]``, so the table is kept under the exact
+        tuple: a reordering of G is another table.  The first call for a
+        tuple fills it from :meth:`table` (which also memoizes every entropy
+        of G's subsets); later calls return the same tuple.  Entries are
+        exact, as in :meth:`table`.
+        """
+        nodes = tuple(nodes)
+        g = self._conditional.get(nodes)
+        if g is None:
+            h = self.table(nodes)
+            top = h[-1]
+            # mask ^ full runs from full down to 0, so G \ S is read back to front
+            g = self._conditional[nodes] = tuple(top - x for x in reversed(h))
+        return g
 
     def conditional(self, nodes, within) -> Fraction:
         """H(X_S | X_{G \\ S}) for S = nodes inside the ground subset G = within."""

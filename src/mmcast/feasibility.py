@@ -55,12 +55,17 @@ def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> Fe
 
     The empty set is skipped (its slack is identically zero).  The cut and
     the requirement of the witness are evaluated again from their per-subset
-    definitions, so ``slack == cut - required`` checks the tables.
+    definitions, and a slack other than ``cut - required`` raises
+    RuntimeError: the tables, the oracle's shared conditional table
+    included, disagree with them.
     """
     f = slack_function(sub, oracle, capacities)
     witness, worst = sfm_brute_force(f, include_empty=False)
     required = oracle.conditional(witness, sub.sources)
     cut = cut_capacity(capacities, witness, sub.edges)
+    if worst != cut - required:
+        raise RuntimeError(f"client {sub.client}: the tables give slack {worst} at "
+                           f"{witness}, its cut and requirement give {cut - required}")
     return FeasibilityCertificate(sub.client, worst >= 0, witness, cut, required, worst)
 
 

@@ -242,8 +242,10 @@ class Region:
 
     Bit i of a mask is ``sub.sources[i]``, in any order of the sources.
     Holds ``g``, the table of g(S) = H(G) - H(G \\ S) over
-    G = ``sub.sources``, read from ``oracle.table`` (one rank sweep for a
-    linear model), which also memoizes every entropy of G's subsets.  The
+    G = ``sub.sources``: the conditional entropies come from the oracle's
+    table of the source tuple (``oracle.conditional_table``), a read-only
+    tuple that every Region with the same sources on that oracle shares,
+    so one rank sweep serves them all for a linear model.  The
     cut and boundary tables depend on the capacities or rates and are
     filled on request, by doubling over the sources.  Tables cover all 2^m
     masks, so they are for the brute-force paths (m <= BRUTE_FORCE_LIMIT).
@@ -260,9 +262,8 @@ class Region:
             self._out[index[e.tail]].append((head, j))
             if head is not None:
                 self._in[head].append((index[e.tail], j))
-        h = oracle.table(sub.sources)
-        self.full = len(h) - 1
-        self.g = [h[-1] - h[self.full ^ mask] for mask in range(len(h))]
+        self.g = oracle.conditional_table(sub.sources)
+        self.full = len(self.g) - 1
 
     def cut(self, capacities: dict) -> list:
         """c(out(S)) for every mask.

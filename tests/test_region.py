@@ -1,15 +1,22 @@
 """The mask-indexed region tables against their per-subset definitions."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import random_pmf_doc, region_cases
-from mmcast.entropy import EntropyOracle, tabular_from_oracle
+import pytest
+
+from helpers import random_instance_doc, random_pmf_doc, region_cases
+from mmcast import load_instance
+from mmcast.entropy import EntropyOracle, LinearSource, tabular_from_oracle
 from mmcast.errors import Infeasible
-from mmcast.feasibility import check_feasible_single
+from mmcast.feasibility import check_feasible_multi, check_feasible_single
 from mmcast.model import ClientSubproblem, Region, boundary, client_subproblem, cut_capacity
-from mmcast.single_client import RegionOptimizer, most_violated
+from mmcast.multi_client import solve_multi_exact, solve_multi_subgradient
+from mmcast.netcode import build_coded_network
+from mmcast.single_client import (RegionOptimizer, most_violated, solve_single_client,
+                                  solve_single_client_bruteforce)
 from mmcast.submodular import SetFunction, members, sfm_brute_force
 
 REFERENCE = Path(__file__).resolve().parent / "data" / "region_reference.json"
@@ -111,3 +118,96 @@ def test_separation_is_none_exactly_when_no_slack_is_negative():
                 outcomes[kind].add(got is None)
     for kind, seen in outcomes.items():
         assert seen == {True, False}, kind
+
+
+def _stages(instance, oracle):
+    """Every stage that reads a Region, as (name, call) pairs on one oracle."""
+    caps, costs = instance.capacities(), instance.costs()
+    yield "feas", lambda: check_feasible_multi(instance, oracle)
+    for t in instance.clients:
+        sub = client_subproblem(instance, oracle, t)
+        yield "single " + t, lambda sub=sub: solve_single_client(sub, oracle, costs, caps)
+        yield "brute " + t, lambda sub=sub: solve_single_client_bruteforce(sub, oracle, costs,
+                                                                           caps)
+    yield "exact", lambda: solve_multi_exact(instance, oracle)
+    yield "subgradient", lambda: solve_multi_subgradient(instance, oracle, max_iters=4)
+
+
+def _outcome(call) -> str:
+    try:
+        return repr(call())
+    except Infeasible as exc:      # its repr holds the certificates
+        return repr(exc)
+
+
+def test_one_rank_sweep_per_source_tuple(monkeypatch, f2):
+    sweeps = []
+    rank_table = LinearSource.rank_table
+
+    def counted(self, nodes):
+        sweeps.append(tuple(nodes))
+        return rank_table(self, nodes)
+
+    monkeypatch.setattr(LinearSource, "rank_table", counted)
+    # seed 0 is feasible, seed 3 is not: the second also builds the Infeasible certificates
+    for seed, feasible in ((0, True), (3, False)):
+        doc = random_instance_doc(random.Random(seed), n_sources=6, n_clients=3, max_capacity=6)
+        instance, _, model = load_instance(doc)
+        oracle = EntropyOracle.from_model(instance.sources, model)
+        sweeps.clear()
+        outcomes = [_outcome(call) for _, call in _stages(instance, oracle)]
+        assert check_feasible_multi(instance, oracle).feasible is feasible
+        assert any(o.startswith("Infeasible") for o in outcomes) is not feasible
+        if feasible:
+            build_coded_network(instance, model, solve_multi_exact(instance, oracle).envelope,
+                                oracle=oracle)
+        subs = [client_subproblem(instance, oracle, t) for t in instance.clients]
+        assert len({sub.sources for sub in subs}) == 1
+        assert sweeps == [subs[0].sources]
+        assert Region(subs[0], oracle).g is Region(subs[-1], oracle).g
+
+    # the F2 clients reach different source sets: one table per tuple
+    instance, _, model = f2
+    oracle = EntropyOracle.from_model(instance.sources, model)
+    sweeps.clear()
+    for _, call in _stages(instance, oracle):
+        call()
+    subs = [client_subproblem(instance, oracle, t) for t in instance.clients]
+    tuples = {sub.sources for sub in subs}
+    assert len(tuples) == len(subs) == 2
+    assert sorted(sweeps) == sorted(tuples)
+    assert all(Region(sub, oracle).g is oracle.conditional_table(sub.sources) for sub in subs)
+
+
+def test_sharing_changes_no_answer():
+    cases = list(_model_cases())
+    for seed in range(3):
+        doc = random_instance_doc(random.Random(seed), n_sources=6, n_clients=3, max_capacity=6)
+        instance, oracle, _ = load_instance(doc)
+        cases.append(("linear", instance, oracle, None))
+    for kind, instance, oracle, _ in cases:
+        model = oracle.model
+        shared = EntropyOracle.from_model(oracle.ground, model)
+        for name, call in _stages(instance, shared):
+            # the same stage on an oracle of its own, which shares no table with the others
+            fresh = EntropyOracle.from_model(oracle.ground, model)
+            assert _outcome(call) == _outcome(dict(_stages(instance, fresh))[name]), (kind, name)
+        for t in instance.clients:
+            sources = client_subproblem(instance, shared, t).sources
+            table = shared.conditional_table(sources)
+            fresh = EntropyOracle.from_model(oracle.ground, model)
+            assert table == tuple(fresh.conditional(members(sources, mask), sources)
+                                  for mask in range(1 << len(sources))), kind
+            with pytest.raises(TypeError):
+                table[0] = 1
+
+
+def test_feasibility_certificate_checks_the_shared_table(f2):
+    # a wrong shared table is caught by the per-subset re-evaluation of the witness
+    instance, _, model = f2
+    oracle = EntropyOracle.from_model(instance.sources, model)
+    sub = client_subproblem(instance, oracle, instance.clients[0])
+    good = oracle.conditional_table(sub.sources)
+    oracle._conditional[sub.sources] = tuple(g + 1 if mask else g for mask, g in enumerate(good))
+    with pytest.raises(RuntimeError, match="slack"):
+        check_feasible_single(sub, oracle, instance.capacities())
