@@ -11,6 +11,7 @@ feasibility; they compute these certificates only to explain an empty LP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,24 +44,40 @@ class FeasibilityReport:
         return {c.client: c for c in self.certificates}
 
 
+def _slack_table(sub: ClientSubproblem, oracle, capacities: dict, scale: int = 1) -> list:
+    """scale * (c(out(S)) - g(S)) for every mask, from scale * capacity on each edge."""
+    region = Region(sub, oracle)
+    if scale == 1:
+        return [c - g for c, g in zip(region.cut(capacities), region.g)]
+    scaled = {e.id: capacities[e.id] * scale for e in sub.edges}
+    return [c - scale * g for c, g in zip(region.cut(scaled), region.g)]
+
+
 def slack_function(sub: ClientSubproblem, oracle, capacities: dict) -> SetFunction:
     """S -> c(out(S)) - g(S) over the client's sources; submodular, tabulated."""
-    region = Region(sub, oracle)
-    slack = [c - g for c, g in zip(region.cut(capacities), region.g)]
-    return SetFunction.tabulated(sub.sources, slack, "submodular")
+    return SetFunction.tabulated(sub.sources, _slack_table(sub, oracle, capacities), "submodular")
 
 
 def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> FeasibilityCertificate:
     """Certificate for one client: worst subset of the slack function.
 
-    The empty set is skipped (its slack is identically zero).  The cut and
-    the requirement of the witness are evaluated again from their per-subset
+    The slack is tabulated over one common denominator: D, the lcm of the
+    denominators of the client's edge capacities.  When D > 1 the cut table
+    is filled in ints of D * capacity, ``cut - D * g`` is minimized (a
+    positive scale keeps the minimizer and its tie-break) and the minimum
+    is divided by D once; when D = 1 the table is the slack itself.  The
+    empty set is skipped (its slack is identically zero).  The cut and the
+    requirement of the witness are evaluated again from their per-subset
     definitions, and a slack other than ``cut - required`` raises
     RuntimeError: the tables, the oracle's shared conditional table
     included, disagree with them.
     """
-    f = slack_function(sub, oracle, capacities)
+    scale = math.lcm(*(capacities[e.id].denominator for e in sub.edges))
+    f = SetFunction.tabulated(sub.sources, _slack_table(sub, oracle, capacities, scale),
+                              "submodular")
     witness, worst = sfm_brute_force(f, include_empty=False)
+    if scale > 1:
+        worst /= scale
     required = oracle.conditional(witness, sub.sources)
     cut = cut_capacity(capacities, witness, sub.edges)
     if worst != cut - required:

@@ -60,13 +60,18 @@ class FieldMatrix:
 
     @classmethod
     def from_rows(cls, row_lists, q: int, cols: int | None = None) -> "FieldMatrix":
+        """Matrix of the given rows; each must have ``cols`` entries.
+
+        ``cols`` defaults to the length of the first row (0 without rows).
+        A row of another length raises ValueError: rows are never reshaped.
+        """
         row_lists = [list(r) for r in row_lists]
-        if row_lists:
-            cols = len(row_lists[0])
-        elif cols is None:
-            cols = 0
-        flat = [x for r in row_lists for x in r]
-        return cls(len(row_lists), cols, flat, q)
+        if cols is None:
+            cols = len(row_lists[0]) if row_lists else 0
+        for i, r in enumerate(row_lists):
+            if len(r) != cols:
+                raise ValueError(f"row {i} has {len(r)} entries, expected {cols}")
+        return cls(len(row_lists), cols, [x for r in row_lists for x in r], q)
 
     @classmethod
     def identity(cls, n: int, q: int) -> "FieldMatrix":
@@ -82,6 +87,9 @@ class FieldMatrix:
 
     def row(self, i: int) -> tuple:
         return self._data[i * self.cols:(i + 1) * self.cols]
+
+    def column(self, j: int) -> tuple:
+        return self._data[j::self.cols]
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -179,19 +187,41 @@ def _forward_eliminate(work: list, q: int, cols: int):
     return pivots
 
 
-def rank(m: FieldMatrix) -> int:
-    """Rank via Gaussian elimination; the input matrix is not mutated."""
-    work = [list(m.row(i)) for i in range(m.rows)]
-    return len(_forward_eliminate(work, m.q, m.cols))
+def row_basis(rows, q: int) -> list:
+    """Indices of the greedy row basis: each row not in the span of the rows before it.
+
+    ``rows`` are sequences of field elements in [0, q), eliminated as given:
+    each row is reduced by the basis rows kept so far, in order, and kept
+    when something nonzero is left, scaled to 1 at its first nonzero
+    column.  Every kept row is zero in the pivot columns of the rows kept
+    before it, so one subtraction per pivot reduces a row.  The scan stops
+    once the basis spans all of F_q^cols.
+    """
+    kept, basis = [], []            # basis: (pivot column, reduced row with 1 there)
+    for k, row in enumerate(rows):
+        for c, b in basis:
+            f = row[c]
+            if f:
+                row = [(x - f * y) % q for x, y in zip(row, b)]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        inv = pow(row[pivot], -1, q)
+        basis.append((pivot, [x * inv % q for x in row]))
+        kept.append(k)
+        if len(kept) == len(row):
+            break
+    return kept
 
 
 def independent_rows(m: FieldMatrix) -> list:
-    """Indices of the greedy row basis: each row not in the span of the rows before it.
+    """Indices of the greedy row basis of m (see :func:`row_basis`)."""
+    return row_basis([m.row(i) for i in range(m.rows)], m.q)
 
-    These are the pivot columns of one elimination of the transpose.
-    """
-    work = [[m[i, j] for i in range(m.rows)] for j in range(m.cols)]
-    return [c for _, c in _forward_eliminate(work, m.q, m.rows)]
+
+def rank(m: FieldMatrix) -> int:
+    """Size of the greedy row basis; the input matrix is not mutated."""
+    return len(independent_rows(m))
 
 
 def solve_right(m: FieldMatrix, y: FieldMatrix) -> FieldMatrix:

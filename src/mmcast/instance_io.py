@@ -74,6 +74,10 @@ def parse_source_model(description: dict, sources):
                 entries = [[parse_integer(x) for x in row] for row in rows]
             except TypeError as exc:
                 raise InvalidInstance(f"matrix of {node} must be a list of rows: {exc}") from exc
+            for i, row in enumerate(entries):
+                if len(row) != n:
+                    raise InvalidInstance(
+                        f"row {i} of the matrix of {node} has {len(row)} entries, expected N = {n}")
             matrices[node] = FieldMatrix.from_rows(entries, q, cols=n)
         return LinearSource(q, n, matrices)
     if kind == "tabular":

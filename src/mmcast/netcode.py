@@ -10,8 +10,15 @@ is inverted: (I - Gamma) is unipotent in the topological channel order, so
 the columns of A (I - Gamma)^-1 are the coding vectors, propagated once per
 assignment by forward substitution; M(t) is a slice of them, and each client
 decodes through the inverse of one n x n block of M(t).
-Coefficients are drawn uniformly from F_q with a seeded generator and the
-resulting transfer ranks are verified, retrying on failure.
+
+The substitution runs on packed integers: a coding vector is also held as
+one int whose lane i, ``width`` bits wide, holds entry i.  A channel's
+vector is then one big-int multiply-add per nonzero coefficient and one
+reduction mod q per lane.  ``width`` is the bit length of the largest
+unreduced lane, max in-degree * (q - 1)^2, so no lane carries into the
+next.  Coefficients are drawn uniformly from F_q by a stated, seeded
+stream (see :func:`assign_coefficients`), and each client's rank is
+checked by eliminating its received vectors directly, retrying on failure.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import lshift, mul
 
 from . import gf
 from .entropy import LinearSource
@@ -120,16 +129,14 @@ def build_coded_network(instance: NetworkInstance, source_model,
             raise InfeasibleRates(f"rate {r} on edge {e.id} outside [0, {e.capacity}]")
 
     n_packets = source_model.n_packets
-    joint = source_model.stacked(instance.sources)
-    if gf.rank(joint) < n_packets:
+    joint_rank = gf.rank(source_model.stacked(instance.sources))
+    if joint_rank < n_packets:
         raise InfeasibleRates(
-            f"joint observations have rank {gf.rank(joint)} < {n_packets}: "
+            f"joint observations have rank {joint_rank} < {n_packets}: "
             "the data vector is not determined by the sources")
     _verify_rates_serve_all_clients(instance, oracle, full_rates)
 
-    beta = 1
-    for r in full_rates.values():
-        beta = beta * r.denominator // math.gcd(beta, r.denominator)
+    beta = math.lcm(*(r.denominator for r in full_rates.values()))
     if beta > BETA_CAP:
         raise ScaleOverflow(f"block scale {beta} exceeds cap {BETA_CAP}")
     n_symbols = beta * n_packets
@@ -141,27 +148,23 @@ def build_coded_network(instance: NetworkInstance, source_model,
 
     topo_pos = {v: i for i, v in enumerate(instance.topo_order)}
     channels: list = []
-    columns: list = []          # injected vector per channel
+    injected: list = []         # per source channel: (index, first symbol, observation row)
 
     for m in instance.sources:
         a_m = source_model.matrix_for(m)
         basis = gf.independent_rows(a_m)
         for b in range(beta):
             for r in basis:
-                vec = [0] * n_symbols
-                row = a_m.row(r)
-                vec[b * n_packets:(b + 1) * n_packets] = list(row)
+                injected.append((len(channels), b * n_packets, a_m.row(r)))
                 channels.append(Channel(len(channels), "source", super_node, m, None,
                                         f"{super_node}->{m}#{r}b{b}"))
-                columns.append(vec)
 
     edge_order = {e.id: i for i, e in enumerate(instance.edges)}
     for e in sorted(instance.edges, key=lambda e: (topo_pos[e.tail], edge_order[e.id])):
-        count = full_rates[e.id] * beta
-        for i in range(int(count)):
+        r = full_rates[e.id]
+        for i in range(r.numerator * (beta // r.denominator)):
             channels.append(Channel(len(channels), "edge", e.tail, e.head, e.id,
                                     f"{e.id}#{i}"))
-            columns.append([0] * n_symbols)
 
     by_head: dict = {}
     for ch in channels:
@@ -170,73 +173,107 @@ def build_coded_network(instance: NetworkInstance, source_model,
         tuple(by_head.get(ch.tail, ())) if ch.kind == "edge" else ()
         for ch in channels)
 
-    flat = [columns[c][i] for i in range(n_symbols) for c in range(len(channels))]
-    source_matrix = FieldMatrix(n_symbols, len(channels), flat, q)
+    n_channels = len(channels)
+    flat = [0] * (n_symbols * n_channels)
+    for c, first, row in injected:      # rows first .. first + N - 1 of column c
+        flat[first * n_channels + c:(first + n_packets) * n_channels:n_channels] = row
+    source_matrix = FieldMatrix(n_symbols, n_channels, flat, q)
     sinks = {t: tuple(by_head.get(t, ())) for t in instance.clients}
     return CodedNetwork(instance, source_model, q, n_packets, beta, n_symbols,
                         super_node, tuple(channels), inputs, source_matrix,
                         sinks, full_rates)
 
 
+def _input_pairs(net: CodedNetwork) -> list:
+    """(feeding, fed) channel pairs in channel-input order, the order coefficients are drawn in.
+
+    Fed channels come in channel order, each with its feeding channels in order.
+    """
+    return [(src, ch.index) for ch in net.channels for src in net.inputs[ch.index]]
+
+
 def propagate_global_vectors(net: CodedNetwork, assignment: CodeAssignment) -> list:
     """Recompute every channel's coding vector in topological channel order."""
-    return _propagate(net, assignment.coefficients)
+    coefficients = assignment.coefficients
+    return _propagate(net, [coefficients.get(pair, 0) for pair in _input_pairs(net)])
 
 
-def _propagate(net: CodedNetwork, coefficients: dict) -> list:
+def _propagate(net: CodedNetwork, coefficients: list) -> list:
+    """Coding vectors of every channel from coefficients in channel-input order.
+
+    Each vector is also packed into one int, entry i in the lane at bit
+    i * width.  A channel's packed sum takes one multiply-add per nonzero
+    coefficient; each of its lanes is at most max in-degree * (q - 1)^2,
+    below 2^width, so the lanes stay apart until each is reduced mod q.
+    """
     q = net.q
-    a = net.source_matrix
+    width = (max(1, max(map(len, net.inputs), default=0)) * (q - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, net.n_symbols * width, width)
+    coefficients = iter(coefficients)
     vectors: list = []
-    for ch in net.channels:
+    packed: list = []
+    for ch, feeding in zip(net.channels, net.inputs):
         if ch.kind == "source":
-            vectors.append(tuple(a[i, ch.index] for i in range(net.n_symbols)))
-            continue
-        acc = [0] * net.n_symbols
-        for src in net.inputs[ch.index]:
-            coeff = coefficients.get((src, ch.index), 0)
-            if coeff:
-                vec = vectors[src]
-                acc = [(x + coeff * y) % q for x, y in zip(acc, vec)]
-        vectors.append(tuple(acc))
+            vec = net.source_matrix.column(ch.index)
+        else:
+            acc = 0
+            for src, coeff in zip(feeding, coefficients):
+                if coeff:
+                    acc += coeff * packed[src]
+            vec = tuple([(acc >> shift & mask) % q for shift in shifts])
+        vectors.append(vec)
+        packed.append(sum(map(lshift, vec, shifts)))
     return vectors
 
 
 def assignment_from_coefficients(net: CodedNetwork, coefficients: dict) -> CodeAssignment:
     """Wrap explicit local coefficients (e.g. hand-built routing codes)."""
-    allowed = {(src, ch.index) for ch in net.channels for src in net.inputs[ch.index]}
-    bad = set(coefficients) - allowed
+    pairs = _input_pairs(net)
+    bad = set(coefficients) - set(pairs)
     if bad:
         raise InvalidParameters(f"coefficients on non-adjacent channel pairs: {sorted(bad)}")
     coeffs = {k: int(v) % net.q for k, v in coefficients.items()}
-    return CodeAssignment(coeffs, tuple(_propagate(net, coeffs)), 1, None)
+    vectors = _propagate(net, [coeffs.get(pair, 0) for pair in pairs])
+    return CodeAssignment(coeffs, tuple(vectors), 1, None)
 
 
 def assign_coefficients(net: CodedNetwork, seed: int = 0,
                         max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> CodeAssignment:
     """Draw local coefficients uniformly from F_q until all clients decode.
 
-    Attempt i uses the deterministic stream seeded by (seed, i); the first
-    passing assignment is returned with the attempt count.  Requires
-    q > number of clients.
+    Attempt i draws from ``random.Random(seed * 1_000_003 + i)``, one
+    coefficient per (feeding, fed) channel pair in channel-input order
+    (fed channels in channel order, each with its feeding channels in
+    order).  A coefficient is ``getrandbits(q.bit_length())``, drawn again
+    while it is >= q: this rejection stream is the definition, and on
+    Python >= 3.10 it is also the stream of ``randrange(q)``.  Each
+    client's received vectors are eliminated directly for its rank; the
+    first attempt at which every client has full rank is returned with
+    the attempt count.  Requires q > number of clients.
     """
+    q = net.q
     k = len(net.clients)
-    if net.q <= k:
-        raise FieldTooSmall(f"field size {net.q} must exceed the client count {k}")
+    if q <= k:
+        raise FieldTooSmall(f"field size {q} must exceed the client count {k}")
+    pairs = _input_pairs(net)
+    bits = q.bit_length()
     best_ranks = {t: 0 for t in net.clients}
     for attempt in range(max_attempts):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        coeffs = {}
-        for ch in net.channels:
-            for src in net.inputs[ch.index]:
-                coeffs[(src, ch.index)] = rng.randrange(net.q)
+        draw = random.Random(seed * 1_000_003 + attempt).getrandbits
+        coeffs: list = []
+        # each batch draws only the values still missing, so coeffs ends as the
+        # first len(pairs) draws below q, as one draw at a time would give
+        while len(coeffs) < len(pairs):
+            coeffs += [x for x in map(draw, repeat(bits, len(pairs) - len(coeffs))) if x < q]
         vectors = _propagate(net, coeffs)
-        ranks = {}
+        full = True
         for t in net.clients:
-            received = [vectors[c] for c in net.sink_channels[t]]
-            ranks[t] = gf.rank(FieldMatrix.from_rows(received, net.q, cols=net.n_symbols))
-            best_ranks[t] = max(best_ranks[t], ranks[t])
-        if all(r == net.n_symbols for r in ranks.values()):
-            return CodeAssignment(coeffs, tuple(vectors), attempt + 1, seed)
+            r = len(gf.row_basis([vectors[c] for c in net.sink_channels[t]], q))
+            best_ranks[t] = max(best_ranks[t], r)
+            full = full and r == net.n_symbols
+        if full:
+            return CodeAssignment(dict(zip(pairs, coeffs)), tuple(vectors), attempt + 1, seed)
     raise VerificationFailedAllAttempts(
         f"no full-rank assignment in {max_attempts} attempts "
         f"(best ranks {best_ranks}, need {net.n_symbols})",
@@ -261,23 +298,26 @@ def transfer_matrix(net: CodedNetwork, assignment: CodeAssignment, t: str) -> Fi
 def build_decoder(net: CodedNetwork, assignment: CodeAssignment, t: str) -> FieldMatrix:
     """Decoder D with D . received = W for every data vector W.
 
-    The leftmost linearly independent columns of M(t) form an invertible
-    n x n block B; D holds (B^-1)^T in those columns and zero in the rest,
-    which is the solution of M(t) D^T = I with every free variable zero.
-    Raises RankDeficient when M(t) has rank below the expanded data
+    The received coding vectors, the columns of M(t), are eliminated once
+    in sink-channel order.  The leftmost linearly independent ones are the
+    columns of an invertible n x n block B of M(t) and, as given, the rows
+    of B^T.  D holds (B^T)^-1 = (B^-1)^T in those columns and zero in the
+    rest, which is the solution of M(t) D^T = I with every free variable
+    zero.  Raises RankDeficient when M(t) has rank below the expanded data
     dimension n.
     """
-    m = transfer_matrix(net, assignment, t)
+    received = [assignment.global_vectors[c] for c in net.sink_channels[t]]
     n = net.n_symbols
-    basis = gf.independent_rows(m.transpose())
+    basis = gf.row_basis(received, net.q)
     if len(basis) < n:
         raise RankDeficient(f"client {t} transfer matrix has rank {len(basis)} < {n}")
-    block_inv = gf.inverse(m.select_columns(basis))
-    entries = [0] * (n * m.cols)
+    block_inv = gf.inverse(FieldMatrix.from_rows([received[k] for k in basis], net.q, cols=n))
+    cols = len(received)
+    entries = [0] * (n * cols)
     for k, c in enumerate(basis):
         for i in range(n):
-            entries[i * m.cols + c] = block_inv[k, i]
-    return FieldMatrix(n, m.cols, entries, net.q)
+            entries[i * cols + c] = block_inv[i, k]
+    return FieldMatrix(n, cols, entries, net.q)
 
 
 @dataclass
@@ -308,16 +348,15 @@ def simulate(net: CodedNetwork, assignment: CodeAssignment, w) -> SimulationResu
     if len(w) != net.n_symbols:
         raise InfeasibleRates(f"data vector length {len(w)} != {net.n_symbols}")
     q = net.q
-    a = net.source_matrix
+    coefficient = assignment.coefficients.get
     messages: list = []
-    for ch in net.channels:
+    for ch, feeding in zip(net.channels, net.inputs):
         if ch.kind == "source":
-            messages.append(sum(a[i, ch.index] * w[i] for i in range(net.n_symbols)) % q)
+            messages.append(sum(map(mul, net.source_matrix.column(ch.index), w)) % q)
         else:
             acc = 0
-            for src in net.inputs[ch.index]:
-                coeff = assignment.coefficients.get((src, ch.index), 0)
-                acc += coeff * messages[src]
+            for src in feeding:
+                acc += coefficient((src, ch.index), 0) * messages[src]
             messages.append(acc % q)
     reports = {}
     for t in net.clients:

@@ -267,6 +267,7 @@ def test_oracle_agrees_with_primary_paths(capsys):
 # when both outputs are valid optima.  Regenerate a file by running the
 # command from the repository root, e.g.
 #   python -m mmcast feas fixtures/fixture-F2.json > tests/data/f2_cli/feas.json
+HALF_RATES = "tests/data/f2_cli/rates-half.json"   # relative: the manifest echoes it
 F2_PINNED = {
     "feas": ["feas"],
     "solve-exact": ["solve", "--all-clients", "--method", "exact"],
@@ -274,6 +275,14 @@ F2_PINNED = {
                           "--iters", "150", "--gap", "0"],
     "solve-t1": ["solve", "--client", "t1"],
     "oracle": ["oracle"],
+    # beta = 2 from the half rates; q = 3 retries (4 attempts) and the 64-bit
+    # prime gives coding-vector lanes wider than 64 bits
+    "code": ["code", "--rates", HALF_RATES, "--seed", "3"],
+    "code-q3": ["code", "--rates", HALF_RATES, "--seed", "3", "--q", "3"],
+    "code-q64": ["code", "--rates", HALF_RATES, "--seed", "3",
+                 "--q", "18446744073709551557"],
+    "simulate": ["simulate", "--rates", HALF_RATES, "--seed", "3",
+                 "--w", "1,2,3,4,0,1,2,3"],
 }
 
 

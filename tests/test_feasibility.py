@@ -82,9 +82,15 @@ def test_multi_requires_reconstructability():
 
 def test_agreement_with_enumeration():
     rng = random.Random(79)
+    # non-integral capacities: each edge scaled by 1/2, 1/3 or 1/6, drawn from a
+    # second stream so that the instances (and the tie at index 144) stay the same
+    scale_rng = random.Random(80)
     both = {True: 0, False: 0}
+    fractional_infeasible = 0
     for index in range(150):
         instance, oracle, _ = load_instance(random_instance_doc(rng))
+        scaled = {e: c * scale_rng.choice((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+                  for e, c in instance.capacities().items()}
         for t in instance.clients:
             sub = client_subproblem(instance, oracle, t)
             fast = check_feasible_single(sub, oracle, instance.capacities())
@@ -97,7 +103,15 @@ def test_agreement_with_enumeration():
                 # a tie at slack 0 between ("s5",) and the earlier mask of ("s1", "s2")
                 assert slow.witness_set == ("s5",) and slow.slack == 0
             both[fast.feasible] += 1
+            fast = check_feasible_single(sub, oracle, scaled)
+            slow = enumerate_feasibility(sub, oracle, scaled)
+            assert fast.feasible == slow.feasible
+            assert fast.slack == slow.slack
+            assert fast.witness_set == slow.witness_set
+            assert (fast.cut, fast.required) == (slow.cut, slow.required)
+            fractional_infeasible += not fast.feasible and fast.slack.denominator > 1
     assert both[True] > 0 and both[False] > 0
+    assert fractional_infeasible > 0
 
 
 def test_certificate_soundness():

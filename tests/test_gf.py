@@ -144,3 +144,39 @@ def test_independent_rows_is_greedy_rank_increase():
             if gf.rank(FieldMatrix.from_rows(trial, q)) > len(kept):
                 kept.append(i)
         assert gf.independent_rows(m) == kept
+
+
+def test_from_rows_rejects_ragged_rows():
+    # a row of the wrong length is an error, never reshaped into the next row
+    with pytest.raises(ValueError, match="row 1 has 5 entries, expected 4"):
+        FieldMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0, 3], [2, 0, 0]], 5, cols=4)
+    with pytest.raises(ValueError, match="row 1 has 3 entries, expected 2"):
+        FieldMatrix.from_rows([[1, 0], [0, 1, 0], [2]], 5)     # totals match, rows do not
+    with pytest.raises(ValueError):
+        FieldMatrix.from_rows([[1, 0, 0]], 5, cols=2)
+    assert FieldMatrix.from_rows([], 5, cols=3).cols == 3
+    assert FieldMatrix.from_rows([[1, 2]], 5).to_lists() == [[1, 2]]
+
+
+def test_row_basis_keeps_rows_outside_the_span_of_earlier_rows():
+    # the span of the rows before each one is enumerated outright, with no elimination
+    rng = random.Random(19)
+    for _ in range(300):
+        q = rng.choice((2, 3, 5))
+        c = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(0, 7)):
+            if rows and rng.random() < 0.4:     # a combination of earlier rows
+                a, b = rng.choice(rows), rng.choice(rows)
+                k = rng.randrange(q)
+                rows.append(tuple((x + k * y) % q for x, y in zip(a, b)))
+            else:
+                rows.append(tuple(rng.randrange(q) for _ in range(c)))
+        span, kept = {(0,) * c}, []
+        for i, row in enumerate(rows):
+            if row not in span:
+                kept.append(i)
+                span = {tuple((x + k * y) % q for x, y in zip(s, row))
+                        for s in span for k in range(q)}
+        assert gf.row_basis(rows, q) == kept
+        assert gf.rank(FieldMatrix.from_rows(rows, q, cols=c)) == len(kept)

@@ -101,3 +101,14 @@ def test_linear_model_ignores_a_blocklength_key():
     model = parse_source_model({"kind": "linear", "q": 5, "N": 2, "blocklength": "two",
                                 "matrices": {"a": [[1, 0]]}}, ("a",))
     assert model.entropy(["a"]) == 1
+
+
+def test_ragged_linear_matrix_rejected_naming_the_node():
+    # N = 4: a 5-entry row is not folded into the next one
+    doc = json.loads(FIXTURE_F2.read_text())
+    doc["source_model"]["matrices"]["m1"] = [[1, 0, 0, 0], [0, 1, 0, 0, 3], [2, 0, 0]]
+    with pytest.raises(InvalidInstance, match="row 1 of the matrix of m1 has 5 entries"):
+        load_instance(doc)
+    with pytest.raises(InvalidInstance, match="matrix of m2"):
+        parse_source_model({"kind": "linear", "q": 5, "N": 2,
+                            "matrices": {"m2": [[1, 0], [1]]}}, ("m2",))

@@ -111,12 +111,17 @@ def test_fixture_assignment_full_rank(f2_net):
         assert gf.rank(transfer_matrix(net, assignment, t)) == 4
 
 
+def over_field(sm, q):
+    """The same observation matrices read over F_q."""
+    matrices = {n: FieldMatrix(m.rows, m.cols,
+                               [x for row in m.to_lists() for x in row], q)
+                for n, m in sm.matrices.items()}
+    return LinearSource(q, sm.n_packets, matrices)
+
+
 def test_field_too_small(f2_net):
     instance, oracle, sm, _ = f2_net
-    matrices = {n: FieldMatrix(m.rows, m.cols,
-                               [x for row in m.to_lists() for x in row], 2)
-                for n, m in sm.matrices.items()}
-    sm2 = LinearSource(2, 4, matrices)
+    sm2 = over_field(sm, 2)
     net = build_coded_network(instance, sm2,
                               {k: Fraction(v) for k, v in FIXTURE_RATES.items()})
     with pytest.raises(FieldTooSmall):
@@ -330,6 +335,11 @@ def test_transfer_and_decoder_match_dense_formula():
     for rates, seed in ((fixture_rates, 0), (half, 3), (instance.capacities(), 0)):
         net = build_coded_network(instance, sm, rates, oracle=oracle)
         cases.append((net, assign_coefficients(net, seed=seed)))
+    # the narrowest lanes (q = 3, which also retries) and lanes wider than 64 bits
+    for q in (3, 2 ** 64 - 59):
+        for rates, seed in ((fixture_rates, 0), (half, 3)):
+            net = build_coded_network(instance, over_field(sm, q), rates)
+            cases.append((net, assign_coefficients(net, seed=seed)))
     net3 = identity_network(3)
     cases.append((net3, assign_coefficients(net3, seed=0)))
 
@@ -365,5 +375,29 @@ def test_transfer_and_decoder_match_dense_formula():
                 skipped_first = True
     assert skipped_first
     assert any(net.beta == 2 for net, _ in cases)
+    assert {net.q for net, _ in cases} == {3, 5, 2 ** 64 - 59}
+    assert any(assignment.attempts > 1 for net, assignment in cases if net.q == 3)
     assert any(len(sinks) > net.n_symbols for net, _ in cases
                for sinks in net.sink_channels.values())
+
+
+def input_pairs(net):
+    """(feeding, fed) channel pairs, fed channels in order, each with its inputs in order."""
+    return [(src, ch.index) for ch in net.channels for src in net.inputs[ch.index]]
+
+
+def test_coefficient_stream_is_randrange_per_attempt(f2_net):
+    # attempt i draws Random(seed * 1_000_003 + i).randrange(q) per channel pair in
+    # channel-input order, for a first attempt and for attempts after three retries
+    instance, _, sm, net = f2_net
+    half = {k: Fraction(v) for k, v in FIXTURE_RATES.items()}
+    half.update(e2=Fraction(3, 2), e3=Fraction(3, 2))
+    net3 = build_coded_network(instance, over_field(sm, 3), half)
+    for coded, seed, attempts in ((net, 5, 1), (net, 0, 4), (net3, 3, 4)):
+        assignment = assign_coefficients(coded, seed=seed)
+        assert assignment.attempts == attempts
+        rng = random.Random(seed * 1_000_003 + assignment.attempts - 1)
+        pairs = input_pairs(coded)
+        assert list(assignment.coefficients) == pairs
+        assert list(assignment.coefficients.values()) == [rng.randrange(coded.q)
+                                                          for _ in pairs]
