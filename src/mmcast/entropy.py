@@ -4,7 +4,11 @@ A model assigns a joint entropy H(X_S) to every subset S of source nodes:
 
 * ``LinearSource`` -- each node observes a fixed F_q-linear image of a
   uniform data vector; H(X_S) equals the rank of the stacked observation
-  matrices, measured in packet units.  Exact.
+  matrices, measured in packet units.  Exact.  When every row of a node
+  is zero or a nonzero multiple of a unit vector e_j, the node holds a set
+  of packets (the paper's case (i)), and the rank of a set of such nodes
+  is the number of distinct packets they hold.  Other rows are the
+  paper's case (ii), ranked by Gaussian elimination.
 * ``TabularSource`` -- an explicit subset -> entropy table.  Exact.
 * ``PmfSource`` -- a dense joint probability table; marginal Shannon
   entropies in bits, computed in floating point and rationalized to an
@@ -13,9 +17,11 @@ A model assigns a joint entropy H(X_S) to every subset S of source nodes:
 The oracle memoizes by subset bitmask, so repeated evaluations during
 submodular minimization are cheap and deterministic.  It also fills whole
 tables: :meth:`EntropyOracle.table` gives the entropy of every subset of a
-node set, which a linear model computes in one depth-first rank sweep over
-the subset tree (:meth:`LinearSource.rank_table`) instead of one Gaussian
-elimination per subset; the other models are evaluated subset by subset.
+node set, which a linear model computes in one pass
+(:meth:`LinearSource.rank_table`): by OR-doubling and popcount over packet
+sets in case (i), else one depth-first rank sweep over the subset tree,
+instead of one Gaussian elimination per subset; the other models are
+evaluated subset by subset.
 :meth:`EntropyOracle.conditional_table` keeps the conditional entropies of
 each node tuple, filled once from that table and shared by every caller.
 """
@@ -37,24 +43,51 @@ PMF_TABLE_CAP = 2 ** 20
 POLYMATROID_EXHAUSTIVE = 12
 
 
+def check_linear_parameters(q: int, n_packets: int) -> None:
+    """InvalidInstance unless q is a field modulus and N = n_packets >= 0."""
+    if not gf.is_field_modulus(q):
+        raise InvalidInstance(f"linear model requires a prime q below 2^64, got q={q}")
+    if n_packets < 0:
+        raise InvalidInstance(f"linear model requires N >= 0 packets, got N={n_packets}")
+
+
 @dataclass(frozen=True)
 class LinearSource:
-    """Observations X_m = A_m @ W with W uniform over F_q^N."""
+    """Observations X_m = A_m @ W with W uniform over F_q^N.
+
+    A node whose every row is zero or c * e_j (c != 0) holds the packets j
+    of those rows; its held-packets bitmask (bit j is packet j) is found
+    once, here.  A relay holds nothing.  A node with a row of two or more
+    nonzeros has no mask, and a :meth:`rank_table` over a tuple containing
+    it is built by elimination.  The per-subset :meth:`entropy` always
+    eliminates.
+    """
 
     q: int
     n_packets: int                      # N, length of the data vector W
     matrices: dict                      # node -> FieldMatrix (ell_m x N)
     unit: str = "packets"
+    _held: dict = field(init=False, repr=False, compare=False)   # node -> bitmask or None
 
     def __post_init__(self):
-        if not gf.is_field_modulus(self.q):
-            raise InvalidInstance(f"linear model requires a prime q below 2^64, got q={self.q}")
+        check_linear_parameters(self.q, self.n_packets)
+        held = {}
         for node, m in self.matrices.items():
             if m.cols != self.n_packets:
                 raise InvalidInstance(
                     f"observation matrix of {node} has {m.cols} columns, expected {self.n_packets}")
             if m.q != self.q:
                 raise InvalidInstance(f"observation matrix of {node} is over F_{m.q}, expected F_{self.q}")
+            bits = 0
+            for i in range(m.rows):
+                nonzero = [j for j, x in enumerate(m.row(i)) if x]
+                if len(nonzero) > 1:
+                    bits = None
+                    break
+                if nonzero:
+                    bits |= 1 << nonzero[0]
+            held[node] = bits
+        object.__setattr__(self, "_held", held)
 
     def matrix_for(self, node) -> gf.FieldMatrix:
         # absent nodes are relays: zero-row observation, zero entropy
@@ -72,14 +105,32 @@ class LinearSource:
     def rank_table(self, nodes) -> list:
         """Rank of the stacked observations of every subset of ``nodes``, by local mask.
 
-        Bit i of a mask is ``nodes[i]``.  One depth-first sweep over the
-        subset tree, in which the children of S are S + v for v after every
-        member of S: a child extends its parent's echelon basis by reducing
-        v's rows alone against it, and a relay (no rows) keeps its parent's
-        basis.  A basis of rank N spans F_q^N, so every mask under it is N
-        and is filled without a sweep.  Equals ``gf.rank(self.stacked(S))``,
-        the per-subset path, on every subset S.
+        Bit i of a mask is ``nodes[i]``.  When every node holds a packet set
+        (case (i)), the rank of S is the number of packets its members hold
+        between them: the held sets of all subsets are built by doubling the
+        list once per node, ORing the node's set into the earlier entries,
+        and each is counted by ``bit_count``.
+
+        Otherwise (case (ii)), one depth-first sweep over the subset tree,
+        in which the children of S are S + v for v after every member of S:
+        a child extends its parent's echelon basis by reducing v's rows
+        alone against it, and a relay (no rows) keeps its parent's basis.
+        A basis of rank N spans F_q^N, so every mask under it is N and is
+        filled without a sweep.
+
+        Either way it equals ``gf.rank(self.stacked(S))``, the per-subset
+        path, on every subset S.
         """
+        held = [self._held.get(v, 0) for v in nodes]       # relays hold nothing
+        if None not in held:
+            union = [0]
+            for bits in held:
+                union += [x | bits for x in union]
+            return [x.bit_count() for x in union]
+        return self._rank_sweep(nodes)
+
+    def _rank_sweep(self, nodes) -> list:
+        """:meth:`rank_table` by elimination, for nodes of any observation matrices."""
         q, full = self.q, self.n_packets
         blocks = [self.matrix_for(v) for v in nodes]
         blocks = [[m.row(i) for i in range(m.rows)] for m in blocks]
@@ -226,7 +277,8 @@ class EntropyOracle:
         Each value is memoized under its global mask as well, as a
         Fraction, so later :meth:`entropy` calls on these subsets are hits.
         A model with a ``rank_table`` (the linear one) fills the table in
-        one sweep and the table is its rank list, memoized as one shared
+        one pass, by set union over held packets or else by one elimination
+        sweep, and the table is its rank list, memoized as one shared
         Fraction per rank; the others are evaluated per mask.
         """
         nodes = tuple(nodes)

@@ -20,7 +20,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .entropy import EntropyOracle, LinearSource, TabularSource, pmf_from_nested
+from .entropy import (EntropyOracle, LinearSource, TabularSource, check_linear_parameters,
+                      pmf_from_nested)
 from .errors import InvalidInstance
 from .gf import FieldMatrix
 from .model import NetworkInstance, parse_rational, validate_instance
@@ -65,6 +66,7 @@ def parse_source_model(description: dict, sources):
             raw = description["matrices"]
         except (KeyError, TypeError) as exc:
             raise InvalidInstance(f"malformed linear source model: {exc}") from exc
+        check_linear_parameters(q, n)       # before any FieldMatrix rejects q its own way
         unknown = set(raw) - set(sources)
         if unknown:
             raise InvalidInstance(f"observation matrices for unknown nodes {sorted(unknown)}")

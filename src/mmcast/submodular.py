@@ -116,7 +116,13 @@ def sfm_brute_force(f: SetFunction, include_empty: bool = True):
     if not values:
         raise InvalidParameters("empty search space")
     best_val = min(values)
-    best_mask = min((mask for mask, v in enumerate(values, start) if v == best_val),
+    ties = [values.index(best_val)]     # list.index scans in C, one call per tie
+    try:
+        while True:
+            ties.append(values.index(best_val, ties[-1] + 1))
+    except ValueError:
+        pass
+    best_mask = min((i + start for i in ties),
                     key=lambda mask: (mask.bit_count(), members(range(n), mask)))
     return members(f.ground, best_mask), Fraction(best_val)
 

@@ -261,3 +261,89 @@ def test_oracle_table_refuses_a_repeated_node(f2):
     with pytest.raises(InvalidParameters):
         oracle.table(("m1", "m3", "m1"))
     assert oracle._memo == memo
+
+
+def _random_selector_case(rng, q, m, n_packets, scaled=False, dense=False):
+    """Fresh case-(i) model: rows c * e_j (c = 1 unless scaled), with relays, zero-row
+    blocks, zero rows and packets repeated within and across nodes.  With ``dense``,
+    one node also gets a row of two or more nonzeros."""
+    matrices = {}
+    nodes = [f"v{i}" for i in range(m)]
+    for node in nodes:
+        kind = rng.random()
+        if kind < 0.15:
+            continue                                    # relay: absent from the model
+        rows = []
+        if kind >= 0.25:                                # else present with no rows
+            for _ in range(rng.randint(1, 3)):
+                j, c = rng.randrange(n_packets), rng.randrange(1, q) if scaled else 1
+                rows.append([c if k == j else 0 for k in range(n_packets)])
+            if rng.random() < 0.3:
+                rows.append([0] * n_packets)
+            if rng.random() < 0.3:
+                rows.append([rows[0][k] * (q - 1) % q for k in range(n_packets)])  # same packet
+        matrices[node] = FieldMatrix.from_rows(rows, q, cols=n_packets)
+    if dense:
+        rows = [[rng.randrange(1, q) for _ in range(n_packets)], [0] * n_packets]
+        matrices[rng.choice(nodes)] = FieldMatrix.from_rows(rows, q, cols=n_packets)
+    rng.shuffle(nodes)
+    return LinearSource(q, n_packets, matrices), tuple(nodes)
+
+
+@pytest.mark.parametrize("q, scaled, dense", [
+    (2, False, False), (5, False, False), (5, True, False), (2 ** 64 - 59, True, False),
+    (2, False, True), (3, True, True), (2 ** 64 - 59, True, True)])
+def test_union_rank_table_matches_per_subset_rank(q, scaled, dense):
+    assert gf.is_field_modulus(q)
+    rng = random.Random(q + 2 * scaled + dense)
+    for m, n_packets in [(1, 1), (3, 2), (6, 4), (8, 3), (9, 7)]:
+        model, nodes = _random_selector_case(rng, q, m, n_packets, scaled, dense)
+        table = model.rank_table(nodes)
+        assert len(table) == 1 << m
+        for mask in range(1 << m):
+            subset = members(nodes, mask)
+            expected = gf.rank(model.stacked(subset))
+            assert table[mask] == expected, (q, m, n_packets, mask)
+            assert model.entropy(subset) == expected
+
+
+def test_selector_tuple_takes_no_elimination(monkeypatch):
+    rng = random.Random(4)
+    model, nodes = _random_selector_case(rng, 5, 8, 5, scaled=True)
+    expected = [gf.rank(model.stacked(members(nodes, mask))) for mask in range(1 << 8)]
+
+    def boom(*args):
+        raise AssertionError("elimination ran on a selector tuple")
+
+    monkeypatch.setattr(LinearSource, "_rank_sweep", boom)
+    monkeypatch.setattr(gf, "rank", boom)
+    assert model.rank_table(nodes) == expected
+
+
+def test_mixed_tuple_runs_the_elimination(monkeypatch):
+    rng = random.Random(6)
+    model, nodes = _random_selector_case(rng, 3, 6, 4, scaled=True, dense=True)
+    expected = [gf.rank(model.stacked(members(nodes, mask))) for mask in range(1 << 6)]
+    sweeps = []
+    sweep = LinearSource._rank_sweep
+    monkeypatch.setattr(LinearSource, "_rank_sweep",
+                        lambda self, nodes: sweeps.append(nodes) or sweep(self, nodes))
+    assert model.rank_table(nodes) == expected
+    assert sweeps == [nodes]
+
+
+def test_region_fills_the_memo_like_per_mask_evaluation_on_selector_models():
+    rng = random.Random(17)
+    for doc in [random_instance_doc(rng, n_sources=7, n_clients=2) for _ in range(3)]:
+        instance, oracle, model = load_instance(doc)
+        assert None not in model._held.values()        # the generator draws 0/1 selectors
+        for t in instance.clients:
+            sub = client_subproblem(instance, oracle, t)
+            fresh = EntropyOracle.from_model(oracle.ground, model)
+            Region(sub, fresh)
+            full = fresh.mask(sub.sources)
+            masks = [m for m in range(full + 1) if m & full == m]
+            expected = {m: Fraction(gf.rank(model.stacked(members(fresh.ground, m))))
+                        for m in masks}
+            assert fresh._memo == expected
+            assert all(type(h) is Fraction for h in fresh._memo.values())

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import FIXTURE_F2
+from mmcast.entropy import LinearSource
 from mmcast.errors import InvalidInstance
 from mmcast.instance_io import (frac_str, instance_to_json, load_instance, parse_rates,
                                 parse_source_model)
@@ -112,3 +113,19 @@ def test_ragged_linear_matrix_rejected_naming_the_node():
     with pytest.raises(InvalidInstance, match="matrix of m2"):
         parse_source_model({"kind": "linear", "q": 5, "N": 2,
                             "matrices": {"m2": [[1, 0], [1]]}}, ("m2",))
+
+
+@pytest.mark.parametrize("matrices", [{"a": [[1]]}, {}])
+def test_linear_model_rejects_a_composite_modulus_as_invalid(matrices):
+    # the modulus is checked before any observation matrix is built
+    with pytest.raises(InvalidInstance, match="prime q"):
+        parse_source_model({"kind": "linear", "q": 4, "N": 1, "matrices": matrices}, ("a",))
+
+
+def test_linear_model_rejects_a_negative_packet_count():
+    with pytest.raises(InvalidInstance, match="N >= 0"):
+        parse_source_model({"kind": "linear", "q": 5, "N": -1, "matrices": {}}, ("a",))
+    with pytest.raises(InvalidInstance, match="N >= 0"):
+        LinearSource(5, -1, {})
+    assert parse_source_model({"kind": "linear", "q": 5, "N": 0, "matrices": {}},
+                              ("a",)).rank_table(("a",)) == [0, 0]

@@ -9,8 +9,8 @@ from mmcast.errors import GroundTooLarge, InvalidParameters, MaxIterationsExceed
 from mmcast.feasibility import slack_function
 from mmcast.model import boundary_vector, cut_capacity
 from mmcast.submodular import (SetFunction, conditional_entropy_function, entropy_function,
-                               greedy_base_vertex, in_base_polyhedron, min_norm_point,
-                               sfm_brute_force)
+                               greedy_base_vertex, in_base_polyhedron, members,
+                               min_norm_point, sfm_brute_force)
 
 
 def modular(weights):
@@ -250,3 +250,37 @@ def test_min_norm_point_iteration_cap():
     lower = sum(min(v, 0) for v in err.value.best_point.values())
     assert type(err.value.gap) is Fraction
     assert err.value.gap == f(err.value.best_set) - lower >= 0
+
+
+def test_sfm_tie_break_with_many_planted_ties():
+    def generator_scan(values, start, n):
+        best_val = min(values)
+        return min((mask for mask, v in enumerate(values, start) if v == best_val),
+                   key=lambda mask: (mask.bit_count(), members(range(n), mask)))
+
+    rng = random.Random(23)
+    cases = []
+    for n in (1, 4, 9, 12):
+        for low in (0, -1, Fraction(-1, 3)):
+            # about half the masks tie at the minimum, ints and Fractions mixed
+            cases.append((n, [rng.choice([low, Fraction(low), 1, 2]) for _ in range(1 << n)]))
+            # a few ties, so the lowest tied mask is seldom the answer
+            sparse = [rng.choice([1, 2]) for _ in range(1 << n)]
+            for mask in rng.sample(range(1 << n), max(2, (1 << n) // 16)):
+                sparse[mask] = low
+            cases.append((n, sparse))
+    for n, values in cases:
+        ground = tuple(f"e{i}" for i in range(n))
+        for include_empty in (True, False):
+            start = 0 if include_empty else 1
+            mask = generator_scan(values[start:], start, n)
+            expected = (members(ground, mask), Fraction(min(values[start:])))
+            tabulated = SetFunction.tabulated(ground, values)
+            assert sfm_brute_force(tabulated, include_empty) == expected
+            lazy = SetFunction(ground, lambda s: values[tabulated.mask(s)])
+            assert sfm_brute_force(lazy, include_empty) == expected
+    # ties at masks 6 = {b, c}, 7 = {a, b, c}, 9 = {a, d} and 12 = {c, d}: {a, d} wins
+    values = [1] * 16
+    for mask in (6, 7, 9, 12):
+        values[mask] = 0
+    assert sfm_brute_force(SetFunction.tabulated("abcd", values)) == (("a", "d"), Fraction(0))
