@@ -58,9 +58,8 @@ class LinearSource:
     A node whose every row is zero or c * e_j (c != 0) holds the packets j
     of those rows; its held-packets bitmask (bit j is packet j) is found
     once, here.  A relay holds nothing.  A node with a row of two or more
-    nonzeros has no mask, and a :meth:`rank_table` over a tuple containing
-    it is built by elimination.  The per-subset :meth:`entropy` always
-    eliminates.
+    nonzeros has no mask, and :meth:`entropy` or a :meth:`rank_table` over a
+    tuple containing it eliminates; any other tuple counts held packets.
     """
 
     q: int
@@ -100,7 +99,13 @@ class LinearSource:
         return gf.FieldMatrix.from_rows(rows, self.q, cols=self.n_packets)
 
     def entropy(self, nodes) -> Fraction:
-        return Fraction(gf.rank(self.stacked(nodes)))
+        held = [self._held.get(v, 0) for v in nodes]        # relays hold nothing
+        if None in held:
+            return Fraction(gf.rank(self.stacked(nodes)))
+        union = 0
+        for bits in held:
+            union |= bits
+        return Fraction(union.bit_count())
 
     def rank_table(self, nodes) -> list:
         """Rank of the stacked observations of every subset of ``nodes``, by local mask.
@@ -118,8 +123,8 @@ class LinearSource:
         A basis of rank N spans F_q^N, so every mask under it is N and is
         filled without a sweep.
 
-        Either way it equals ``gf.rank(self.stacked(S))``, the per-subset
-        path, on every subset S.
+        Either way it equals ``gf.rank(self.stacked(S))`` on every subset
+        S, as the per-subset :meth:`entropy` does.
         """
         held = [self._held.get(v, 0) for v in nodes]       # relays hold nothing
         if None not in held:

@@ -1,25 +1,27 @@
 """Exact rational linear programming via tableau simplex from the slack basis.
 
-The tableau holds only ``int``s, over one positive common denominator
+The tableau holds only ``int``s over one positive common denominator
 (Edmonds' integer-preserving simplex; Bareiss 1968).  With B the basis
 matrix, ``det`` is |det B| and each entry is ``det`` times the rational
-tableau entry, an integer by Cramer's rule, because every row enters with
-integral coefficients: a row with a non-integral coefficient is multiplied
-by the lcm of its coefficient denominators on entry, which scales only its
-own slack.  Two more integer scales make the rest integral: the
-right-hand-side column carries sigma, the lcm of the right-hand sides'
-denominators (it grows, multiplying that column, when an appended row
-brings a new denominator), and the objective row carries gamma, the lcm of
-the objective's denominators.  A pivot on an entry P (the pivot row is
-negated first when P < 0) turns every other entry a into
-``(P*a - a_e*p_j) // det``, an exact division, and P becomes the new
-``det``.  When P equals ``det`` a row with a zero in the entering column
-is unchanged, so such a pivot touches only the rows it eliminates, like a
-pivot on 1 over the rationals.  No gcd is taken anywhere in the loop, and
-no float ever enters: ratio tests compare ``p/q < r/s`` as ``p*s < r*q``
-over positive ``q`` and ``s``.  The solution is read out with one division
-per value, ``x_b = rhs / (det*sigma)`` and ``value = -corner /
-(det*sigma*gamma)``, and returned as Fractions.
+entry, an integer by Cramer's rule, because every row enters with integral
+coefficients: a row with a non-integral coefficient is multiplied by the
+lcm of its coefficient denominators, which scales only its own slack.  The
+right-hand sides also carry sigma, the lcm of their denominators (grown
+when an appended row brings a new one), and the objective row gamma, the
+lcm of the objective's.  A pivot on an entry P (the pivot row negated
+first when P < 0) turns every other entry a into ``(P*a - a_e*p_j) //
+det``, an exact division, and P becomes the new ``det``.  No gcd is taken
+in the loop and no float enters: ratio tests compare ``p/q < r/s`` as
+``p*s < r*q`` over positive ``q`` and ``s``.  The solution is read out as
+Fractions, ``x_b = rhs / (det*sigma)`` and ``value = -corner /
+(det*sigma*gamma)``.
+
+Each tableau row is a ``{column: int}`` map of its nonzeros, its
+right-hand side kept apart; LP rows may come in as such maps too.  A pivot
+touches only the rows with a nonzero in the entering column, over the
+pivot row's nonzeros, and when P equals ``det`` leaves the others as they
+are, like a pivot on 1 over the rationals.  The ratio tests and the dual
+entering scan visit nonzeros only; the objective row alone is dense.
 
 Every quantity a pivot rule compares is its rational value times a
 positive factor that is the same across the comparison: the reduced costs
@@ -29,29 +31,22 @@ degenerate-stall count are those of the same simplex over the rationals,
 and on rows with integral coefficients (every LP the multicast solvers
 pose) the pivot sequence is exactly the rational one.
 
-Optima are exact vertices and every run is deterministic given the input
-ordering.  The pivot rule is steepest-coefficient (Dantzig) with an
-automatic permanent switch to Bland's rule after a run of degenerate
-pivots, which preserves the no-cycling guarantee without paying Bland's
-price on every solve.
+The pivot rule is steepest-coefficient (Dantzig), switching for good to
+Bland's rule after a run of degenerate pivots: it cannot cycle, yet rarely
+pays Bland's price.  Every run is deterministic given the input order and
+ends at an exact vertex.
 
-A :class:`LinearProgram` minimizes c.x over x >= 0, each variable with
-an optional cap x_j <= u_j.  Every row enters the tableau as a ``<=`` row
-with its own basic slack (an ``==`` row as a ``<=``/``>=`` pair), whatever
-the sign of its right-hand side, and each cap as a ``<=`` row after them.
-That slack basis is dual feasible for the nonnegative part of the costs,
-so dual simplex (Lemke's method) finds a feasible basis or proves that
-there is none; no artificial variables and no phase-1 objective are
-needed.
-
-:class:`SimplexSolver` keeps its final tableau, so a solved LP can be
-changed and re-optimized from its previous basis instead of from scratch:
-
-* :meth:`SimplexSolver.resolve` minimizes a new objective over the same
-  constraints (the Lagrangian inner problems) with primal simplex;
-* :meth:`SimplexSolver.add_rows` appends ``<=``/``>=`` rows (cutting
-  planes) and restores primal feasibility with dual simplex, which keeps
-  the basis optimal for the last objective.
+A :class:`LinearProgram` minimizes c.x over x >= 0, each variable with an
+optional cap x_j <= u_j.  Every row enters as a ``<=`` row with its own
+basic slack (an ``==`` row as a ``<=``/``>=`` pair), whatever the sign of
+its right-hand side, and each cap as a ``<=`` row after them.  That slack
+basis is dual feasible for the nonnegative part of the costs, so dual
+simplex (Lemke's method) finds a feasible basis or proves that there is
+none, with no artificial variables.  :class:`SimplexSolver` keeps its
+final tableau: :meth:`~SimplexSolver.resolve` minimizes a new objective
+from the last basis by primal simplex (the Lagrangian inner problems), and
+:meth:`~SimplexSolver.add_rows` appends cutting planes and restores primal
+feasibility by dual simplex, which keeps the basis optimal.
 """
 
 from __future__ import annotations
@@ -82,6 +77,8 @@ def _exact(x):
 class LinearProgram:
     """Minimize c.x over x >= 0 subject to the rows and the caps.
 
+    A row's coefficients are a dense list, one per variable, or a ``{column:
+    coefficient}`` dict over columns in [0, n) that keeps only its nonzeros.
     Every number is stored exact on construction: an ``int`` where integral,
     a ``Fraction`` elsewhere.
     """
@@ -102,9 +99,15 @@ class LinearProgram:
     def checked_row(self, row) -> tuple:
         """``(coeffs, rel, rhs)`` over exact values; raises ValueError on a malformed row."""
         coeffs, rel, rhs = row
-        coeffs = [_exact(a) for a in coeffs]
-        if len(coeffs) != len(self.objective):
-            raise ValueError("row length must match variable count")
+        n = len(self.objective)
+        if isinstance(coeffs, dict):
+            if not all(type(j) is int and 0 <= j < n for j in coeffs):
+                raise ValueError("row columns must be ints in [0, variable count)")
+            coeffs = {j: a for j, c in coeffs.items() if (a := _exact(c))}
+        else:
+            coeffs = [_exact(a) for a in coeffs]
+            if len(coeffs) != n:
+                raise ValueError("row length must match variable count")
         if rel not in ("<=", ">=", "=="):
             raise ValueError(f"unknown relation {rel!r}")
         return coeffs, rel, _exact(rhs)
@@ -120,82 +123,69 @@ class LpSolution:
 class SimplexSolver:
     """Dual-then-primal simplex on the slack-basis tableau of a LinearProgram.
 
-    ``tableau`` rows are ints over the common denominator ``det`` (> 0):
-    entry j < ``n_cols`` of row i is ``det`` times the rational entry, and
-    the last entry, the right-hand side, is ``det * rhs_scale`` times it;
-    the basic column of each row holds ``det`` there and 0 in every other
-    row.  An objective row is ``det * gamma`` times the reduced costs, gamma
-    the scale :meth:`_cost` returns, followed by ``-det * rhs_scale *
-    gamma`` times the value of the basic solution.  Every pivot choice
-    compares these quantities against each other, so the positive factors
-    cancel and the pivots are those of the rational tableau (see the module
-    docstring); ``rhs_scale`` only grows and ``det`` changes only at a pivot
-    on an entry other than ``det``.
+    ``tableau[i]`` maps the columns of row i to its nonzero entries, ints
+    over ``det`` (> 0), and ``rhs[i]`` is its right-hand side over ``det *
+    rhs_scale``; a basic column holds ``det`` in its row, 0 elsewhere.  An
+    objective row is a dense list: ``det * gamma`` times the reduced costs
+    (gamma from :meth:`_cost`), then ``-det * rhs_scale * gamma`` times the
+    value of the basic solution.  See the module docstring.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = len(lp.objective)
-        self.tableau = []          # each row: coefficients + [rhs], ints
+        self.tableau = []          # each row: {column: nonzero int}
+        self.rhs = []              # each row's right-hand side, an int
         self.basis = []
-        self.n_cols = n
+        self.n_cols = len(lp.objective)
         self.det = 1               # |det B|, the tableau's common denominator
         self.rhs_scale = 1         # lcm of the right-hand sides' denominators
-        caps = [([1 if i == j else 0 for i in range(n)], u)
-                for j, u in enumerate(lp.upper) if u is not None]
-        self._append_rows([r for row in lp.rows for r in self._le_rows(*row)] + caps)
+        self._append_rows(lp.rows + [({j: 1}, "<=", u) for j, u in enumerate(lp.upper)
+                                     if u is not None])
         self._solved = False
         self._objective = None     # objective the current basis is optimal for
 
     # -- tableau -----------------------------------------------------------
 
-    @staticmethod
-    def _le_rows(coeffs, rel, rhs) -> list:
-        """The ``(row, rhs)`` ``<=`` rows of one checked LP row; an ``==`` row gives two."""
-        rows = [] if rel == ">=" else [(coeffs, rhs)]
-        if rel != "<=":
-            rows.append(([-a for a in coeffs], -rhs))
-        return rows
-
     def _append_rows(self, rows):
-        """Append ``(row, rhs)`` rows over x, each with a new basic slack.
+        """Append checked LP rows as ``<=`` rows, each with a new basic slack.
 
-        Entries are exact ints or Fractions (see
-        :meth:`LinearProgram.checked_row`).  A row with a non-integral
-        coefficient is multiplied by the lcm of its coefficient
-        denominators, and the right-hand-side column is rescaled when a new
-        right-hand side brings a new denominator.  A right-hand side may be
-        negative: the basis then is not primal feasible, and dual simplex
-        restores it.  Each new row is rewritten in terms of the current
-        basis, so every basic column stays ``det`` times a unit column; the
-        new slacks leave ``det`` unchanged.
+        A ``>=`` row is negated and an ``==`` row gives both; a right-hand
+        side may be negative, which dual simplex then repairs.  Each new row
+        is rewritten in terms of the current basis, by subtracting the row of
+        each basic column it touches, so every basic column stays ``det``
+        times a unit column; the new slacks leave ``det`` unchanged.
         """
-        scaled = []
-        for row, rhs in rows:
-            k = lcm(*(a.denominator for a in row if type(a) is not int))
-            scaled.append(([int(a * k) for a in row], rhs * k) if k > 1 else (row, rhs))
-        sigma = lcm(self.rhs_scale, *(rhs.denominator for _, rhs in scaled))
-        grow = sigma // self.rhs_scale
-        self.rhs_scale = sigma
-        k = len(rows)
-        for r in self.tableau:
-            r[-1:-1] = [0] * k
-            r[-1] *= grow
-        det = self.det
-        old = list(zip(self.tableau, self.basis))
-        width = self.n_cols + k
-        for row, rhs in scaled:
-            slack = self.n_cols
-            new = [det * a for a in row] + [0] * (width - len(row)) + [det * int(rhs * sigma)]
-            new[slack] = det
-            for r, b in old:
-                factor = new[b] // det
-                if factor:
-                    for j, v in enumerate(r):
-                        if v:
-                            new[j] -= factor * v
-            self.tableau.append(new)
-            self.basis.append(slack)
+        le = []
+        for coeffs, rel, rhs in rows:
+            if not isinstance(coeffs, dict):
+                coeffs = {j: a for j, a in enumerate(coeffs) if a}
+            k = lcm(*(a.denominator for a in coeffs.values() if type(a) is not int))
+            if k > 1:
+                coeffs, rhs = {j: int(a * k) for j, a in coeffs.items()}, rhs * k
+            if rel != ">=":
+                le.append((coeffs, rhs))
+            if rel != "<=":
+                le.append(({j: -a for j, a in coeffs.items()}, -rhs))
+        sigma = lcm(self.rhs_scale, *(rhs.denominator for _, rhs in le))
+        if sigma != self.rhs_scale:
+            self.rhs[:] = [v * (sigma // self.rhs_scale) for v in self.rhs]
+            self.rhs_scale = sigma
+        det, tab, rhs_col = self.det, self.tableau, self.rhs
+        row_of = {b: i for i, b in enumerate(self.basis)}
+        for row, rhs in le:
+            new = {j: det * a for j, a in row.items()}
+            value = det * int(rhs * sigma)
+            for j, a in row.items():
+                i = row_of.get(j)
+                if i is not None:           # new[j] is det * a: subtract a times row i
+                    for c, v in tab[i].items():
+                        new[c] = new.get(c, 0) - a * v
+                    value -= a * rhs_col[i]
+            new = {c: v for c, v in new.items() if v}
+            new[self.n_cols] = det
+            tab.append(new)
+            rhs_col.append(value)
+            self.basis.append(self.n_cols)
             self.n_cols += 1
 
     # -- pivoting ----------------------------------------------------------
@@ -205,48 +195,65 @@ class SimplexSolver:
 
         With P = |tableau[r][e]| (row r is negated when the entry is
         negative), every other row becomes ``(P*a - a_e*p) // det`` and P
-        is the new ``det``.  When P == ``det`` that leaves a row with a
-        zero in column e as it is, and subtracts ``a_e*p // det`` over the
-        pivot row's nonzeros from the others.
+        is the new ``det``.  A row with a_e = 0 is left as it is when P ==
+        ``det`` and has its nonzeros rescaled otherwise; when P == ``det``
+        the others subtract ``a_e*p // det`` over the pivot row's nonzeros.
         """
-        tab, det = self.tableau, self.det
-        row = tab[r]
-        piv = row[e]
+        tab, rhs, det = self.tableau, self.rhs, self.det
+        row, p_rhs, piv = tab[r], rhs[r], tab[r][e]
         if piv < 0:
-            piv = -piv
-            row = tab[r] = [-v for v in row]
-        others = tab[:r] + tab[r + 1:]
-        others.append(obj)
+            piv, p_rhs = -piv, -p_rhs
+            row = tab[r] = {j: -v for j, v in row.items()}
+            rhs[r] = p_rhs
+        for i, other in enumerate(tab):
+            if i == r:
+                continue
+            f = other.get(e)
+            if not f:
+                if piv != det:
+                    tab[i] = {j: piv * a // det for j, a in other.items()}
+                    rhs[i] = piv * rhs[i] // det
+            elif piv == det:
+                for j, v in row.items():
+                    w = other.get(j, 0) - f * v // det
+                    if w:
+                        other[j] = w
+                    else:
+                        del other[j]
+                rhs[i] -= f * p_rhs // det
+            else:
+                new = {j: piv * a for j, a in other.items()}
+                for j, v in row.items():
+                    new[j] = new.get(j, 0) - f * v
+                tab[i] = {j: a // det for j, a in new.items() if a}
+                rhs[i] = (piv * rhs[i] - f * p_rhs) // det
+        f = obj[e]
         if piv == det:
-            nonzero = [(j, v) for j, v in enumerate(row) if v]
-            for other in others:
-                factor = other[e]
-                if factor:
-                    for j, v in nonzero:
-                        other[j] -= factor * v // det
+            if f:
+                for j, v in row.items():
+                    obj[j] -= f * v // det
+                obj[-1] -= f * p_rhs // det
         else:
-            for other in others:
-                factor = other[e]
-                other[:] = ([(piv * a - factor * v) // det for a, v in zip(other, row)]
-                            if factor else [piv * a // det if a else 0 for a in other])
+            obj[:] = [piv * a for a in obj]
+            for j, v in row.items():
+                obj[j] -= f * v
+            obj[-1] -= f * p_rhs
+            obj[:] = [a // det for a in obj]
             self.det = piv
         self.basis[r] = e
 
     def _reduced_row(self, cost: list) -> list:
-        """Objective row (reduced costs + current value) for the basis.
+        """Objective row (reduced costs + current value) for ``cost`` from :meth:`_cost`.
 
-        ``cost`` is a row of ints from :meth:`_cost`.  Starts from ``det``
-        times it and subtracts each basic row times its basic cost, in
-        place and over the row's nonzero entries only.
+        ``det`` times the cost, minus each basic row's nonzeros times its basic cost.
         """
-        det = self.det
-        obj = [det * c for c in cost] + [0]
-        for row, b in zip(self.tableau, self.basis):
+        obj = [self.det * c for c in cost] + [0]
+        for row, value, b in zip(self.tableau, self.rhs, self.basis):
             cb = cost[b]
             if cb:
-                for j, v in enumerate(row):
-                    if v:
-                        obj[j] -= cb * v
+                for j, v in row.items():
+                    obj[j] -= cb * v
+                obj[-1] -= cb * value
         return obj
 
     def _optimize(self, obj: list) -> str:
@@ -256,31 +263,23 @@ class SimplexSolver:
         positive entries a, the smallest basic index winning ties; the
         ratios are compared by cross-multiplication.
         """
-        tab, basis = self.tableau, self.basis
+        tab, rhs_col, basis = self.tableau, self.rhs, self.basis
         stall = 0
         bland = False
         while True:
             bland = bland or stall >= DEGENERATE_STALL
-            entering = -1
             if bland:
-                for j in range(self.n_cols):
-                    if obj[j] < 0:
-                        entering = j
-                        break
-            else:
-                best = 0
-                for j in range(self.n_cols):
-                    v = obj[j]
-                    if v < best:
-                        best = v
-                        entering = j
+                entering = next((j for j in range(self.n_cols) if obj[j] < 0), -1)
+            else:                   # the most negative reduced cost, the first on ties
+                best = min(obj[:self.n_cols], default=0)
+                entering = obj.index(best) if best < 0 else -1
             if entering < 0:
                 return "optimal"
             leaving = -1
             for i, row in enumerate(tab):
-                a = row[entering]
+                a = row.get(entering, 0)
                 if a > 0:
-                    rhs = row[-1]
+                    rhs = rhs_col[i]
                     if leaving >= 0:
                         lhs, other = rhs * best_a, best_rhs * a     # rhs/a vs best_rhs/best_a
                         if not (lhs < other or (lhs == other and basis[i] < basis[leaving])):
@@ -300,26 +299,26 @@ class SimplexSolver:
         smallest column winning ties, so the reduced costs stay nonnegative.
         The ratios are compared by cross-multiplication.
         """
-        tab, basis = self.tableau, self.basis
+        tab, rhs_col, basis = self.tableau, self.rhs, self.basis
         stall = 0
         bland = False
         while True:
             bland = bland or stall >= DEGENERATE_STALL
-            leaving = -1
-            worst = 0
-            for i, row in enumerate(tab):
-                rhs = row[-1]
-                if rhs < 0 and (leaving < 0 or (basis[i] < basis[leaving] if bland
-                                                else rhs < worst)):
-                    worst = rhs
-                    leaving = i
+            if bland:
+                leaving = min((i for i, rhs in enumerate(rhs_col) if rhs < 0),
+                              key=basis.__getitem__, default=-1)
+            else:                   # the most negative right-hand side, the first on ties
+                worst = min(rhs_col, default=0)
+                leaving = rhs_col.index(worst) if worst < 0 else -1
             if leaving < 0:
                 return "optimal"
-            row = tab[leaving]
             entering = -1
-            for j in range(self.n_cols):
-                a = row[j]
-                if a < 0 and (entering < 0 or obj[j] * best_d < best_cost * -a):
+            for j, a in tab[leaving].items():       # not in column order: ties explicit
+                if a < 0:
+                    if entering >= 0:
+                        lhs, other = obj[j] * best_d, best_cost * -a
+                        if not (lhs < other or (lhs == other and j < entering)):
+                            continue
                     best_cost, best_d, entering = obj[j], -a, j
             if entering < 0:
                 return "infeasible"     # a negative sum of nonnegative terms
@@ -361,8 +360,8 @@ class SimplexSolver:
             return LpSolution("unbounded")
         self._objective = list(objective)
         x = [0] * self.n_cols
-        for r, b in enumerate(self.basis):
-            x[b] = self.tableau[r][-1]
+        for value, b in zip(self.rhs, self.basis):
+            x[b] = value
         scale = self.det * self.rhs_scale
         # obj[-1] holds -(c_B B^-1 b) times scale * gamma
         return LpSolution("optimal", Fraction(-obj[-1], scale * gamma),
@@ -384,7 +383,7 @@ class SimplexSolver:
         rows = [self.lp.checked_row(row) for row in rows]
         if any(rel == "==" for _, rel, _ in rows):
             raise ValueError("add_rows takes <= and >= rows only")
-        self._append_rows([r for row in rows for r in self._le_rows(*row)])
+        self._append_rows(rows)
         self.lp.rows += rows
         cost, _ = self._cost(self._objective)
         if self._dual_optimize(self._reduced_row(cost)) == "infeasible":

@@ -141,7 +141,8 @@ class _MultiLP:
     """Variables, caps, rows and read-out of the exact multi-client LP.
 
     The columns are Z_e for every edge of the instance, then R_e^(t) for
-    every edge of every client's subproblem.  Region rows are chosen by
+    every edge of every client's subproblem; each row is a ``{column:
+    coefficient}`` dict of its nonzeros.  Region rows are chosen by
     client and mask, so the lazy and the brute-force route assemble the
     same LP from different masks.
     """
@@ -160,11 +161,9 @@ class _MultiLP:
 
     def region_row(self, t, mask: int) -> tuple:
         """boundary(R^(t), S) >= g(S) for the mask of S; equality at the full set."""
-        region = self.regions[t]
-        row = [0] * self.n
-        for e, coeff in zip(self.subs[t].edges, region.row(mask)):
-            if coeff:
-                row[self.r_index[(t, e.id)]] = coeff
+        region, r_index = self.regions[t], self.r_index
+        row = {r_index[(t, e.id)]: coeff
+               for e, coeff in zip(self.subs[t].edges, region.row(mask)) if coeff}
         return row, "==" if mask == region.full else ">=", region.g[mask]
 
     def program(self, masks: dict) -> LinearProgram:
@@ -178,15 +177,12 @@ class _MultiLP:
         for t, sub in self.subs.items():
             for mask in masks[t]:
                 row = self.region_row(t, mask)
-                if row[2] <= 0 and all(c >= 0 for c in row[0]):
+                if row[2] <= 0 and all(c >= 0 for c in row[0].values()):
                     continue        # implied by the nonnegativity bounds
                 rows.append(row)
             rows.append(self.region_row(t, self.regions[t].full))
-            for e in sub.edges:
-                row = [0] * self.n
-                row[self.z_index[e.id]] = 1
-                row[self.r_index[(t, e.id)]] = -1
-                rows.append((row, ">=", 0))
+            rows += [({self.z_index[e.id]: 1, self.r_index[(t, e.id)]: -1}, ">=", 0)
+                     for e in sub.edges]
         objective = [e.cost for e in self.instance.edges]
         objective += [0] * (self.n - len(objective))
         return LinearProgram(objective, rows, upper)

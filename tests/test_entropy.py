@@ -320,6 +320,28 @@ def test_selector_tuple_takes_no_elimination(monkeypatch):
     assert model.rank_table(nodes) == expected
 
 
+@pytest.mark.parametrize("scaled, dense", [(False, False), (True, False), (True, True)])
+def test_subset_entropy_counts_held_packets(monkeypatch, scaled, dense):
+    # selector, scaled-selector and mixed models, all with relays: the
+    # per-subset entropy equals gf.rank of the stacked observations, and
+    # only a subset holding the dense node reaches the elimination
+    rng = random.Random(8 + scaled + dense)
+    calls = []
+    rank = gf.rank
+    for q, m, n_packets in [(2, 5, 3), (5, 7, 4), (2 ** 64 - 59, 6, 5)]:
+        model, nodes = _random_selector_case(rng, q, m, n_packets, scaled, dense)
+        subsets = [members(nodes, mask) for mask in range(1 << m)]
+        expected = [rank(model.stacked(subset)) for subset in subsets]
+        monkeypatch.setattr(gf, "rank", lambda matrix: calls.append(matrix) or rank(matrix))
+        for subset, want in zip(subsets, expected):
+            before = len(calls)
+            h = model.entropy(subset)
+            assert h == want and type(h) is Fraction
+            assert len(calls) - before == any(model._held.get(v, 0) is None for v in subset)
+        monkeypatch.undo()
+    assert bool(calls) == dense
+
+
 def test_mixed_tuple_runs_the_elimination(monkeypatch):
     rng = random.Random(6)
     model, nodes = _random_selector_case(rng, 3, 6, 4, scaled=True, dense=True)

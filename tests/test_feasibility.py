@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import FIXTURE_F2, chain_instance, random_instance_doc, single_edge_instance
-from mmcast import gf, load_instance
+from mmcast import load_instance
 from mmcast.errors import Infeasible, ReconstructabilityViolated
 from mmcast.feasibility import (achievable_point, check_feasible_multi, check_feasible_single,
                                 enumerate_feasibility, slack_function)
@@ -195,12 +195,15 @@ def test_ground_too_large_guard():
 
 
 def test_feasibility_ranks_once_per_client_not_per_subset(monkeypatch):
-    # the entropy tables come from one rank sweep per client; only the
+    # the entropy tables come from one pass per client; only the
     # reconstructability entropies (all sources, then each client's
-    # sources) and at most one further subset per client reach gf.rank
+    # sources) and at most one further subset per client reach the
+    # per-subset LinearSource.entropy
+    from mmcast.entropy import LinearSource
     calls = []
-    rank = gf.rank
-    monkeypatch.setattr(gf, "rank", lambda m: calls.append(m) or rank(m))
+    entropy = LinearSource.entropy
+    monkeypatch.setattr(LinearSource, "entropy",
+                        lambda self, nodes: calls.append(nodes) or entropy(self, nodes))
     instance, oracle, _ = load_instance(random_instance_doc(random.Random(12), n_sources=12,
                                                             n_clients=3))
     report = check_feasible_multi(instance, oracle)

@@ -4,7 +4,8 @@ from math import lcm
 
 import pytest
 
-from mmcast.lp import LinearProgram, SimplexSolver
+import mmcast.lp
+from mmcast.lp import LinearProgram, LpSolution, SimplexSolver
 
 F = Fraction
 
@@ -304,7 +305,7 @@ def _fuzz_against_float_solver(linprog, rng):
 def _checked_pivot(solver, r, e, obj):
     """Pivot, then check that every entry is an int, or a Fraction that is not integral."""
     SimplexSolver._pivot(solver, r, e, obj)
-    for v in [v for row in solver.tableau for v in row] + obj:
+    for v in [v for row in _dense_rows(solver) for v in row] + obj:
         assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
@@ -394,14 +395,37 @@ def test_add_rows_reports_infeasibility():
         solver.resolve([1, 1])
 
 
-class _FractionReference(SimplexSolver):
-    """The rational tableau simplex: the same pivot rules over Fraction entries.
+class _FractionReference:
+    """The rational tableau simplex: a dense copy of the pivot rules over Fraction entries.
 
-    Entries are the rational values themselves, so ``det`` and
-    ``rhs_scale`` stay 1 and :meth:`_cost` returns the objective as
-    Fractions with scale 1; the integer solver must reproduce this
-    tableau, divided by its scales, pivot for pivot.
+    Each tableau row is a dense list of the rational entries themselves,
+    its right-hand side last, so ``det`` and ``rhs_scale`` stay 1 and
+    :meth:`_cost` returns the objective as Fractions with scale 1.  It
+    takes the same LinearProgram (dense or dict rows) and has the solver's
+    public methods, so it can stand in for :class:`SimplexSolver`; the
+    integer solver must reproduce this tableau, divided by its scales,
+    pivot for pivot.
     """
+
+    det = rhs_scale = 1
+
+    def __init__(self, lp):
+        self.lp = lp
+        self.tableau, self.basis = [], []
+        self.n_cols = n = len(lp.objective)
+        caps = [([1 if i == j else 0 for i in range(n)], u)
+                for j, u in enumerate(lp.upper) if u is not None]
+        self._append_rows([r for row in lp.rows for r in self._le_rows(*row)] + caps)
+        self._solved = False
+        self._objective = None
+
+    def _le_rows(self, coeffs, rel, rhs):
+        if isinstance(coeffs, dict):
+            coeffs = [coeffs.get(j, 0) for j in range(len(self.lp.objective))]
+        rows = [] if rel == ">=" else [(coeffs, rhs)]
+        if rel != "<=":
+            rows.append(([-a for a in coeffs], -rhs))
+        return rows
 
     def _append_rows(self, rows):
         k = len(rows)
@@ -437,10 +461,116 @@ class _FractionReference(SimplexSolver):
                 obj = [o - cost[b] * v for o, v in zip(obj, row)]
         return obj
 
+    def _optimize(self, obj):
+        tab, basis = self.tableau, self.basis
+        stall = 0
+        bland = False
+        while True:
+            bland = bland or stall >= mmcast.lp.DEGENERATE_STALL
+            entering = -1
+            if bland:
+                for j in range(self.n_cols):
+                    if obj[j] < 0:
+                        entering = j
+                        break
+            else:
+                best = 0
+                for j in range(self.n_cols):
+                    v = obj[j]
+                    if v < best:
+                        best = v
+                        entering = j
+            if entering < 0:
+                return "optimal"
+            leaving = -1
+            for i, row in enumerate(tab):
+                a = row[entering]
+                if a > 0:
+                    rhs = row[-1]
+                    if leaving >= 0:
+                        lhs, other = rhs * best_a, best_rhs * a
+                        if not (lhs < other or (lhs == other and basis[i] < basis[leaving])):
+                            continue
+                    best_rhs, best_a, leaving = rhs, a, i
+            if leaving < 0:
+                return "unbounded"
+            stall = stall + 1 if best_rhs == 0 else 0
+            self._pivot(leaving, entering, obj)
+
+    def _dual_optimize(self, obj):
+        tab, basis = self.tableau, self.basis
+        stall = 0
+        bland = False
+        while True:
+            bland = bland or stall >= mmcast.lp.DEGENERATE_STALL
+            leaving = -1
+            worst = 0
+            for i, row in enumerate(tab):
+                rhs = row[-1]
+                if rhs < 0 and (leaving < 0 or (basis[i] < basis[leaving] if bland
+                                                else rhs < worst)):
+                    worst = rhs
+                    leaving = i
+            if leaving < 0:
+                return "optimal"
+            row = tab[leaving]
+            entering = -1
+            for j in range(self.n_cols):
+                a = row[j]
+                if a < 0 and (entering < 0 or obj[j] * best_d < best_cost * -a):
+                    best_cost, best_d, entering = obj[j], -a, j
+            if entering < 0:
+                return "infeasible"
+            stall = stall + 1 if best_cost == 0 else 0
+            self._pivot(leaving, entering, obj)
+
+    def solve(self):
+        cost, _ = self._cost(self.lp.objective)
+        if self._dual_optimize(self._reduced_row([max(c, 0) for c in cost])) == "infeasible":
+            self._solved = False
+            return LpSolution("infeasible")
+        self._solved = True
+        return self.resolve(self.lp.objective)
+
+    def resolve(self, objective):
+        if not self._solved:
+            raise RuntimeError("resolve requires a previous successful solve")
+        cost, _ = self._cost(objective)
+        obj = self._reduced_row(cost)
+        if self._optimize(obj) == "unbounded":
+            self._objective = None
+            return LpSolution("unbounded")
+        self._objective = list(objective)
+        x = [F(0)] * self.n_cols
+        for row, b in zip(self.tableau, self.basis):
+            x[b] = row[-1]
+        return LpSolution("optimal", -obj[-1], x[:len(self.lp.objective)])
+
+    def add_rows(self, rows):
+        if self._objective is None:
+            raise RuntimeError("add_rows requires a previous optimal solve or resolve")
+        rows = [self.lp.checked_row(row) for row in rows]
+        self._append_rows([r for row in rows for r in self._le_rows(*row)])
+        self.lp.rows += rows
+        cost, _ = self._cost(self._objective)
+        if self._dual_optimize(self._reduced_row(cost)) == "infeasible":
+            self._solved = False
+            self._objective = None
+            return False
+        return True
+
     def _cost(self, objective):
         if len(objective) != len(self.lp.objective):
             raise ValueError("objective length must match variable count")
         return [F(c) for c in objective] + [F(0)] * (self.n_cols - len(objective)), 1
+
+
+def _dense_rows(solver):
+    """The tableau as dense lists, each row's right-hand side last."""
+    if isinstance(solver, _FractionReference):
+        return solver.tableau
+    return [[row.get(j, 0) for j in range(solver.n_cols)] + [rhs]
+            for row, rhs in zip(solver.tableau, solver.rhs)]
 
 
 def _rational(rng, lo, hi):
@@ -460,16 +590,17 @@ def _pivot_snapshots(solver, gamma):
     def pivot(r, e, obj):
         type(solver)._pivot(solver, r, e, obj)
         det, sigma, scale = solver.det, solver.rhs_scale, gamma[0]
+        rows = _dense_rows(solver)
         if isinstance(solver, _FractionReference):
             scale = 1
         else:
             assert type(det) is int and det > 0
-            assert all(type(v) is int for row in solver.tableau for v in row)
+            assert all(type(v) is int for row in rows for v in row)
             assert all(type(v) is int for v in obj)
-            assert all(row[b] == det for row, b in zip(solver.tableau, solver.basis))
+            assert all(row[b] == det for row, b in zip(rows, solver.basis))
         snapshots.append(((r, e), list(solver.basis),
                           [[F(v, det) for v in row[:-1]] + [F(row[-1], det * sigma)]
-                           for row in solver.tableau],
+                           for row in rows],
                           [F(v, det * scale) for v in obj[:-1]] +
                           [F(obj[-1], det * sigma * scale)]))
         dets.append(det)
@@ -600,3 +731,70 @@ def _fuzz_fraction_rows(linprog, rng):
             agreements += _check_against(linprog, LinearProgram(objective, rows + extra, upper),
                                          solver.resolve(objective))
     assert checked >= 250 and appended >= 50 and agreements >= checked - 2
+
+
+def _recorded(pivot, log):
+    """``pivot`` that logs ``(row, entering)`` and checks that sparse rows hold no zero."""
+    def recorded(self, r, e, obj):
+        log.append((r, e))
+        pivot(self, r, e, obj)
+        assert isinstance(self, _FractionReference) or all(all(row.values())
+                                                            for row in self.tableau)
+    return recorded
+
+
+def test_multi_client_lps_pivot_like_the_rational_reference(monkeypatch):
+    # solve_multi_exact's own LPs (dict rows, caps, appended cuts) make the
+    # same pivots on the sparse integer tableau as on the dense rational one
+    # and reach the same optimum; its final LP, posed with dict rows and
+    # with dense rows, solves cold with the same pivots and x
+    import mmcast.multi_client as multi_client
+    from helpers import random_feasible_instance
+    pivot = {cls: cls._pivot for cls in (SimplexSolver, _FractionReference)}
+    rng = random.Random(107)
+    pivots = 0
+    for i in range(12):
+        instance, oracle, _ = random_feasible_instance(rng, n_sources=6 + i % 2, n_clients=2,
+                                                       max_capacity=8)
+        runs, programs = [], []
+        for cls in (SimplexSolver, _FractionReference):
+            log = []
+            monkeypatch.setattr(cls, "_pivot", _recorded(pivot[cls], log))
+            monkeypatch.setattr(multi_client, "LinearProgram",
+                                lambda *a: programs.append(LinearProgram(*a)) or programs[-1])
+            monkeypatch.setattr(multi_client, "SimplexSolver", cls)
+            rates = multi_client.solve_multi_exact(instance, oracle)
+            runs.append((log, rates.cost, rates.envelope, rates.per_client))
+        assert runs[0] == runs[1]
+        pivots += len(runs[0][0])
+        lp = programs[0]
+        n = len(lp.objective)
+        dense = [([coeffs.get(j, 0) for j in range(n)], rel, rhs) for coeffs, rel, rhs in lp.rows]
+        cold = []
+        for rows in (lp.rows, dense):
+            log = []
+            monkeypatch.setattr(SimplexSolver, "_pivot", _recorded(pivot[SimplexSolver], log))
+            solution = SimplexSolver(LinearProgram(lp.objective, rows, lp.upper)).solve()
+            cold.append((log, solution.status, solution.value, solution.x))
+        assert cold[0] == cold[1] and cold[0][1] == "optimal"
+    assert pivots >= 200
+
+
+def test_dict_rows_are_validated_like_dense_rows():
+    # a dict row's columns must be ints in [0, n); its explicit zeros are
+    # dropped, and add_rows checks a dict row the same way
+    for bad in ({2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}, {True: 1}):
+        with pytest.raises(ValueError):
+            LinearProgram([1, 1], [(bad, ">=", 1)], [None, None])
+    lp = LinearProgram([1, 1], [({0: 0, 1: F(4, 2)}, ">=", 1)], [None, None])
+    assert lp.rows == [({1: 2}, ">=", 1)] and type(lp.rows[0][0][1]) is int
+    solver = SimplexSolver(lp)
+    assert solver.solve().x == [0, F(1, 2)]
+    for bad in ({2: 1}, {"1": 1}):
+        with pytest.raises(ValueError):
+            solver.add_rows([(bad, ">=", 1)])
+    assert solver.add_rows([({0: 1, 1: 0}, ">=", F(1, 3))])
+    assert solver.lp.rows[-1] == ({0: 1}, ">=", F(1, 3))
+    dense = SimplexSolver(LinearProgram([1, 1], [([0, 2], ">=", 1), ([1, 0], ">=", F(1, 3))],
+                                        [None, None])).solve()
+    assert solver.resolve([1, 1]) == dense

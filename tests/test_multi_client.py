@@ -459,3 +459,56 @@ def test_more_than_64_sources():
     assert check_feasible_multi(instance, oracle).feasible
     # every client draws the root's 2 packets over its own 9 edges
     assert solve_multi_exact(instance, oracle).cost == 2 * (length + 1) * chains
+
+
+def _le_form(coeffs, rel, rhs):
+    """The ``<=`` rows of one LP row over dict coefficients: ``>=`` is negated, ``==`` gives two."""
+    rows = [] if rel == ">=" else [(coeffs, rhs)]
+    if rel != "<=":
+        rows.append(({j: -a for j, a in coeffs.items()}, -rhs))
+    return rows
+
+
+def test_final_tableau_holds_an_exact_dual_certificate(monkeypatch):
+    # after the last resolve, the objective row's entries at the slack
+    # columns give a dual y of the <= rows (the LP rows, then the caps, then
+    # the cuts); checked exactly against the LP's own rows: y <= 0,
+    # c - A^T y >= 0 and b.y equal to the optimal cost
+    import mmcast.multi_client as multi_client
+    from mmcast.lp import SimplexSolver
+    solvers = []
+
+    class Recorded(SimplexSolver):
+        def __init__(self, lp):
+            self.seed_rows = len(lp.rows)
+            super().__init__(lp)
+            solvers.append(self)
+
+    monkeypatch.setattr(multi_client, "SimplexSolver", Recorded)
+    rng = random.Random(139)
+    optima = cut = 0
+    while optima < 24:
+        m = 6 + optima % 7
+        instance, oracle, _ = load_instance(random_instance_doc(rng, n_sources=m, n_clients=3,
+                                                                max_capacity=8))
+        solvers.clear()
+        try:
+            rates = solve_multi_exact(instance, oracle)
+        except Infeasible:
+            continue
+        solver, = solvers
+        lp, n = solver.lp, len(solver.lp.objective)
+        rows = [r for row in lp.rows[:solver.seed_rows] for r in _le_form(*row)]
+        rows += [({j: 1}, u) for j, u in enumerate(lp.upper) if u is not None]
+        rows += [r for row in lp.rows[solver.seed_rows:] for r in _le_form(*row)]
+        assert len(rows) == len(solver.tableau)
+        cost, gamma = solver._cost(lp.objective)
+        obj = solver._reduced_row(cost)
+        y = [Fraction(-obj[n + i], solver.det * gamma) for i in range(len(rows))]
+        assert all(yi <= 0 for yi in y)
+        for j, c in enumerate(lp.objective):
+            assert c - sum(yi * row.get(j, 0) for yi, (row, _) in zip(y, rows)) >= 0
+        assert sum(yi * b for yi, (_, b) in zip(y, rows)) == rates.cost
+        optima += 1
+        cut += len(lp.rows) > solver.seed_rows
+    assert cut >= 15
