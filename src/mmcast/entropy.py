@@ -14,14 +14,15 @@ A model assigns a joint entropy H(X_S) to every subset S of source nodes:
   entropies in bits, computed in floating point and rationalized to an
   absolute 2**-40 grid (documented approximate path).
 
-The oracle memoizes by subset bitmask, so repeated evaluations during
-submodular minimization are cheap and deterministic.  It also fills whole
-tables: :meth:`EntropyOracle.table` gives the entropy of every subset of a
-node set, which a linear model computes in one pass
-(:meth:`LinearSource.rank_table`): by OR-doubling and popcount over packet
-sets in case (i), else one depth-first rank sweep over the subset tree,
-instead of one Gaussian elimination per subset; the other models are
-evaluated subset by subset.
+The oracle memoizes per-subset evaluations by bitmask, so repeated
+evaluations during submodular minimization are cheap and deterministic.
+Whole tables are another path: :meth:`EntropyOracle.table` gives the
+entropy of every subset of a node set.  A linear model computes it in one
+pass (:meth:`LinearSource.rank_table`): by OR-doubling and popcount over
+packet sets in case (i), else one depth-first rank sweep over the subset
+tree, instead of one Gaussian elimination per subset; that table is handed
+out as it is and writes nothing to the memo.  The other models are
+evaluated subset by subset through the memo.
 :meth:`EntropyOracle.conditional_table` keeps the conditional entropies of
 each node tuple, filled once from that table and shared by every caller.
 """
@@ -36,7 +37,7 @@ from itertools import product
 from . import gf
 from .errors import InvalidInstance, InvalidParameters, UnknownSubset
 from .lp import integral
-from .submodular import members, modular_table
+from .submodular import check_enumerable, members, modular_table
 
 PMF_ROUND_BITS = 40
 PMF_TABLE_CAP = 2 ** 20
@@ -118,8 +119,9 @@ class LinearSource:
 
         Otherwise (case (ii)), one depth-first sweep over the subset tree,
         in which the children of S are S + v for v after every member of S:
-        a child extends its parent's echelon basis by reducing v's rows
-        alone against it, and a relay (no rows) keeps its parent's basis.
+        a child extends its parent's semi-echelon basis by reducing v's rows
+        alone against it (:func:`gf.reduce_row`), and a relay (no rows)
+        keeps its parent's basis.
         A basis of rank N spans F_q^N, so every mask under it is N and is
         filled without a sweep.
 
@@ -142,25 +144,14 @@ class LinearSource:
         n = len(blocks)
         table = [0] * (1 << n)
 
-        def extend(basis, rows):
-            # basis: (pivot, row) pairs; each row is 1 at its pivot and 0 at
-            # the pivots of the rows before it, so one pass reduces a new row
-            for row in rows:
-                for p, b in basis:
-                    f = row[p]
-                    if f:
-                        row = [(x - f * y) % q for x, y in zip(row, b)]
-                for pivot, x in enumerate(row):
-                    if x:
-                        inv = pow(x, -1, q)
-                        basis = basis + [(pivot, [y * inv % q for y in row])]
-                        break
-            return basis
-
         def sweep(mask, basis, start):
             for v in range(start, n):
                 child = mask | 1 << v
-                grown = extend(basis, blocks[v])
+                grown = basis
+                for row in blocks[v]:
+                    reduced = gf.reduce_row(grown, row, q)
+                    if reduced is not None:
+                        grown = grown + [reduced]       # a copy: basis is shared by v's siblings
                 if len(grown) == full:
                     # child | T for every T over the bits above v: stride 2^(v+1)
                     table[child::2 << v] = [full] * (1 << (n - 1 - v))
@@ -277,35 +268,34 @@ class EntropyOracle:
     def table(self, nodes) -> list:
         """H(X_S) for every subset S of nodes, indexed by local mask (bit i is ``nodes[i]``).
 
-        The nodes must be distinct (InvalidParameters otherwise).  Entries
-        are exact: ints where the value is integral, Fractions elsewhere.
-        Each value is memoized under its global mask as well, as a
-        Fraction, so later :meth:`entropy` calls on these subsets are hits.
-        A model with a ``rank_table`` (the linear one) fills the table in
-        one pass, by set union over held packets or else by one elimination
-        sweep, and the table is its rank list, memoized as one shared
-        Fraction per rank; the others are evaluated per mask.
+        The nodes must be distinct ground nodes (InvalidParameters or
+        UnknownSubset otherwise), at most ``submodular.BRUTE_FORCE_LIMIT``
+        of them (GroundTooLarge, before any table is built).  Entries are
+        exact: ints where the value is integral, Fractions elsewhere.  A
+        model with a ``rank_table`` (the linear one) fills the table in one
+        pass, by set union over held packets or else by one elimination
+        sweep, and the table is that rank list, unchanged: nothing is
+        memoized, so a later :meth:`entropy` call evaluates the model
+        itself.  The other models are evaluated per mask through the memo.
         """
         nodes = tuple(nodes)
         if len(set(nodes)) < len(nodes):
             raise InvalidParameters(f"repeated node in {nodes}")
-        masks = modular_table(self.mask((v,)) for v in nodes)    # distinct bits: sums are unions
+        bits = [self.mask((v,)) for v in nodes]
+        check_enumerable(len(bits))
         rank_table = getattr(self.model, "rank_table", None)
-        if rank_table is None:
-            return [integral(self.entropy_of_mask(m)) for m in masks]
-        ranks = rank_table(nodes)
-        values = [Fraction(r) for r in range(ranks[-1] + 1)]    # the full set has the top rank
-        self._memo.update(zip(masks, (values[r] for r in ranks)))
-        return ranks
+        if rank_table is not None:
+            return rank_table(nodes)
+        return [integral(self.entropy_of_mask(m)) for m in modular_table(bits)]  # sums are unions
 
     def conditional_table(self, nodes) -> tuple:
         """g(S) = H(G) - H(G \\ S) for every subset S of G = nodes, indexed by local mask.
 
         Bit i of a mask is ``nodes[i]``, so the table is kept under the exact
         tuple: a reordering of G is another table.  The first call for a
-        tuple fills it from :meth:`table` (which also memoizes every entropy
-        of G's subsets); later calls return the same tuple.  Entries are
-        exact, as in :meth:`table`.
+        tuple fills it from :meth:`table` (a linear model's rank table
+        writes nothing to the per-mask memo); later calls return the same
+        tuple.  Entries are exact, as in :meth:`table`.
         """
         nodes = tuple(nodes)
         g = self._conditional.get(nodes)

@@ -68,7 +68,9 @@ def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> Fe
     is divided by D once; when D = 1 the table is the slack itself.  The
     empty set is skipped (its slack is identically zero).  The cut and the
     requirement of the witness are evaluated again from their per-subset
-    definitions, and a slack other than ``cut - required`` raises
+    definitions, the requirement from the oracle's per-subset entropies
+    (a linear model's rank table writes none of them, so they come from the
+    model itself), and a slack other than ``cut - required`` raises
     RuntimeError: the tables, the oracle's shared conditional table
     included, disagree with them.
     """

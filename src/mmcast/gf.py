@@ -3,6 +3,9 @@
 Elements are plain integers reduced mod q; :class:`FieldMatrix` stores a
 row-major tuple of them together with the shared modulus.  Everything here
 is exact; matrices are never mutated in place by the public operations.
+There is one row reduction, :func:`reduce_row`, which reduces a row against
+a semi-echelon basis: row bases, ranks, solves and inverses here, and the
+rank sweep of ``entropy.LinearSource``, are all built on it.
 """
 
 from __future__ import annotations
@@ -156,58 +159,40 @@ class FieldMatrix:
                 for i in range(self.rows)]
 
 
-def _forward_eliminate(work: list, q: int, cols: int):
-    """Row-reduce ``work`` in place; returns list of (pivot_row, pivot_col).
+def reduce_row(basis, row, q: int):
+    """``row`` reduced by a semi-echelon basis and scaled to 1 at its first nonzero column.
 
-    The pivot in each column is the first row (in order) with a nonzero
-    entry, so reduced forms are reproducible.
+    ``basis`` holds (pivot column, row) pairs in order; each row is 1 at its
+    pivot and 0 at the pivots of the rows before it, so one subtraction per
+    pivot reduces ``row``.  Returns the (pivot, reduced row) pair that
+    extends the basis, or None when ``row`` lies in its span.  Neither
+    ``basis`` nor ``row`` is mutated.
     """
-    pivots = []
-    r = 0
-    nrows = len(work)
-    for c in range(cols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][c] % q != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], q - 2, q)
-        work[r] = [(x * inv) % q for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] % q != 0:
-                factor = work[i][c]
-                work[i] = [(a - factor * b) % q for a, b in zip(work[i], work[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+    for c, b in basis:
+        f = row[c]
+        if f:
+            row = [(x - f * y) % q for x, y in zip(row, b)]
+    pivot = next((c for c, x in enumerate(row) if x), None)
+    if pivot is None:
+        return None
+    inv = pow(row[pivot], -1, q)
+    return pivot, [x * inv % q for x in row]
 
 
 def row_basis(rows, q: int) -> list:
     """Indices of the greedy row basis: each row not in the span of the rows before it.
 
-    ``rows`` are sequences of field elements in [0, q), eliminated as given:
-    each row is reduced by the basis rows kept so far, in order, and kept
-    when something nonzero is left, scaled to 1 at its first nonzero
-    column.  Every kept row is zero in the pivot columns of the rows kept
-    before it, so one subtraction per pivot reduces a row.  The scan stops
-    once the basis spans all of F_q^cols.
+    ``rows`` are sequences of field elements in [0, q), eliminated as given
+    by :func:`reduce_row` against the basis rows kept so far; a row is kept
+    when something nonzero is left.  The scan stops once the basis spans
+    all of F_q^cols.
     """
-    kept, basis = [], []            # basis: (pivot column, reduced row with 1 there)
+    kept, basis = [], []
     for k, row in enumerate(rows):
-        for c, b in basis:
-            f = row[c]
-            if f:
-                row = [(x - f * y) % q for x, y in zip(row, b)]
-        pivot = next((c for c, x in enumerate(row) if x), None)
-        if pivot is None:
+        reduced = reduce_row(basis, row, q)
+        if reduced is None:
             continue
-        inv = pow(row[pivot], -1, q)
-        basis.append((pivot, [x * inv % q for x in row]))
+        basis.append(reduced)
         kept.append(k)
         if len(kept) == len(row):
             break
@@ -227,23 +212,35 @@ def rank(m: FieldMatrix) -> int:
 def solve_right(m: FieldMatrix, y: FieldMatrix) -> FieldMatrix:
     """Solve m @ x = y for x; free variables (if any) are set to zero.
 
-    Raises :class:`Inconsistent` when no solution exists.
+    The rows of [m | y] are reduced in order by :func:`reduce_row`; a row
+    whose pivot lands in the y part has no solution and raises
+    :class:`Inconsistent`.  Each pivot is then cleared from the rows above
+    it, last pivot first, so that row r is 1 at its pivot c and 0 at every
+    other pivot, and x[c] is the y part of row r.
     """
     m._check_same_field(y)
     if m.rows != y.rows:
         raise ValueError("row mismatch between system and right-hand side")
-    q = m.q
-    ncols = m.cols + y.cols
-    work = [list(m.row(i)) + list(y.row(i)) for i in range(m.rows)]
-    pivots = _forward_eliminate(work, q, m.cols)
-    pivot_rows = {r for r, _ in pivots}
+    q, n = m.q, m.cols
+    basis = []
     for i in range(m.rows):
-        if i not in pivot_rows and any(work[i][m.cols:]):
+        reduced = reduce_row(basis, m.row(i) + y.row(i), q)
+        if reduced is None:
+            continue
+        if reduced[0] >= n:
             raise Inconsistent("system has no solution")
-    x = [[0] * y.cols for _ in range(m.cols)]
-    for r, c in pivots:
-        x[c] = [work[r][m.cols + j] % q for j in range(y.cols)]
-    return FieldMatrix(m.cols, y.cols, [v for row in x for v in row], q)
+        basis.append(reduced)
+    for k in range(len(basis) - 1, 0, -1):
+        c, b = basis[k]
+        for i in range(k):
+            p, row = basis[i]
+            f = row[c]
+            if f:
+                basis[i] = p, [(x - f * z) % q for x, z in zip(row, b)]
+    x = [[0] * y.cols for _ in range(n)]
+    for c, row in basis:
+        x[c] = row[n:]
+    return FieldMatrix(n, y.cols, [v for row in x for v in row], q)
 
 
 def inverse(m: FieldMatrix) -> FieldMatrix:

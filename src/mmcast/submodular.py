@@ -32,7 +32,8 @@ def members(ground, mask: int) -> tuple:
     return tuple(e for i, e in enumerate(ground) if mask >> i & 1)
 
 
-def _check_enumerable(n: int) -> None:
+def check_enumerable(n: int) -> None:
+    """GroundTooLarge unless n elements are few enough to enumerate their 2^n subsets."""
     if n > BRUTE_FORCE_LIMIT:
         raise GroundTooLarge(f"{n} elements exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
 
@@ -40,7 +41,7 @@ def _check_enumerable(n: int) -> None:
 def modular_table(weights) -> list:
     """x(S) = sum of weights[i] over the bits i of S, for every mask S."""
     weights = list(weights)
-    _check_enumerable(len(weights))
+    check_enumerable(len(weights))
     table = [0]
     for w in weights:
         table += [x + w for x in table]
@@ -107,7 +108,7 @@ def sfm_brute_force(f: SetFunction, include_empty: bool = True):
     which f(empty) = 0 holds trivially).
     """
     n = len(f.ground)
-    _check_enumerable(n)
+    check_enumerable(n)
     start = 0 if include_empty else 1
     if f.evaluate is None:          # tabulated: the list is the table
         values = f._memo[start:]

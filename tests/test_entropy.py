@@ -79,6 +79,19 @@ def test_tabular_copy_above_the_brute_force_limit_is_refused():
         tabular_from_oracle(oracle)
 
 
+def test_oracle_table_checks_the_cap_before_building(monkeypatch):
+    _, oracle, _ = load_instance(long_chain_doc(21))
+
+    def boom(*args):
+        raise AssertionError("a rank table was built above the brute-force limit")
+
+    monkeypatch.setattr(LinearSource, "rank_table", boom)
+    with pytest.raises(GroundTooLarge):
+        oracle.table(oracle.ground)
+    with pytest.raises(GroundTooLarge):
+        tabular_from_oracle(oracle)
+
+
 def test_tabular_missing_subset():
     table = TabularSource(("a", "b"), {frozenset(["a"]): Fraction(1)})
     with pytest.raises(UnknownSubset):
@@ -226,7 +239,22 @@ def test_rank_table_all_relays_and_no_packets():
     assert empty.rank_table(("a", "b")) == [0, 0, 0, 0]
 
 
-def test_region_fills_the_memo_like_per_mask_evaluation():
+def _assert_region_matches(instance, oracle, model, entropy):
+    # g(S) = H(G) - H(G \ S) over the client's sources G, against a per-subset
+    # entropy; building the Region writes nothing to a fresh oracle's memo
+    for t in instance.clients:
+        sub = client_subproblem(instance, oracle, t)
+        fresh = EntropyOracle.from_model(oracle.ground, model)
+        memo = dict(fresh._memo)
+        region = Region(sub, fresh)
+        assert fresh._memo == memo
+        full = (1 << len(sub.sources)) - 1
+        for mask in range(full + 1):
+            rest = members(sub.sources, full ^ mask)
+            assert region.g[mask] == entropy(sub.sources) - entropy(rest)
+
+
+def test_region_matches_per_mask_evaluation_without_memo_writes():
     rng = random.Random(17)
     for doc in [random_instance_doc(rng, n_sources=7, n_clients=2) for _ in range(3)]:
         model_doc = doc["source_model"]
@@ -234,15 +262,7 @@ def test_region_fills_the_memo_like_per_mask_evaluation():
         model_doc["matrices"] = {node: [[rng.randrange(5) for _ in row] for row in rows]
                                  for node, rows in model_doc["matrices"].items()}
         instance, oracle, model = load_instance(doc)
-        for t in instance.clients:
-            sub = client_subproblem(instance, oracle, t)
-            fresh = EntropyOracle.from_model(oracle.ground, model)
-            Region(sub, fresh)
-            full = fresh.mask(sub.sources)
-            masks = [m for m in range(full + 1) if m & full == m]
-            expected = {m: model.entropy(members(fresh.ground, m)) for m in masks}
-            assert fresh._memo == expected
-            assert all(type(h) is Fraction for h in fresh._memo.values())
+        _assert_region_matches(instance, oracle, model, model.entropy)
 
 
 def test_oracle_table_falls_back_per_mask_for_tabular_models(f2):
@@ -354,18 +374,10 @@ def test_mixed_tuple_runs_the_elimination(monkeypatch):
     assert sweeps == [nodes]
 
 
-def test_region_fills_the_memo_like_per_mask_evaluation_on_selector_models():
+def test_region_matches_per_mask_evaluation_without_memo_writes_on_selector_models():
     rng = random.Random(17)
     for doc in [random_instance_doc(rng, n_sources=7, n_clients=2) for _ in range(3)]:
         instance, oracle, model = load_instance(doc)
         assert None not in model._held.values()        # the generator draws 0/1 selectors
-        for t in instance.clients:
-            sub = client_subproblem(instance, oracle, t)
-            fresh = EntropyOracle.from_model(oracle.ground, model)
-            Region(sub, fresh)
-            full = fresh.mask(sub.sources)
-            masks = [m for m in range(full + 1) if m & full == m]
-            expected = {m: Fraction(gf.rank(model.stacked(members(fresh.ground, m))))
-                        for m in masks}
-            assert fresh._memo == expected
-            assert all(type(h) is Fraction for h in fresh._memo.values())
+        _assert_region_matches(instance, oracle, model,
+                               lambda nodes: gf.rank(model.stacked(nodes)))

@@ -180,3 +180,68 @@ def test_row_basis_keeps_rows_outside_the_span_of_earlier_rows():
                         for s in span for k in range(q)}
         assert gf.row_basis(rows, q) == kept
         assert gf.rank(FieldMatrix.from_rows(rows, q, cols=c)) == len(kept)
+
+
+def _reference_solve_right(m: FieldMatrix, y: FieldMatrix) -> FieldMatrix:
+    """Gauss-Jordan on [m | y], column by column, the first nonzero row as pivot."""
+    q, ncols = m.q, m.cols
+    work = [list(m.row(i)) + list(y.row(i)) for i in range(m.rows)]
+    pivots, r = [], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c] % q), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = pow(work[r][c], q - 2, q)
+        work[r] = [x * inv % q for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] % q:
+                f = work[i][c]
+                work[i] = [(a - f * b) % q for a, b in zip(work[i], work[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == len(work):
+            break
+    pivot_rows = {i for i, _ in pivots}
+    if any(any(work[i][ncols:]) for i in range(len(work)) if i not in pivot_rows):
+        raise Inconsistent("system has no solution")
+    x = [[0] * y.cols for _ in range(ncols)]
+    for i, c in pivots:
+        x[c] = work[i][ncols:]
+    return FieldMatrix(ncols, y.cols, [v for row in x for v in row], q)
+
+
+def test_solve_right_matches_gauss_jordan():
+    # semi-echelon reduction and back-clearing give Gauss-Jordan's x (free
+    # variables zero), and fail on the same systems
+    rng = random.Random(23)
+    outcomes = {"solved": 0, "inconsistent": 0, "inverted": 0}
+    for _ in range(1500):
+        q = rng.choice((2, 3, 5, 7, 11))
+        r, c, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3)
+        rows = []
+        for _ in range(r):
+            if rows and rng.random() < 0.3:     # a combination of earlier rows: rank deficient
+                a, b = rng.choice(rows), rng.choice(rows)
+                s = rng.randrange(q)
+                rows.append([(x + s * z) % q for x, z in zip(a, b)])
+            else:
+                rows.append([rng.randrange(q) for _ in range(c)])
+        m = FieldMatrix.from_rows(rows, q, cols=c)
+        if rng.random() < 0.5:
+            y = m.matmul(FieldMatrix(c, k, [rng.randrange(q) for _ in range(c * k)], q))
+        else:
+            y = FieldMatrix(r, k, [rng.randrange(q) for _ in range(r * k)], q)
+        try:
+            want = _reference_solve_right(m, y)
+        except Inconsistent:
+            with pytest.raises(Inconsistent):
+                gf.solve_right(m, y)
+            outcomes["inconsistent"] += 1
+        else:
+            assert gf.solve_right(m, y) == want
+            outcomes["solved"] += 1
+        if r == c and gf.rank(m) == r:
+            assert gf.inverse(m) == _reference_solve_right(m, FieldMatrix.identity(r, q))
+            outcomes["inverted"] += 1
+    assert min(outcomes.values()) >= 50, outcomes

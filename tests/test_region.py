@@ -211,3 +211,23 @@ def test_feasibility_certificate_checks_the_shared_table(f2):
     oracle._conditional[sub.sources] = tuple(g + 1 if mask else g for mask, g in enumerate(good))
     with pytest.raises(RuntimeError, match="slack"):
         check_feasible_single(sub, oracle, instance.capacities())
+
+
+def test_feasibility_witness_is_rechecked_against_the_model(monkeypatch, f2):
+    # a rank table one short at G \ {m2} makes g({m2}) one too large; the
+    # witness's requirement comes from the model, not from a copy of that table
+    instance, _, model = f2
+    oracle = EntropyOracle.from_model(instance.sources, model)
+    sub = client_subproblem(instance, oracle, "t1")
+    rest = ((1 << len(sub.sources)) - 1) ^ (1 << sub.sources.index("m2"))
+    rank_table = LinearSource.rank_table
+
+    def short(self, nodes):
+        table = rank_table(self, nodes)
+        if nodes == sub.sources:
+            table[rest] -= 1
+        return table
+
+    monkeypatch.setattr(LinearSource, "rank_table", short)
+    with pytest.raises(RuntimeError, match="slack"):
+        check_feasible_single(sub, oracle, instance.capacities())
