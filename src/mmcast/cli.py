@@ -159,11 +159,13 @@ def _cmd_solve(args) -> tuple:
         trace = []
     else:
         schedule = _parse_schedule(args.schedule)
-        params.update({"schedule": args.schedule, "iters": args.iters,
-                       "gap": frac_str(Fraction(args.gap).limit_denominator(10 ** 12))})
+        try:
+            gap = Fraction(args.gap).limit_denominator(10 ** 12)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidParameters(f"cannot parse --gap {args.gap!r}: {exc}") from exc
+        params.update({"schedule": args.schedule, "iters": args.iters, "gap": frac_str(gap)})
         result = multi_client.solve_multi_subgradient(
-            instance, oracle, schedule=schedule, max_iters=args.iters,
-            gap_tol=Fraction(args.gap).limit_denominator(10 ** 12))
+            instance, oracle, schedule=schedule, max_iters=args.iters, gap_tol=gap)
         trace = [{"n": t.n, "dual": _round12(t.dual), "primal": _round12(t.primal),
                   "gap": _round12(t.gap)} for t in result.trace]
         if args.trace_csv:

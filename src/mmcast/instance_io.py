@@ -35,10 +35,16 @@ def rates_to_json(rates: dict) -> dict:
     return {eid: frac_str(r) for eid, r in sorted(rates.items())}
 
 
+def _object(value, what: str) -> dict:
+    """``value``, which must be a JSON object; InvalidInstance otherwise."""
+    if not isinstance(value, dict):
+        raise InvalidInstance(f"{what} must be a JSON object")
+    return value
+
+
 def parse_rates(data: dict) -> dict:
     """Accept a plain {edge: rational} mapping or solver output with Z/rates."""
-    if not isinstance(data, dict):
-        raise InvalidInstance("rates document must be a JSON object")
+    _object(data, "rates document")
     for key in ("Z", "rates"):
         if key in data and isinstance(data[key], dict):
             data = data[key]
@@ -63,7 +69,7 @@ def parse_source_model(description: dict, sources):
         try:
             q = parse_integer(description["q"])
             n = parse_integer(description["N"])
-            raw = description["matrices"]
+            raw = _object(description["matrices"], "linear source model matrices")
         except (KeyError, TypeError) as exc:
             raise InvalidInstance(f"malformed linear source model: {exc}") from exc
         check_linear_parameters(q, n)       # before any FieldMatrix rejects q its own way
@@ -85,7 +91,7 @@ def parse_source_model(description: dict, sources):
     if kind == "tabular":
         unit = description.get("unit", "packets")
         try:
-            raw = description["entropies"]
+            raw = _object(description["entropies"], "tabular entropies")
         except KeyError as exc:
             raise InvalidInstance("tabular source model needs an entropies table") from exc
         table = {}
@@ -101,7 +107,8 @@ def parse_source_model(description: dict, sources):
         return TabularSource(tuple(sources), table, unit=unit)
     if kind == "pmf":
         try:
-            alphabets = {str(k): parse_integer(v) for k, v in description["alphabets"].items()}
+            alphabets = {str(k): parse_integer(v)
+                         for k, v in _object(description["alphabets"], "pmf alphabets").items()}
             nested = description["table"]
         except (KeyError, TypeError) as exc:
             raise InvalidInstance(f"malformed pmf source model: {exc}") from exc
@@ -137,9 +144,7 @@ def load_instance(source) -> tuple:
             raw = json.loads(Path(source).read_text())
     else:
         raise InvalidInstance(f"cannot load an instance from {type(source).__name__}")
-    if not isinstance(raw, dict):
-        raise InvalidInstance("instance document must be a JSON object")
-    instance = validate_instance(raw)
+    instance = validate_instance(_object(raw, "instance document"))
     if "source_model" not in raw:
         raise InvalidInstance("instance document is missing source_model")
     source_model = parse_source_model(raw["source_model"], instance.sources)

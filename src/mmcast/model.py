@@ -8,11 +8,12 @@ exact rationals in the entropy unit of the attached source model
 
 Every region inequality of a client compares a cut or a boundary of a
 source subset S with g(S) = H(X_S | X_rest).  :class:`Region` holds these
-as exact tables indexed by the subset mask over the client's sources.  A
-table is filled by doubling: the masks with top bit v are the masks below
-v, each shifted by what adding v changes.  That change is modular in the
-lower bits, so every table costs a few list passes instead of a scan of
-every edge per subset, and no order of the sources is assumed.
+as exact tables indexed by the subset mask over the client's sources, and
+is the only code that builds a mask's LP row, drops implied rows and finds
+tight sets.  A table is filled by doubling: the masks with top bit v are
+the masks below v, each shifted by what adding v changes, which is modular
+in the lower bits; a table costs a few list passes, not an edge scan per
+subset, and assumes no order of the sources.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from .errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, EmptyReachableSet,
                      InvalidInstance, NegativeCapacity, NonpositiveCost, UnknownEdgeRate)
 from .lp import integral
-from .submodular import modular_table
+from .submodular import members, modular_table
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def validate_instance(raw: dict) -> NetworkInstance:
     """
     try:
         node_list = [str(v) for v in raw["nodes"]]
-        edge_list = raw["edges"]
+        edge_list = list(raw["edges"])
         client_list = [str(v) for v in raw["clients"]]
     except (KeyError, TypeError) as exc:
         raise InvalidInstance(f"missing or malformed instance key: {exc}") from exc
@@ -257,11 +258,13 @@ class Region:
         index = {v: i for i, v in enumerate(sub.sources)}
         self._out = [[] for _ in sub.sources]   # per source: (head index, edge position)
         self._in = [[] for _ in sub.sources]    # per source: (tail index, edge position)
+        self._ends = []                         # per edge: (tail bit, head bit or 0)
         for j, e in enumerate(sub.edges):
             head = index.get(e.head)            # None for the client itself
             self._out[index[e.tail]].append((head, j))
             if head is not None:
                 self._in[head].append((index[e.tail], j))
+            self._ends.append((1 << index[e.tail], 0 if head is None else 1 << head))
         self.g = oracle.conditional_table(sub.sources)
         self.full = len(self.g) - 1
 
@@ -289,20 +292,31 @@ class Region:
         return modular_table(integral(sum(rate[j] for _, j in out) - sum(rate[j] for _, j in into))
                              for out, into in zip(self._out, self._in))
 
-    def row(self, mask: int) -> list:
-        """LP coefficients of boundary(R, S) over the edge order of the subproblem.
+    def row(self, mask: int) -> dict:
+        """boundary(R, S) as ``{edge position: +1 or -1}``, the positions ascending.
 
-        The sum of the incidence rows (+1 out of v, -1 into v) of the sources
-        v in S; the two entries of an edge inside S cancel.
+        +1 where the tail is in S and the head is not, -1 where the head is in S
+        and the tail is not; the LP row of S, and the only code that builds one.
         """
-        row = [0] * len(self.sub.edges)
-        for v, (out, into) in enumerate(zip(self._out, self._in)):
-            if mask >> v & 1:
-                for _, j in out:
-                    row[j] += 1
-                for _, j in into:
-                    row[j] -= 1
+        row = {}
+        for j, (tail, head) in enumerate(self._ends):
+            d = bool(mask & tail) - bool(mask & head)
+            if d:
+                row[j] = d
         return row
+
+    def constraint(self, mask: int) -> tuple:
+        """``(row, rel, g(S))``: boundary(R, S) >= g(S), an equality at the full set."""
+        return self.row(mask), "==" if mask == self.full else ">=", self.g[mask]
+
+    def implied(self, mask: int) -> bool:
+        """Whether R >= 0 alone implies the row of S: g(S) <= 0 and no edge enters S."""
+        return self.g[mask] <= 0 and -1 not in self.row(mask).values()
+
+    def tight(self, rates: dict, masks) -> list:
+        """The members of each of ``masks`` whose inequality is tight at ``rates``, in order."""
+        b, g = self.boundary(rates), self.g
+        return [members(self.sub.sources, mask) for mask in masks if b[mask] == g[mask]]
 
 
 @dataclass(frozen=True)

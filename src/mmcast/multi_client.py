@@ -8,12 +8,12 @@ rate-flow region.  Two routes:
   client's rates, with region rows added lazily (Kelley's cutting planes).
   It starts from a seed pool per client (singletons, their complements,
   the ground equality) and the couplings Z_e >= R_e^(t); each round, exact
-  submodular separation finds the most violated region row of every
-  client, the rows are appended and the LP is re-optimized warm by dual
-  simplex.  It stops when no client has a violated row, so the optimum is
-  exact and certified by that separation.
+  submodular separation finds each client's most violated region row, and
+  the rows are appended and re-optimized warm by dual simplex until no
+  client has one, so the optimum is exact and certified by that separation.
   :func:`solve_multi_bruteforce` builds the same LP with every region row
-  materialized; it is the reference the lazy route is tested against.
+  that x >= 0 does not imply; it is the reference for the lazy route.  A
+  region row is the client's ``Region.constraint``, moved to its columns.
 * :func:`solve_multi_subgradient` -- dualize the coupling Z_e >= R_e^(t).
   The per-edge multipliers live on scaled simplices {lam >= 0,
   sum_t lam_e^(t) = alpha_e}; each iteration solves one weighted
@@ -140,55 +140,48 @@ def exact_simplex_projection(v: list, total: Fraction) -> list:
 class _MultiLP:
     """Variables, caps, rows and read-out of the exact multi-client LP.
 
-    The columns are Z_e for every edge of the instance, then R_e^(t) for
-    every edge of every client's subproblem; each row is a ``{column:
-    coefficient}`` dict of its nonzeros.  Region rows are chosen by
-    client and mask, so the lazy and the brute-force route assemble the
-    same LP from different masks.
+    The columns are Z_e for every edge of the instance, then each client's
+    R^(t) in its subproblem's edge order from column ``offset[t]``; each row
+    is a ``{column: coefficient}`` dict of its nonzeros.  Region rows are
+    :meth:`Region.constraint` shifted by the offset, chosen by client and
+    mask, so the lazy and the brute-force route assemble the same LP from
+    different masks.
     """
 
     def __init__(self, instance: NetworkInstance, subs: dict, oracle):
         self.instance, self.subs = instance, subs
         self.regions = {t: Region(sub, oracle) for t, sub in subs.items()}
         self.z_index = {e.id: i for i, e in enumerate(instance.edges)}
-        n = len(instance.edges)
-        self.r_index = {}
+        self.offset, n = {}, len(instance.edges)
         for t, sub in subs.items():
-            for e in sub.edges:
-                self.r_index[(t, e.id)] = n
-                n += 1
+            self.offset[t], n = n, n + len(sub.edges)
         self.n = n
 
     def region_row(self, t, mask: int) -> tuple:
         """boundary(R^(t), S) >= g(S) for the mask of S; equality at the full set."""
-        region, r_index = self.regions[t], self.r_index
-        row = {r_index[(t, e.id)]: coeff
-               for e, coeff in zip(self.subs[t].edges, region.row(mask)) if coeff}
-        return row, "==" if mask == region.full else ">=", region.g[mask]
+        row, rel, rhs = self.regions[t].constraint(mask)
+        return {self.offset[t] + j: c for j, c in row.items()}, rel, rhs
 
     def program(self, masks: dict) -> LinearProgram:
         """The LP with the region rows of ``masks[t]`` plus every ground equality and coupling."""
         caps = self.instance.capacities()
-        covered = {eid for (_, eid) in self.r_index}
+        covered = {e.id for sub in self.subs.values() for e in sub.edges}
         upper = [caps[e.id] if e.id in covered else 0 for e in self.instance.edges]
         # R_e^(t) <= Z_e <= c_e already caps the rates; a cap would add a row each
-        upper += [None] * len(self.r_index)
+        upper += [None] * (self.n - len(upper))
         rows = []
         for t, sub in self.subs.items():
-            for mask in masks[t]:
-                row = self.region_row(t, mask)
-                if row[2] <= 0 and all(c >= 0 for c in row[0].values()):
-                    continue        # implied by the nonnegativity bounds
-                rows.append(row)
-            rows.append(self.region_row(t, self.regions[t].full))
-            rows += [({self.z_index[e.id]: 1, self.r_index[(t, e.id)]: -1}, ">=", 0)
-                     for e in sub.edges]
+            region, k = self.regions[t], self.offset[t]
+            rows += [self.region_row(t, mask) for mask in masks[t] if not region.implied(mask)]
+            rows.append(self.region_row(t, region.full))
+            rows += [({self.z_index[e.id]: 1, k + j: -1}, ">=", 0)
+                     for j, e in enumerate(sub.edges)]
         objective = [e.cost for e in self.instance.edges]
         objective += [0] * (self.n - len(objective))
         return LinearProgram(objective, rows, upper)
 
     def per_client(self, x: list) -> dict:
-        return {t: {e.id: x[self.r_index[(t, e.id)]] for e in sub.edges}
+        return {t: {e.id: x[self.offset[t] + j] for j, e in enumerate(sub.edges)}
                 for t, sub in self.subs.items()}
 
     def result(self, solution) -> MulticastRates:
@@ -228,11 +221,8 @@ def solve_multi_exact(instance: NetworkInstance, oracle) -> MulticastRates:
     solution = solver.solve()
     while solution.status == "optimal":
         rates = lp.per_client(solution.x)
-        cuts = []
-        for t in lp.subs:
-            mask = most_violated(lp.regions[t], rates[t])
-            if mask is not None:
-                cuts.append(lp.region_row(t, mask))
+        cuts = [lp.region_row(t, mask) for t, region in lp.regions.items()
+                if (mask := most_violated(region, rates[t])) is not None]
         if not cuts:
             return lp.result(solution)
         if not solver.add_rows(cuts):
@@ -275,6 +265,8 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     gap_tol = Fraction(gap_tol).limit_denominator(10 ** 12)
     if max_iters < 1:
         raise InvalidParameters("max_iters must be at least 1")
+    if gap_tol < 0:
+        raise InvalidParameters("gap_tol must be nonnegative")
     subs = _subproblems(instance, oracle)
     clients = instance.clients
     caps = instance.capacities()

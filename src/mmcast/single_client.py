@@ -10,11 +10,12 @@ source set, intersected with the capacity box.  Two solvers cover it:
   submodular minimization until none is violated.  Each cut is appended
   to the solved LP and re-optimized warm by dual simplex.  The LP decides
   feasibility; the certificate is computed only to explain an empty region.
-* :func:`solve_single_client_bruteforce` -- materializes all 2^m - 2
-  subset inequalities at once; the oracle baseline the cutting-plane
-  path is tested against.
+* :func:`solve_single_client_bruteforce` -- materializes at once every
+  subset inequality that x >= 0 does not imply; the oracle baseline the
+  cutting-plane path is tested against.
 
-Both return exact rational optima.
+Both assemble the LP alike from ``Region.constraint`` rows (the ground
+equality after those of their masks) and return exact rational optima.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import feasibility
 from .errors import GroundTooLarge, Infeasible
 from .lp import LinearProgram, SimplexSolver
 from .model import ClientSubproblem, Region
-from .submodular import SetFunction, members, sfm_brute_force
+from .submodular import SetFunction, sfm_brute_force
 
 BRUTE_FORCE_SOURCES = 16
 
@@ -61,6 +62,13 @@ def most_violated(region: Region, rates: dict):
     return h.mask(witness)
 
 
+def _simplex(region: Region, masks, costs: dict, capacities: dict) -> SimplexSolver:
+    """The client's LP: the region rows of ``masks``, the ground equality, the capacity caps."""
+    rows = [region.constraint(mask) for mask in [*masks, region.full]]
+    return SimplexSolver(LinearProgram([costs[e.id] for e in region.sub.edges], rows,
+                                       [capacities[e.id] for e in region.sub.edges]))
+
+
 class RegionOptimizer:
     """Repeatedly minimize linear objectives over one client's region.
 
@@ -77,15 +85,6 @@ class RegionOptimizer:
         self.pool = seed_pool(len(sub.sources))
         self._solver = None
 
-    def _row(self, mask: int) -> tuple:
-        return self.region.row(mask), ">=", self.region.g[mask]
-
-    def _build(self, objective: list) -> SimplexSolver:
-        rows = [self._row(mask) for mask in self.pool]
-        rows.append((self.region.row(self.region.full), "==", self.sub.ground_entropy))
-        upper = [self.capacities[e.id] for e in self.sub.edges]
-        return SimplexSolver(LinearProgram(objective, rows, upper))
-
     def minimize(self, costs: dict):
         """Exact minimum of sum(costs[e] * R_e) over the region.
 
@@ -94,7 +93,7 @@ class RegionOptimizer:
         """
         objective = [costs[e.id] for e in self.sub.edges]
         if self._solver is None:
-            self._solver = self._build(objective)
+            self._solver = _simplex(self.region, self.pool, costs, self.capacities)
             solution = self._solver.solve()
         else:
             solution = self._solver.resolve(objective)
@@ -105,7 +104,7 @@ class RegionOptimizer:
             if violated is None:
                 return rates, solution.value, solves
             self.pool.append(violated)
-            if not self._solver.add_rows([self._row(violated)]):
+            if not self._solver.add_rows([self.region.constraint(violated)]):
                 break
             solution = self._solver.resolve(objective)
             solves += 1
@@ -113,9 +112,7 @@ class RegionOptimizer:
         raise Infeasible(f"client {self.sub.client}: region is empty under capacities")
 
     def tight_sets(self, rates: dict) -> list:
-        b, g = self.region.boundary(rates), self.region.g
-        return [members(self.sub.sources, mask) for mask in sorted(self.pool) + [self.region.full]
-                if b[mask] == g[mask]]
+        return self.region.tight(rates, sorted(self.pool) + [self.region.full])
 
 
 def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
@@ -136,12 +133,11 @@ def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
         raise Infeasible(
             f"client {sub.client}: subset {cert.witness_set} needs rate "
             f"{cert.required} but has cut capacity {cert.cut}", (cert,)) from None
-    # the last separation found no violated subset; with the ground equality
-    # that puts the boundary vector in the base polyhedron of g
-    full_row = opt.region.row(opt.region.full)
-    if sum(c * rates[e.id] for c, e in zip(full_row, sub.edges)) != sub.ground_entropy:
+    # no violated subset and the full set tight (listed last): b(R) is in the base polyhedron of g
+    tight = opt.tight_sets(rates)
+    if tight[-1:] != [sub.sources]:
         raise RuntimeError(f"client {sub.client}: the rates miss the ground equality")
-    return SingleClientSolution(rates, value, opt.tight_sets(rates), solves)
+    return SingleClientSolution(rates, value, tight, solves)
 
 
 def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
@@ -151,20 +147,10 @@ def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
     if m > BRUTE_FORCE_SOURCES:
         raise GroundTooLarge(f"{m} sources exceeds brute-force limit {BRUTE_FORCE_SOURCES}")
     region = Region(sub, oracle)
-    g, full = region.g, region.full
-    rows = []
-    for mask in range(1, full):
-        base = region.row(mask)
-        if g[mask] <= 0 and all(c >= 0 for c in base):
-            continue                # implied by the nonnegativity bounds
-        rows.append((base, ">=", g[mask]))
-    rows.append((region.row(full), "==", sub.ground_entropy))
-    upper = [capacities[e.id] for e in sub.edges]
-    objective = [Fraction(costs[e.id]) for e in sub.edges]
-    solution = SimplexSolver(LinearProgram(objective, rows, upper)).solve()
+    masks = [mask for mask in range(1, region.full) if not region.implied(mask)]
+    solution = _simplex(region, masks, costs, capacities).solve()
     if solution.status == "infeasible":
         raise Infeasible(f"client {sub.client}: region is empty under capacities")
     rates = {e.id: x for e, x in zip(sub.edges, solution.x)}
-    b = region.boundary(rates)
-    tight = [members(sub.sources, mask) for mask in range(1, full + 1) if b[mask] == g[mask]]
-    return SingleClientSolution(rates, solution.value, tight, 1)
+    return SingleClientSolution(rates, solution.value,
+                                region.tight(rates, range(1, region.full + 1)), 1)

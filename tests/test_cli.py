@@ -137,6 +137,29 @@ PMF_DOC = {
 }
 
 
+MALFORMED = {
+    "matrices list": lambda doc: doc["source_model"].update(matrices=[[[1, 0, 0, 0]]]),
+    "matrices number": lambda doc: doc["source_model"].update(matrices=5),
+    "entropies list": lambda doc: doc.update(
+        source_model={"kind": "tabular", "entropies": [["m1", 2]]}),
+    "alphabets list": lambda doc: doc.update(PMF_DOC, source_model=dict(
+        PMF_DOC["source_model"], alphabets=[2, 2])),
+    "edges number": lambda doc: doc.update(edges=7),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_document_shapes_exit_one(tmp_path, capsys, name):
+    # a wrongly typed container is an InvalidInstance error object, never a traceback
+    doc = json.loads(FIXTURE_F2.read_text())
+    MALFORMED[name](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "feas", str(path))
+    assert code == 1
+    assert out["error"]["code"] == "InvalidInstance", name
+
+
 @pytest.mark.parametrize("field, value", [
     ("q", 5.9), ("q", float("inf")), ("q", True), ("N", 4.5), ("N", "4/3"),
     ("entry", 1.5), ("entry", float("nan")), ("rows", 5), ("alphabet", 2.5),
@@ -326,6 +349,14 @@ def test_solve_subgradient_power_schedule(capsys):
                         "--iters", "5000")
     assert code == 0
     assert doc["converged"] is True
+
+
+@pytest.mark.parametrize("gap", ["abc", "1/0", "-1", "-0.01"])
+def test_bad_gap_rejected(capsys, gap):
+    code, doc = run_cli(capsys, "solve", str(FIXTURE_F2), "--all-clients",
+                        "--method", "subgradient", "--iters", "300", "--gap", gap)
+    assert code == 1
+    assert doc["error"]["code"] == "InvalidParameters"
 
 
 def test_bad_schedule_rejected(capsys):

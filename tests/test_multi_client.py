@@ -289,6 +289,16 @@ def test_step_size_validation():
         step_size(StepSchedule(), 0)
 
 
+@pytest.mark.parametrize("options", [{"max_iters": 0}, {"gap_tol": -1},
+                                     {"gap_tol": Fraction(-1, 100)}],
+                         ids=["max_iters 0", "gap_tol -1", "gap_tol -1/100"])
+def test_subgradient_parameter_validation(f2, options):
+    # a relative gap is never negative: a negative tolerance could only run to the cap
+    instance, oracle, _ = f2
+    with pytest.raises(InvalidParameters):
+        solve_multi_subgradient(instance, oracle, **options)
+
+
 def test_subgradient_fixture_converges(f2):
     instance, oracle, _ = f2
     exact = solve_multi_exact(instance, oracle)

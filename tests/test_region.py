@@ -60,8 +60,10 @@ def test_every_table_entry_equals_its_per_subset_definition():
                     assert b[mask] == boundary(rates, nodes, sub.edges)
                     assert region.g[mask] == oracle.conditional(nodes, sub.sources)
                     row = region.row(mask)
-                    assert sum(c * rates[e.id] for c, e in zip(row, sub.edges)) == b[mask]
-                    assert set(row) <= {-1, 0, 1}
+                    assert sum(c * rates[sub.edges[j].id] for j, c in row.items()) == b[mask]
+                    assert set(row.values()) <= {-1, 1}
+                    assert region.implied(mask) == (region.g[mask] <= 0
+                                                    and -1 not in row.values())
     for kind, features in seen.items():
         assert features == {"relay", "client edge", "zero capacity"}, kind
 

@@ -1,0 +1,189 @@
+"""The rate LPs against a reference assembly of their region rows.
+
+The reference spells every row out on its own: the dense sum of the
+incidence rows of the sources in S, ``>=`` g(S) from the oracle's
+per-subset entropies, the ground equality ``== H(X_{M_t})`` after the seed
+rows, the brute-force routes' filter of rows that x >= 0 implies, and the
+multi-client LP's columns indexed by (client, edge id).  Every LP the
+solvers build must have the same rows (as nonzero maps), relations,
+right-hand sides, caps and objective, in the same order.
+"""
+
+import mmcast.multi_client as multi_client
+import mmcast.single_client as single_client
+from helpers import random_pmf_doc, region_cases
+from mmcast.errors import Infeasible
+from mmcast.lp import LinearProgram, SimplexSolver
+from mmcast.model import client_subproblem
+from mmcast.single_client import RegionOptimizer, seed_pool
+from mmcast.submodular import members
+
+
+def _cases(f2):
+    for suite in ((101, 40, {}), (102, 8, {"n_sources": 8, "max_capacity": 8}),
+                  (9, 15, {"make_doc": random_pmf_doc})):
+        seed, count, kwargs = suite
+        for _, instance, oracle, _ in region_cases(seed, count, **kwargs):
+            yield instance, oracle
+    yield f2[0], f2[1]
+
+
+def _dense_row(sub, mask: int) -> list:
+    """The sum of the incidence rows (+1 out of v, -1 into v) of the sources v in S."""
+    row = [0] * len(sub.edges)
+    for i, v in enumerate(sub.sources):
+        if mask >> i & 1:
+            for j, e in enumerate(sub.edges):
+                row[j] += (e.tail == v) - (e.head == v)
+    return row
+
+
+def _g(sub, oracle, mask: int):
+    return oracle.conditional(members(sub.sources, mask), sub.sources)
+
+
+def _implied(sub, oracle, mask: int) -> bool:
+    return _g(sub, oracle, mask) <= 0 and all(c >= 0 for c in _dense_row(sub, mask))
+
+
+def _single_reference(sub, oracle, costs, caps, masks, cuts=()) -> LinearProgram:
+    rows = [(_dense_row(sub, mask), ">=", _g(sub, oracle, mask)) for mask in masks]
+    rows.append((_dense_row(sub, (1 << len(sub.sources)) - 1), "==", sub.ground_entropy))
+    rows += [(_dense_row(sub, mask), ">=", _g(sub, oracle, mask)) for mask in cuts]
+    return LinearProgram([costs[e.id] for e in sub.edges], rows,
+                         [caps[e.id] for e in sub.edges])
+
+
+class _MultiReference:
+    """The multi-client LP with its columns indexed by (client, edge id)."""
+
+    def __init__(self, instance, subs, oracle):
+        self.instance, self.subs, self.oracle = instance, subs, oracle
+        self.z_index = {e.id: i for i, e in enumerate(instance.edges)}
+        n = len(instance.edges)
+        self.r_index = {}
+        for t, sub in subs.items():
+            for e in sub.edges:
+                self.r_index[(t, e.id)] = n
+                n += 1
+        self.n = n
+
+    def region_row(self, t, mask: int) -> tuple:
+        sub = self.subs[t]
+        full = (1 << len(sub.sources)) - 1
+        row = {self.r_index[(t, e.id)]: c for e, c in zip(sub.edges, _dense_row(sub, mask)) if c}
+        return row, "==" if mask == full else ">=", _g(sub, self.oracle, mask)
+
+    def program(self, masks: dict, cuts=()) -> LinearProgram:
+        caps = self.instance.capacities()
+        covered = {eid for (_, eid) in self.r_index}
+        upper = [caps[e.id] if e.id in covered else 0 for e in self.instance.edges]
+        upper += [None] * len(self.r_index)
+        rows = []
+        for t, sub in self.subs.items():
+            for mask in masks[t]:
+                row = self.region_row(t, mask)
+                if row[2] <= 0 and all(c >= 0 for c in row[0].values()):
+                    continue
+                rows.append(row)
+            rows.append(self.region_row(t, (1 << len(sub.sources)) - 1))
+            rows += [({self.z_index[e.id]: 1, self.r_index[(t, e.id)]: -1}, ">=", 0)
+                     for e in sub.edges]
+        rows += [self.region_row(t, mask) for t, mask in cuts]
+        objective = [e.cost for e in self.instance.edges]
+        objective += [0] * (self.n - len(objective))
+        return LinearProgram(objective, rows, upper)
+
+
+def _normal(lp: LinearProgram) -> tuple:
+    rows = [(coeffs if isinstance(coeffs, dict) else {j: a for j, a in enumerate(coeffs) if a},
+             rel, rhs) for coeffs, rel, rhs in lp.rows]
+    return rows, lp.upper, lp.objective
+
+
+def _record(monkeypatch, module) -> list:
+    """The LinearProgram of every SimplexSolver that ``module`` builds, in order."""
+    built = []
+
+    class Recording(SimplexSolver):
+        def __init__(self, lp):
+            built.append(lp)
+            super().__init__(lp)
+
+    monkeypatch.setattr(module, "SimplexSolver", Recording)
+    return built
+
+
+def test_single_client_lps_have_the_reference_rows(monkeypatch, f2):
+    built = _record(monkeypatch, single_client)
+    kinds = set()
+    for instance, oracle in _cases(f2):
+        caps, costs = instance.capacities(), instance.costs()
+        for t in instance.clients:
+            sub = client_subproblem(instance, oracle, t)
+            m = len(sub.sources)
+            # the seed pool, the equality and the cuts in the order they were added
+            built.clear()
+            opt = RegionOptimizer(sub, oracle, caps)
+            seeds = seed_pool(m)
+            try:
+                opt.minimize(costs)
+                kinds.add("feasible")
+            except Infeasible:
+                kinds.add("infeasible")
+            assert len(built) == 1
+            want = _single_reference(sub, oracle, costs, caps, seeds, opt.pool[len(seeds):])
+            assert _normal(built[0]) == _normal(want)
+            if len(opt.pool) > len(seeds):
+                kinds.add("cut")
+            # brute force: every mask that x >= 0 does not imply
+            built.clear()
+            try:
+                single_client.solve_single_client_bruteforce(sub, oracle, costs, caps)
+            except Infeasible:
+                pass
+            masks = [mask for mask in range(1, (1 << m) - 1) if not _implied(sub, oracle, mask)]
+            if len(masks) < (1 << m) - 2:
+                kinds.add("implied")
+            assert _normal(built[0]) == _normal(_single_reference(sub, oracle, costs, caps, masks))
+    assert kinds == {"feasible", "infeasible", "cut", "implied"}
+
+
+def test_multi_client_lps_have_the_reference_rows(monkeypatch, f2):
+    built = _record(monkeypatch, multi_client)
+    separated = []
+    most_violated = multi_client.most_violated
+
+    def recorded(region, rates):
+        mask = most_violated(region, rates)
+        if mask is not None:
+            separated.append((region.sub.client, mask))
+        return mask
+
+    monkeypatch.setattr(multi_client, "most_violated", recorded)
+    kinds = set()
+    for instance, oracle in _cases(f2):
+        subs = {t: client_subproblem(instance, oracle, t) for t in instance.clients}
+        reference = _MultiReference(instance, subs, oracle)
+        built.clear()
+        separated.clear()
+        try:
+            multi_client.solve_multi_exact(instance, oracle)
+            kinds.add("feasible")
+        except Infeasible:
+            kinds.add("infeasible")
+        # the seed pools, the equalities and couplings, then the cuts in the order added
+        seeds = {t: seed_pool(len(sub.sources)) for t, sub in subs.items()}
+        assert len(built) == 1
+        assert _normal(built[0]) == _normal(reference.program(seeds, separated))
+        if separated:
+            kinds.add("cut")
+        built.clear()
+        try:
+            multi_client.solve_multi_bruteforce(instance, oracle)
+        except Infeasible:
+            pass
+        every = {t: range(1, (1 << len(sub.sources)) - 1) for t, sub in subs.items()}
+        assert _normal(built[0]) == _normal(reference.program(every))
+    assert kinds == {"feasible", "infeasible", "cut"}
+
