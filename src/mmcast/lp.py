@@ -14,7 +14,9 @@ det``, an exact division, and P becomes the new ``det``.  No gcd is taken
 in the loop and no float enters: ratio tests compare ``p/q < r/s`` as
 ``p*s < r*q`` over positive ``q`` and ``s``.  The solution is read out as
 Fractions, ``x_b = rhs / (det*sigma)`` and ``value = -corner /
-(det*sigma*gamma)``.
+(det*sigma*gamma)``; the read-out of x is kept until the basis changes (a
+pivot or an appended row), so a resolve that makes no pivot returns the
+same Fractions without building them again.
 
 Each tableau row is a ``{column: int}`` map of its nonzeros, its
 right-hand side kept apart; LP rows may come in as such maps too.  A pivot
@@ -139,6 +141,7 @@ class SimplexSolver:
         self.n_cols = len(lp.objective)
         self.det = 1               # |det B|, the tableau's common denominator
         self.rhs_scale = 1         # lcm of the right-hand sides' denominators
+        self._x = None             # read-out of the basic solution, None once the basis changes
         self._append_rows(lp.rows + [({j: 1}, "<=", u) for j, u in enumerate(lp.upper)
                                      if u is not None])
         self._solved = False
@@ -171,6 +174,7 @@ class SimplexSolver:
             self.rhs[:] = [v * (sigma // self.rhs_scale) for v in self.rhs]
             self.rhs_scale = sigma
         det, tab, rhs_col = self.det, self.tableau, self.rhs
+        self._x = None
         row_of = {b: i for i, b in enumerate(self.basis)}
         for row, rhs in le:
             new = {j: det * a for j, a in row.items()}
@@ -241,6 +245,7 @@ class SimplexSolver:
             obj[:] = [a // det for a in obj]
             self.det = piv
         self.basis[r] = e
+        self._x = None
 
     def _reduced_row(self, cost: list) -> list:
         """Objective row (reduced costs + current value) for ``cost`` from :meth:`_cost`.
@@ -348,7 +353,9 @@ class SimplexSolver:
 
         The objective has one entry per LP variable, each an int, a
         Fraction or a float (read exactly); any other length raises
-        ValueError.
+        ValueError.  The objective row and the value are computed afresh;
+        the x read-out is kept from the last call while the basis is
+        unchanged, and handed out as a new list each time.
         """
         if not self._solved:
             raise RuntimeError("resolve requires a previous successful solve")
@@ -359,13 +366,14 @@ class SimplexSolver:
             self._objective = None
             return LpSolution("unbounded")
         self._objective = list(objective)
-        x = [0] * self.n_cols
-        for value, b in zip(self.rhs, self.basis):
-            x[b] = value
         scale = self.det * self.rhs_scale
+        if self._x is None:
+            x = [0] * self.n_cols
+            for value, b in zip(self.rhs, self.basis):
+                x[b] = value
+            self._x = [Fraction(v, scale) for v in x[:len(self.lp.objective)]]
         # obj[-1] holds -(c_B B^-1 b) times scale * gamma
-        return LpSolution("optimal", Fraction(-obj[-1], scale * gamma),
-                          [Fraction(v, scale) for v in x[:len(self.lp.objective)]])
+        return LpSolution("optimal", Fraction(-obj[-1], scale * gamma), list(self._x))
 
     def add_rows(self, rows) -> bool:
         """Append ``<=``/``>=`` rows to the solved LP and restore feasibility.

@@ -59,7 +59,6 @@ class ClientSubproblem:
     client: str
     sources: tuple             # M_t: sources reaching the client, topological order
     edges: tuple               # E_t: edges with tail in M_t and head in M_t + {t}
-    ground_entropy: Fraction   # H(X_{M_t})
 
 
 def parse_rational(value) -> Fraction:
@@ -127,11 +126,12 @@ def validate_instance(raw: dict) -> NetworkInstance:
     node becomes a source.
     """
     try:
-        node_list = [str(v) for v in raw["nodes"]]
-        edge_list = list(raw["edges"])
-        client_list = [str(v) for v in raw["clients"]]
+        node_list, edge_list, client_list = raw["nodes"], list(raw["edges"]), raw["clients"]
     except (KeyError, TypeError) as exc:
         raise InvalidInstance(f"missing or malformed instance key: {exc}") from exc
+    if not (isinstance(node_list, list) and isinstance(client_list, list)):
+        raise InvalidInstance("nodes and clients must be JSON lists")
+    node_list, client_list = [str(v) for v in node_list], [str(v) for v in client_list]
 
     if len(set(node_list)) != len(node_list):
         raise InvalidInstance("duplicate node ids")
@@ -200,7 +200,10 @@ def reachable_sources(instance: NetworkInstance, t: str) -> tuple:
 
 
 def client_subproblem(instance: NetworkInstance, oracle, t: str) -> ClientSubproblem:
-    """Restrict the instance to the sources and edges that can serve client t."""
+    """Restrict the instance to the sources and edges that can serve client t.
+
+    ``oracle`` is not read; the parameter stays so that existing callers keep working.
+    """
     if t not in instance.clients:
         raise InvalidInstance(f"{t!r} is not a client of this instance")
     m_t = reachable_sources(instance, t)
@@ -208,7 +211,7 @@ def client_subproblem(instance: NetworkInstance, oracle, t: str) -> ClientSubpro
         raise EmptyReachableSet(f"client {t} has no reachable sources")
     keep = set(m_t) | {t}
     e_t = tuple(e for e in instance.edges if e.tail in set(m_t) and e.head in keep)
-    return ClientSubproblem(t, m_t, e_t, oracle.entropy(m_t))
+    return ClientSubproblem(t, m_t, e_t)
 
 
 def boundary(rates: dict, nodes, edges) -> Fraction:

@@ -20,9 +20,9 @@ rate-flow region.  Two routes:
   single-client problem per client (exact), takes a projected ascent step
   on the multipliers, and recovers a primal point as the running average
   of the inner minimizers.  Inner solutions are exact vertices and the
-  average is kept as an exact sum (divided by n only for a new best
-  point), so every recovered point is exactly region-feasible and every
-  recorded dual value is a true lower bound.
+  average is kept as an exact sum (divided once, at return), so every
+  recovered point is exactly region-feasible and every recorded dual value
+  is a true lower bound.
 
 Each route checks only reconstructability up front; its own LPs decide
 feasibility, and the clients' certificates are computed only to explain an
@@ -285,14 +285,14 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
 
     optimizers = {t: RegionOptimizer(subs[t], oracle, caps) for t in clients}
     # the ergodic average is kept as a sum: the envelope and the cost of the
-    # average are those of the sums divided by n, so only a new best is divided
+    # average are those of the sums divided by n, so the best is divided at return
     rate_sum = {t: {e.id: 0 for e in subs[t].edges} for t in clients}
     int_costs = {eid: integral(c) for eid, c in costs.items()}
 
     trace: list = []
     dual_history: list = []
     best_dual = None
-    best_primal = None          # (cost, envelope, per_client)
+    best_primal = None          # (cost, envelope sums, per-client sums, n)
     best_gap = None
     since_improvement = 0
     converged = False
@@ -323,10 +323,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
                     top[eid] = total
         primal_cost = Fraction(sum(c * top[eid] for eid, c in int_costs.items()), n)
         if best_primal is None or primal_cost < best_primal[0]:
-            best_primal = (primal_cost,
-                           {eid: Fraction(z, n) for eid, z in top.items()},
-                           {t: {eid: Fraction(v, n) for eid, v in rate_sum[t].items()}
-                            for t in clients})
+            best_primal = (primal_cost, top, {t: dict(rate_sum[t]) for t in clients}, n)
 
         if best_dual > 0:
             gap = (primal_cost - best_dual) / best_dual
@@ -362,6 +359,8 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     else:
         warning = "max_iters"
 
-    cost, envelope, per_client = best_primal
+    cost, top, sums, k = best_primal
+    envelope = {eid: Fraction(z, k) for eid, z in top.items()}
+    per_client = {t: {eid: Fraction(v, k) for eid, v in acc.items()} for t, acc in sums.items()}
     return SubgradientResult(envelope, per_client, cost, trace, n,
                              converged, warning, best_dual, dual_history)

@@ -76,6 +76,9 @@ class RegionOptimizer:
     appended to the solved LP and re-optimized warm, and a new objective
     (the Lagrangian inner problems: same region, changing weights) starts
     from the last basis, so each costs a few pivots once the pool settles.
+    The region never changes, so a vertex that passed separation stays
+    inside it: the last certified vertex is not separated again when a
+    later solve returns it.
     """
 
     def __init__(self, sub: ClientSubproblem, oracle, capacities: dict):
@@ -84,6 +87,7 @@ class RegionOptimizer:
         self.region = Region(sub, oracle)
         self.pool = seed_pool(len(sub.sources))
         self._solver = None
+        self._certified = None      # the last x that separation passed
 
     def minimize(self, costs: dict):
         """Exact minimum of sum(costs[e] * R_e) over the region.
@@ -100,8 +104,10 @@ class RegionOptimizer:
         solves = 1
         while solution.status == "optimal":
             rates = {e.id: x for e, x in zip(self.sub.edges, solution.x)}
-            violated = most_violated(self.region, rates)
+            violated = (None if solution.x == self._certified
+                        else most_violated(self.region, rates))
             if violated is None:
+                self._certified = solution.x
                 return rates, solution.value, solves
             self.pool.append(violated)
             if not self._solver.add_rows([self.region.constraint(violated)]):

@@ -145,6 +145,8 @@ MALFORMED = {
     "alphabets list": lambda doc: doc.update(PMF_DOC, source_model=dict(
         PMF_DOC["source_model"], alphabets=[2, 2])),
     "edges number": lambda doc: doc.update(edges=7),
+    "nodes object": lambda doc: doc.update(nodes={v: i for i, v in enumerate(doc["nodes"])}),
+    "clients object": lambda doc: doc.update(clients=dict.fromkeys(doc["clients"], 1)),
 }
 
 

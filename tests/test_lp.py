@@ -385,6 +385,65 @@ def test_add_rows_under_blands_rule(monkeypatch):
     _appended_rows_match_cold_solves(97)
 
 
+def _warm_sequences(seed):
+    """Random mixes of solve, resolve and add_rows, one solver per LP.
+
+    Objectives repeat or move a little, so many resolves keep the vertex,
+    and many appended rows leave it where it is; some right-hand sides and
+    costs are non-integral.  Returns the solutions, one list per LP, and
+    the number of resolves that found a kept read-out.
+    """
+    rng = random.Random(seed)
+    solutions, kept = [], 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        upper = [F(rng.randint(1, 6)) for _ in range(n)]
+        rows = [_random_row(rng, n, ["<=", ">=", "=="]) for _ in range(rng.randint(0, 3))]
+        c = [F(rng.randint(-3, 3)) for _ in range(n)]
+        solver = SimplexSolver(LinearProgram(c, rows, upper))
+        steps = [solver.solve()]
+        while steps[-1].status == "optimal" and len(steps) < 12:
+            s = steps[-1]
+            _assert_feasible(solver.lp, s.x)        # every row appended so far
+            assert sum(a * xj for a, xj in zip(c, s.x)) == s.value
+            if rng.random() < 0.4:
+                coeffs, rel, rhs = _random_row(rng, n, ["<=", ">="])
+                if not solver.add_rows([(coeffs, rel, rhs + _rational(rng, 0, 1))]):
+                    break
+            elif rng.random() < 0.4:
+                c = [a + _rational(rng, -1, 1) * rng.randint(0, 1) for a in c]
+            elif rng.random() < 0.5:
+                c = [F(rng.randint(-3, 3)) for _ in range(n)]
+            kept += solver._x is not None
+            steps.append(solver.resolve(c))
+        solutions.append(steps)
+    return solutions, kept
+
+
+def test_kept_read_out_is_the_fresh_read_out(monkeypatch):
+    # every solution equals the one read out afresh at each resolve, and
+    # every tableau change drops the kept read-out: an appended row leaves
+    # the vertex where it is, so only the second check sees a read-out kept
+    # past _append_rows
+    for name in ("_pivot", "_append_rows"):
+        def dropped(self, *args, method=getattr(SimplexSolver, name)):
+            method(self, *args)
+            assert self._x is None
+        monkeypatch.setattr(SimplexSolver, name, dropped)
+    resolve = SimplexSolver.resolve
+
+    def fresh(self, objective):
+        self._x = None
+        return resolve(self, objective)
+
+    for seed in (211, 212):
+        shipped, kept = _warm_sequences(seed)
+        with monkeypatch.context() as m:
+            m.setattr(SimplexSolver, "resolve", fresh)
+            assert _warm_sequences(seed)[0] == shipped
+        assert sum(len(steps) for steps in shipped) >= 300 and kept >= 100
+
+
 def test_add_rows_reports_infeasibility():
     solver = SimplexSolver(LinearProgram([1, 1], [([1, 1], "==", 4)], [5, 5]))
     assert solver.solve().x == [4, 0]

@@ -86,7 +86,7 @@ def test_fixture_subproblems(f2):
     sub2 = client_subproblem(instance, oracle, "t2")
     assert set(sub2.sources) == {"m1", "m2", "m4"}
     assert [e.id for e in sub2.edges] == ["e2", "e3", "e7"]
-    assert sub2.ground_entropy == 4
+    assert oracle.entropy(sub2.sources) == 4
 
     sub1 = client_subproblem(instance, oracle, "t1")
     assert set(sub1.sources) == {"m1", "m2", "m3", "m4"}

@@ -362,6 +362,34 @@ def test_subgradient_trace_is_deterministic(f2):
     assert a.cost == b.cost and a.envelope == b.envelope
 
 
+def test_subgradient_inner_solutions_pass_separation(f2, monkeypatch):
+    # an inner solve may skip separation only for the vertex it last
+    # certified; every returned vector must still pass it, and the skips
+    # must happen: fewer separations than LP solves
+    import mmcast.single_client as single_client
+    separate, minimize = single_client.most_violated, single_client.RegionOptimizer.minimize
+    calls = {"separations": 0, "solves": 0}
+
+    def counted(region, rates):
+        calls["separations"] += 1
+        return separate(region, rates)
+
+    def checked(self, costs):
+        rates, value, solves = minimize(self, costs)
+        assert separate(self.region, rates) is None
+        calls["solves"] += solves
+        return rates, value, solves
+
+    monkeypatch.setattr(single_client, "most_violated", counted)
+    monkeypatch.setattr(single_client.RegionOptimizer, "minimize", checked)
+    rng = random.Random(150)
+    cases = [f2[:2]] + [random_feasible_instance(rng, n_sources=8, n_clients=3,
+                                                 max_capacity=8)[:2] for _ in range(10)]
+    for instance, oracle in cases:
+        solve_multi_subgradient(instance, oracle, max_iters=30)
+    assert calls["separations"] < calls["solves"]
+
+
 def test_subgradient_power_schedule(f2):
     instance, oracle, _ = f2
     exact = solve_multi_exact(instance, oracle)

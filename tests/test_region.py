@@ -47,8 +47,7 @@ def test_every_table_entry_equals_its_per_subset_definition():
             if any(caps[e.id] == 0 for e in sub.edges):
                 seen[kind].add("zero capacity")
             # the reversed sources put every edge from a higher bit to a lower one
-            reversed_sub = ClientSubproblem(sub.client, sub.sources[::-1], sub.edges,
-                                            sub.ground_entropy)
+            reversed_sub = ClientSubproblem(sub.client, sub.sources[::-1], sub.edges)
             for sub in (sub, reversed_sub):
                 region = Region(sub, oracle)
                 cut, b = region.cut(caps), region.boundary(rates)

@@ -48,7 +48,7 @@ def _implied(sub, oracle, mask: int) -> bool:
 
 def _single_reference(sub, oracle, costs, caps, masks, cuts=()) -> LinearProgram:
     rows = [(_dense_row(sub, mask), ">=", _g(sub, oracle, mask)) for mask in masks]
-    rows.append((_dense_row(sub, (1 << len(sub.sources)) - 1), "==", sub.ground_entropy))
+    rows.append((_dense_row(sub, (1 << len(sub.sources)) - 1), "==", oracle.entropy(sub.sources)))
     rows += [(_dense_row(sub, mask), ">=", _g(sub, oracle, mask)) for mask in cuts]
     return LinearProgram([costs[e.id] for e in sub.edges], rows,
                          [caps[e.id] for e in sub.edges])

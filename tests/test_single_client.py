@@ -112,7 +112,7 @@ def test_sink_equality_at_optimum():
             sub = client_subproblem(instance, oracle, t)
             s = solve_single_client(sub, oracle, instance.costs(), instance.capacities())
             inflow = sum(s.rates[e.id] for e in sub.edges if e.head == t)
-            assert inflow == sub.ground_entropy
+            assert inflow == oracle.entropy(sub.sources)
 
 
 def test_integral_vertices_on_integer_data():
