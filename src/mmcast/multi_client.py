@@ -28,11 +28,16 @@ Each route checks only reconstructability up front; its own LPs decide
 feasibility, and the clients' certificates are computed only to explain an
 empty LP (or inner problem) in Infeasible.
 
-Floating point appears only in the ascent step and the step-size schedule:
-the moved multipliers are floats.  The projection reads them exactly, scales
-them and the simplex total to ints by the lcm of their denominators and
-returns exact Fractions, so every multiplier, inner solve, separation,
-average and cost is exact.
+The subgradient loop runs on lists in each client's LP column order
+(``sub.edges``): the multipliers, handed to the client's inner LP as its
+objective, and the ergodic sums.  Floating point appears only in the ascent
+step, the step-size schedule and the trace's copies of exact values.  Each
+client keeps a float copy of its multipliers, which the step reads together
+with the floats of the inner solution; the moved multipliers are floats.
+The projection reads them exactly, scales them and the simplex total to
+ints by the lcm of their denominators and returns exact Fractions, which
+become the multipliers and refresh the float copies, so every multiplier,
+inner solve, separation, average and cost is exact.
 """
 
 from __future__ import annotations
@@ -248,6 +253,11 @@ def solve_multi_bruteforce(instance: NetworkInstance, oracle) -> MulticastRates:
 
 # -- subgradient route -------------------------------------------------------
 
+def _float(x) -> float:
+    """float(x) of an exact number: the same correctly rounded quotient, read directly."""
+    return x.numerator / x.denominator
+
+
 def solve_multi_subgradient(instance: NetworkInstance, oracle,
                             schedule: StepSchedule | None = None,
                             max_iters: int = DEFAULT_MAX_ITERS,
@@ -267,27 +277,30 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
         raise InvalidParameters("max_iters must be at least 1")
     if gap_tol < 0:
         raise InvalidParameters("gap_tol must be nonnegative")
+    if patience < 1:
+        raise InvalidParameters("patience must be at least 1")
     subs = _subproblems(instance, oracle)
-    clients = instance.clients
     caps = instance.capacities()
-    costs = instance.costs()
+    optimizers = [RegionOptimizer(subs[t], oracle, caps) for t in instance.clients]
+    alpha = [e.cost for e in instance.edges]
+    index = {e.id: k for k, e in enumerate(instance.edges)}
+    # client i's LP column j is instance edge columns[i][j]
+    columns = [[index[e.id] for e in opt.sub.edges] for opt in optimizers]
+    sharing = {}                # instance edge -> the (client, column) pairs on it
+    for i, cols in enumerate(columns):
+        for j, k in enumerate(cols):
+            sharing.setdefault(k, []).append((i, j))
+    # an edge of one client has the single dual point lam = alpha_e
+    shared = [(alpha[k], pairs) for k, pairs in sharing.items() if len(pairs) > 1]
 
-    sharing = {}                # edge id -> clients whose subgraph contains it
-    for t in clients:
-        for e in subs[t].edges:
-            sharing.setdefault(e.id, []).append(t)
-
-    lam = {}                    # (edge id, t) -> Fraction, simplex-feasible
-    for eid, ts in sharing.items():
-        share = costs[eid] / len(ts)
-        for t in ts:
-            lam[(eid, t)] = share
-
-    optimizers = {t: RegionOptimizer(subs[t], oracle, caps) for t in clients}
+    # per client, in its column order: the multipliers (simplex-feasible per
+    # edge, handed to the inner LP as its objective) and their float copies
+    lam = [[alpha[k] / len(sharing[k]) for k in cols] for cols in columns]
+    lam_f = [[_float(v) for v in row] for row in lam]
     # the ergodic average is kept as a sum: the envelope and the cost of the
     # average are those of the sums divided by n, so the best is divided at return
-    rate_sum = {t: {e.id: 0 for e in subs[t].edges} for t in clients}
-    int_costs = {eid: integral(c) for eid, c in costs.items()}
+    rate_sum = [[0] * len(cols) for cols in columns]
+    int_costs = [integral(c) for c in alpha]
 
     trace: list = []
     dual_history: list = []
@@ -298,32 +311,30 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     converged = False
     warning = None
 
-    def inner(t):
-        weights = {e.id: lam[(e.id, t)] for e in subs[t].edges}
+    def inner(opt, weights):
         try:
-            rates, value, _ = optimizers[t].minimize(weights)
+            return opt.minimize(weights)
         except Infeasible:
             raise _infeasible(instance, oracle) from None
-        return rates, value
 
     n = 0
     for n in range(1, max_iters + 1):
-        results = [inner(t) for t in clients]
-        dual_value = sum((value for _, value in results), Fraction(0))
+        results = [inner(opt, weights) for opt, weights in zip(optimizers, lam)]
+        dual_value = sum((value for _, value, _ in results), Fraction(0))
         dual_history.append(dual_value)
         if best_dual is None or dual_value > best_dual:
             best_dual = dual_value
 
-        top = dict.fromkeys(costs, 0)
-        for t, (rates, _) in zip(clients, results):
-            acc = rate_sum[t]
-            for eid, r in rates.items():
-                acc[eid] = total = acc[eid] + integral(r)
-                if total > top[eid]:
-                    top[eid] = total
-        primal_cost = Fraction(sum(c * top[eid] for eid, c in int_costs.items()), n)
+        xs = [x for x, _, _ in results]
+        top = [0] * len(alpha)
+        for x, acc, cols in zip(xs, rate_sum, columns):
+            for j, (r, k) in enumerate(zip(x, cols)):
+                acc[j] = total = acc[j] + integral(r)
+                if total > top[k]:
+                    top[k] = total
+        primal_cost = Fraction(sum(c * z for c, z in zip(int_costs, top)), n)
         if best_primal is None or primal_cost < best_primal[0]:
-            best_primal = (primal_cost, top, {t: dict(rate_sum[t]) for t in clients}, n)
+            best_primal = (primal_cost, top, [list(acc) for acc in rate_sum], n)
 
         if best_dual > 0:
             gap = (primal_cost - best_dual) / best_dual
@@ -347,20 +358,17 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
                 break
 
         theta = step_size(schedule, n)
-        t_rates = {t: rates for t, (rates, _) in zip(clients, results)}
-        for eid, ts in sharing.items():
-            if len(ts) == 1:
-                continue        # the only dual point is lam = alpha_e
-            moved = [float(lam[(eid, t)]) + theta * float(t_rates[t].get(eid, 0))
-                     for t in ts]
-            projected = exact_simplex_projection(moved, costs[eid])
-            for t, value in zip(ts, projected):
-                lam[(eid, t)] = value
+        for total, pairs in shared:
+            moved = [lam_f[i][j] + theta * _float(xs[i][j]) for i, j in pairs]
+            for (i, j), value in zip(pairs, exact_simplex_projection(moved, total)):
+                lam[i][j] = value
+                lam_f[i][j] = _float(value)
     else:
         warning = "max_iters"
 
     cost, top, sums, k = best_primal
-    envelope = {eid: Fraction(z, k) for eid, z in top.items()}
-    per_client = {t: {eid: Fraction(v, k) for eid, v in acc.items()} for t, acc in sums.items()}
+    envelope = {e.id: Fraction(z, k) for e, z in zip(instance.edges, top)}
+    per_client = {t: {e.id: Fraction(v, k) for e, v in zip(opt.sub.edges, acc)}
+                  for t, opt, acc in zip(instance.clients, optimizers, sums)}
     return SubgradientResult(envelope, per_client, cost, trace, n,
                              converged, warning, best_dual, dual_history)

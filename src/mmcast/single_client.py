@@ -62,23 +62,25 @@ def most_violated(region: Region, rates: dict):
     return h.mask(witness)
 
 
-def _simplex(region: Region, masks, costs: dict, capacities: dict) -> SimplexSolver:
+def _simplex(region: Region, masks, objective: list, capacities: dict) -> SimplexSolver:
     """The client's LP: the region rows of ``masks``, the ground equality, the capacity caps."""
     rows = [region.constraint(mask) for mask in [*masks, region.full]]
-    return SimplexSolver(LinearProgram([costs[e.id] for e in region.sub.edges], rows,
+    return SimplexSolver(LinearProgram(objective, rows,
                                        [capacities[e.id] for e in region.sub.edges]))
 
 
 class RegionOptimizer:
     """Repeatedly minimize linear objectives over one client's region.
 
-    Keeps the constraint pool and the simplex basis across calls: a cut is
-    appended to the solved LP and re-optimized warm, and a new objective
-    (the Lagrangian inner problems: same region, changing weights) starts
-    from the last basis, so each costs a few pivots once the pool settles.
-    The region never changes, so a vertex that passed separation stays
-    inside it: the last certified vertex is not separated again when a
-    later solve returns it.
+    Objectives and rate vectors are lists in the client's LP column order,
+    ``sub.edges``.  Keeps the constraint pool and the simplex basis across
+    calls: a cut is appended to the solved LP and re-optimized warm, and a
+    new objective (the Lagrangian inner problems: same region, changing
+    weights) starts from the last basis, so each costs a few pivots once the
+    pool settles.  It also remembers every vertex that separation passed.
+    The region never changes and cuts only remove points outside it, so a
+    remembered vertex stays inside and is not separated again when a later
+    solve returns it.
     """
 
     def __init__(self, sub: ClientSubproblem, oracle, capacities: dict):
@@ -87,32 +89,33 @@ class RegionOptimizer:
         self.region = Region(sub, oracle)
         self.pool = seed_pool(len(sub.sources))
         self._solver = None
-        self._certified = None      # the last x that separation passed
+        self._certified = set()     # each x that separation passed, as its exact ratios
 
-    def minimize(self, costs: dict):
-        """Exact minimum of sum(costs[e] * R_e) over the region.
+    def minimize(self, costs: list):
+        """Exact minimum of sum(costs[j] * x[j]) over the region, both in ``sub.edges`` order.
 
-        Returns (rates, value, lp_solves); raises Infeasible when the
-        region is empty within the capacity box.
+        Returns (x, value, lp_solves), x a list of Fractions; raises
+        Infeasible when the region is empty within the capacity box.
         """
-        objective = [costs[e.id] for e in self.sub.edges]
         if self._solver is None:
             self._solver = _simplex(self.region, self.pool, costs, self.capacities)
             solution = self._solver.solve()
         else:
-            solution = self._solver.resolve(objective)
+            solution = self._solver.resolve(costs)
         solves = 1
         while solution.status == "optimal":
+            vertex = tuple(x.as_integer_ratio() for x in solution.x)
+            if vertex in self._certified:
+                return solution.x, solution.value, solves
             rates = {e.id: x for e, x in zip(self.sub.edges, solution.x)}
-            violated = (None if solution.x == self._certified
-                        else most_violated(self.region, rates))
+            violated = most_violated(self.region, rates)
             if violated is None:
-                self._certified = solution.x
-                return rates, solution.value, solves
+                self._certified.add(vertex)
+                return solution.x, solution.value, solves
             self.pool.append(violated)
             if not self._solver.add_rows([self.region.constraint(violated)]):
                 break
-            solution = self._solver.resolve(objective)
+            solution = self._solver.resolve(costs)
             solves += 1
         self._solver = None
         raise Infeasible(f"client {self.sub.client}: region is empty under capacities")
@@ -130,7 +133,7 @@ def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
     """
     opt = RegionOptimizer(sub, oracle, capacities)
     try:
-        rates, value, solves = opt.minimize(costs)
+        x, value, solves = opt.minimize([costs[e.id] for e in sub.edges])
     except Infeasible:
         cert = feasibility.check_feasible_single(sub, oracle, capacities)
         if cert.feasible:
@@ -140,6 +143,7 @@ def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
             f"client {sub.client}: subset {cert.witness_set} needs rate "
             f"{cert.required} but has cut capacity {cert.cut}", (cert,)) from None
     # no violated subset and the full set tight (listed last): b(R) is in the base polyhedron of g
+    rates = {e.id: r for e, r in zip(sub.edges, x)}
     tight = opt.tight_sets(rates)
     if tight[-1:] != [sub.sources]:
         raise RuntimeError(f"client {sub.client}: the rates miss the ground equality")
@@ -154,7 +158,7 @@ def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
         raise GroundTooLarge(f"{m} sources exceeds brute-force limit {BRUTE_FORCE_SOURCES}")
     region = Region(sub, oracle)
     masks = [mask for mask in range(1, region.full) if not region.implied(mask)]
-    solution = _simplex(region, masks, costs, capacities).solve()
+    solution = _simplex(region, masks, [costs[e.id] for e in sub.edges], capacities).solve()
     if solution.status == "infeasible":
         raise Infeasible(f"client {sub.client}: region is empty under capacities")
     rates = {e.id: x for e, x in zip(sub.edges, solution.x)}

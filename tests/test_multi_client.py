@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from helpers import random_feasible_instance, random_instance_doc, single_edge_instance
 from mmcast import check_feasible_multi, load_instance
 from mmcast.errors import Infeasible, InvalidParameters
+from mmcast.lp import integral
 from mmcast.model import boundary_vector, client_subproblem
-from mmcast.multi_client import (StepSchedule, exact_simplex_projection,
-                                 solve_multi_bruteforce, solve_multi_exact,
-                                 solve_multi_subgradient, step_size)
-from mmcast.single_client import solve_single_client
+from mmcast.multi_client import (DEFAULT_GAP_TOL, DEFAULT_MAX_ITERS, DEFAULT_PATIENCE,
+                                 StepSchedule, SubgradientResult, TraceEntry,
+                                 exact_simplex_projection, solve_multi_bruteforce,
+                                 solve_multi_exact, solve_multi_subgradient, step_size)
+from mmcast.single_client import RegionOptimizer, solve_single_client
 from mmcast.submodular import conditional_entropy_function, in_base_polyhedron
 
 
@@ -290,10 +293,13 @@ def test_step_size_validation():
 
 
 @pytest.mark.parametrize("options", [{"max_iters": 0}, {"gap_tol": -1},
-                                     {"gap_tol": Fraction(-1, 100)}],
-                         ids=["max_iters 0", "gap_tol -1", "gap_tol -1/100"])
+                                     {"gap_tol": Fraction(-1, 100)}, {"patience": 0},
+                                     {"patience": -3}],
+                         ids=["max_iters 0", "gap_tol -1", "gap_tol -1/100", "patience 0",
+                              "patience -3"])
 def test_subgradient_parameter_validation(f2, options):
-    # a relative gap is never negative: a negative tolerance could only run to the cap
+    # a relative gap is never negative: a negative tolerance could only run to the cap;
+    # patience counts iterations without progress, so below 1 it stops like 1
     instance, oracle, _ = f2
     with pytest.raises(InvalidParameters):
         solve_multi_subgradient(instance, oracle, **options)
@@ -363,31 +369,152 @@ def test_subgradient_trace_is_deterministic(f2):
 
 
 def test_subgradient_inner_solutions_pass_separation(f2, monkeypatch):
-    # an inner solve may skip separation only for the vertex it last
-    # certified; every returned vector must still pass it, and the skips
-    # must happen: fewer separations than LP solves
+    # an inner solve skips separation only for a vertex its own optimizer
+    # certified before: every returned vector and every remembered one must
+    # pass separation, no optimizer separates a vertex twice, and the skips
+    # happen: fewer separations than LP solves
     import mmcast.single_client as single_client
     separate, minimize = single_client.most_violated, single_client.RegionOptimizer.minimize
-    calls = {"separations": 0, "solves": 0}
+    separated = Counter()       # (region, vertex) -> separations
+    returned = {}               # optimizer -> the vertices it returned
+    solves = 0
 
     def counted(region, rates):
-        calls["separations"] += 1
+        separated[region, tuple(rates[e.id] for e in region.sub.edges)] += 1
         return separate(region, rates)
 
     def checked(self, costs):
-        rates, value, solves = minimize(self, costs)
-        assert separate(self.region, rates) is None
-        calls["solves"] += solves
-        return rates, value, solves
+        nonlocal solves
+        x, value, count = minimize(self, costs)
+        assert separate(self.region, dict(zip((e.id for e in self.sub.edges), x))) is None
+        returned.setdefault(self, set()).add(tuple(x))
+        solves += count
+        return x, value, count
 
     monkeypatch.setattr(single_client, "most_violated", counted)
     monkeypatch.setattr(single_client.RegionOptimizer, "minimize", checked)
-    rng = random.Random(150)
-    cases = [f2[:2]] + [random_feasible_instance(rng, n_sources=8, n_clients=3,
-                                                 max_capacity=8)[:2] for _ in range(10)]
-    for instance, oracle in cases:
+    for instance, oracle in _subgradient_cases(f2):
         solve_multi_subgradient(instance, oracle, max_iters=30)
-    assert calls["separations"] < calls["solves"]
+    assert max(separated.values()) == 1
+    assert sum(separated.values()) < solves
+    for opt, vertices in returned.items():
+        remembered = {tuple(Fraction(*ratio) for ratio in key) for key in opt._certified}
+        for x in remembered:
+            assert separate(opt.region, dict(zip((e.id for e in opt.sub.edges), x))) is None
+        assert remembered <= vertices
+
+
+def _subgradient_cases(f2):
+    rng = random.Random(150)
+    return [f2[:2]] + [random_feasible_instance(rng, n_sources=8, n_clients=3,
+                                                max_capacity=8)[:2] for _ in range(10)]
+
+
+def _dict_keyed_subgradient(instance, oracle, max_iters=DEFAULT_MAX_ITERS,
+                            gap_tol=DEFAULT_GAP_TOL, patience=DEFAULT_PATIENCE):
+    """Reference: the subgradient loop on dicts keyed by edge id and (edge id, client).
+
+    Each inner call builds its weights dict and reads the optimizer's x
+    back into a rates dict; the step reads float() of each multiplier.
+    """
+    schedule = StepSchedule()
+    gap_tol = Fraction(gap_tol).limit_denominator(10 ** 12)
+    subs = {t: client_subproblem(instance, oracle, t) for t in instance.clients}
+    clients = instance.clients
+    caps = instance.capacities()
+    costs = instance.costs()
+    sharing = {}
+    for t in clients:
+        for e in subs[t].edges:
+            sharing.setdefault(e.id, []).append(t)
+    lam = {}
+    for eid, ts in sharing.items():
+        share = costs[eid] / len(ts)
+        for t in ts:
+            lam[(eid, t)] = share
+    optimizers = {t: RegionOptimizer(subs[t], oracle, caps) for t in clients}
+    rate_sum = {t: {e.id: 0 for e in subs[t].edges} for t in clients}
+    int_costs = {eid: integral(c) for eid, c in costs.items()}
+    trace, dual_history = [], []
+    best_dual = best_primal = best_gap = None
+    since_improvement = 0
+    converged = False
+    warning = None
+
+    def inner(t):
+        weights = {e.id: lam[(e.id, t)] for e in subs[t].edges}
+        x, value, _ = optimizers[t].minimize([weights[e.id] for e in subs[t].edges])
+        return {e.id: r for e, r in zip(subs[t].edges, x)}, value
+
+    n = 0
+    for n in range(1, max_iters + 1):
+        results = [inner(t) for t in clients]
+        dual_value = sum((value for _, value in results), Fraction(0))
+        dual_history.append(dual_value)
+        if best_dual is None or dual_value > best_dual:
+            best_dual = dual_value
+        top = dict.fromkeys(costs, 0)
+        for t, (rates, _) in zip(clients, results):
+            acc = rate_sum[t]
+            for eid, r in rates.items():
+                acc[eid] = total = acc[eid] + integral(r)
+                if total > top[eid]:
+                    top[eid] = total
+        primal_cost = Fraction(sum(c * top[eid] for eid, c in int_costs.items()), n)
+        if best_primal is None or primal_cost < best_primal[0]:
+            best_primal = (primal_cost, top, {t: dict(rate_sum[t]) for t in clients}, n)
+        if best_dual > 0:
+            gap = (primal_cost - best_dual) / best_dual
+        elif primal_cost == 0:
+            gap = Fraction(0)
+        else:
+            gap = None
+        trace.append(TraceEntry(n, float(dual_value), float(primal_cost),
+                                float(gap) if gap is not None else float("inf")))
+        if gap is not None and gap <= gap_tol:
+            converged = True
+            break
+        if best_gap is None or (gap is not None and gap < best_gap):
+            best_gap = gap
+            since_improvement = 0
+        else:
+            since_improvement += 1
+            if since_improvement >= patience:
+                warning = "no_progress"
+                break
+        theta = step_size(schedule, n)
+        t_rates = {t: rates for t, (rates, _) in zip(clients, results)}
+        for eid, ts in sharing.items():
+            if len(ts) == 1:
+                continue
+            moved = [float(lam[(eid, t)]) + theta * float(t_rates[t].get(eid, 0))
+                     for t in ts]
+            for t, value in zip(ts, exact_simplex_projection(moved, costs[eid])):
+                lam[(eid, t)] = value
+    else:
+        warning = "max_iters"
+    cost, top, sums, k = best_primal
+    envelope = {eid: Fraction(z, k) for eid, z in top.items()}
+    per_client = {t: {eid: Fraction(v, k) for eid, v in acc.items()} for t, acc in sums.items()}
+    return SubgradientResult(envelope, per_client, cost, trace, n,
+                             converged, warning, best_dual, dual_history)
+
+
+def test_subgradient_matches_the_dict_keyed_loop(f2):
+    # the column-ordered loop returns the reference's result field for field
+    # (multipliers, inner solves, averages, cost and trace alike)
+    instance, oracle = f2[:2]
+    runs = [(instance, oracle, {}), (instance, oracle, {"max_iters": 500}),
+            (instance, oracle, {"max_iters": 500, "gap_tol": 0})]
+    runs += [(instance, oracle, {"max_iters": cap})
+             for instance, oracle in _subgradient_cases(f2)[1:] for cap in (30, 200)]
+    warnings = set()
+    for instance, oracle, options in runs:
+        want = _dict_keyed_subgradient(instance, oracle, **options)
+        got = solve_multi_subgradient(instance, oracle, **options)
+        assert repr(got) == repr(want)
+        warnings.add(got.warning)
+    assert warnings == {None, "max_iters"}
 
 
 def test_subgradient_power_schedule(f2):

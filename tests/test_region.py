@@ -101,7 +101,8 @@ def test_separation_is_none_exactly_when_no_slack_is_negative():
             # the drawn rates, the same scaled down, and an LP vertex of the region
             points = [rates, {eid: r / 4 for eid, r in rates.items()}]
             try:
-                points.append(opt.minimize({e.id: 1 for e in sub.edges})[0])
+                x = opt.minimize([1] * len(sub.edges))[0]
+                points.append({e.id: r for e, r in zip(sub.edges, x)})
             except Infeasible:
                 pass
             for point in points:

@@ -127,7 +127,7 @@ def test_single_client_lps_have_the_reference_rows(monkeypatch, f2):
             opt = RegionOptimizer(sub, oracle, caps)
             seeds = seed_pool(m)
             try:
-                opt.minimize(costs)
+                opt.minimize([costs[e.id] for e in sub.edges])
                 kinds.add("feasible")
             except Infeasible:
                 kinds.add("infeasible")
