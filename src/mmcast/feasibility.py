@@ -47,10 +47,10 @@ class FeasibilityReport:
 def _slack_table(sub: ClientSubproblem, oracle, capacities: dict, scale: int = 1) -> list:
     """scale * (c(out(S)) - g(S)) for every mask, from scale * capacity on each edge."""
     region = Region(sub, oracle)
+    cut = region.cut([capacities[e.id] * scale for e in sub.edges])
     if scale == 1:
-        return [c - g for c, g in zip(region.cut(capacities), region.g)]
-    scaled = {e.id: capacities[e.id] * scale for e in sub.edges}
-    return [c - scale * g for c, g in zip(region.cut(scaled), region.g)]
+        return [c - g for c, g in zip(cut, region.g)]
+    return [c - scale * g for c, g in zip(cut, region.g)]
 
 
 def slack_function(sub: ClientSubproblem, oracle, capacities: dict) -> SetFunction:

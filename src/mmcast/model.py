@@ -10,10 +10,11 @@ Every region inequality of a client compares a cut or a boundary of a
 source subset S with g(S) = H(X_S | X_rest).  :class:`Region` holds these
 as exact tables indexed by the subset mask over the client's sources, and
 is the only code that builds a mask's LP row, drops implied rows and finds
-tight sets.  A table is filled by doubling: the masks with top bit v are
-the masks below v, each shifted by what adding v changes, which is modular
-in the lower bits; a table costs a few list passes, not an edge scan per
-subset, and assumes no order of the sources.
+tight sets, from one incidence list and per-edge lists in the LP column
+order ``sub.edges``.  A table is filled by doubling: the masks with top bit
+v are the masks below v, each shifted by what adding v changes, which is
+modular in the lower bits; a table costs a few list passes, not an edge
+scan per subset, and assumes no source order.
 """
 
 from __future__ import annotations
@@ -244,56 +245,55 @@ def cut_capacity(capacities: dict, nodes, edges) -> Fraction:
 class Region:
     """Mask-indexed tables of one client's region inequalities.
 
-    Bit i of a mask is ``sub.sources[i]``, in any order of the sources.
-    Holds ``g``, the table of g(S) = H(G) - H(G \\ S) over
-    G = ``sub.sources``: the conditional entropies come from the oracle's
-    table of the source tuple (``oracle.conditional_table``), a read-only
-    tuple that every Region with the same sources on that oracle shares,
-    so one rank sweep serves them all for a linear model.  The
-    cut and boundary tables depend on the capacities or rates and are
-    filled on request, by doubling over the sources.  Tables cover all 2^m
-    masks, so they are for the brute-force paths (m <= BRUTE_FORCE_LIMIT).
-    Entries are exact: ints where the value is integral, Fractions elsewhere.
+    Bit i of a mask is ``sub.sources[i]``, in any order of the sources.  Holds
+    ``g``, the table of g(S) = H(G) - H(G \\ S) over G = ``sub.sources``: the
+    conditional entropies come from the oracle's table of the source tuple
+    (``oracle.conditional_table``), a read-only tuple that every Region with
+    the same sources on that oracle shares, so one rank sweep serves them all
+    for a linear model.  Rows, cuts and boundaries read one incidence list:
+    ``(tail, head)`` source positions per edge, in ``sub.edges`` order (the
+    LP's columns), the client at m.  The cut and boundary tables depend on the
+    capacities or rates, lists in that order, and are filled on request, by
+    doubling over the sources.  Tables cover all 2^m masks, so they are for
+    the brute-force paths (m <= BRUTE_FORCE_LIMIT).  Entries are exact: ints
+    where the value is integral, Fractions elsewhere.
     """
 
     def __init__(self, sub: ClientSubproblem, oracle):
         self.sub = sub
         index = {v: i for i, v in enumerate(sub.sources)}
-        self._out = [[] for _ in sub.sources]   # per source: (head index, edge position)
-        self._in = [[] for _ in sub.sources]    # per source: (tail index, edge position)
-        self._ends = []                         # per edge: (tail bit, head bit or 0)
-        for j, e in enumerate(sub.edges):
-            head = index.get(e.head)            # None for the client itself
-            self._out[index[e.tail]].append((head, j))
-            if head is not None:
-                self._in[head].append((index[e.tail], j))
-            self._ends.append((1 << index[e.tail], 0 if head is None else 1 << head))
+        index[sub.client] = len(sub.sources)    # past every mask bit: the client is no source
+        self._ends = [(index[e.tail], index[e.head]) for e in sub.edges]
         self.g = oracle.conditional_table(sub.sources)
         self.full = len(self.g) - 1
 
-    def cut(self, capacities: dict) -> list:
-        """c(out(S)) for every mask.
+    def cut(self, capacities: list) -> list:
+        """c(out(S)) for every mask, from the capacities in ``sub.edges`` order.
 
         Adding v above every bit of S adds v's out-capacity and drops the
         capacity between v and S, in either direction: the edges from v
         into S no longer leave, and those from S into v now stay inside.
         """
-        caps = [integral(capacities[e.id]) for e in self.sub.edges]
+        leaving = [0] * len(self.sub.sources)
+        # capacity between v and each lower source; row m, the client's, is unread
+        between = [[0] * v for v in range(len(leaving) + 1)]
+        for (tail, head), c in zip(self._ends, capacities):
+            c = integral(c)
+            leaving[tail] += c
+            between[max(tail, head)][min(tail, head)] += c
         table = [0]
-        for v, (out, into) in enumerate(zip(self._out, self._in)):
-            between = [0] * v           # capacity between v and each lower source
-            for u, j in out + into:
-                if u is not None and u < v:
-                    between[u] += caps[j]
-            leaving = sum(caps[j] for _, j in out)
-            table += [x + leaving - y for x, y in zip(table, modular_table(between))]
+        for out, lower in zip(leaving, between):
+            table += [x + out - y for x, y in zip(table, modular_table(lower))]
         return table
 
-    def boundary(self, rates: dict) -> list:
-        """boundary(R, S) for every mask, summed from the singleton boundaries."""
-        rate = [integral(rates[e.id]) for e in self.sub.edges]
-        return modular_table(integral(sum(rate[j] for _, j in out) - sum(rate[j] for _, j in into))
-                             for out, into in zip(self._out, self._in))
+    def boundary(self, rates: list) -> list:
+        """boundary(R, S) for every mask, from R in ``sub.edges`` order, via the singletons."""
+        net = [0] * (len(self.sub.sources) + 1)    # the last, the client's, is unread
+        for (tail, head), r in zip(self._ends, rates):
+            r = integral(r)
+            net[tail] += r
+            net[head] -= r
+        return modular_table(integral(b) for b in net[:-1])
 
     def row(self, mask: int) -> dict:
         """boundary(R, S) as ``{edge position: +1 or -1}``, the positions ascending.
@@ -303,7 +303,7 @@ class Region:
         """
         row = {}
         for j, (tail, head) in enumerate(self._ends):
-            d = bool(mask & tail) - bool(mask & head)
+            d = (mask >> tail & 1) - (mask >> head & 1)
             if d:
                 row[j] = d
         return row
@@ -316,7 +316,7 @@ class Region:
         """Whether R >= 0 alone implies the row of S: g(S) <= 0 and no edge enters S."""
         return self.g[mask] <= 0 and -1 not in self.row(mask).values()
 
-    def tight(self, rates: dict, masks) -> list:
+    def tight(self, rates: list, masks) -> list:
         """The members of each of ``masks`` whose inequality is tight at ``rates``, in order."""
         b, g = self.boundary(rates), self.g
         return [members(self.sub.sources, mask) for mask in masks if b[mask] == g[mask]]

@@ -185,13 +185,15 @@ class _MultiLP:
         objective += [0] * (self.n - len(objective))
         return LinearProgram(objective, rows, upper)
 
-    def per_client(self, x: list) -> dict:
-        return {t: {e.id: x[self.offset[t] + j] for j, e in enumerate(sub.edges)}
-                for t, sub in self.subs.items()}
+    def rates(self, x: list, t) -> list:
+        """Client t's columns of x: its rates in ``sub.edges`` order."""
+        return x[self.offset[t]:self.offset[t] + len(self.subs[t].edges)]
 
     def result(self, solution) -> MulticastRates:
+        per_client = {t: dict(zip((e.id for e in sub.edges), self.rates(solution.x, t)))
+                      for t, sub in self.subs.items()}
         envelope = {e.id: solution.x[self.z_index[e.id]] for e in self.instance.edges}
-        return MulticastRates(envelope, self.per_client(solution.x), solution.value)
+        return MulticastRates(envelope, per_client, solution.value)
 
 
 def _subproblems(instance: NetworkInstance, oracle) -> dict:
@@ -225,9 +227,8 @@ def solve_multi_exact(instance: NetworkInstance, oracle) -> MulticastRates:
                                        for t, s in lp.subs.items()}))
     solution = solver.solve()
     while solution.status == "optimal":
-        rates = lp.per_client(solution.x)
         cuts = [lp.region_row(t, mask) for t, region in lp.regions.items()
-                if (mask := most_violated(region, rates[t])) is not None]
+                if (mask := most_violated(region, lp.rates(solution.x, t))) is not None]
         if not cuts:
             return lp.result(solution)
         if not solver.add_rows(cuts):

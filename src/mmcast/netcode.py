@@ -342,12 +342,14 @@ def simulate(net: CodedNetwork, assignment: CodeAssignment, w) -> SimulationResu
     Each client's decoder comes from its transfer matrix, whose columns are
     the assignment's coding vectors, propagated once from the same
     coefficients when the assignment was made; ``exact`` records that the
-    decoded symbols equal w.
+    decoded symbols equal w, ``n_symbols`` ints in [0, q).
     """
-    w = [int(x) % net.q for x in w]
     if len(w) != net.n_symbols:
         raise InfeasibleRates(f"data vector length {len(w)} != {net.n_symbols}")
     q = net.q
+    if not all(int(x) == x and 0 <= x < q for x in w):
+        raise InvalidParameters(f"data vector {w} has an entry outside F_{q}")
+    w = [int(x) for x in w]
     coefficient = assignment.coefficients.get
     messages: list = []
     for ch, feeding in zip(net.channels, net.inputs):

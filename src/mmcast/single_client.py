@@ -47,12 +47,12 @@ def seed_pool(m: int) -> list:
     return sorted(pool - {0, full})
 
 
-def most_violated(region: Region, rates: dict):
+def most_violated(region: Region, rates: list):
     """Exact separation: the mask minimizing boundary(R, S) - g(S), if that is negative.
 
-    None certifies that the rates satisfy every region inequality; it is
-    decided by the minimum of the slack table alone.  Only a negative
-    minimum goes on to :func:`sfm_brute_force` for its tie-broken witness.
+    R is listed in ``sub.edges`` order.  None certifies that R satisfies every
+    region inequality; it is decided by the minimum of the slack table alone.
+    Only a negative minimum goes on to :func:`sfm_brute_force` for its tie-broken witness.
     """
     slack = [b - g for b, g in zip(region.boundary(rates), region.g)]
     if min(slack) >= 0:
@@ -107,8 +107,7 @@ class RegionOptimizer:
             vertex = tuple(x.as_integer_ratio() for x in solution.x)
             if vertex in self._certified:
                 return solution.x, solution.value, solves
-            rates = {e.id: x for e, x in zip(self.sub.edges, solution.x)}
-            violated = most_violated(self.region, rates)
+            violated = most_violated(self.region, solution.x)
             if violated is None:
                 self._certified.add(vertex)
                 return solution.x, solution.value, solves
@@ -120,7 +119,7 @@ class RegionOptimizer:
         self._solver = None
         raise Infeasible(f"client {self.sub.client}: region is empty under capacities")
 
-    def tight_sets(self, rates: dict) -> list:
+    def tight_sets(self, rates: list) -> list:
         return self.region.tight(rates, sorted(self.pool) + [self.region.full])
 
 
@@ -143,11 +142,10 @@ def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
             f"client {sub.client}: subset {cert.witness_set} needs rate "
             f"{cert.required} but has cut capacity {cert.cut}", (cert,)) from None
     # no violated subset and the full set tight (listed last): b(R) is in the base polyhedron of g
-    rates = {e.id: r for e, r in zip(sub.edges, x)}
-    tight = opt.tight_sets(rates)
+    tight = opt.tight_sets(x)
     if tight[-1:] != [sub.sources]:
         raise RuntimeError(f"client {sub.client}: the rates miss the ground equality")
-    return SingleClientSolution(rates, value, tight, solves)
+    return SingleClientSolution(dict(zip((e.id for e in sub.edges), x)), value, tight, solves)
 
 
 def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
@@ -161,6 +159,5 @@ def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
     solution = _simplex(region, masks, [costs[e.id] for e in sub.edges], capacities).solve()
     if solution.status == "infeasible":
         raise Infeasible(f"client {sub.client}: region is empty under capacities")
-    rates = {e.id: x for e, x in zip(sub.edges, solution.x)}
-    return SingleClientSolution(rates, solution.value,
-                                region.tight(rates, range(1, region.full + 1)), 1)
+    return SingleClientSolution(dict(zip((e.id for e in sub.edges), solution.x)), solution.value,
+                                region.tight(solution.x, range(1, region.full + 1)), 1)

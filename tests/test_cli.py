@@ -276,6 +276,15 @@ def test_simulate(rates_file, capsys):
     assert doc["edge_symbols"]["e7"] == 4
 
 
+@pytest.mark.parametrize("w", ["99,0,0,0", "5,0,0,0", "-1,0,0,0"])
+def test_simulate_rejects_non_field_data(rates_file, capsys, w):
+    # F2 codes over F_5: every data entry must lie in [0, 5)
+    code, doc = run_cli(capsys, "simulate", str(FIXTURE_F2), "--rates", str(rates_file),
+                        "--seed", "0", f"--w={w}")
+    assert code == 1
+    assert doc["error"]["code"] == "InvalidParameters"
+
+
 def test_oracle_agrees_with_primary_paths(capsys):
     code, doc = run_cli(capsys, "oracle", str(FIXTURE_F2))
     assert code == 0

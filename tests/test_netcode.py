@@ -6,8 +6,8 @@ import pytest
 from helpers import single_edge_instance
 from mmcast import gf, load_instance
 from mmcast.entropy import LinearSource, TabularSource
-from mmcast.errors import (FieldTooSmall, InfeasibleRates, NotLinearModel, RankDeficient,
-                           ScaleOverflow, VerificationFailedAllAttempts)
+from mmcast.errors import (FieldTooSmall, InfeasibleRates, InvalidParameters, NotLinearModel,
+                           RankDeficient, ScaleOverflow, VerificationFailedAllAttempts)
 from mmcast.gf import FieldMatrix
 from mmcast.netcode import (assign_coefficients, assignment_from_coefficients,
                             build_coded_network, build_decoder, propagate_global_vectors,
@@ -258,6 +258,17 @@ def test_simulate_rejects_wrong_length(f2_net):
     assignment = assign_coefficients(net, seed=0)
     with pytest.raises(InfeasibleRates):
         simulate(net, assignment, [1, 2, 3])
+
+
+@pytest.mark.parametrize("entry", ["q", -1, 1.5])
+def test_simulate_rejects_entries_outside_the_field(f2_net, entry):
+    _, _, _, net = f2_net
+    assignment = assign_coefficients(net, seed=0)
+    w = [net.q if entry == "q" else entry, 0, 0, 0]
+    with pytest.raises(InvalidParameters, match="outside F_5"):
+        simulate(net, assignment, w)
+    with pytest.raises(InfeasibleRates):     # the length is checked first
+        simulate(net, assignment, w[:3])
 
 
 def test_random_end_to_end_pipeline():

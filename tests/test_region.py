@@ -46,11 +46,14 @@ def test_every_table_entry_equals_its_per_subset_definition():
                 seen[kind].add("client edge")
             if any(caps[e.id] == 0 for e in sub.edges):
                 seen[kind].add("zero capacity")
-            # the reversed sources put every edge from a higher bit to a lower one
-            reversed_sub = ClientSubproblem(sub.client, sub.sources[::-1], sub.edges)
-            for sub in (sub, reversed_sub):
+            # the reversed sources put every edge from a higher bit to a lower one;
+            # the reversed edges put the LP columns, and every per-edge vector, in another order
+            reversed_sources = ClientSubproblem(sub.client, sub.sources[::-1], sub.edges)
+            reversed_edges = ClientSubproblem(sub.client, sub.sources, sub.edges[::-1])
+            for sub in (sub, reversed_sources, reversed_edges):
                 region = Region(sub, oracle)
-                cut, b = region.cut(caps), region.boundary(rates)
+                cut = region.cut([caps[e.id] for e in sub.edges])
+                b = region.boundary([rates[e.id] for e in sub.edges])
                 assert (len(region.g) == len(cut) == len(b) == region.full + 1
                         == 1 << len(sub.sources))
                 for mask in range(region.full + 1):
@@ -83,8 +86,9 @@ def test_kernel_reproduces_recorded_certificates_and_separations():
                         str(cert.required)] == [want[k] for k in
                                                 ("witness", "slack", "cut", "required")]
                 opt = RegionOptimizer(sub, oracle, caps)
-                assert most_violated(opt.region, rates) == want["violated"]
-                slack = [b - g for b, g in zip(opt.region.boundary(rates), opt.region.g)]
+                column_rates = [rates[e.id] for e in sub.edges]
+                assert most_violated(opt.region, column_rates) == want["violated"]
+                slack = [b - g for b, g in zip(opt.region.boundary(column_rates), opt.region.g)]
                 witness, worst = sfm_brute_force(SetFunction.tabulated(sub.sources, slack))
                 assert list(witness) == want["separation_witness"]
                 assert worst == Fraction(want["separation_value"])
@@ -99,14 +103,15 @@ def test_separation_is_none_exactly_when_no_slack_is_negative():
             sub = client_subproblem(instance, oracle, t)
             opt = RegionOptimizer(sub, oracle, caps)
             # the drawn rates, the same scaled down, and an LP vertex of the region
-            points = [rates, {eid: r / 4 for eid, r in rates.items()}]
+            drawn = [rates[e.id] for e in sub.edges]
+            points = [drawn, [r / 4 for r in drawn]]
             try:
-                x = opt.minimize([1] * len(sub.edges))[0]
-                points.append({e.id: r for e, r in zip(sub.edges, x)})
+                points.append(opt.minimize([1] * len(sub.edges))[0])
             except Infeasible:
                 pass
             for point in points:
-                slack = [boundary(point, nodes, sub.edges) - oracle.conditional(nodes, sub.sources)
+                by_id = dict(zip((e.id for e in sub.edges), point))
+                slack = [boundary(by_id, nodes, sub.edges) - oracle.conditional(nodes, sub.sources)
                          for nodes in (members(sub.sources, mask)
                                        for mask in range(1 << len(sub.sources)))]
                 got = most_violated(opt.region, point)
