@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .entropy import EntropyOracle, LinearSource, PmfSource, TabularSource, validate_polymatroid
 from .errors import MmcastError
-from .feasibility import (FeasibilityCertificate, FeasibilityReport, achievable_point,
-                          check_feasible_multi, check_feasible_single)
+from .feasibility import (FeasibilityCertificate, FeasibilityReport, check_feasible_multi,
+                          check_feasible_single)
 from .instance_io import load_instance
 from .model import (ClientSubproblem, Edge, NetworkInstance, boundary, check_reconstructability,
                     client_subproblem, validate_instance)
@@ -21,7 +21,7 @@ from .multi_client import (MulticastRates, StepSchedule, SubgradientResult,
                            step_size)
 from .netcode import (CodeAssignment, CodedNetwork, assign_coefficients, build_coded_network,
                       build_decoder, propagate_global_vectors, simulate, transfer_matrix)
-from .single_client import (SingleClientSolution, solve_single_client,
+from .single_client import (SingleClientSolution, achievable_point, solve_single_client,
                             solve_single_client_bruteforce)
 from .submodular import (SetFunction, greedy_base_vertex, in_base_polyhedron,
                          min_norm_point, sfm_brute_force)

@@ -19,10 +19,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, feasibility, instance_io, model, multi_client, netcode, single_client
-from .entropy import LinearSource, validate_polymatroid
+from . import __version__, feasibility, gf, instance_io, model, multi_client, netcode, single_client
+from .entropy import EntropyOracle, LinearSource, validate_polymatroid
 from .errors import (Infeasible, InfeasibleRates, InvalidParameters, MmcastError,
                      RankDeficient, ReconstructabilityViolated, VerificationFailedAllAttempts)
+from .gf import FieldMatrix
 from .instance_io import frac_str, rates_to_json
 from .multi_client import StepSchedule
 
@@ -70,7 +71,6 @@ def _override_field(source_model, q: int | None):
         return source_model
     if not isinstance(source_model, LinearSource):
         raise InvalidParameters("--q only applies to the linear source model")
-    from .gf import FieldMatrix
     matrices = {
         node: FieldMatrix(m.rows, m.cols, [x for row in m.to_lists() for x in row], q)
         for node, m in source_model.matrices.items()}
@@ -196,7 +196,6 @@ def _build_code(args):
     instance, oracle, source_model = instance_io.load_instance(args.instance)
     source_model = _override_field(source_model, args.q)
     if args.q is not None:
-        from .entropy import EntropyOracle
         oracle = EntropyOracle.from_model(instance.sources, source_model)
     rates = _load_rates(args.rates)
     net = netcode.build_coded_network(instance, source_model, rates, oracle=oracle)
@@ -209,7 +208,6 @@ def _cmd_code(args) -> tuple:
     clients = {}
     for t in net.clients:
         m = netcode.transfer_matrix(net, assignment, t)
-        from . import gf
         clients[t] = {
             "rank": gf.rank(m),
             "decoder": netcode.build_decoder(net, assignment, t).to_lists(),
@@ -251,11 +249,9 @@ def _cmd_simulate(args) -> tuple:
 def _cmd_oracle(args) -> tuple:
     """Brute-force baselines: enumerated feasibility and full-materialization LPs."""
     instance, oracle, _ = instance_io.load_instance(args.instance)
-    feasibility.require_reconstructable(instance, oracle)
-    certs = []
-    for t in instance.clients:
-        sub = model.client_subproblem(instance, oracle, t)
-        certs.append(feasibility.enumerate_feasibility(sub, oracle, instance.capacities()))
+    subs = model.client_subproblems(instance, oracle)
+    certs = [feasibility.enumerate_feasibility(sub, oracle, instance.capacities())
+             for sub in subs.values()]
     feasible = all(c.feasible for c in certs)
     payload = {
         "manifest": _manifest(args, "oracle", {}),
@@ -264,8 +260,7 @@ def _cmd_oracle(args) -> tuple:
     }
     if feasible:
         singles = {}
-        for t in instance.clients:
-            sub = model.client_subproblem(instance, oracle, t)
+        for t, sub in subs.items():
             solution = single_client.solve_single_client_bruteforce(
                 sub, oracle, instance.costs(), instance.capacities())
             singles[t] = {"rates": rates_to_json(solution.rates),

@@ -6,7 +6,8 @@ conditional entropy H(X_S | X_{rest}).  The slack function
 ``c(out(S)) - g(S)`` is submodular, so the worst subset comes from a single
 submodular minimization; the whole instance is feasible iff every client's
 worst subset has nonnegative slack.  The solvers' own LPs decide
-feasibility; they compute these certificates only to explain an empty LP.
+feasibility; they compute these certificates only to explain an empty LP,
+in :func:`infeasible`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import model
-from .errors import ReconstructabilityViolated
+from .errors import Infeasible
 from .model import ClientSubproblem, NetworkInstance, Region, cut_capacity
 from .submodular import SetFunction, conditional_entropy_function, members, sfm_brute_force
 
@@ -88,15 +89,6 @@ def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> Fe
     return FeasibilityCertificate(sub.client, worst >= 0, witness, cut, required, worst)
 
 
-def require_reconstructable(instance: NetworkInstance, oracle) -> None:
-    """Raise ReconstructabilityViolated, naming the clients, unless every client sees the process."""
-    recon = model.check_reconstructability(instance, oracle)
-    if not recon.ok:
-        failed = [c.client for c in recon.clients if not c.complete]
-        raise ReconstructabilityViolated(
-            f"clients {failed} cannot see the full process", recon)
-
-
 def check_feasible_multi(instance: NetworkInstance, oracle,
                          capacities: dict | None = None) -> FeasibilityReport:
     """Per-client certificates plus the overall verdict.
@@ -104,11 +96,22 @@ def check_feasible_multi(instance: NetworkInstance, oracle,
     Requires the reconstructability precondition; certificates are returned
     in instance client order.
     """
-    require_reconstructable(instance, oracle)
+    subs = model.client_subproblems(instance, oracle)
     caps = capacities if capacities is not None else instance.capacities()
-    certs = tuple(check_feasible_single(model.client_subproblem(instance, oracle, t), oracle, caps)
-                  for t in instance.clients)
+    certs = tuple(check_feasible_single(sub, oracle, caps) for sub in subs.values())
     return FeasibilityReport(all(c.feasible for c in certs), certs)
+
+
+def infeasible(certificates) -> Infeasible:
+    """The error for an empty LP, holding the failing certificates; RuntimeError if none fails."""
+    bad = [c for c in certificates if not c.feasible]
+    if not bad:
+        raise RuntimeError("the LP found no allocation, but every client's certificate is feasible")
+    return Infeasible(
+        "no achievable rate vector: " + "; ".join(
+            f"client {c.client} needs {c.required} through {c.witness_set} "
+            f"but has capacity {c.cut}" for c in bad),
+        bad)
 
 
 def enumerate_feasibility(sub: ClientSubproblem, oracle, capacities: dict) -> FeasibilityCertificate:
@@ -132,10 +135,3 @@ def enumerate_feasibility(sub: ClientSubproblem, oracle, capacities: dict) -> Fe
     (slack, _, _), nodes, cut, required = best
     return FeasibilityCertificate(sub.client, slack >= 0, nodes, cut, required, slack)
 
-
-def achievable_point(sub: ClientSubproblem, oracle, capacities: dict) -> dict:
-    """A rate vector in the client's region and capacity box: the unit-cost single-client optimum."""
-    from . import single_client
-
-    costs = {e.id: Fraction(1) for e in sub.edges}
-    return single_client.solve_single_client(sub, oracle, costs, capacities).rates

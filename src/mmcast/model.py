@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, EmptyReachableSet,
-                     InvalidInstance, NegativeCapacity, NonpositiveCost, UnknownEdgeRate)
+                     InvalidInstance, NegativeCapacity, NonpositiveCost,
+                     ReconstructabilityViolated, UnknownEdgeRate)
 from .lp import integral
 from .submodular import members, modular_table
 
@@ -213,6 +214,15 @@ def client_subproblem(instance: NetworkInstance, oracle, t: str) -> ClientSubpro
     keep = set(m_t) | {t}
     e_t = tuple(e for e in instance.edges if e.tail in set(m_t) and e.head in keep)
     return ClientSubproblem(t, m_t, e_t)
+
+
+def client_subproblems(instance: NetworkInstance, oracle) -> dict:
+    """``{client: subproblem}`` in client order; ReconstructabilityViolated names clients that fail."""
+    recon = check_reconstructability(instance, oracle)
+    if not recon.ok:
+        failed = [c.client for c in recon.clients if not c.complete]
+        raise ReconstructabilityViolated(f"clients {failed} cannot see the full process", recon)
+    return {t: client_subproblem(instance, oracle, t) for t in instance.clients}
 
 
 def boundary(rates: dict, nodes, edges) -> Fraction:

@@ -24,9 +24,9 @@ rate-flow region.  Two routes:
   recovered point is exactly region-feasible and every recorded dual value
   is a true lower bound.
 
-Each route checks only reconstructability up front; its own LPs decide
-feasibility, and the clients' certificates are computed only to explain an
-empty LP (or inner problem) in Infeasible.
+Each route starts from ``model.client_subproblems``, which checks only
+reconstructability; its own LPs decide feasibility, and
+``feasibility.infeasible`` explains an empty LP (or inner problem).
 
 The subgradient loop runs on lists in each client's LP column order
 (``sub.edges``): the multipliers, handed to the client's inner LP as its
@@ -196,22 +196,9 @@ class _MultiLP:
         return MulticastRates(envelope, per_client, solution.value)
 
 
-def _subproblems(instance: NetworkInstance, oracle) -> dict:
-    feasibility.require_reconstructable(instance, oracle)
-    return {t: model.client_subproblem(instance, oracle, t) for t in instance.clients}
-
-
 def _infeasible(instance: NetworkInstance, oracle) -> Infeasible:
     """The error for an empty LP, with the certificates of the clients that fail."""
-    report = feasibility.check_feasible_multi(instance, oracle)
-    bad = [c for c in report.certificates if not c.feasible]
-    if not bad:
-        raise RuntimeError("the LP found no allocation, but every client's certificate is feasible")
-    return Infeasible(
-        "no achievable rate vector: " + "; ".join(
-            f"client {c.client} needs {c.required} through {c.witness_set} "
-            f"but has capacity {c.cut}" for c in bad),
-        bad)
+    return feasibility.infeasible(feasibility.check_feasible_multi(instance, oracle).certificates)
 
 
 def solve_multi_exact(instance: NetworkInstance, oracle) -> MulticastRates:
@@ -222,24 +209,26 @@ def solve_multi_exact(instance: NetworkInstance, oracle) -> MulticastRates:
     (GroundTooLarge).  Raises Infeasible, with the certificates of the
     failing clients, when the LP finds no allocation.
     """
-    lp = _MultiLP(instance, _subproblems(instance, oracle), oracle)
+    lp = _MultiLP(instance, model.client_subproblems(instance, oracle), oracle)
     solver = SimplexSolver(lp.program({t: seed_pool(len(s.sources))
                                        for t, s in lp.subs.items()}))
     solution = solver.solve()
     while solution.status == "optimal":
-        cuts = [lp.region_row(t, mask) for t, region in lp.regions.items()
-                if (mask := most_violated(region, lp.rates(solution.x, t))) is not None]
+        cuts = {t: mask for t, region in lp.regions.items()
+                if (mask := most_violated(region, lp.rates(solution.x, t))) is not None}
         if not cuts:
             return lp.result(solution)
-        if not solver.add_rows(cuts):
+        if not solver.add_rows([lp.region_row(t, mask) for t, mask in cuts.items()]):
             break
-        solution = solver.resolve(solver.lp.objective)
+        x, solution = solution.x, solver.resolve(solver.lp.objective)
+        if solution.x == x:
+            raise RuntimeError(f"the cuts of masks {cuts} keep their vertex")
     raise _infeasible(instance, oracle)
 
 
 def solve_multi_bruteforce(instance: NetworkInstance, oracle) -> MulticastRates:
     """Reference optimum: one LP with every region row of every client materialized."""
-    subs = _subproblems(instance, oracle)
+    subs = model.client_subproblems(instance, oracle)
     masks = sum(1 << len(s.sources) for s in subs.values())
     if masks > BRUTE_FORCE_MASKS:
         raise BudgetExceeded(
@@ -280,7 +269,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
         raise InvalidParameters("gap_tol must be nonnegative")
     if patience < 1:
         raise InvalidParameters("patience must be at least 1")
-    subs = _subproblems(instance, oracle)
+    subs = model.client_subproblems(instance, oracle)
     caps = instance.capacities()
     optimizers = [RegionOptimizer(subs[t], oracle, caps) for t in instance.clients]
     alpha = [e.cost for e in instance.edges]

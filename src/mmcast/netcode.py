@@ -31,7 +31,7 @@ from itertools import repeat
 from operator import lshift, mul
 
 from . import gf
-from .entropy import LinearSource
+from .entropy import EntropyOracle, LinearSource
 from .errors import (FieldTooSmall, InfeasibleRates, InvalidParameters, NotLinearModel,
                      RankDeficient, ReconstructabilityViolated, ScaleOverflow,
                      UnknownEdgeRate, VerificationFailedAllAttempts)
@@ -115,7 +115,6 @@ def build_coded_network(instance: NetworkInstance, source_model,
     if not isinstance(source_model, LinearSource):
         raise NotLinearModel("code construction requires the linear source model")
     if oracle is None:
-        from .entropy import EntropyOracle
         oracle = EntropyOracle.from_model(instance.sources, source_model)
 
     known = {e.id for e in instance.edges}

@@ -8,14 +8,15 @@ source set, intersected with the capacity box.  Two solvers cover it:
   small constraint pool (singletons, their complements, the ground
   equality) and grows it with the most violated subset found by exact
   submodular minimization until none is violated.  Each cut is appended
-  to the solved LP and re-optimized warm by dual simplex.  The LP decides
-  feasibility; the certificate is computed only to explain an empty region.
+  to the solved LP and re-optimized warm by dual simplex.
 * :func:`solve_single_client_bruteforce` -- materializes at once every
   subset inequality that x >= 0 does not imply; the oracle baseline the
   cutting-plane path is tested against.
 
 Both assemble the LP alike from ``Region.constraint`` rows (the ground
 equality after those of their masks) and return exact rational optima.
+The LP decides feasibility; the client's certificate is computed only to
+explain an empty LP, in ``feasibility.infeasible``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import feasibility
-from .errors import GroundTooLarge, Infeasible
+from .errors import GroundTooLarge
 from .lp import LinearProgram, SimplexSolver
 from .model import ClientSubproblem, Region
 from .submodular import SetFunction, sfm_brute_force
@@ -84,8 +85,7 @@ class RegionOptimizer:
     """
 
     def __init__(self, sub: ClientSubproblem, oracle, capacities: dict):
-        self.sub = sub
-        self.capacities = capacities
+        self.sub, self.oracle, self.capacities = sub, oracle, capacities
         self.region = Region(sub, oracle)
         self.pool = seed_pool(len(sub.sources))
         self._solver = None
@@ -95,7 +95,8 @@ class RegionOptimizer:
         """Exact minimum of sum(costs[j] * x[j]) over the region, both in ``sub.edges`` order.
 
         Returns (x, value, lp_solves), x a list of Fractions; raises
-        Infeasible when the region is empty within the capacity box.
+        Infeasible when the region is empty within the capacity box, and
+        RuntimeError when a cut keeps its vertex: a violated cut moves x.
         """
         if self._solver is None:
             self._solver = _simplex(self.region, self.pool, costs, self.capacities)
@@ -114,10 +115,14 @@ class RegionOptimizer:
             self.pool.append(violated)
             if not self._solver.add_rows([self.region.constraint(violated)]):
                 break
-            solution = self._solver.resolve(costs)
+            x, solution = solution.x, self._solver.resolve(costs)
+            if solution.x == x:
+                raise RuntimeError(
+                    f"client {self.sub.client}: the cut of mask {violated} keeps its vertex")
             solves += 1
         self._solver = None
-        raise Infeasible(f"client {self.sub.client}: region is empty under capacities")
+        raise feasibility.infeasible(
+            [feasibility.check_feasible_single(self.sub, self.oracle, self.capacities)])
 
     def tight_sets(self, rates: list) -> list:
         return self.region.tight(rates, sorted(self.pool) + [self.region.full])
@@ -125,22 +130,9 @@ class RegionOptimizer:
 
 def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
                         capacities: dict) -> SingleClientSolution:
-    """Cutting-plane optimum of the single-client allocation problem.
-
-    Infeasible carries the client's certificate, computed only once the LP
-    comes back empty; a feasible certificate then means the routes disagree.
-    """
+    """Cutting-plane optimum of the single-client allocation problem."""
     opt = RegionOptimizer(sub, oracle, capacities)
-    try:
-        x, value, solves = opt.minimize([costs[e.id] for e in sub.edges])
-    except Infeasible:
-        cert = feasibility.check_feasible_single(sub, oracle, capacities)
-        if cert.feasible:
-            raise RuntimeError(
-                f"client {sub.client}: empty LP, but its certificate is feasible") from None
-        raise Infeasible(
-            f"client {sub.client}: subset {cert.witness_set} needs rate "
-            f"{cert.required} but has cut capacity {cert.cut}", (cert,)) from None
+    x, value, solves = opt.minimize([costs[e.id] for e in sub.edges])
     # no violated subset and the full set tight (listed last): b(R) is in the base polyhedron of g
     tight = opt.tight_sets(x)
     if tight[-1:] != [sub.sources]:
@@ -158,6 +150,12 @@ def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
     masks = [mask for mask in range(1, region.full) if not region.implied(mask)]
     solution = _simplex(region, masks, [costs[e.id] for e in sub.edges], capacities).solve()
     if solution.status == "infeasible":
-        raise Infeasible(f"client {sub.client}: region is empty under capacities")
+        raise feasibility.infeasible([feasibility.check_feasible_single(sub, oracle, capacities)])
     return SingleClientSolution(dict(zip((e.id for e in sub.edges), solution.x)), solution.value,
                                 region.tight(solution.x, range(1, region.full + 1)), 1)
+
+
+def achievable_point(sub: ClientSubproblem, oracle, capacities: dict) -> dict:
+    """A rate vector in the client's region and capacity box: the unit-cost single-client optimum."""
+    costs = {e.id: Fraction(1) for e in sub.edges}
+    return solve_single_client(sub, oracle, costs, capacities).rates

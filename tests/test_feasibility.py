@@ -7,11 +7,12 @@ import pytest
 from helpers import FIXTURE_F2, chain_instance, random_instance_doc, single_edge_instance
 from mmcast import load_instance
 from mmcast.errors import Infeasible, ReconstructabilityViolated
-from mmcast.feasibility import (achievable_point, check_feasible_multi, check_feasible_single,
+from mmcast.feasibility import (check_feasible_multi, check_feasible_single,
                                 enumerate_feasibility, slack_function)
 from mmcast.model import boundary_vector, client_subproblem
 from mmcast.multi_client import (solve_multi_bruteforce, solve_multi_exact,
                                  solve_multi_subgradient)
+from mmcast.single_client import achievable_point
 from mmcast.submodular import conditional_entropy_function, in_base_polyhedron
 
 

@@ -14,7 +14,8 @@ from mmcast.multi_client import (DEFAULT_GAP_TOL, DEFAULT_MAX_ITERS, DEFAULT_PAT
                                  StepSchedule, SubgradientResult, TraceEntry,
                                  exact_simplex_projection, solve_multi_bruteforce,
                                  solve_multi_exact, solve_multi_subgradient, step_size)
-from mmcast.single_client import RegionOptimizer, solve_single_client
+from mmcast.single_client import (RegionOptimizer, solve_single_client,
+                                  solve_single_client_bruteforce)
 from mmcast.submodular import conditional_entropy_function, in_base_polyhedron
 
 
@@ -131,8 +132,46 @@ def test_empty_lp_with_feasible_certificates_is_an_error(monkeypatch):
         with pytest.raises(RuntimeError):
             solve(instance, oracle)
     sub = client_subproblem(instance, oracle, "t1")
-    with pytest.raises(RuntimeError):
-        solve_single_client(sub, oracle, instance.costs(), instance.capacities())
+    for solve in (solve_single_client, solve_single_client_bruteforce):
+        with pytest.raises(RuntimeError):
+            solve(sub, oracle, instance.costs(), instance.capacities())
+
+
+def test_a_cut_that_keeps_its_vertex_is_an_error(monkeypatch, f2):
+    # a violated cut always moves x, so a separation fault must raise, not
+    # append the same row forever; the cap turns such a loop into a failure
+    from mmcast.lp import SimplexSolver
+    from mmcast.model import Region
+    from mmcast.multi_client import _MultiLP
+    instance, oracle, _ = f2
+    appends = []
+    add_rows = SimplexSolver.add_rows
+
+    def capped(self, rows):
+        appends.append(rows)
+        assert len(appends) <= 200, "the cutting planes do not stop"
+        return add_rows(self, rows)
+
+    monkeypatch.setattr(SimplexSolver, "add_rows", capped)
+    boundary = Region.boundary
+
+    def next_slice(self, x, t):
+        clients = list(self.subs)
+        after = clients[(clients.index(t) + 1) % len(clients)]
+        return x[self.offset[after]:self.offset[after] + len(self.subs[t].edges)]
+
+    with monkeypatch.context() as m:
+        m.setattr(Region, "boundary", lambda self, r: boundary(self, r[::-1]))
+        for t in ("t1", "t2"):
+            sub = client_subproblem(instance, oracle, t)
+            with pytest.raises(RuntimeError, match="keeps its vertex"):
+                solve_single_client(sub, oracle, instance.costs(), instance.capacities())
+        with pytest.raises(RuntimeError, match="keep their vertex"):
+            solve_multi_exact(instance, oracle)
+    with monkeypatch.context() as m:
+        m.setattr(_MultiLP, "rates", next_slice)
+        with pytest.raises(RuntimeError, match="keep their vertex"):
+            solve_multi_exact(instance, oracle)
 
 
 def test_lazy_rows_match_bruteforce_random(monkeypatch):

@@ -68,12 +68,12 @@ def test_bruteforce_matches_on_examples(f2):
 def test_infeasible_chain_raises():
     instance, oracle, _ = load_instance(chain_instance(cap1="0"))
     sub = client_subproblem(instance, oracle, "t")
-    with pytest.raises(Infeasible) as err:
-        solve_single_client(sub, oracle, instance.costs(), instance.capacities())
+    cert = check_feasible_single(sub, oracle, instance.capacities())
     # the certificate is computed only after the LP comes back empty
-    assert err.value.certificates == (check_feasible_single(sub, oracle, instance.capacities()),)
-    with pytest.raises(Infeasible):
-        solve_single_client_bruteforce(sub, oracle, instance.costs(), instance.capacities())
+    for solve in (solve_single_client, solve_single_client_bruteforce):
+        with pytest.raises(Infeasible) as err:
+            solve(sub, oracle, instance.costs(), instance.capacities())
+        assert err.value.certificates == (cert,)
 
 
 def test_cutting_plane_equals_bruteforce_random():
