@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, feasibility, gf, instance_io, model, multi_client, netcode, single_client
 from .entropy import EntropyOracle, LinearSource, validate_polymatroid
-from .errors import (Infeasible, InfeasibleRates, InvalidParameters, MmcastError,
+from .errors import (Infeasible, InfeasibleRates, InvalidInstance, InvalidParameters, MmcastError,
                      RankDeficient, ReconstructabilityViolated, VerificationFailedAllAttempts)
 from .gf import FieldMatrix
 from .instance_io import frac_str, rates_to_json
@@ -141,7 +141,9 @@ def _cmd_feas(args) -> tuple:
 def _cmd_solve(args) -> tuple:
     instance, oracle, _ = instance_io.load_instance(args.instance)
     if args.client is not None:
-        sub = model.client_subproblem(instance, oracle, args.client)
+        if args.client not in instance.clients:
+            raise InvalidInstance(f"{args.client!r} is not a client of this instance")
+        sub = model.client_subproblems(instance, oracle)[args.client]
         solution = single_client.solve_single_client(
             sub, oracle, instance.costs(), instance.capacities())
         payload = {

@@ -212,7 +212,8 @@ def client_subproblem(instance: NetworkInstance, oracle, t: str) -> ClientSubpro
     if not m_t:
         raise EmptyReachableSet(f"client {t} has no reachable sources")
     keep = set(m_t) | {t}
-    e_t = tuple(e for e in instance.edges if e.tail in set(m_t) and e.head in keep)
+    # clients are sinks, so a tail in keep is a source of M_t
+    e_t = tuple(e for e in instance.edges if e.tail in keep and e.head in keep)
     return ClientSubproblem(t, m_t, e_t)
 
 

@@ -5,15 +5,14 @@ every client's rate on edge e and each client's rates lie in its own
 rate-flow region.  Two routes:
 
 * :func:`solve_multi_exact` -- one exact LP over the envelope and every
-  client's rates, with region rows added lazily (Kelley's cutting planes).
-  It starts from a seed pool per client (singletons, their complements,
-  the ground equality) and the couplings Z_e >= R_e^(t); each round, exact
-  submodular separation finds each client's most violated region row, and
-  the rows are appended and re-optimized warm by dual simplex until no
-  client has one, so the optimum is exact and certified by that separation.
-  :func:`solve_multi_bruteforce` builds the same LP with every region row
-  that x >= 0 does not imply; it is the reference for the lazy route.  A
-  region row is the client's ``Region.constraint``, moved to its columns.
+  client's rates, with region rows added lazily: it starts from a seed pool
+  per client (singletons, their complements, the ground equality) and the
+  couplings Z_e >= R_e^(t), and runs ``single_client.cutting_planes``, the
+  package's one cutting-plane loop, on it, so the optimum is exact and
+  certified by exact separation.  :func:`solve_multi_bruteforce` builds the
+  same LP with every region row that x >= 0 does not imply; it is the
+  reference for the lazy route.  A region row is the client's
+  ``Region.constraint``, moved to its columns by its ``ClientCuts``.
 * :func:`solve_multi_subgradient` -- dualize the coupling Z_e >= R_e^(t).
   The per-edge multipliers live on scaled simplices {lam >= 0,
   sum_t lam_e^(t) = alpha_e}; each iteration solves one weighted
@@ -25,8 +24,8 @@ rate-flow region.  Two routes:
   is a true lower bound.
 
 Each route starts from ``model.client_subproblems``, which checks only
-reconstructability; its own LPs decide feasibility, and
-``feasibility.infeasible`` explains an empty LP (or inner problem).
+reconstructability; its own LPs decide feasibility, and an empty LP (or
+inner problem) is explained by certifying each client it holds once.
 
 The subgradient loop runs on lists in each client's LP column order
 (``sub.edges``): the multipliers, handed to the client's inner LP as its
@@ -49,8 +48,8 @@ from fractions import Fraction
 from . import feasibility, model
 from .errors import BudgetExceeded, Infeasible, InvalidParameters
 from .lp import LinearProgram, SimplexSolver, integral
-from .model import NetworkInstance, Region
-from .single_client import BRUTE_FORCE_SOURCES, RegionOptimizer, most_violated, seed_pool
+from .model import NetworkInstance
+from .single_client import BRUTE_FORCE_SOURCES, ClientCuts, RegionOptimizer, cutting_planes
 
 DEFAULT_MAX_ITERS = 50000
 DEFAULT_GAP_TOL = Fraction(1, 100)
@@ -146,84 +145,54 @@ class _MultiLP:
     """Variables, caps, rows and read-out of the exact multi-client LP.
 
     The columns are Z_e for every edge of the instance, then each client's
-    R^(t) in its subproblem's edge order from column ``offset[t]``; each row
-    is a ``{column: coefficient}`` dict of its nonzeros.  Region rows are
-    :meth:`Region.constraint` shifted by the offset, chosen by client and
-    mask, so the lazy and the brute-force route assemble the same LP from
-    different masks.
+    ``ClientCuts`` columns; each row is a ``{column: coefficient}`` dict.
+    The lazy and the brute-force route assemble it from different masks.
     """
 
     def __init__(self, instance: NetworkInstance, subs: dict, oracle):
-        self.instance, self.subs = instance, subs
-        self.regions = {t: Region(sub, oracle) for t, sub in subs.items()}
+        self.instance, self.caps = instance, instance.capacities()
         self.z_index = {e.id: i for i, e in enumerate(instance.edges)}
-        self.offset, n = {}, len(instance.edges)
+        self.clients, n = {}, len(instance.edges)
         for t, sub in subs.items():
-            self.offset[t], n = n, n + len(sub.edges)
+            self.clients[t], n = ClientCuts(sub, oracle, self.caps, n), n + len(sub.edges)
         self.n = n
-
-    def region_row(self, t, mask: int) -> tuple:
-        """boundary(R^(t), S) >= g(S) for the mask of S; equality at the full set."""
-        row, rel, rhs = self.regions[t].constraint(mask)
-        return {self.offset[t] + j: c for j, c in row.items()}, rel, rhs
 
     def program(self, masks: dict) -> LinearProgram:
         """The LP with the region rows of ``masks[t]`` plus every ground equality and coupling."""
-        caps = self.instance.capacities()
-        covered = {e.id for sub in self.subs.values() for e in sub.edges}
-        upper = [caps[e.id] if e.id in covered else 0 for e in self.instance.edges]
+        covered = {e.id for c in self.clients.values() for e in c.sub.edges}
+        upper = [self.caps[e.id] if e.id in covered else 0 for e in self.instance.edges]
         # R_e^(t) <= Z_e <= c_e already caps the rates; a cap would add a row each
         upper += [None] * (self.n - len(upper))
         rows = []
-        for t, sub in self.subs.items():
-            region, k = self.regions[t], self.offset[t]
-            rows += [self.region_row(t, mask) for mask in masks[t] if not region.implied(mask)]
-            rows.append(self.region_row(t, region.full))
-            rows += [({self.z_index[e.id]: 1, k + j: -1}, ">=", 0)
-                     for j, e in enumerate(sub.edges)]
+        for t, c in self.clients.items():
+            rows += [c.row(mask) for mask in masks[t] if not c.region.implied(mask)]
+            rows.append(c.row(c.region.full))
+            rows += [({self.z_index[e.id]: 1, c.offset + j: -1}, ">=", 0)
+                     for j, e in enumerate(c.sub.edges)]
         objective = [e.cost for e in self.instance.edges]
         objective += [0] * (self.n - len(objective))
         return LinearProgram(objective, rows, upper)
 
-    def rates(self, x: list, t) -> list:
-        """Client t's columns of x: its rates in ``sub.edges`` order."""
-        return x[self.offset[t]:self.offset[t] + len(self.subs[t].edges)]
-
     def result(self, solution) -> MulticastRates:
-        per_client = {t: dict(zip((e.id for e in sub.edges), self.rates(solution.x, t)))
-                      for t, sub in self.subs.items()}
+        per_client = {t: dict(zip((e.id for e in c.sub.edges), c.rates(solution.x)))
+                      for t, c in self.clients.items()}
         envelope = {e.id: solution.x[self.z_index[e.id]] for e in self.instance.edges}
         return MulticastRates(envelope, per_client, solution.value)
-
-
-def _infeasible(instance: NetworkInstance, oracle) -> Infeasible:
-    """The error for an empty LP, with the certificates of the clients that fail."""
-    return feasibility.infeasible(feasibility.check_feasible_multi(instance, oracle).certificates)
 
 
 def solve_multi_exact(instance: NetworkInstance, oracle) -> MulticastRates:
     """Exact optimum of the multi-client problem by lazily added region rows.
 
+    Runs ``single_client.cutting_planes`` from the clients' seed pools.
     Separation reads each client's mask-indexed region tables, so a client
     may reach at most ``submodular.BRUTE_FORCE_LIMIT`` sources
     (GroundTooLarge).  Raises Infeasible, with the certificates of the
     failing clients, when the LP finds no allocation.
     """
     lp = _MultiLP(instance, model.client_subproblems(instance, oracle), oracle)
-    solver = SimplexSolver(lp.program({t: seed_pool(len(s.sources))
-                                       for t, s in lp.subs.items()}))
-    solution = solver.solve()
-    while solution.status == "optimal":
-        cuts = {t: mask for t, region in lp.regions.items()
-                if (mask := most_violated(region, lp.rates(solution.x, t))) is not None}
-        if not cuts:
-            return lp.result(solution)
-        if not solver.add_rows([lp.region_row(t, mask) for t, mask in cuts.items()]):
-            break
-        x, solution = solution.x, solver.resolve(solver.lp.objective)
-        if solution.x == x:
-            raise RuntimeError(f"the cuts of masks {cuts} keep their vertex")
-    raise _infeasible(instance, oracle)
+    solver = SimplexSolver(lp.program({t: c.pool for t, c in lp.clients.items()}))
+    return lp.result(cutting_planes(solver, solver.solve(), solver.lp.objective,
+                                    list(lp.clients.values())))
 
 
 def solve_multi_bruteforce(instance: NetworkInstance, oracle) -> MulticastRates:
@@ -234,10 +203,10 @@ def solve_multi_bruteforce(instance: NetworkInstance, oracle) -> MulticastRates:
         raise BudgetExceeded(
             f"region tables of {masks} masks exceed the {BRUTE_FORCE_MASKS}-mask budget")
     lp = _MultiLP(instance, subs, oracle)
-    solution = SimplexSolver(lp.program({t: range(1, r.full)
-                                         for t, r in lp.regions.items()})).solve()
+    solution = SimplexSolver(lp.program({t: range(1, c.region.full)
+                                         for t, c in lp.clients.items()})).solve()
     if solution.status != "optimal":
-        raise _infeasible(instance, oracle)
+        raise feasibility.infeasible([c.certificate() for c in lp.clients.values()])
     return lp.result(solution)
 
 
@@ -304,8 +273,9 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     def inner(opt, weights):
         try:
             return opt.minimize(weights)
-        except Infeasible:
-            raise _infeasible(instance, oracle) from None
+        except Infeasible as err:   # opt certified its own client: certify only the others
+            raise feasibility.infeasible([err.certificates[0] if other is opt else
+                                          other.certificate() for other in optimizers]) from None
 
     n = 0
     for n in range(1, max_iters + 1):

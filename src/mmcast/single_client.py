@@ -1,22 +1,20 @@
-"""Minimum-cost rate allocation for a single client.
+"""Minimum-cost rate allocation for a single client, and the one cutting-plane loop.
 
 The feasible set is the client's rate-flow region: every source subset S
 must satisfy boundary(R, S) >= H(X_S | X_rest), with equality at the full
-source set, intersected with the capacity box.  Two solvers cover it:
+source set, intersected with the capacity box.  Two solvers cover it, both
+assembling the LP from ``Region.constraint`` rows and returning exact optima:
 
-* :func:`solve_single_client` -- cutting planes.  The LP starts from a
-  small constraint pool (singletons, their complements, the ground
-  equality) and grows it with the most violated subset found by exact
-  submodular minimization until none is violated.  Each cut is appended
-  to the solved LP and re-optimized warm by dual simplex.
-* :func:`solve_single_client_bruteforce` -- materializes at once every
-  subset inequality that x >= 0 does not imply; the oracle baseline the
-  cutting-plane path is tested against.
+* :func:`solve_single_client` -- :func:`cutting_planes`, the package's one
+  cutting-plane loop, which ``multi_client.solve_multi_exact`` runs too.
+  The LP starts from a small pool (singletons, their complements, the
+  ground equality); each most violated subset, found by exact submodular
+  minimization, is appended and re-optimized warm until none is violated.
+* :func:`solve_single_client_bruteforce` -- every subset inequality that
+  x >= 0 does not imply at once; the baseline the cutting planes are tested
+  against.
 
-Both assemble the LP alike from ``Region.constraint`` rows (the ground
-equality after those of their masks) and return exact rational optima.
-The LP decides feasibility; the client's certificate is computed only to
-explain an empty LP, in ``feasibility.infeasible``.
+The LP decides feasibility; certificates only explain an empty LP.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from fractions import Fraction
 
 from . import feasibility
 from .errors import GroundTooLarge
-from .lp import LinearProgram, SimplexSolver
+from .lp import LinearProgram, LpSolution, SimplexSolver
 from .model import ClientSubproblem, Region
 from .submodular import SetFunction, sfm_brute_force
 
@@ -70,62 +68,90 @@ def _simplex(region: Region, masks, objective: list, capacities: dict) -> Simple
                                        [capacities[e.id] for e in region.sub.edges]))
 
 
-class RegionOptimizer:
-    """Repeatedly minimize linear objectives over one client's region.
+class ClientCuts:
+    """One client's columns (its rates in ``sub.edges`` order, from ``offset``) and rows in an LP.
 
-    Objectives and rate vectors are lists in the client's LP column order,
-    ``sub.edges``.  Keeps the constraint pool and the simplex basis across
-    calls: a cut is appended to the solved LP and re-optimized warm, and a
-    new objective (the Lagrangian inner problems: same region, changing
-    weights) starts from the last basis, so each costs a few pivots once the
-    pool settles.  It also remembers every vertex that separation passed.
-    The region never changes and cuts only remove points outside it, so a
-    remembered vertex stays inside and is not separated again when a later
-    solve returns it.
+    ``pool`` holds the masks of its region rows: the seed pool, then each cut
+    in order.  A slice of x that passed separation is not separated again:
+    the region never changes, and cuts only remove points outside it.
+    """
+
+    def __init__(self, sub: ClientSubproblem, oracle, capacities: dict, offset: int):
+        self.sub, self.oracle, self.capacities, self.offset = sub, oracle, capacities, offset
+        self.region = Region(sub, oracle)
+        self.pool = seed_pool(len(sub.sources))
+        self._certified = set()     # each slice that separation passed, as its exact ratios
+
+    def rates(self, x: list) -> list:
+        """The client's slice of x."""
+        return x[self.offset:self.offset + len(self.sub.edges)]
+
+    def row(self, mask: int) -> tuple:
+        """``Region.constraint`` of the mask, moved to the client's columns."""
+        row, rel, rhs = self.region.constraint(mask)
+        return {self.offset + j: c for j, c in row.items()}, rel, rhs
+
+    def separate(self, x: list):
+        """The mask of the client's most violated row at x, None if its slice passes."""
+        rates = self.rates(x)
+        key = tuple(r.as_integer_ratio() for r in rates)
+        if key in self._certified:
+            return None
+        mask = most_violated(self.region, rates)
+        if mask is None:
+            self._certified.add(key)
+        return mask
+
+    def certificate(self):
+        return feasibility.check_feasible_single(self.sub, self.oracle, self.capacities)
+
+
+def cutting_planes(solver: SimplexSolver, solution, objective: list, clients: list) -> LpSolution:
+    """Kelley's cutting planes from ``solution``, the solver's answer under ``objective``.
+
+    Each round appends every client's violated row, in client order, and
+    re-optimizes warm, until none is violated; returns the last solution.
+    An empty LP raises ``feasibility.infeasible`` with each client's
+    certificate, and a round that leaves x in place raises RuntimeError.
+    """
+    while solution.status == "optimal":
+        cuts = [(c, mask) for c in clients if (mask := c.separate(solution.x)) is not None]
+        if not cuts:
+            return solution
+        for c, mask in cuts:
+            c.pool.append(mask)
+        if not solver.add_rows([c.row(mask) for c, mask in cuts]):
+            break
+        x, solution = solution.x, solver.resolve(objective)
+        if solution.x == x:
+            named = {c.sub.client: mask for c, mask in cuts}
+            raise RuntimeError(f"the cuts of masks {named} keep their vertex")
+    raise feasibility.infeasible([c.certificate() for c in clients])
+
+
+class RegionOptimizer(ClientCuts):
+    """Repeatedly minimize linear objectives over one client's region, alone in its LP.
+
+    The basis is kept across calls, so a new objective (the Lagrangian inner
+    problems) costs a few pivots once the pool settles.
     """
 
     def __init__(self, sub: ClientSubproblem, oracle, capacities: dict):
-        self.sub, self.oracle, self.capacities = sub, oracle, capacities
-        self.region = Region(sub, oracle)
-        self.pool = seed_pool(len(sub.sources))
+        super().__init__(sub, oracle, capacities, 0)
         self._solver = None
-        self._certified = set()     # each x that separation passed, as its exact ratios
 
     def minimize(self, costs: list):
-        """Exact minimum of sum(costs[j] * x[j]) over the region, both in ``sub.edges`` order.
-
-        Returns (x, value, lp_solves), x a list of Fractions; raises
-        Infeasible when the region is empty within the capacity box, and
-        RuntimeError when a cut keeps its vertex: a violated cut moves x.
-        """
-        if self._solver is None:
-            self._solver = _simplex(self.region, self.pool, costs, self.capacities)
-            solution = self._solver.solve()
+        """(x, value, LP solves) minimizing costs . x, both lists in ``sub.edges`` order."""
+        solver, self._solver = self._solver, None   # an empty LP drops it
+        cuts = len(self.pool)                       # each later LP solve follows one cut
+        if solver is None:
+            solver = _simplex(self.region, self.pool, costs, self.capacities)
+            solution = solver.solve()
         else:
-            solution = self._solver.resolve(costs)
-        solves = 1
-        while solution.status == "optimal":
-            vertex = tuple(x.as_integer_ratio() for x in solution.x)
-            if vertex in self._certified:
-                return solution.x, solution.value, solves
-            violated = most_violated(self.region, solution.x)
-            if violated is None:
-                self._certified.add(vertex)
-                return solution.x, solution.value, solves
-            self.pool.append(violated)
-            if not self._solver.add_rows([self.region.constraint(violated)]):
-                break
-            x, solution = solution.x, self._solver.resolve(costs)
-            if solution.x == x:
-                raise RuntimeError(
-                    f"client {self.sub.client}: the cut of mask {violated} keeps its vertex")
-            solves += 1
-        self._solver = None
-        raise feasibility.infeasible(
-            [feasibility.check_feasible_single(self.sub, self.oracle, self.capacities)])
-
-    def tight_sets(self, rates: list) -> list:
-        return self.region.tight(rates, sorted(self.pool) + [self.region.full])
+            solution = solver.resolve(costs)
+        solution = cutting_planes(solver, solution, costs, [self])
+        self._solver = solver
+        return solution.x, solution.value, 1 + len(self.pool) - cuts
 
 
 def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
@@ -134,7 +160,7 @@ def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
     opt = RegionOptimizer(sub, oracle, capacities)
     x, value, solves = opt.minimize([costs[e.id] for e in sub.edges])
     # no violated subset and the full set tight (listed last): b(R) is in the base polyhedron of g
-    tight = opt.tight_sets(x)
+    tight = opt.region.tight(x, sorted(opt.pool) + [opt.region.full])
     if tight[-1:] != [sub.sources]:
         raise RuntimeError(f"client {sub.client}: the rates miss the ground equality")
     return SingleClientSolution(dict(zip((e.id for e in sub.edges), x)), value, tight, solves)

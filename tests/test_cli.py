@@ -91,6 +91,41 @@ def test_infeasible_solve_exit_two(tmp_path, capsys):
     assert out["error"]["context"]["certificates"][0]["witness_set"] == ["m1"]
 
 
+def _short_sighted(tmp_path):
+    """t1 reaches only a, which holds packet 0 of 2: it cannot see the full process."""
+    doc = {
+        "nodes": ["a", "b", "t1", "t2"],
+        "edges": [{"id": f"e{i}", "tail": u, "head": v, "capacity": "2", "cost": "1"}
+                  for i, (u, v) in enumerate((("a", "t1"), ("b", "t2"), ("a", "t2")), 1)],
+        "clients": ["t1", "t2"],
+        "source_model": {"kind": "linear", "q": 5, "N": 2,
+                         "matrices": {"a": [[1, 0]], "b": [[0, 1]]}},
+    }
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_every_rate_route_checks_reconstructability(tmp_path, capsys):
+    path = _short_sighted(tmp_path)
+    for argv in (["feas", path], ["solve", path, "--client", "t1"],
+                 ["solve", path, "--client", "t2"], ["solve", path, "--all-clients"],
+                 ["oracle", path]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out["error"]["code"] == "ReconstructabilityViolated", argv
+        assert "['t1']" in out["error"]["message"]
+
+
+def test_solve_unknown_client_exit_one(tmp_path, capsys):
+    for path in (str(FIXTURE_F2), _short_sighted(tmp_path)):
+        code, out = run_cli(capsys, "solve", path, "--client", "t9")
+        assert code == 1
+        assert out["error"] == {"code": "InvalidInstance",
+                                "message": "'t9' is not a client of this instance",
+                                "context": {}}
+
+
 def test_malformed_input_exit_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

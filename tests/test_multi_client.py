@@ -121,6 +121,37 @@ def test_infeasible_without_feasibility_check(monkeypatch):
     assert any(refused)         # draw 28 of the stream gets past its seed rows
 
 
+def test_an_empty_lp_certifies_each_client_once(monkeypatch):
+    # every route explains an empty LP from the subproblems it holds: one
+    # reconstructability check, and one certificate per client, the failing
+    # client's included, whichever LP found the region empty
+    import mmcast.feasibility as feasibility
+    import mmcast.model as model
+    rng = random.Random(5)
+    while True:
+        instance, oracle, _ = load_instance(random_instance_doc(rng, n_clients=3))
+        report = check_feasible_multi(instance, oracle)
+        if not report.feasible:
+            break
+    failing = tuple(c for c in report.certificates if not c.feasible)
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.update([name]) or original(*args))
+
+    counted(feasibility, "check_feasible_single")
+    counted(model, "check_reconstructability")
+    for solve in (solve_multi_exact, solve_multi_bruteforce,
+                  lambda instance, oracle: solve_multi_subgradient(instance, oracle, max_iters=1)):
+        calls.clear()
+        with pytest.raises(Infeasible) as err:
+            solve(instance, oracle)
+        assert err.value.certificates == failing
+        assert calls == {"check_feasible_single": 3, "check_reconstructability": 1}
+
+
 def test_empty_lp_with_feasible_certificates_is_an_error(monkeypatch):
     # the LP and the certificates are independent routes; if they disagree
     # the solvers must say so rather than report a verdict
@@ -142,7 +173,7 @@ def test_a_cut_that_keeps_its_vertex_is_an_error(monkeypatch, f2):
     # append the same row forever; the cap turns such a loop into a failure
     from mmcast.lp import SimplexSolver
     from mmcast.model import Region
-    from mmcast.multi_client import _MultiLP
+    from mmcast.single_client import ClientCuts
     instance, oracle, _ = f2
     appends = []
     add_rows = SimplexSolver.add_rows
@@ -154,23 +185,32 @@ def test_a_cut_that_keeps_its_vertex_is_an_error(monkeypatch, f2):
 
     monkeypatch.setattr(SimplexSolver, "add_rows", capped)
     boundary = Region.boundary
+    first = len(instance.edges)     # the clients' columns follow the envelope's, in order
 
-    def next_slice(self, x, t):
-        clients = list(self.subs)
-        after = clients[(clients.index(t) + 1) % len(clients)]
-        return x[self.offset[after]:self.offset[after] + len(self.subs[t].edges)]
+    def next_slice(self, x):
+        # as many columns as the client has, at the next client's offset
+        start = self.offset + len(self.sub.edges)
+        start = first if start == len(x) else start
+        return x[start:start + len(self.sub.edges)]
 
+    def late_slice(self, x):
+        # one column late, on either route
+        return x[self.offset + 1:self.offset + 1 + len(self.sub.edges)]
+
+    for owner, name, mutant in ((Region, "boundary", lambda self, r: boundary(self, r[::-1])),
+                                (ClientCuts, "rates", late_slice)):
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, mutant)
+            for t in ("t1", "t2"):
+                sub = client_subproblem(instance, oracle, t)
+                with pytest.raises(RuntimeError,
+                                   match=f"the cuts of masks {{'{t}': .*}} keep their vertex"):
+                    solve_single_client(sub, oracle, instance.costs(), instance.capacities())
+            with pytest.raises(RuntimeError, match=r"the cuts of masks \{.*\} keep their vertex"):
+                solve_multi_exact(instance, oracle)
     with monkeypatch.context() as m:
-        m.setattr(Region, "boundary", lambda self, r: boundary(self, r[::-1]))
-        for t in ("t1", "t2"):
-            sub = client_subproblem(instance, oracle, t)
-            with pytest.raises(RuntimeError, match="keeps its vertex"):
-                solve_single_client(sub, oracle, instance.costs(), instance.capacities())
-        with pytest.raises(RuntimeError, match="keep their vertex"):
-            solve_multi_exact(instance, oracle)
-    with monkeypatch.context() as m:
-        m.setattr(_MultiLP, "rates", next_slice)
-        with pytest.raises(RuntimeError, match="keep their vertex"):
+        m.setattr(ClientCuts, "rates", next_slice)
+        with pytest.raises(RuntimeError, match=r"the cuts of masks \{.*\} keep their vertex"):
             solve_multi_exact(instance, oracle)
 
 
@@ -441,6 +481,54 @@ def test_subgradient_inner_solutions_pass_separation(f2, monkeypatch):
         for x in remembered:
             assert separate(opt.region, x) is None
         assert remembered <= vertices
+
+
+def test_exact_route_separates_a_passed_slice_once(f2, monkeypatch):
+    # within one solve_multi_exact, a client's slice that passed separation
+    # is skipped when a later round returns it, and a violated one is cut
+    # off: no client's slice is separated twice, every remembered slice
+    # passes separation, and the skips happen: fewer separations than
+    # slices presented (each round presents every client's slice)
+    import mmcast.multi_client as multi_client
+    import mmcast.single_client as single_client
+    from mmcast.lp import SimplexSolver
+    separate = single_client.most_violated
+    separated = Counter()       # (region, slice) -> separations
+    made = []                   # every client of every LP
+    presented = 0
+    add_rows = SimplexSolver.add_rows
+
+    class Recorded(single_client.ClientCuts):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def counted(region, rates):
+        separated[region, tuple(rates)] += 1
+        return separate(region, rates)
+
+    def rounds(self, rows):
+        nonlocal presented
+        presented += n_clients
+        return add_rows(self, rows)
+
+    monkeypatch.setattr(multi_client, "ClientCuts", Recorded)
+    monkeypatch.setattr(single_client, "most_violated", counted)
+    monkeypatch.setattr(SimplexSolver, "add_rows", rounds)
+    rng = random.Random(151)
+    cases = [f2[:2]] + [random_feasible_instance(rng, n_sources=6 + i % 2, n_clients=2 + i % 2,
+                                                 max_capacity=8)[:2] for i in range(12)]
+    for instance, oracle in cases:
+        n_clients = len(instance.clients)
+        solve_multi_exact(instance, oracle)
+        presented += n_clients          # the last round, which adds no row
+    assert max(separated.values()) == 1
+    assert sum(separated.values()) < presented
+    for c in made:
+        for key in c._certified:
+            x = tuple(Fraction(*ratio) for ratio in key)
+            assert separate(c.region, x) is None
+            assert (c.region, x) in separated
 
 
 def _subgradient_cases(f2):

@@ -152,7 +152,7 @@ def test_single_client_lps_have_the_reference_rows(monkeypatch, f2):
 def test_multi_client_lps_have_the_reference_rows(monkeypatch, f2):
     built = _record(monkeypatch, multi_client)
     separated = []
-    most_violated = multi_client.most_violated
+    most_violated = single_client.most_violated
 
     def recorded(region, rates):
         mask = most_violated(region, rates)
@@ -160,7 +160,7 @@ def test_multi_client_lps_have_the_reference_rows(monkeypatch, f2):
             separated.append((region.sub.client, mask))
         return mask
 
-    monkeypatch.setattr(multi_client, "most_violated", recorded)
+    monkeypatch.setattr(single_client, "most_violated", recorded)
     kinds = set()
     for instance, oracle in _cases(f2):
         subs = {t: client_subproblem(instance, oracle, t) for t in instance.clients}
