@@ -403,17 +403,17 @@ def tabular_from_oracle(oracle: EntropyOracle) -> TabularSource:
 
 
 def pmf_from_nested(order, alphabets, nested) -> PmfSource:
-    """Build a PmfSource from a nested-list table in the given node order."""
+    """Build a PmfSource from a nested-list table, level k a list of alphabets[order[k]]."""
     order = tuple(order)
-    sizes = [alphabets[node] for node in order]
-    table = {}
-    for outcome in product(*[range(s) for s in sizes]):
-        cell = nested
-        for i in outcome:
-            cell = cell[i]
-        p = cell if isinstance(cell, Fraction) else Fraction(cell)
-        if p < 0:
-            raise InvalidInstance("negative probability in pmf table")
-        if p:
-            table[outcome] = p
-    return PmfSource(order, dict(alphabets), table)
+    cells = [nested]                # one level of the table at a time, in outcome order
+    for node in order:
+        if any(not isinstance(c, list) or len(c) != alphabets[node] for c in cells):
+            raise InvalidInstance(f"pmf table level of {node!r} must list {alphabets[node]} items")
+        cells = [x for c in cells for x in c]
+    if any(isinstance(c, list) for c in cells):
+        raise InvalidInstance("pmf table entries must be probabilities, not lists")
+    probs = [Fraction(c) for c in cells]
+    if min(probs, default=0) < 0:
+        raise InvalidInstance("negative probability in pmf table")
+    outcomes = product(*[range(alphabets[v]) for v in order])
+    return PmfSource(order, dict(alphabets), {o: p for o, p in zip(outcomes, probs) if p})

@@ -9,12 +9,12 @@ exact rationals in the entropy unit of the attached source model
 Every region inequality of a client compares a cut or a boundary of a
 source subset S with g(S) = H(X_S | X_rest).  :class:`Region` holds these
 as exact tables indexed by the subset mask over the client's sources, and
-is the only code that builds a mask's LP row, drops implied rows and finds
-tight sets, from one incidence list and per-edge lists in the LP column
-order ``sub.edges``.  A table is filled by doubling: the masks with top bit
-v are the masks below v, each shifted by what adding v changes, which is
-modular in the lower bits; a table costs a few list passes, not an edge
-scan per subset, and assumes no source order.
+is the only code that builds a mask's row, rules which rows x >= 0 implies
+and finds tight sets, from one incidence list and per-edge lists in the LP
+column order ``sub.edges``.  A table is filled by doubling: the masks with
+top bit v are the masks below v, each shifted by what adding v changes,
+which is modular in the lower bits; a table costs a few list passes, not an
+edge scan per subset, and assumes no source order.
 """
 
 from __future__ import annotations
@@ -318,10 +318,6 @@ class Region:
             if d:
                 row[j] = d
         return row
-
-    def constraint(self, mask: int) -> tuple:
-        """``(row, rel, g(S))``: boundary(R, S) >= g(S), an equality at the full set."""
-        return self.row(mask), "==" if mask == self.full else ">=", self.g[mask]
 
     def implied(self, mask: int) -> bool:
         """Whether R >= 0 alone implies the row of S: g(S) <= 0 and no edge enters S."""

@@ -10,9 +10,9 @@ rate-flow region.  Two routes:
   couplings Z_e >= R_e^(t), and runs ``single_client.cutting_planes``, the
   package's one cutting-plane loop, on it, so the optimum is exact and
   certified by exact separation.  :func:`solve_multi_bruteforce` builds the
-  same LP with every region row that x >= 0 does not imply; it is the
-  reference for the lazy route.  A region row is the client's
-  ``Region.constraint``, moved to its columns by its ``ClientCuts``.
+  same LP with every region row; it is the reference for the lazy route.
+  Both take each client's region rows from its ``ClientCuts.rows``, which
+  drops the rows that x >= 0 implies and appends the ground equality.
 * :func:`solve_multi_subgradient` -- dualize the coupling Z_e >= R_e^(t).
   The per-edge multipliers live on scaled simplices {lam >= 0,
   sum_t lam_e^(t) = alpha_e}; each iteration solves one weighted
@@ -165,8 +165,7 @@ class _MultiLP:
         upper += [None] * (self.n - len(upper))
         rows = []
         for t, c in self.clients.items():
-            rows += [c.row(mask) for mask in masks[t] if not c.region.implied(mask)]
-            rows.append(c.row(c.region.full))
+            rows += c.rows(masks[t])
             rows += [({self.z_index[e.id]: 1, c.offset + j: -1}, ">=", 0)
                      for j, e in enumerate(c.sub.edges)]
         objective = [e.cost for e in self.instance.edges]

@@ -344,7 +344,7 @@ def simulate(net: CodedNetwork, assignment: CodeAssignment, w) -> SimulationResu
     decoded symbols equal w, ``n_symbols`` ints in [0, q).
     """
     if len(w) != net.n_symbols:
-        raise InfeasibleRates(f"data vector length {len(w)} != {net.n_symbols}")
+        raise InvalidParameters(f"data vector length {len(w)} != {net.n_symbols}")
     q = net.q
     if not all(int(x) == x and 0 <= x < q for x in w):
         raise InvalidParameters(f"data vector {w} has an entry outside F_{q}")

@@ -3,16 +3,16 @@
 The feasible set is the client's rate-flow region: every source subset S
 must satisfy boundary(R, S) >= H(X_S | X_rest), with equality at the full
 source set, intersected with the capacity box.  Two solvers cover it, both
-assembling the LP from ``Region.constraint`` rows and returning exact optima:
+taking their rows from ``ClientCuts.rows``, the one place where a client's
+masks become LP rows (here and in ``multi_client``), and returning exact optima:
 
 * :func:`solve_single_client` -- :func:`cutting_planes`, the package's one
   cutting-plane loop, which ``multi_client.solve_multi_exact`` runs too.
   The LP starts from a small pool (singletons, their complements, the
   ground equality); each most violated subset, found by exact submodular
   minimization, is appended and re-optimized warm until none is violated.
-* :func:`solve_single_client_bruteforce` -- every subset inequality that
-  x >= 0 does not imply at once; the baseline the cutting planes are tested
-  against.
+* :func:`solve_single_client_bruteforce` -- every subset inequality at
+  once; the baseline the cutting planes are tested against.
 
 The LP decides feasibility; certificates only explain an empty LP.
 """
@@ -61,11 +61,10 @@ def most_violated(region: Region, rates: list):
     return h.mask(witness)
 
 
-def _simplex(region: Region, masks, objective: list, capacities: dict) -> SimplexSolver:
-    """The client's LP: the region rows of ``masks``, the ground equality, the capacity caps."""
-    rows = [region.constraint(mask) for mask in [*masks, region.full]]
-    return SimplexSolver(LinearProgram(objective, rows,
-                                       [capacities[e.id] for e in region.sub.edges]))
+def _simplex(client: ClientCuts, masks, objective: list) -> SimplexSolver:
+    """The client's LP alone: its ``rows`` of ``masks`` and the capacity caps."""
+    return SimplexSolver(LinearProgram(objective, client.rows(masks),
+                                       [client.capacities[e.id] for e in client.sub.edges]))
 
 
 class ClientCuts:
@@ -87,9 +86,14 @@ class ClientCuts:
         return x[self.offset:self.offset + len(self.sub.edges)]
 
     def row(self, mask: int) -> tuple:
-        """``Region.constraint`` of the mask, moved to the client's columns."""
-        row, rel, rhs = self.region.constraint(mask)
-        return {self.offset + j: c for j, c in row.items()}, rel, rhs
+        """boundary(R, S) >= g(S) on the client's columns, an equality at the full set."""
+        row = {self.offset + j: c for j, c in self.region.row(mask).items()}
+        return row, "==" if mask == self.region.full else ">=", self.region.g[mask]
+
+    def rows(self, masks) -> list:
+        """The rows of ``masks`` that ``Region.implied`` keeps, then the ground equality."""
+        kept = [mask for mask in masks if not self.region.implied(mask)]
+        return [self.row(mask) for mask in [*kept, self.region.full]]
 
     def separate(self, x: list):
         """The mask of the client's most violated row at x, None if its slice passes."""
@@ -145,7 +149,7 @@ class RegionOptimizer(ClientCuts):
         solver, self._solver = self._solver, None   # an empty LP drops it
         cuts = len(self.pool)                       # each later LP solve follows one cut
         if solver is None:
-            solver = _simplex(self.region, self.pool, costs, self.capacities)
+            solver = _simplex(self, self.pool, costs)
             solution = solver.solve()
         else:
             solution = solver.resolve(costs)
@@ -172,11 +176,11 @@ def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
     m = len(sub.sources)
     if m > BRUTE_FORCE_SOURCES:
         raise GroundTooLarge(f"{m} sources exceeds brute-force limit {BRUTE_FORCE_SOURCES}")
-    region = Region(sub, oracle)
-    masks = [mask for mask in range(1, region.full) if not region.implied(mask)]
-    solution = _simplex(region, masks, [costs[e.id] for e in sub.edges], capacities).solve()
+    client = ClientCuts(sub, oracle, capacities, 0)
+    region = client.region
+    solution = _simplex(client, range(1, region.full), [costs[e.id] for e in sub.edges]).solve()
     if solution.status == "infeasible":
-        raise feasibility.infeasible([feasibility.check_feasible_single(sub, oracle, capacities)])
+        raise feasibility.infeasible([client.certificate()])
     return SingleClientSolution(dict(zip((e.id for e in sub.edges), solution.x)), solution.value,
                                 region.tight(solution.x, range(1, region.full + 1)), 1)
 

@@ -179,6 +179,16 @@ MALFORMED = {
         source_model={"kind": "tabular", "entropies": [["m1", 2]]}),
     "alphabets list": lambda doc: doc.update(PMF_DOC, source_model=dict(
         PMF_DOC["source_model"], alphabets=[2, 2])),
+    "pmf alphabet past the table": lambda doc: doc.update(PMF_DOC, source_model=dict(
+        PMF_DOC["source_model"], alphabets={"x": 3, "y": 2})),
+    "pmf table number": lambda doc: doc.update(PMF_DOC, source_model=dict(
+        PMF_DOC["source_model"], table="1")),
+    "pmf leaf list": lambda doc: doc.update(PMF_DOC, source_model=dict(
+        PMF_DOC["source_model"], table=[[["1/4"], "1/4"], ["1/4", "1/4"]])),
+    "pmf extra zero row": lambda doc: doc.update(PMF_DOC, source_model=dict(
+        PMF_DOC["source_model"], table=[["1/4", "1/4"], ["1/4", "1/4"], ["0", "0"]])),
+    "pmf extra zero entry": lambda doc: doc.update(PMF_DOC, source_model=dict(
+        PMF_DOC["source_model"], table=[["1/4", "1/4", "0"], ["1/4", "1/4"]])),
     "edges number": lambda doc: doc.update(edges=7),
     "nodes object": lambda doc: doc.update(nodes={v: i for i, v in enumerate(doc["nodes"])}),
     "clients object": lambda doc: doc.update(clients=dict.fromkeys(doc["clients"], 1)),
@@ -311,9 +321,9 @@ def test_simulate(rates_file, capsys):
     assert doc["edge_symbols"]["e7"] == 4
 
 
-@pytest.mark.parametrize("w", ["99,0,0,0", "5,0,0,0", "-1,0,0,0"])
+@pytest.mark.parametrize("w", ["99,0,0,0", "5,0,0,0", "-1,0,0,0", "1,2,3"])
 def test_simulate_rejects_non_field_data(rates_file, capsys, w):
-    # F2 codes over F_5: every data entry must lie in [0, 5)
+    # F2 codes over F_5: the data vector is 4 entries in [0, 5)
     code, doc = run_cli(capsys, "simulate", str(FIXTURE_F2), "--rates", str(rates_file),
                         "--seed", "0", f"--w={w}")
     assert code == 1

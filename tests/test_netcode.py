@@ -256,7 +256,7 @@ def test_assignment_deterministic_per_seed(f2_net):
 def test_simulate_rejects_wrong_length(f2_net):
     _, _, _, net = f2_net
     assignment = assign_coefficients(net, seed=0)
-    with pytest.raises(InfeasibleRates):
+    with pytest.raises(InvalidParameters, match="length"):
         simulate(net, assignment, [1, 2, 3])
 
 
@@ -267,7 +267,7 @@ def test_simulate_rejects_entries_outside_the_field(f2_net, entry):
     w = [net.q if entry == "q" else entry, 0, 0, 0]
     with pytest.raises(InvalidParameters, match="outside F_5"):
         simulate(net, assignment, w)
-    with pytest.raises(InfeasibleRates):     # the length is checked first
+    with pytest.raises(InvalidParameters, match="length"):     # the length is checked first
         simulate(net, assignment, w[:3])
 
 

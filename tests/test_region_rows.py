@@ -3,10 +3,11 @@
 The reference spells every row out on its own: the dense sum of the
 incidence rows of the sources in S, ``>=`` g(S) from the oracle's
 per-subset entropies, the ground equality ``== H(X_{M_t})`` after the seed
-rows, the brute-force routes' filter of rows that x >= 0 implies, and the
-multi-client LP's columns indexed by (client, edge id).  Every LP the
-solvers build must have the same rows (as nonzero maps), relations,
-right-hand sides, caps and objective, in the same order.
+rows, every route's filter of seed and brute-force rows that x >= 0 implies
+(a cut is violated, so never implied), and the multi-client LP's columns
+indexed by (client, edge id).  Every LP the solvers build must have the
+same rows (as nonzero maps), relations, right-hand sides, caps and
+objective, in the same order.
 """
 
 import mmcast.multi_client as multi_client
@@ -47,7 +48,8 @@ def _implied(sub, oracle, mask: int) -> bool:
 
 
 def _single_reference(sub, oracle, costs, caps, masks, cuts=()) -> LinearProgram:
-    rows = [(_dense_row(sub, mask), ">=", _g(sub, oracle, mask)) for mask in masks]
+    rows = [(_dense_row(sub, mask), ">=", _g(sub, oracle, mask)) for mask in masks
+            if not _implied(sub, oracle, mask)]
     rows.append((_dense_row(sub, (1 << len(sub.sources)) - 1), "==", oracle.entropy(sub.sources)))
     rows += [(_dense_row(sub, mask), ">=", _g(sub, oracle, mask)) for mask in cuts]
     return LinearProgram([costs[e.id] for e in sub.edges], rows,
@@ -136,17 +138,19 @@ def test_single_client_lps_have_the_reference_rows(monkeypatch, f2):
             assert _normal(built[0]) == _normal(want)
             if len(opt.pool) > len(seeds):
                 kinds.add("cut")
+            if any(_implied(sub, oracle, mask) for mask in seeds):
+                kinds.add("implied seed")
             # brute force: every mask that x >= 0 does not imply
             built.clear()
             try:
                 single_client.solve_single_client_bruteforce(sub, oracle, costs, caps)
             except Infeasible:
                 pass
-            masks = [mask for mask in range(1, (1 << m) - 1) if not _implied(sub, oracle, mask)]
-            if len(masks) < (1 << m) - 2:
+            masks = range(1, (1 << m) - 1)
+            if any(_implied(sub, oracle, mask) for mask in masks):
                 kinds.add("implied")
             assert _normal(built[0]) == _normal(_single_reference(sub, oracle, costs, caps, masks))
-    assert kinds == {"feasible", "infeasible", "cut", "implied"}
+    assert kinds == {"feasible", "infeasible", "cut", "implied", "implied seed"}
 
 
 def test_multi_client_lps_have_the_reference_rows(monkeypatch, f2):
