@@ -16,7 +16,8 @@ in the loop and no float enters: ratio tests compare ``p/q < r/s`` as
 Fractions, ``x_b = rhs / (det*sigma)`` and ``value = -corner /
 (det*sigma*gamma)``; the read-out of x is kept until the basis changes (a
 pivot or an appended row), so a resolve that makes no pivot returns the
-same Fractions without building them again.
+same Fractions.  The objective row is built in one pass: ``det*gamma``
+times the costs, less the row of each basic column that has a cost.
 
 Each tableau row is a ``{column: int}`` map of its nonzeros, its
 right-hand side kept apart; LP rows may come in as such maps too.  A pivot
@@ -72,7 +73,7 @@ def integral(x):
 
 def _exact(x):
     """A number as an exact value: an int where integral, a Fraction elsewhere."""
-    return x if type(x) is int else integral(Fraction(x))
+    return x if type(x) is int else integral(x if type(x) is Fraction else Fraction(x))
 
 
 @dataclass
@@ -129,7 +130,7 @@ class SimplexSolver:
     over ``det`` (> 0), and ``rhs[i]`` is its right-hand side over ``det *
     rhs_scale``; a basic column holds ``det`` in its row, 0 elsewhere.  An
     objective row is a dense list: ``det * gamma`` times the reduced costs
-    (gamma from :meth:`_cost`), then ``-det * rhs_scale * gamma`` times the
+    (gamma from :meth:`_objective_row`), then ``-det * rhs_scale * gamma`` times the
     value of the basic solution.  See the module docstring.
     """
 
@@ -162,34 +163,33 @@ class SimplexSolver:
         for coeffs, rel, rhs in rows:
             if not isinstance(coeffs, dict):
                 coeffs = {j: a for j, a in enumerate(coeffs) if a}
-            k = lcm(*(a.denominator for a in coeffs.values() if type(a) is not int))
+            k = lcm(*[a.denominator for a in coeffs.values() if type(a) is not int])
             if k > 1:
                 coeffs, rhs = {j: int(a * k) for j, a in coeffs.items()}, rhs * k
             if rel != ">=":
                 le.append((coeffs, rhs))
             if rel != "<=":
                 le.append(({j: -a for j, a in coeffs.items()}, -rhs))
-        sigma = lcm(self.rhs_scale, *(rhs.denominator for _, rhs in le))
+        sigma = lcm(self.rhs_scale, *[rhs.denominator for _, rhs in le])
         if sigma != self.rhs_scale:
             self.rhs[:] = [v * (sigma // self.rhs_scale) for v in self.rhs]
             self.rhs_scale = sigma
-        det, tab, rhs_col = self.det, self.tableau, self.rhs
+        det, tab, rhs_col, basis = self.det, self.tableau, self.rhs, self.basis
         self._x = None
-        row_of = {b: i for i, b in enumerate(self.basis)}
+        row_of = dict(zip(basis, range(len(basis))))
         for row, rhs in le:
             new = {j: det * a for j, a in row.items()}
-            value = det * int(rhs * sigma)
-            for j, a in row.items():
-                i = row_of.get(j)
-                if i is not None:           # new[j] is det * a: subtract a times row i
-                    for c, v in tab[i].items():
-                        new[c] = new.get(c, 0) - a * v
-                    value -= a * rhs_col[i]
-            new = {c: v for c, v in new.items() if v}
+            value = det * rhs.numerator * (sigma // rhs.denominator)
+            for j in row.keys() & row_of.keys():    # new[j] is det * a: subtract a times row i
+                a, i = row[j], row_of[j]
+                for c, v in tab[i].items():
+                    new[c] = new.get(c, 0) - a * v
+                value -= a * rhs_col[i]
+                new = {c: v for c, v in new.items() if v}
             new[self.n_cols] = det
             tab.append(new)
             rhs_col.append(value)
-            self.basis.append(self.n_cols)
+            basis.append(self.n_cols)
             self.n_cols += 1
 
     # -- pivoting ----------------------------------------------------------
@@ -247,19 +247,28 @@ class SimplexSolver:
         self.basis[r] = e
         self._x = None
 
-    def _reduced_row(self, cost: list) -> list:
-        """Objective row (reduced costs + current value) for ``cost`` from :meth:`_cost`.
+    def _objective_row(self, objective, clip: bool = False) -> tuple:
+        """``(obj, gamma)``: the row of ``objective`` (with ``clip``, of its positive part).
 
-        ``det`` times the cost, minus each basic row's nonzeros times its basic cost.
+        gamma is the lcm of the objective's denominators; the row is ``det*gamma``
+        times the costs less, for each basic column with a cost, its row times that cost.
         """
-        obj = [self.det * c for c in cost] + [0]
+        n = len(self.lp.objective)
+        if len(objective) != n:
+            raise ValueError("objective length must match variable count")
+        ratios = [c.as_integer_ratio() for c in objective]
+        gamma = lcm(*{d for _, d in ratios})
+        det = self.det
+        scale = det * gamma
+        obj = [0 if clip and num < 0 else num * (scale // d) for num, d in ratios]
+        obj += [0] * (self.n_cols + 1 - n)
         for row, value, b in zip(self.tableau, self.rhs, self.basis):
-            cb = cost[b]
-            if cb:
+            if b < n and obj[b]:        # a basic column's entry is still det * its cost
+                cb = obj[b] // det
                 for j, v in row.items():
                     obj[j] -= cb * v
                 obj[-1] -= cb * value
-        return obj
+        return obj, gamma
 
     def _optimize(self, obj: list) -> str:
         """Primal simplex until optimal or unbounded.
@@ -341,8 +350,8 @@ class SimplexSolver:
         optimizes the true objective, which needs no pivot when every cost
         is nonnegative.
         """
-        cost, _ = self._cost(self.lp.objective)
-        if self._dual_optimize(self._reduced_row([max(c, 0) for c in cost])) == "infeasible":
+        obj, _ = self._objective_row(self.lp.objective, clip=True)
+        if self._dual_optimize(obj) == "infeasible":
             self._solved = False
             return LpSolution("infeasible")
         self._solved = True
@@ -353,25 +362,22 @@ class SimplexSolver:
 
         The objective has one entry per LP variable, each an int, a
         Fraction or a float (read exactly); any other length raises
-        ValueError.  The objective row and the value are computed afresh;
-        the x read-out is kept from the last call while the basis is
-        unchanged, and handed out as a new list each time.
+        ValueError.  The objective row is built for it in one pass (see
+        :meth:`_objective_row`) and the value read from it; the x read-out is
+        kept while the basis is unchanged, and handed out as a new list.
         """
         if not self._solved:
             raise RuntimeError("resolve requires a previous successful solve")
-        cost, gamma = self._cost(objective)
-        obj = self._reduced_row(cost)
-        status = self._optimize(obj)
-        if status == "unbounded":
+        obj, gamma = self._objective_row(objective)
+        if self._optimize(obj) == "unbounded":
             self._objective = None
             return LpSolution("unbounded")
         self._objective = list(objective)
         scale = self.det * self.rhs_scale
         if self._x is None:
-            x = [0] * self.n_cols
-            for value, b in zip(self.rhs, self.basis):
-                x[b] = value
-            self._x = [Fraction(v, scale) for v in x[:len(self.lp.objective)]]
+            basic, zero = dict(zip(self.basis, self.rhs)), Fraction(0)
+            self._x = [Fraction(basic[j], scale) if j in basic else zero
+                       for j in range(len(self.lp.objective))]
         # obj[-1] holds -(c_B B^-1 b) times scale * gamma
         return LpSolution("optimal", Fraction(-obj[-1], scale * gamma), list(self._x))
 
@@ -393,21 +399,9 @@ class SimplexSolver:
             raise ValueError("add_rows takes <= and >= rows only")
         self._append_rows(rows)
         self.lp.rows += rows
-        cost, _ = self._cost(self._objective)
-        if self._dual_optimize(self._reduced_row(cost)) == "infeasible":
+        obj, _ = self._objective_row(self._objective)
+        if self._dual_optimize(obj) == "infeasible":
             self._solved = False
             self._objective = None
             return False
         return True
-
-    def _cost(self, objective) -> tuple:
-        """``(cost row, gamma)``: the objective times gamma, the lcm of its denominators.
-
-        The row covers all columns, as ints; the slacks cost nothing.
-        """
-        if len(objective) != len(self.lp.objective):
-            raise ValueError("objective length must match variable count")
-        ratios = [c.as_integer_ratio() for c in objective]
-        gamma = lcm(*(d for _, d in ratios))
-        return ([n * (gamma // d) for n, d in ratios] +
-                [0] * (self.n_cols - len(objective))), gamma

@@ -29,14 +29,15 @@ inner problem) is explained by certifying each client it holds once.
 
 The subgradient loop runs on lists in each client's LP column order
 (``sub.edges``): the multipliers, handed to the client's inner LP as its
-objective, and the ergodic sums.  Floating point appears only in the ascent
-step, the step-size schedule and the trace's copies of exact values.  Each
-client keeps a float copy of its multipliers, which the step reads together
-with the floats of the inner solution; the moved multipliers are floats.
-The projection reads them exactly, scales them and the simplex total to
-ints by the lcm of their denominators and returns exact Fractions, which
-become the multipliers and refresh the float copies, so every multiplier,
-inner solve, separation, average and cost is exact.
+objective, and the ergodic sums.  A resolve that makes no pivot hands back
+the same Fractions, so each client's vertex is read (its nonzero rates for
+the sums, its floats for the step) only when it moves; the envelope of the
+sums and its cost only grow, and are kept up to date.  Floating point
+appears only in the ascent step, the step-size schedule and the trace's
+copies of exact values: the moved multipliers are floats, which the
+projection reads exactly, scales to ints by the lcm of their denominators
+and returns as exact Fractions, so every multiplier, inner solve,
+separation, average and cost is exact.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import truediv
 
 from . import feasibility, model
 from .errors import BudgetExceeded, Infeasible, InvalidParameters
@@ -104,13 +106,18 @@ class StepSchedule:
             raise InvalidParameters(f"unknown schedule kind {self.kind}")
 
 
+def _float(x) -> float:
+    """float(x): the correctly rounded quotient of x's integer ratio, read directly."""
+    return truediv(*x.as_integer_ratio())
+
+
 def step_size(schedule: StepSchedule, n: int) -> float:
     """Step size for 1-based iteration n."""
     if n < 1:
         raise InvalidParameters("iteration index starts at 1")
     if schedule.kind == 1:
-        return float(schedule.a) / (float(schedule.b) + float(schedule.c) * n)
-    return float(n) ** (-float(schedule.a))
+        return _float(schedule.a) / (_float(schedule.b) + _float(schedule.c) * n)
+    return float(n) ** -_float(schedule.a)
 
 
 # -- simplex projection ------------------------------------------------------
@@ -121,20 +128,22 @@ def exact_simplex_projection(v: list, total: Fraction) -> list:
     v holds exact numbers or floats, read exactly.  Everything is scaled
     by the lcm d of the denominators (powers of 2 for the ascent step's
     floats), so the search runs in ints: with a = d*v sorted descending,
-    prefix sums acc_j and T = d*total, the support is the last j with
-    a_j*j > acc_j - T, and x_i = max(a_i*rho - (acc_rho - T), 0) / (rho*d).
-    The output is the same Fractions as the threshold taken in rationals.
+    prefix sums acc_j and T = d*total, the support is the first rho
+    entries, those with a_j*(j - 1) > acc_(j-1) - T, and x_i = max(a_i*rho
+    - (acc_rho - T), 0) / (rho*d): the Fractions of the rational threshold.
     """
-    ratios = [x.as_integer_ratio() for x in v]
     t_num, t_den = total.as_integer_ratio()
-    d = math.lcm(t_den, *(den for _, den in ratios))
+    if t_num <= 0:
+        raise InvalidParameters(f"the simplex total must be positive, not {total}")
+    ratios = [x.as_integer_ratio() for x in v]
+    d = math.lcm(t_den, *[den for _, den in ratios])
     a = [num * (d // den) for num, den in ratios]
-    target = t_num * (d // t_den)
-    rho = excess = acc = 0
-    for j, aj in enumerate(sorted(a, reverse=True), start=1):
-        acc += aj
-        if aj * j > acc - target:
-            rho, excess = j, acc - target
+    rho, excess = 0, -t_num * (d // t_den)      # excess = acc_rho - T
+    for aj in sorted(a, reverse=True):
+        if aj * rho <= excess:
+            break
+        rho += 1
+        excess += aj
     scale = rho * d
     return [Fraction(max(ai * rho - excess, 0), scale) for ai in a]
 
@@ -211,11 +220,6 @@ def solve_multi_bruteforce(instance: NetworkInstance, oracle) -> MulticastRates:
 
 # -- subgradient route -------------------------------------------------------
 
-def _float(x) -> float:
-    """float(x) of an exact number: the same correctly rounded quotient, read directly."""
-    return x.numerator / x.denominator
-
-
 def solve_multi_subgradient(instance: NetworkInstance, oracle,
                             schedule: StepSchedule | None = None,
                             max_iters: int = DEFAULT_MAX_ITERS,
@@ -230,17 +234,20 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     primal iterate; they satisfy every region constraint exactly.
     """
     schedule = schedule or StepSchedule()
-    gap_tol = Fraction(gap_tol).limit_denominator(10 ** 12)
-    if max_iters < 1:
-        raise InvalidParameters("max_iters must be at least 1")
+    for name, count in (("max_iters", max_iters), ("patience", patience)):
+        if type(count) is not int or count < 1:
+            raise InvalidParameters(f"{name} must be an int of at least 1, not {count!r}")
+    try:
+        gap_tol = Fraction(gap_tol).limit_denominator(10 ** 12)
+    except (TypeError, ValueError, ArithmeticError):     # nan, inf, not a number
+        raise InvalidParameters(f"gap_tol must be a finite number, not {gap_tol!r}") from None
     if gap_tol < 0:
         raise InvalidParameters("gap_tol must be nonnegative")
-    if patience < 1:
-        raise InvalidParameters("patience must be at least 1")
     subs = model.client_subproblems(instance, oracle)
     caps = instance.capacities()
     optimizers = [RegionOptimizer(subs[t], oracle, caps) for t in instance.clients]
     alpha = [e.cost for e in instance.edges]
+    int_costs = [integral(c) for c in alpha]
     index = {e.id: k for k, e in enumerate(instance.edges)}
     # client i's LP column j is instance edge columns[i][j]
     columns = [[index[e.id] for e in opt.sub.edges] for opt in optimizers]
@@ -249,51 +256,49 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
         for j, k in enumerate(cols):
             sharing.setdefault(k, []).append((i, j))
     # an edge of one client has the single dual point lam = alpha_e
-    shared = [(alpha[k], pairs) for k, pairs in sharing.items() if len(pairs) > 1]
+    shared = [(int_costs[k], pairs) for k, pairs in sharing.items() if len(pairs) > 1]
 
-    # per client, in its column order: the multipliers (simplex-feasible per
-    # edge, handed to the inner LP as its objective) and their float copies
+    # per client, in its column order: the multipliers (the inner LP's objective), the
+    # sums of its inner vertices (n times the ergodic average; the best is divided at
+    # return) and its last vertex, read once: (x, (column, edge, rate) per nonzero, floats)
     lam = [[alpha[k] / len(sharing[k]) for k in cols] for cols in columns]
-    lam_f = [[_float(v) for v in row] for row in lam]
-    # the ergodic average is kept as a sum: the envelope and the cost of the
-    # average are those of the sums divided by n, so the best is divided at return
     rate_sum = [[0] * len(cols) for cols in columns]
-    int_costs = [integral(c) for c in alpha]
+    seen = [(None, (), ())] * len(optimizers)
+    # the sums only grow, so the envelope of the sums (top) and its cost do too
+    top, top_cost = [0] * len(alpha), 0
 
-    trace: list = []
-    dual_history: list = []
-    best_dual = None
+    trace, dual_history = [], []
+    best_dual = best_gap = None
     best_primal = None          # (cost, envelope sums, per-client sums, n)
-    best_gap = None
     since_improvement = 0
     converged = False
     warning = None
 
-    def inner(opt, weights):
-        try:
-            return opt.minimize(weights)
-        except Infeasible as err:   # opt certified its own client: certify only the others
-            raise feasibility.infeasible([err.certificates[0] if other is opt else
-                                          other.certificate() for other in optimizers]) from None
-
     n = 0
     for n in range(1, max_iters + 1):
-        results = [inner(opt, weights) for opt, weights in zip(optimizers, lam)]
-        dual_value = sum((value for _, value, _ in results), Fraction(0))
+        dual_value = Fraction(0)
+        for i, (opt, acc) in enumerate(zip(optimizers, rate_sum)):
+            try:
+                x, value, _ = opt.minimize(lam[i])
+            except Infeasible as err:   # opt certified its own client: certify only the others
+                raise feasibility.infeasible([err.certificates[0] if other is opt else
+                                              other.certificate() for other in optimizers]) from None
+            dual_value += value
+            if x != seen[i][0]:         # a resolve without a pivot hands back the same Fractions
+                seen[i] = (x, [(j, columns[i][j], integral(r)) for j, r in enumerate(x) if r],
+                           [_float(r) for r in x])
+            for j, k, r in seen[i][1]:
+                acc[j] = total = acc[j] + r
+                if total > top[k]:
+                    top_cost += int_costs[k] * (total - top[k])
+                    top[k] = total
         dual_history.append(dual_value)
         if best_dual is None or dual_value > best_dual:
             best_dual = dual_value
 
-        xs = [x for x, _, _ in results]
-        top = [0] * len(alpha)
-        for x, acc, cols in zip(xs, rate_sum, columns):
-            for j, (r, k) in enumerate(zip(x, cols)):
-                acc[j] = total = acc[j] + integral(r)
-                if total > top[k]:
-                    top[k] = total
-        primal_cost = Fraction(sum(c * z for c, z in zip(int_costs, top)), n)
+        primal_cost = Fraction(top_cost, n)
         if best_primal is None or primal_cost < best_primal[0]:
-            best_primal = (primal_cost, top, [list(acc) for acc in rate_sum], n)
+            best_primal = (primal_cost, list(top), [list(acc) for acc in rate_sum], n)
 
         if best_dual > 0:
             gap = (primal_cost - best_dual) / best_dual
@@ -301,8 +306,8 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
             gap = Fraction(0)   # zero-entropy instance: nothing to transmit
         else:
             gap = None
-        trace.append(TraceEntry(n, float(dual_value), float(primal_cost),
-                                float(gap) if gap is not None else float("inf")))
+        trace.append(TraceEntry(n, _float(dual_value), _float(primal_cost),
+                                _float(gap) if gap is not None else float("inf")))
 
         if gap is not None and gap <= gap_tol:
             converged = True
@@ -318,10 +323,9 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
 
         theta = step_size(schedule, n)
         for total, pairs in shared:
-            moved = [lam_f[i][j] + theta * _float(xs[i][j]) for i, j in pairs]
+            moved = [_float(lam[i][j]) + theta * seen[i][2][j] for i, j in pairs]
             for (i, j), value in zip(pairs, exact_simplex_projection(moved, total)):
                 lam[i][j] = value
-                lam_f[i][j] = _float(value)
     else:
         warning = "max_iters"
 

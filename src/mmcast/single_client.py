@@ -80,6 +80,7 @@ class ClientCuts:
         self.region = Region(sub, oracle)
         self.pool = seed_pool(len(sub.sources))
         self._certified = set()     # each slice that separation passed, as its exact ratios
+        self._passed = None         # the last slice that passed
 
     def rates(self, x: list) -> list:
         """The client's slice of x."""
@@ -98,12 +99,13 @@ class ClientCuts:
     def separate(self, x: list):
         """The mask of the client's most violated row at x, None if its slice passes."""
         rates = self.rates(x)
-        key = tuple(r.as_integer_ratio() for r in rates)
-        if key in self._certified:
+        if rates == self._passed:   # a resolve without a pivot hands back the same Fractions
             return None
-        mask = most_violated(self.region, rates)
+        key = tuple(r.as_integer_ratio() for r in rates)
+        mask = None if key in self._certified else most_violated(self.region, rates)
         if mask is None:
             self._certified.add(key)
+            self._passed = rates
         return mask
 
     def certificate(self):

@@ -444,6 +444,96 @@ def test_kept_read_out_is_the_fresh_read_out(monkeypatch):
         assert sum(len(steps) for steps in shipped) >= 300 and kept >= 100
 
 
+class _TwoPassRow(SimplexSolver):
+    """The objective row as two passes built it: the gamma-scaled costs padded
+    to every column, then ``det`` times them less each basic row with a cost."""
+
+    def _objective_row(self, objective, clip=False):
+        if len(objective) != len(self.lp.objective):
+            raise ValueError("objective length must match variable count")
+        ratios = [c.as_integer_ratio() for c in objective]
+        gamma = lcm(*(d for _, d in ratios))
+        cost = [n * (gamma // d) for n, d in ratios] + [0] * (self.n_cols - len(objective))
+        if clip:
+            cost = [max(c, 0) for c in cost]
+        obj = [self.det * c for c in cost] + [0]
+        for row, value, b in zip(self.tableau, self.rhs, self.basis):
+            if cost[b]:
+                for j, v in row.items():
+                    obj[j] -= cost[b] * v
+                obj[-1] -= cost[b] * value
+        return obj, gamma
+
+
+def _multiplier(rng):
+    """A cost like a subgradient multiplier: an int over rho * 2^k, mostly above 50 bits."""
+    k = rng.choice([0, 1, 3, 52, 54, 55, 56])
+    return F(rng.randint(-(1 << k), 3 << k), rng.choice([1, 2, 3]) << k)
+
+
+def _objective_row_runs(cls, seed):
+    """Warm solve / resolve / add_rows runs on ``cls``, one solver per LP.
+
+    Half the LPs have coefficients in {-1, 0, 1}, so ``det`` mostly stays 1;
+    the others reach up to 3, so pivots move it.  Returns the log: each
+    objective row built (a copy), each pivot's ``(row, entering, det)`` and
+    each run's solutions.
+    """
+    rng = random.Random(seed)
+    log = []
+
+    def objective_row(solver, *args, **kwargs):
+        obj, gamma = type(solver)._objective_row(solver, *args, **kwargs)
+        log.append((list(obj), gamma))
+        return obj, gamma
+
+    def pivot(solver, r, e, obj):
+        log.append((r, e, solver.det))
+        SimplexSolver._pivot(solver, r, e, obj)
+
+    for _ in range(60):
+        n, top = rng.randint(2, 5), rng.choice([1, 3])
+        x0 = [_rational(rng, 0, 2) for _ in range(n)]       # most programs are feasible
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [F(rng.randint(-top, top)) for _ in range(n)]
+            rel = rng.choice(["<=", ">=", "=="])
+            gap = {"<=": 1, ">=": -1, "==": 0}[rel] * _rational(rng, 0, 2)
+            rows.append((coeffs, rel, sum(a * x for a, x in zip(coeffs, x0)) + gap))
+        c = [_multiplier(rng) for _ in range(n)]
+        solver = cls(LinearProgram(c, rows, [x + _rational(rng, 0, 3) for x in x0]))
+        solver._objective_row = objective_row.__get__(solver)
+        solver._pivot = pivot.__get__(solver)
+        steps = [solver.solve()]
+        while steps[-1].status == "optimal" and len(steps) < 10:
+            if rng.random() < 0.3:
+                cut = ([F(rng.randint(-top, top)) for _ in range(n)], rng.choice(["<=", ">="]),
+                       _rational(rng, 0, 4))
+                if not solver.add_rows([cut]):
+                    break
+            else:
+                c = [_multiplier(rng) for _ in range(n)]
+            steps.append(solver.resolve(c))
+        log.append(steps)
+    return log
+
+
+def test_objective_row_is_the_two_pass_row():
+    # one pass over the scaled costs and the costed basic rows builds the
+    # ints that two passes built, so warm runs give the same objective rows,
+    # the same (row, entering, det) pivots and the same solutions
+    for seed in (223, 227):
+        mine = _objective_row_runs(SimplexSolver, seed)
+        assert mine == _objective_row_runs(_TwoPassRow, seed)
+        pivots = [e for e in mine if type(e) is tuple and len(e) == 3]
+        gammas = [e[1] for e in mine if type(e) is tuple and len(e) == 2]
+        solutions = [s for e in mine if type(e) is list for s in e]
+        assert sum(det == 1 for _, _, det in pivots) >= 250
+        assert sum(det > 1 for _, _, det in pivots) >= 250
+        assert sum(gamma.bit_length() > 50 for gamma in gammas) >= 500
+        assert sum(s.status == "optimal" for s in solutions) >= 350
+
+
 def test_add_rows_reports_infeasibility():
     solver = SimplexSolver(LinearProgram([1, 1], [([1, 1], "==", 4)], [5, 5]))
     assert solver.solve().x == [4, 0]

@@ -260,6 +260,13 @@ def test_projection_examples():
     assert exact_simplex_projection(on_simplex, 1) == on_simplex
 
 
+def test_projection_rejects_a_nonpositive_total():
+    # {x >= 0, sum(x) = total} is a point at total 0 and empty below it
+    for total in (Fraction(0), 0, -1, Fraction(-1, 2), 0.0):
+        with pytest.raises(InvalidParameters, match="total"):
+            exact_simplex_projection([0.5, 0.25], total)
+
+
 def _random_point(rng, k, spread):
     return [Fraction(rng.randint(-spread, spread), rng.randint(1, 7)) for _ in range(k)]
 
@@ -373,12 +380,16 @@ def test_step_size_validation():
 
 @pytest.mark.parametrize("options", [{"max_iters": 0}, {"gap_tol": -1},
                                      {"gap_tol": Fraction(-1, 100)}, {"patience": 0},
-                                     {"patience": -3}],
+                                     {"patience": -3}, {"gap_tol": float("nan")},
+                                     {"gap_tol": float("inf")}, {"max_iters": 2.5},
+                                     {"patience": 1.5}],
                          ids=["max_iters 0", "gap_tol -1", "gap_tol -1/100", "patience 0",
-                              "patience -3"])
+                              "patience -3", "gap_tol nan", "gap_tol inf", "max_iters 2.5",
+                              "patience 1.5"])
 def test_subgradient_parameter_validation(f2, options):
     # a relative gap is never negative: a negative tolerance could only run to the cap;
-    # patience counts iterations without progress, so below 1 it stops like 1
+    # patience counts iterations without progress, so below 1 it stops like 1; the
+    # counts are ints and the tolerance a finite number
     instance, oracle, _ = f2
     with pytest.raises(InvalidParameters):
         solve_multi_subgradient(instance, oracle, **options)
@@ -794,8 +805,7 @@ def test_final_tableau_holds_an_exact_dual_certificate(monkeypatch):
         rows += [({j: 1}, u) for j, u in enumerate(lp.upper) if u is not None]
         rows += [r for row in lp.rows[solver.seed_rows:] for r in _le_form(*row)]
         assert len(rows) == len(solver.tableau)
-        cost, gamma = solver._cost(lp.objective)
-        obj = solver._reduced_row(cost)
+        obj, gamma = solver._objective_row(lp.objective)
         y = [Fraction(-obj[n + i], solver.det * gamma) for i in range(len(rows))]
         assert all(yi <= 0 for yi in y)
         for j, c in enumerate(lp.objective):
