@@ -97,7 +97,8 @@ class LinearSource:
         # relays (absent nodes) observe nothing and add no rows
         blocks = [self.matrices[node] for node in nodes if node in self.matrices]
         rows = [m.row(i) for m in blocks for i in range(m.rows)]
-        return gf.FieldMatrix.from_rows(rows, self.q, cols=self.n_packets)
+        return gf.FieldMatrix._of(len(rows), self.n_packets,
+                                  tuple([x for r in rows for x in r]), self.q)
 
     def entropy(self, nodes) -> Fraction:
         held = [self._held.get(v, 0) for v in nodes]        # relays hold nothing

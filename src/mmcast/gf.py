@@ -46,20 +46,27 @@ def is_field_modulus(q: int) -> bool:
 
 
 class FieldMatrix:
-    """Immutable r x c matrix over F_q with integer entries in [0, q)."""
+    """Immutable r x c matrix over F_q, entries in [0, q); the constructor rejects non-integers."""
 
     __slots__ = ("rows", "cols", "q", "_data")
 
     def __init__(self, rows: int, cols: int, entries, q: int):
         if not is_field_modulus(q):
             raise ModulusMismatch(f"modulus {q} is not a prime below 2^64")
-        data = tuple(int(x) % q for x in entries)
+        entries = list(entries)
+        if bad := [x for x in entries if int(x) != x]:
+            raise ValueError(f"entry {bad[0]!r} is not an integer")
+        data = tuple([int(x) % q for x in entries])
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        self.rows = rows
-        self.cols = cols
-        self.q = q
-        self._data = data
+        self.rows, self.cols, self.q, self._data = rows, cols, q, data
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, data: tuple, q: int) -> "FieldMatrix":
+        """Matrix of a row-major tuple of ``rows * cols`` entries already in [0, q), unchecked."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.q, m._data = rows, cols, q, data
+        return m
 
     @classmethod
     def from_rows(cls, row_lists, q: int, cols: int | None = None) -> "FieldMatrix":
@@ -78,11 +85,11 @@ class FieldMatrix:
 
     @classmethod
     def identity(cls, n: int, q: int) -> "FieldMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)], q)
+        return cls._of(n, n, tuple([1 if i == j else 0 for i in range(n) for j in range(n)]), q)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, q: int) -> "FieldMatrix":
-        return cls(rows, cols, [0] * (rows * cols), q)
+        return cls._of(rows, cols, (0,) * (rows * cols), q)
 
     def __getitem__(self, idx):
         i, j = idx
@@ -113,9 +120,9 @@ class FieldMatrix:
             raise ModulusMismatch(f"mixed moduli {self.q} and {other.q}")
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(
+        return FieldMatrix._of(
             self.cols, self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
+            tuple([self[i, j] for j in range(self.cols) for i in range(self.rows)]),
             self.q)
 
     def stack(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -123,8 +130,8 @@ class FieldMatrix:
         self._check_same_field(other)
         if self.cols != other.cols:
             raise ValueError("column mismatch in stack")
-        return FieldMatrix(self.rows + other.rows, self.cols,
-                           self._data + other._data, self.q)
+        return FieldMatrix._of(self.rows + other.rows, self.cols,
+                               self._data + other._data, self.q)
 
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same_field(other)
@@ -138,7 +145,7 @@ class FieldMatrix:
             for j in range(other.cols):
                 cj = ot.row(j)
                 out.append(sum(a * b for a, b in zip(ri, cj)) % q)
-        return FieldMatrix(self.rows, other.cols, out, q)
+        return FieldMatrix._of(self.rows, other.cols, tuple(out), q)
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -149,7 +156,7 @@ class FieldMatrix:
         for i in range(self.rows):
             ri = self.row(i)
             out.extend(ri[j] for j in indices)
-        return FieldMatrix(self.rows, len(indices), out, self.q)
+        return FieldMatrix._of(self.rows, len(indices), tuple(out), self.q)
 
     def mat_vec(self, vec) -> list:
         if len(vec) != self.cols:
@@ -240,7 +247,7 @@ def solve_right(m: FieldMatrix, y: FieldMatrix) -> FieldMatrix:
     x = [[0] * y.cols for _ in range(n)]
     for c, row in basis:
         x[c] = row[n:]
-    return FieldMatrix(n, y.cols, [v for row in x for v in row], q)
+    return FieldMatrix._of(n, y.cols, tuple([v for row in x for v in row]), q)
 
 
 def inverse(m: FieldMatrix) -> FieldMatrix:

@@ -135,6 +135,8 @@ def exact_simplex_projection(v: list, total: Fraction) -> list:
     t_num, t_den = total.as_integer_ratio()
     if t_num <= 0:
         raise InvalidParameters(f"the simplex total must be positive, not {total}")
+    if not v:
+        raise InvalidParameters(f"no empty vector sums to the simplex total {total}")
     ratios = [x.as_integer_ratio() for x in v]
     d = math.lcm(t_den, *[den for _, den in ratios])
     a = [num * (d // den) for num, den in ratios]

@@ -18,7 +18,8 @@ reduction mod q per lane.  ``width`` is the bit length of the largest
 unreduced lane, max in-degree * (q - 1)^2, so no lane carries into the
 next.  Coefficients are drawn uniformly from F_q by a stated, seeded
 stream (see :func:`assign_coefficients`), and each client's rank is
-checked by eliminating its received vectors directly, retrying on failure.
+checked by eliminating its received vectors directly, retrying on failure;
+the greedy bases of that elimination pick the blocks the decoders invert.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import lshift, mul
+from typing import NamedTuple
 
 from . import gf
 from .entropy import EntropyOracle, LinearSource
@@ -43,8 +45,7 @@ BETA_CAP = 2 ** 12
 DEFAULT_MAX_ATTEMPTS = 64
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(NamedTuple):
     index: int
     kind: str                   # "source" | "edge"
     tail: str
@@ -73,11 +74,7 @@ class CodedNetwork:
         return self.instance.clients
 
     def edge_symbol_counts(self) -> dict:
-        counts = {e.id: 0 for e in self.instance.edges}
-        for ch in self.channels:
-            if ch.kind == "edge":
-                counts[ch.edge_id] += 1
-        return counts
+        return {e: r.numerator * (self.beta // r.denominator) for e, r in self.rates.items()}
 
 
 @dataclass
@@ -86,6 +83,7 @@ class CodeAssignment:
     global_vectors: tuple       # per channel: tuple of n_symbols field elements
     attempts: int
     seed: int | None
+    bases: dict                 # client -> indices of the greedy basis of its received vectors
 
 
 def _verify_rates_serve_all_clients(instance, oracle, rates):
@@ -128,7 +126,7 @@ def build_coded_network(instance: NetworkInstance, source_model,
             raise InfeasibleRates(f"rate {r} on edge {e.id} outside [0, {e.capacity}]")
 
     n_packets = source_model.n_packets
-    joint_rank = gf.rank(source_model.stacked(instance.sources))
+    joint_rank = oracle.entropy(instance.sources)       # the rate check reads it from the memo
     if joint_rank < n_packets:
         raise InfeasibleRates(
             f"joint observations have rank {joint_rank} < {n_packets}: "
@@ -176,7 +174,7 @@ def build_coded_network(instance: NetworkInstance, source_model,
     flat = [0] * (n_symbols * n_channels)
     for c, first, row in injected:      # rows first .. first + N - 1 of column c
         flat[first * n_channels + c:(first + n_packets) * n_channels:n_channels] = row
-    source_matrix = FieldMatrix(n_symbols, n_channels, flat, q)
+    source_matrix = FieldMatrix._of(n_symbols, n_channels, tuple(flat), q)
     sinks = {t: tuple(by_head.get(t, ())) for t in instance.clients}
     return CodedNetwork(instance, source_model, q, n_packets, beta, n_symbols,
                         super_node, tuple(channels), inputs, source_matrix,
@@ -189,6 +187,12 @@ def _input_pairs(net: CodedNetwork) -> list:
     Fed channels come in channel order, each with its feeding channels in order.
     """
     return [(src, ch.index) for ch in net.channels for src in net.inputs[ch.index]]
+
+
+def _received_bases(net: CodedNetwork, vectors) -> dict:
+    """Per client, :func:`gf.row_basis` of its received vectors, in sink-channel order."""
+    return {t: gf.row_basis([vectors[c] for c in net.sink_channels[t]], net.q)
+            for t in net.clients}
 
 
 def propagate_global_vectors(net: CodedNetwork, assignment: CodeAssignment) -> list:
@@ -232,9 +236,11 @@ def assignment_from_coefficients(net: CodedNetwork, coefficients: dict) -> CodeA
     bad = set(coefficients) - set(pairs)
     if bad:
         raise InvalidParameters(f"coefficients on non-adjacent channel pairs: {sorted(bad)}")
+    if bad := [v for v in coefficients.values() if int(v) != v]:
+        raise InvalidParameters(f"coefficient {bad[0]!r} is not an integer")
     coeffs = {k: int(v) % net.q for k, v in coefficients.items()}
     vectors = _propagate(net, [coeffs.get(pair, 0) for pair in pairs])
-    return CodeAssignment(coeffs, tuple(vectors), 1, None)
+    return CodeAssignment(coeffs, tuple(vectors), 1, None, _received_bases(net, vectors))
 
 
 def assign_coefficients(net: CodedNetwork, seed: int = 0,
@@ -266,13 +272,12 @@ def assign_coefficients(net: CodedNetwork, seed: int = 0,
         while len(coeffs) < len(pairs):
             coeffs += [x for x in map(draw, repeat(bits, len(pairs) - len(coeffs))) if x < q]
         vectors = _propagate(net, coeffs)
-        full = True
-        for t in net.clients:
-            r = len(gf.row_basis([vectors[c] for c in net.sink_channels[t]], q))
-            best_ranks[t] = max(best_ranks[t], r)
-            full = full and r == net.n_symbols
-        if full:
-            return CodeAssignment(dict(zip(pairs, coeffs)), tuple(vectors), attempt + 1, seed)
+        bases = _received_bases(net, vectors)
+        for t, kept in bases.items():
+            best_ranks[t] = max(best_ranks[t], len(kept))
+        if all(len(kept) == net.n_symbols for kept in bases.values()):
+            return CodeAssignment(dict(zip(pairs, coeffs)), tuple(vectors), attempt + 1, seed,
+                                  bases)
     raise VerificationFailedAllAttempts(
         f"no full-rank assignment in {max_attempts} attempts "
         f"(best ranks {best_ranks}, need {net.n_symbols})",
@@ -288,35 +293,35 @@ def transfer_matrix(net: CodedNetwork, assignment: CodeAssignment, t: str) -> Fi
     of X is channel j's global coding vector, which the assignment already
     holds.  B(t) keeps the columns of the channels entering t.
     """
-    vectors = assignment.global_vectors
     sinks = net.sink_channels[t]
-    return FieldMatrix(net.n_symbols, len(sinks),
-                       [vectors[c][i] for i in range(net.n_symbols) for c in sinks], net.q)
+    rows = zip(*[assignment.global_vectors[c] for c in sinks])      # row i: entry i of every vector
+    return FieldMatrix._of(net.n_symbols, len(sinks), tuple([x for r in rows for x in r]), net.q)
 
 
 def build_decoder(net: CodedNetwork, assignment: CodeAssignment, t: str) -> FieldMatrix:
     """Decoder D with D . received = W for every data vector W.
 
-    The received coding vectors, the columns of M(t), are eliminated once
-    in sink-channel order.  The leftmost linearly independent ones are the
+    The received coding vectors, the columns of M(t), were eliminated once
+    in sink-channel order when the assignment was made, for its rank check;
+    the leftmost linearly independent ones, ``assignment.bases[t]``, are the
     columns of an invertible n x n block B of M(t) and, as given, the rows
-    of B^T.  D holds (B^T)^-1 = (B^-1)^T in those columns and zero in the
-    rest, which is the solution of M(t) D^T = I with every free variable
-    zero.  Raises RankDeficient when M(t) has rank below the expanded data
-    dimension n.
+    of B^T.  D holds (B^T)^-1 = (B^-1)^T, one more elimination, in those
+    columns and zero in the rest, which is the solution of M(t) D^T = I
+    with every free variable zero.  Raises RankDeficient when M(t) has rank
+    below the expanded data dimension n.
     """
     received = [assignment.global_vectors[c] for c in net.sink_channels[t]]
-    n = net.n_symbols
-    basis = gf.row_basis(received, net.q)
-    if len(basis) < n:
-        raise RankDeficient(f"client {t} transfer matrix has rank {len(basis)} < {n}")
-    block_inv = gf.inverse(FieldMatrix.from_rows([received[k] for k in basis], net.q, cols=n))
+    n, kept = net.n_symbols, assignment.bases[t]
+    if len(kept) < n:
+        raise RankDeficient(f"client {t} transfer matrix has rank {len(kept)} < {n}")
+    block = tuple([x for k in kept for x in received[k]])
+    block_inv = gf.inverse(FieldMatrix._of(n, n, block, net.q))
     cols = len(received)
     entries = [0] * (n * cols)
-    for k, c in enumerate(basis):
-        for i in range(n):
-            entries[i * cols + c] = block_inv[i, k]
-    return FieldMatrix(n, cols, entries, net.q)
+    for i in range(n):
+        for c, x in zip(kept, block_inv.row(i)):
+            entries[i * cols + c] = x
+    return FieldMatrix._of(n, cols, tuple(entries), net.q)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -156,6 +157,16 @@ def test_from_rows_rejects_ragged_rows():
         FieldMatrix.from_rows([[1, 0, 0]], 5, cols=2)
     assert FieldMatrix.from_rows([], 5, cols=3).cols == 3
     assert FieldMatrix.from_rows([[1, 2]], 5).to_lists() == [[1, 2]]
+
+
+def test_constructor_rejects_non_integer_entries():
+    # an entry is never truncated; an integer outside [0, q) is reduced
+    for entry in (1.5, Fraction(7, 2), "3"):
+        with pytest.raises(ValueError, match="not an integer"):
+            FieldMatrix(1, 2, [entry, 2], 5)
+        with pytest.raises(ValueError, match="not an integer"):
+            FieldMatrix.from_rows([[1, entry]], 5)
+    assert FieldMatrix(1, 4, [-1, 7, 2.0, Fraction(10, 2)], 5).to_lists() == [[4, 2, 2, 0]]
 
 
 def test_row_basis_keeps_rows_outside_the_span_of_earlier_rows():

@@ -265,6 +265,9 @@ def test_projection_rejects_a_nonpositive_total():
     for total in (Fraction(0), 0, -1, Fraction(-1, 2), 0.0):
         with pytest.raises(InvalidParameters, match="total"):
             exact_simplex_projection([0.5, 0.25], total)
+    # and no empty vector sums to a positive total
+    with pytest.raises(InvalidParameters, match="total"):
+        exact_simplex_projection([], 1)
 
 
 def _random_point(rng, k, spread):

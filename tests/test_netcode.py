@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,9 @@ def test_fractional_rates_double_the_network(f2_net):
     assert net.n_symbols == 8
     assert sum(1 for c in net.channels if c.kind == "source") == 12
     assert sum(1 for c in net.channels if c.kind == "edge") == 2 * 11
+    # the per-edge counts that simulate reports are the channels built on each edge
+    built = Counter(c.edge_id for c in net.channels if c.kind == "edge")
+    assert net.edge_symbol_counts() == {e.id: built[e.id] for e in instance.edges}
 
 
 def test_non_linear_model_rejected(f2_net):
@@ -148,6 +152,15 @@ def test_zero_coefficients_give_zero_vectors(f2_net):
             assert all(v == 0 for v in vec)
         else:
             assert any(v != 0 for v in vec)
+
+
+def test_non_integer_coefficients_rejected(f2_net):
+    _, _, _, net = f2_net
+    pair = next(iter(assign_coefficients(net, seed=0).coefficients))
+    for coeff in (1.5, "2", Fraction(1, 2)):
+        with pytest.raises(InvalidParameters, match="not an integer"):
+            assignment_from_coefficients(net, {pair: coeff})
+    assert assignment_from_coefficients(net, {pair: -1}).coefficients == {pair: net.q - 1}
 
 
 def test_corrupted_assignment_rank_deficient(f2_net):
@@ -337,6 +350,19 @@ def dense_transfer(net, assignment, t):
     return net.source_matrix.matmul(inv).select_columns(net.sink_channels[t])
 
 
+def two_pass_decoder(net, assignment, t):
+    """The decoder by a greedy row basis of the received vectors, then one block inverse."""
+    received = [assignment.global_vectors[c] for c in net.sink_channels[t]]
+    n, cols = net.n_symbols, len(received)
+    basis = gf.row_basis(received, net.q)
+    block_inv = gf.inverse(FieldMatrix.from_rows([received[k] for k in basis], net.q, cols=n))
+    entries = [0] * (n * cols)
+    for k, c in enumerate(basis):
+        for i in range(n):
+            entries[i * cols + c] = block_inv[i, k]
+    return FieldMatrix(n, cols, entries, net.q)
+
+
 def test_transfer_and_decoder_match_dense_formula():
     from helpers import load_f2, random_feasible_instance
     instance, oracle, sm = load_f2()
@@ -380,7 +406,9 @@ def test_transfer_and_decoder_match_dense_formula():
             m = dense_transfer(net, assignment, t)
             assert transfer_matrix(net, assignment, t) == m
             decoder = build_decoder(net, assignment, t)
+            assert decoder == two_pass_decoder(net, assignment, t)
             assert decoder == gf.solve_right(m, identity).transpose()
+            assert decoder.matmul(m.transpose()) == identity
             if not any(m[i, 0] for i in range(m.rows)):
                 assert not any(decoder[i, 0] for i in range(decoder.rows))
                 skipped_first = True
