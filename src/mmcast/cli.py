@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, feasibility, gf, instance_io, model, multi_client, netcode, single_client
+from . import __version__, feasibility, instance_io, model, multi_client, netcode, single_client
 from .entropy import EntropyOracle, LinearSource, validate_polymatroid
 from .errors import (Infeasible, InfeasibleRates, InvalidInstance, InvalidParameters, MmcastError,
                      RankDeficient, ReconstructabilityViolated, VerificationFailedAllAttempts)
@@ -207,13 +207,9 @@ def _build_code(args):
 
 def _cmd_code(args) -> tuple:
     _, net, assignment = _build_code(args)
-    clients = {}
-    for t in net.clients:
-        m = netcode.transfer_matrix(net, assignment, t)
-        clients[t] = {
-            "rank": gf.rank(m),
-            "decoder": netcode.build_decoder(net, assignment, t).to_lists(),
-        }
+    clients = {t: {"rank": len(assignment.bases[t]),      # the rank of t's transfer matrix
+                   "decoder": netcode.build_decoder(net, assignment, t).to_lists()}
+               for t in net.clients}
     payload = {
         "manifest": _manifest(args, "code", {"rates": args.rates, "seed": args.seed,
                                              "q": net.q}),

@@ -406,6 +406,8 @@ def tabular_from_oracle(oracle: EntropyOracle) -> TabularSource:
 def pmf_from_nested(order, alphabets, nested) -> PmfSource:
     """Build a PmfSource from a nested-list table, level k a list of alphabets[order[k]]."""
     order = tuple(order)
+    if len(set(order)) != len(order):
+        raise InvalidInstance(f"pmf order {list(order)} names a node twice")
     cells = [nested]                # one level of the table at a time, in outcome order
     for node in order:
         if any(not isinstance(c, list) or len(c) != alphabets[node] for c in cells):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import model
 from .errors import Infeasible
 from .model import ClientSubproblem, NetworkInstance, Region, cut_capacity
-from .submodular import SetFunction, conditional_entropy_function, members, sfm_brute_force
+from .submodular import SetFunction, members, sfm_brute_force
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,12 @@ def enumerate_feasibility(sub: ClientSubproblem, oracle, capacities: dict) -> Fe
     independent cross-check route (no region tables, no submodular
     machinery).
     """
-    g = conditional_entropy_function(oracle, sub.sources)
     n = len(sub.sources)
     best = None
     for mask in range(1, 1 << n):
         nodes = members(sub.sources, mask)
         cut = cut_capacity(capacities, nodes, sub.edges)
-        required = g(nodes)
+        required = oracle.conditional(nodes, sub.sources)
         key = (cut - required, len(nodes), tuple(i for i in range(n) if mask >> i & 1))
         if best is None or key < best[0]:
             best = (key, nodes, cut, required)

@@ -94,11 +94,15 @@ def parse_source_model(description: dict, sources):
             raw = _object(description["entropies"], "tabular entropies")
         except KeyError as exc:
             raise InvalidInstance("tabular source model needs an entropies table") from exc
-        table = {}
+        table, keys = {}, {}
         for key, value in raw.items():
             subset = frozenset(part.strip() for part in str(key).split(","))
             if not subset <= set(sources):
                 raise InvalidInstance(f"entropy entry {key!r} references unknown nodes")
+            if subset in keys:
+                raise InvalidInstance(
+                    f"entropy entries {keys[subset]!r} and {key!r} name the same subset")
+            keys[subset] = key
             table[subset] = parse_rational(value)
         n = len(sources)
         if len(table) < (1 << n) - 1:

@@ -45,7 +45,8 @@ basic slack (an ``==`` row as a ``<=``/``>=`` pair), whatever the sign of
 its right-hand side, and each cap as a ``<=`` row after them.  That slack
 basis is dual feasible for the nonnegative part of the costs, so dual
 simplex (Lemke's method) finds a feasible basis or proves that there is
-none, with no artificial variables.  :class:`SimplexSolver` keeps its
+none, with no artificial variables; with no negative cost, the row its
+pivots keep is the objective's own.  :class:`SimplexSolver` keeps its
 final tableau: :meth:`~SimplexSolver.resolve` minimizes a new objective
 from the last basis by primal simplex (the Lagrangian inner problems), and
 :meth:`~SimplexSolver.add_rows` appends cutting planes and restores primal
@@ -346,16 +347,20 @@ class SimplexSolver:
 
         The slack basis has reduced costs ``c+ = max(c, 0)``, so it is dual
         feasible for ``c+``; dual simplex under ``c+`` reaches a primal
-        feasible basis or proves that there is none.  :meth:`resolve` then
-        optimizes the true objective, which needs no pivot when every cost
-        is nonnegative.
+        feasible basis or proves that there is none.  Its pivots keep the
+        row of ``c+``, which is the objective's row unless some cost is
+        negative, and only then is that row built afresh; primal simplex and
+        the read-out follow, the finish that :meth:`resolve` ends in too.
         """
-        obj, _ = self._objective_row(self.lp.objective, clip=True)
+        objective = self.lp.objective
+        obj, gamma = self._objective_row(objective, clip=True)
         if self._dual_optimize(obj) == "infeasible":
             self._solved = False
             return LpSolution("infeasible")
         self._solved = True
-        return self.resolve(self.lp.objective)
+        if any(c < 0 for c in objective):
+            obj, gamma = self._objective_row(objective)
+        return self._finish(objective, obj, gamma)
 
     def resolve(self, objective) -> LpSolution:
         """Re-optimize with a new objective over the existing feasible basis.
@@ -363,12 +368,19 @@ class SimplexSolver:
         The objective has one entry per LP variable, each an int, a
         Fraction or a float (read exactly); any other length raises
         ValueError.  The objective row is built for it in one pass (see
-        :meth:`_objective_row`) and the value read from it; the x read-out is
-        kept while the basis is unchanged, and handed out as a new list.
+        :meth:`_objective_row`), then primal simplex and the read-out run as
+        at the end of :meth:`solve`.
         """
         if not self._solved:
             raise RuntimeError("resolve requires a previous successful solve")
-        obj, gamma = self._objective_row(objective)
+        return self._finish(objective, *self._objective_row(objective))
+
+    def _finish(self, objective, obj: list, gamma: int) -> LpSolution:
+        """Primal simplex on ``obj``, the row of ``objective``, then the read-out.
+
+        The x read-out is kept while the basis is unchanged and handed out as
+        a new list; the value is read from ``obj``.
+        """
         if self._optimize(obj) == "unbounded":
             self._objective = None
             return LpSolution("unbounded")

@@ -172,11 +172,26 @@ PMF_DOC = {
 }
 
 
+TWO_SOURCE_EDGES = [{"id": "e1", "tail": "m1", "head": "t", "capacity": "2", "cost": "1"},
+                    {"id": "e2", "tail": "m2", "head": "t", "capacity": "2", "cost": "1"}]
+
+
 MALFORMED = {
     "matrices list": lambda doc: doc["source_model"].update(matrices=[[[1, 0, 0, 0]]]),
     "matrices number": lambda doc: doc["source_model"].update(matrices=5),
     "entropies list": lambda doc: doc.update(
         source_model={"kind": "tabular", "entropies": [["m1", 2]]}),
+    "tabular subset named twice": lambda doc: doc.update(
+        nodes=["m1", "m2", "t"], edges=TWO_SOURCE_EDGES,
+        clients=["t"], source_model={"kind": "tabular", "entropies": {
+            "m1": 1, "m2": 1, "m1,m2": 2, "m2,m1": 5}}),
+    "tabular singleton named twice": lambda doc: doc.update(
+        nodes=["m1", "m2", "t"], edges=TWO_SOURCE_EDGES,
+        clients=["t"], source_model={"kind": "tabular", "entropies": {
+            "m1": 1, "m2": 1, "m1,m2": 2, "m1,m1": 7}}),
+    "pmf order repeats a node": lambda doc: doc.update(PMF_DOC, source_model=dict(
+        PMF_DOC["source_model"], order=["x", "x", "y"],
+        table=[[["1/8", "1/8"], ["1/8", "1/8"]], [["1/8", "1/8"], ["1/8", "1/8"]]])),
     "alphabets list": lambda doc: doc.update(PMF_DOC, source_model=dict(
         PMF_DOC["source_model"], alphabets=[2, 2])),
     "pmf alphabet past the table": lambda doc: doc.update(PMF_DOC, source_model=dict(

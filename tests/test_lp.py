@@ -47,10 +47,31 @@ def test_negative_cost_needs_primal_pivots():
     solver = SimplexSolver(LinearProgram([-1, 1], [([1, 1], ">=", 2)], [5, None]))
     log = []
     solver._pivot = lambda *a: log.append("pivot") or SimplexSolver._pivot(solver, *a)
-    solver.resolve = lambda cost: log.append("resolve") or SimplexSolver.resolve(solver, cost)
+    solver._optimize = lambda obj: log.append("optimize") or SimplexSolver._optimize(solver, obj)
     s = solver.solve()
     assert (s.value, s.x) == (-5, [5, 0])
-    assert log == ["pivot", "resolve", "pivot"]     # one dual, then one primal pivot
+    assert log == ["pivot", "optimize", "pivot"]    # one dual, then one primal pivot
+
+
+def test_cold_solve_builds_one_objective_row_per_phase_it_needs(monkeypatch):
+    # the dual phase's row of max(c, 0) is the objective's own row when no
+    # cost is negative, so the finish reuses it; a negative cost needs the
+    # row of c once more.  A cold solve never goes through resolve.
+    rows = []
+    build = SimplexSolver._objective_row
+
+    def counted(self, objective, clip=False):
+        rows.append(clip)
+        return build(self, objective, clip)
+
+    monkeypatch.setattr(SimplexSolver, "_objective_row", counted)
+    monkeypatch.setattr(SimplexSolver, "resolve", lambda self, cost: pytest.fail("resolve"))
+    for objective, built, expected in (([1, 2], [True], (2, [2, 0])),
+                                       ([0, F(1, 3)], [True], (0, [2, 0])),
+                                       ([-1, 1], [True, False], (-5, [5, 0]))):
+        rows.clear()
+        s = SimplexSolver(LinearProgram(objective, [([1, 1], ">=", 2)], [5, None])).solve()
+        assert (s.value, s.x, rows) == (*expected, built)
 
 
 def test_resolve_rejects_wrong_objective_length():
@@ -81,10 +102,10 @@ def test_dual_ratio_test_is_exact():
     solver = SimplexSolver(LinearProgram([1, big - 1], [([1, big], ">=", 1)], [None, None]))
     log = []
     solver._pivot = lambda *a: log.append("pivot") or SimplexSolver._pivot(solver, *a)
-    solver.resolve = lambda cost: log.append("resolve") or SimplexSolver.resolve(solver, cost)
+    solver._optimize = lambda obj: log.append("optimize") or SimplexSolver._optimize(solver, obj)
     s = solver.solve()
     assert (s.value, s.x) == (F(big - 1, big), [0, F(1, big)])
-    assert log == ["pivot", "resolve"]
+    assert log == ["pivot", "optimize"]
 
 
 def test_exact_rationals():
