@@ -23,8 +23,7 @@ from .netcode import (CodeAssignment, CodedNetwork, assign_coefficients, build_c
                       build_decoder, propagate_global_vectors, simulate, transfer_matrix)
 from .single_client import (SingleClientSolution, achievable_point, solve_single_client,
                             solve_single_client_bruteforce)
-from .submodular import (SetFunction, greedy_base_vertex, in_base_polyhedron,
-                         min_norm_point, sfm_brute_force)
+from .submodular import SetFunction, in_base_polyhedron, sfm_brute_force
 
 __all__ = [
     "__version__",
@@ -40,6 +39,5 @@ __all__ = [
     "CodeAssignment", "CodedNetwork", "assign_coefficients", "build_coded_network",
     "build_decoder", "propagate_global_vectors", "simulate", "transfer_matrix",
     "SingleClientSolution", "solve_single_client", "solve_single_client_bruteforce",
-    "SetFunction", "greedy_base_vertex", "in_base_polyhedron", "min_norm_point",
-    "sfm_brute_force",
+    "SetFunction", "in_base_polyhedron", "sfm_brute_force",
 ]

@@ -392,17 +392,6 @@ def validate_polymatroid(oracle: EntropyOracle, samples: int = 2000) -> Polymatr
     return PolymatroidReport(normalized, mono, sub, False, samples)
 
 
-def tabular_from_oracle(oracle: EntropyOracle) -> TabularSource:
-    """Materialize the full subset table of an oracle, in its unit.
-
-    Grounds above ``submodular.BRUTE_FORCE_LIMIT`` raise GroundTooLarge.
-    """
-    h = oracle.table(oracle.ground)
-    table = {frozenset(members(oracle.ground, mask)): Fraction(h[mask])
-             for mask in range(1, len(h))}
-    return TabularSource(oracle.ground, table, unit=oracle.unit)
-
-
 def pmf_from_nested(order, alphabets, nested) -> PmfSource:
     """Build a PmfSource from a nested-list table, level k a list of alphabets[order[k]]."""
     order = tuple(order)

@@ -45,18 +45,13 @@ class FeasibilityReport:
         return {c.client: c for c in self.certificates}
 
 
-def _slack_table(sub: ClientSubproblem, oracle, capacities: dict, scale: int = 1) -> list:
+def _slack_table(sub: ClientSubproblem, oracle, capacities: dict, scale: int) -> list:
     """scale * (c(out(S)) - g(S)) for every mask, from scale * capacity on each edge."""
     region = Region(sub, oracle)
     cut = region.cut([capacities[e.id] * scale for e in sub.edges])
     if scale == 1:
         return [c - g for c, g in zip(cut, region.g)]
     return [c - scale * g for c, g in zip(cut, region.g)]
-
-
-def slack_function(sub: ClientSubproblem, oracle, capacities: dict) -> SetFunction:
-    """S -> c(out(S)) - g(S) over the client's sources; submodular, tabulated."""
-    return SetFunction.tabulated(sub.sources, _slack_table(sub, oracle, capacities), "submodular")
 
 
 def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> FeasibilityCertificate:

@@ -42,15 +42,18 @@ ends at an exact vertex.
 A :class:`LinearProgram` minimizes c.x over x >= 0, each variable with an
 optional cap x_j <= u_j.  Every row enters as a ``<=`` row with its own
 basic slack (an ``==`` row as a ``<=``/``>=`` pair), whatever the sign of
-its right-hand side, and each cap as a ``<=`` row after them.  That slack
-basis is dual feasible for the nonnegative part of the costs, so dual
-simplex (Lemke's method) finds a feasible basis or proves that there is
-none, with no artificial variables; with no negative cost, the row its
-pivots keep is the objective's own.  :class:`SimplexSolver` keeps its
-final tableau: :meth:`~SimplexSolver.resolve` minimizes a new objective
-from the last basis by primal simplex (the Lagrangian inner problems), and
-:meth:`~SimplexSolver.add_rows` appends cutting planes and restores primal
-feasibility by dual simplex, which keeps the basis optimal.
+its right-hand side, and each cap as a ``<=`` row after them.
+:class:`SimplexSolver` keeps its tableau, and :meth:`~SimplexSolver.solve`
+(under the LP's objective) and :meth:`~SimplexSolver.resolve` (under any
+other, such as the Lagrangian inner problems) run one re-optimization from
+whatever the basis is.  While some right-hand side is negative, dual simplex
+(Lemke's method) finds a feasible basis or proves that there is none, with
+no artificial variables.  It pivots on the objective's own row where no
+reduced cost is negative: at the slack basis under nonnegative costs, and
+at a basis that was optimal for the objective before
+:meth:`~SimplexSolver.add_rows`, which only appends rows (the cutting
+planes).  Elsewhere it pivots on the positive part of the reduced costs,
+the row of another objective.  Primal simplex then finishes.
 """
 
 from __future__ import annotations
@@ -146,8 +149,6 @@ class SimplexSolver:
         self._x = None             # read-out of the basic solution, None once the basis changes
         self._append_rows(lp.rows + [({j: 1}, "<=", u) for j, u in enumerate(lp.upper)
                                      if u is not None])
-        self._solved = False
-        self._objective = None     # objective the current basis is optimal for
 
     # -- tableau -----------------------------------------------------------
 
@@ -248,8 +249,8 @@ class SimplexSolver:
         self.basis[r] = e
         self._x = None
 
-    def _objective_row(self, objective, clip: bool = False) -> tuple:
-        """``(obj, gamma)``: the row of ``objective`` (with ``clip``, of its positive part).
+    def _objective_row(self, objective) -> tuple:
+        """``(obj, gamma)``: the row of ``objective`` at the current basis.
 
         gamma is the lcm of the objective's denominators; the row is ``det*gamma``
         times the costs less, for each basic column with a cost, its row times that cost.
@@ -261,7 +262,7 @@ class SimplexSolver:
         gamma = lcm(*{d for _, d in ratios})
         det = self.det
         scale = det * gamma
-        obj = [0 if clip and num < 0 else num * (scale // d) for num, d in ratios]
+        obj = [num * (scale // d) for num, d in ratios]
         obj += [0] * (self.n_cols + 1 - n)
         for row, value, b in zip(self.tableau, self.rhs, self.basis):
             if b < n and obj[b]:        # a basic column's entry is still det * its cost
@@ -343,48 +344,42 @@ class SimplexSolver:
     # -- public ------------------------------------------------------------
 
     def solve(self) -> LpSolution:
-        """Find a feasible basis by dual simplex from the slack basis, then optimize.
-
-        The slack basis has reduced costs ``c+ = max(c, 0)``, so it is dual
-        feasible for ``c+``; dual simplex under ``c+`` reaches a primal
-        feasible basis or proves that there is none.  Its pivots keep the
-        row of ``c+``, which is the objective's row unless some cost is
-        negative, and only then is that row built afresh; primal simplex and
-        the read-out follow, the finish that :meth:`resolve` ends in too.
-        """
-        objective = self.lp.objective
-        obj, gamma = self._objective_row(objective, clip=True)
-        if self._dual_optimize(obj) == "infeasible":
-            self._solved = False
-            return LpSolution("infeasible")
-        self._solved = True
-        if any(c < 0 for c in objective):
-            obj, gamma = self._objective_row(objective)
-        return self._finish(objective, obj, gamma)
+        """Minimize the LP's own objective from the current basis, as :meth:`resolve` does."""
+        return self._reoptimize(self.lp.objective)
 
     def resolve(self, objective) -> LpSolution:
-        """Re-optimize with a new objective over the existing feasible basis.
+        """Minimize ``objective`` from the current basis, repairing any appended rows first.
 
         The objective has one entry per LP variable, each an int, a
         Fraction or a float (read exactly); any other length raises
-        ValueError.  The objective row is built for it in one pass (see
-        :meth:`_objective_row`), then primal simplex and the read-out run as
-        at the end of :meth:`solve`.
+        ValueError.  Its row is built once (see :meth:`_objective_row`).
+        While some right-hand side is negative (the slack basis of
+        ``>=`` rows, or rows from :meth:`add_rows`), dual simplex runs
+        first: on that row when no reduced cost is negative, else on
+        ``det`` times the row's positive part, the row of another
+        objective, after which the objective's row is built afresh.  An
+        empty LP returns status "infeasible"; otherwise primal simplex and
+        the read-out follow.  The x read-out is kept while the basis is
+        unchanged and handed out as a new list.
         """
-        if not self._solved:
-            raise RuntimeError("resolve requires a previous successful solve")
-        return self._finish(objective, *self._objective_row(objective))
+        return self._reoptimize(objective)
 
-    def _finish(self, objective, obj: list, gamma: int) -> LpSolution:
-        """Primal simplex on ``obj``, the row of ``objective``, then the read-out.
+    def _reoptimize(self, objective) -> LpSolution:
+        """The one body of :meth:`solve` and :meth:`resolve` (see :meth:`resolve`).
 
-        The x read-out is kept while the basis is unchanged and handed out as
-        a new list; the value is read from ``obj``.
+        :meth:`solve` calls it directly, so a solve is never also a resolve.
         """
+        obj, gamma = self._objective_row(objective)
+        if min(self.rhs, default=0) < 0:
+            dual = obj
+            if min(obj[:-1], default=0) < 0:    # its positive part, an objective over det * gamma
+                dual = [self.det * max(v, 0) for v in obj[:-1]] + [0]
+            if self._dual_optimize(dual) == "infeasible":
+                return LpSolution("infeasible")
+            if dual is not obj:
+                obj, gamma = self._objective_row(objective)
         if self._optimize(obj) == "unbounded":
-            self._objective = None
             return LpSolution("unbounded")
-        self._objective = list(objective)
         scale = self.det * self.rhs_scale
         if self._x is None:
             basic, zero = dict(zip(self.basis, self.rhs)), Fraction(0)
@@ -393,27 +388,17 @@ class SimplexSolver:
         # obj[-1] holds -(c_B B^-1 b) times scale * gamma
         return LpSolution("optimal", Fraction(-obj[-1], scale * gamma), list(self._x))
 
-    def add_rows(self, rows) -> bool:
-        """Append ``<=``/``>=`` rows to the solved LP and restore feasibility.
+    def add_rows(self, rows) -> None:
+        """Append ``<=``/``>=`` rows to the LP, each with a new basic slack.
 
-        Each row enters the current basis with a new basic slack.  Dual
-        simplex under the objective of the last optimal solve or resolve then
-        brings the basis back to primal feasibility, so a following
-        :meth:`resolve` with that objective needs no pivot.  The rows are
-        appended to ``self.lp`` as well.  Returns False when the enlarged LP
-        is infeasible; the solver then needs a new :meth:`solve` before it
-        can resolve again.
+        The rows are checked as the LP's own are, rewritten in the current
+        basis and appended to ``self.lp`` as well; an ``==`` row raises
+        ValueError.  No pivot is made: a row the basic solution violates
+        has a negative right-hand side, which the next :meth:`solve` or
+        :meth:`resolve` repairs by dual simplex.
         """
-        if self._objective is None:
-            raise RuntimeError("add_rows requires a previous optimal solve or resolve")
         rows = [self.lp.checked_row(row) for row in rows]
         if any(rel == "==" for _, rel, _ in rows):
             raise ValueError("add_rows takes <= and >= rows only")
         self._append_rows(rows)
         self.lp.rows += rows
-        obj, _ = self._objective_row(self._objective)
-        if self._dual_optimize(obj) == "infeasible":
-            self._solved = False
-            self._objective = None
-            return False
-        return True

@@ -116,7 +116,8 @@ def cutting_planes(solver: SimplexSolver, solution, objective: list, clients: li
     """Kelley's cutting planes from ``solution``, the solver's answer under ``objective``.
 
     Each round appends every client's violated row, in client order, and
-    re-optimizes warm, until none is violated; returns the last solution.
+    re-optimizes warm in one ``resolve``, whose dual phase repairs the new
+    rows, until none is violated; returns the last solution.
     An empty LP raises ``feasibility.infeasible`` with each client's
     certificate, and a round that leaves x in place raises RuntimeError.
     """
@@ -126,8 +127,7 @@ def cutting_planes(solver: SimplexSolver, solution, objective: list, clients: li
             return solution
         for c, mask in cuts:
             c.pool.append(mask)
-        if not solver.add_rows([c.row(mask) for c, mask in cuts]):
-            break
+        solver.add_rows([c.row(mask) for c, mask in cuts])
         x, solution = solution.x, solver.resolve(objective)
         if solution.x == x:
             named = {c.sub.client: mask for c, mask in cuts}

@@ -1,4 +1,5 @@
-"""Shared test utilities: fixture paths and seeded random generators."""
+"""Shared test utilities: fixture paths, seeded random generators, and test-only tables
+(a client's slack function, the tabular copy of an oracle)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from mmcast import load_instance
-from mmcast.submodular import SetFunction
+from mmcast.entropy import EntropyOracle, TabularSource
+from mmcast.model import ClientSubproblem, Region
+from mmcast.submodular import SetFunction, members
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_F2 = REPO / "fixtures" / "fixture-F2.json"
@@ -15,6 +18,25 @@ FIXTURE_F2 = REPO / "fixtures" / "fixture-F2.json"
 
 def load_f2():
     return load_instance(FIXTURE_F2)
+
+
+def slack_function(sub: ClientSubproblem, oracle, capacities: dict) -> SetFunction:
+    """S -> c(out(S)) - g(S) over the client's sources; submodular, tabulated."""
+    region = Region(sub, oracle)
+    cut = region.cut([capacities[e.id] for e in sub.edges])
+    return SetFunction.tabulated(sub.sources, [c - g for c, g in zip(cut, region.g)],
+                                 "submodular")
+
+
+def tabular_from_oracle(oracle: EntropyOracle) -> TabularSource:
+    """Materialize the full subset table of an oracle, in its unit.
+
+    Grounds above ``submodular.BRUTE_FORCE_LIMIT`` raise GroundTooLarge.
+    """
+    h = oracle.table(oracle.ground)
+    table = {frozenset(members(oracle.ground, mask)): Fraction(h[mask])
+             for mask in range(1, len(h))}
+    return TabularSource(oracle.ground, table, unit=oracle.unit)
 
 
 def chain_instance(cap1="4", cap2="4", cost1="1", cost2="1") -> dict:

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import long_chain_doc, random_instance_doc
+from helpers import long_chain_doc, random_instance_doc, tabular_from_oracle
 from mmcast import client_subproblem, gf, load_instance
 from mmcast.entropy import (EntropyOracle, LinearSource, TabularSource, pmf_from_nested,
-                            tabular_from_oracle, validate_polymatroid)
+                            validate_polymatroid)
 from mmcast.errors import GroundTooLarge, InvalidParameters, UnknownSubset
 from mmcast.gf import FieldMatrix
 from mmcast.model import Region

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import FIXTURE_F2, chain_instance, random_instance_doc, single_edge_instance
+from helpers import (FIXTURE_F2, chain_instance, random_instance_doc, single_edge_instance,
+                     slack_function, tabular_from_oracle)
 from mmcast import load_instance
 from mmcast.errors import Infeasible, ReconstructabilityViolated
-from mmcast.feasibility import (check_feasible_multi, check_feasible_single,
-                                enumerate_feasibility, slack_function)
+from mmcast.feasibility import check_feasible_multi, check_feasible_single, enumerate_feasibility
 from mmcast.model import boundary_vector, client_subproblem
 from mmcast.multi_client import (solve_multi_bruteforce, solve_multi_exact,
                                  solve_multi_subgradient)
@@ -175,7 +175,7 @@ def test_achievable_point_infeasible_raises():
 
 def test_tabular_model_end_to_end(f2):
     # the whole feasibility + optimization path works from a plain entropy table
-    from mmcast.entropy import EntropyOracle, tabular_from_oracle
+    from mmcast.entropy import EntropyOracle
     from mmcast.single_client import solve_single_client
     instance, oracle, _ = f2
     tabular = EntropyOracle.from_model(oracle.ground, tabular_from_oracle(oracle))

@@ -54,24 +54,25 @@ def test_negative_cost_needs_primal_pivots():
 
 
 def test_cold_solve_builds_one_objective_row_per_phase_it_needs(monkeypatch):
-    # the dual phase's row of max(c, 0) is the objective's own row when no
-    # cost is negative, so the finish reuses it; a negative cost needs the
-    # row of c once more.  A cold solve never goes through resolve.
+    # at the slack basis the objective's row is dual feasible when no cost
+    # is negative, so the dual phase and the finish share it; a negative
+    # cost runs the dual phase on the row's positive part and needs the row
+    # of c once more.  A cold solve never goes through resolve.
     rows = []
     build = SimplexSolver._objective_row
 
-    def counted(self, objective, clip=False):
-        rows.append(clip)
-        return build(self, objective, clip)
+    def counted(self, objective):
+        rows.append(list(objective))
+        return build(self, objective)
 
     monkeypatch.setattr(SimplexSolver, "_objective_row", counted)
     monkeypatch.setattr(SimplexSolver, "resolve", lambda self, cost: pytest.fail("resolve"))
-    for objective, built, expected in (([1, 2], [True], (2, [2, 0])),
-                                       ([0, F(1, 3)], [True], (0, [2, 0])),
-                                       ([-1, 1], [True, False], (-5, [5, 0]))):
+    for objective, built, expected in (([1, 2], 1, (2, [2, 0])),
+                                       ([0, F(1, 3)], 1, (0, [2, 0])),
+                                       ([-1, 1], 2, (-5, [5, 0]))):
         rows.clear()
         s = SimplexSolver(LinearProgram(objective, [([1, 1], ">=", 2)], [5, None])).solve()
-        assert (s.value, s.x, rows) == (*expected, built)
+        assert (s.value, s.x, rows) == (*expected, [objective] * built)
 
 
 def test_resolve_rejects_wrong_objective_length():
@@ -373,15 +374,17 @@ def _appended_rows_match_cold_solves(seed):
         cut_off += not all(_holds(row, first.x) for row in extra)
         enlarged = LinearProgram(c, rows + extra, upper)
         cold = SimplexSolver(enlarged).solve()
-        if not solver.add_rows(extra):
-            assert cold.status == "infeasible"
+        solver.add_rows(extra)
+        log = []
+        solver._pivot = lambda *args: log.append("pivot") or SimplexSolver._pivot(solver, *args)
+        solver._optimize = lambda obj: log.append("optimize") or SimplexSolver._optimize(solver, obj)
+        warm = solver.resolve(c)
+        del solver._pivot, solver._optimize
+        if warm.status == "infeasible":
+            assert cold.status == "infeasible" and "optimize" not in log
             outcomes["infeasible"] += 1
             continue
-        pivots = []
-        solver._pivot = lambda *args: pivots.append(args) or SimplexSolver._pivot(solver, *args)
-        warm = solver.resolve(c)
-        assert not pivots       # dual simplex left the basis optimal for c
-        del solver._pivot
+        assert log[log.index("optimize"):] == ["optimize"]  # the dual phase left it optimal for c
         assert warm.status == cold.status == "optimal" and warm.value == cold.value
         _assert_feasible(enlarged, warm.x)
         assert sum(a * xj for a, xj in zip(c, warm.x)) == warm.value
@@ -429,8 +432,7 @@ def _warm_sequences(seed):
             assert sum(a * xj for a, xj in zip(c, s.x)) == s.value
             if rng.random() < 0.4:
                 coeffs, rel, rhs = _random_row(rng, n, ["<=", ">="])
-                if not solver.add_rows([(coeffs, rel, rhs + _rational(rng, 0, 1))]):
-                    break
+                solver.add_rows([(coeffs, rel, rhs + _rational(rng, 0, 1))])
             elif rng.random() < 0.4:
                 c = [a + _rational(rng, -1, 1) * rng.randint(0, 1) for a in c]
             elif rng.random() < 0.5:
@@ -469,14 +471,12 @@ class _TwoPassRow(SimplexSolver):
     """The objective row as two passes built it: the gamma-scaled costs padded
     to every column, then ``det`` times them less each basic row with a cost."""
 
-    def _objective_row(self, objective, clip=False):
+    def _objective_row(self, objective):
         if len(objective) != len(self.lp.objective):
             raise ValueError("objective length must match variable count")
         ratios = [c.as_integer_ratio() for c in objective]
         gamma = lcm(*(d for _, d in ratios))
         cost = [n * (gamma // d) for n, d in ratios] + [0] * (self.n_cols - len(objective))
-        if clip:
-            cost = [max(c, 0) for c in cost]
         obj = [self.det * c for c in cost] + [0]
         for row, value, b in zip(self.tableau, self.rhs, self.basis):
             if cost[b]:
@@ -503,8 +503,8 @@ def _objective_row_runs(cls, seed):
     rng = random.Random(seed)
     log = []
 
-    def objective_row(solver, *args, **kwargs):
-        obj, gamma = type(solver)._objective_row(solver, *args, **kwargs)
+    def objective_row(solver, objective):
+        obj, gamma = type(solver)._objective_row(solver, objective)
         log.append((list(obj), gamma))
         return obj, gamma
 
@@ -512,7 +512,7 @@ def _objective_row_runs(cls, seed):
         log.append((r, e, solver.det))
         SimplexSolver._pivot(solver, r, e, obj)
 
-    for _ in range(60):
+    for _ in range(80):
         n, top = rng.randint(2, 5), rng.choice([1, 3])
         x0 = [_rational(rng, 0, 2) for _ in range(n)]       # most programs are feasible
         rows = []
@@ -530,8 +530,7 @@ def _objective_row_runs(cls, seed):
             if rng.random() < 0.3:
                 cut = ([F(rng.randint(-top, top)) for _ in range(n)], rng.choice(["<=", ">="]),
                        _rational(rng, 0, 4))
-                if not solver.add_rows([cut]):
-                    break
+                solver.add_rows([cut])
             else:
                 c = [_multiplier(rng) for _ in range(n)]
             steps.append(solver.resolve(c))
@@ -558,11 +557,11 @@ def test_objective_row_is_the_two_pass_row():
 def test_add_rows_reports_infeasibility():
     solver = SimplexSolver(LinearProgram([1, 1], [([1, 1], "==", 4)], [5, 5]))
     assert solver.solve().x == [4, 0]
-    assert solver.add_rows([([0, 1], ">=", 1)])     # cuts off [4, 0]
+    assert solver.add_rows([([0, 1], ">=", 1)]) is None     # cuts off [4, 0]
     assert solver.resolve([1, 1]).x == [3, 1]
-    assert not solver.add_rows([([1, 0], ">=", 3), ([0, 1], ">=", 2)])
-    with pytest.raises(RuntimeError):
-        solver.resolve([1, 1])
+    solver.add_rows([([1, 0], ">=", 3), ([0, 1], ">=", 2)])
+    assert solver.resolve([1, 1]).status == "infeasible"
+    assert solver.resolve([1, 1]).status == "infeasible"    # the LP stays empty
 
 
 class _FractionReference:
@@ -586,8 +585,6 @@ class _FractionReference:
         caps = [([1 if i == j else 0 for i in range(n)], u)
                 for j, u in enumerate(lp.upper) if u is not None]
         self._append_rows([r for row in lp.rows for r in self._le_rows(*row)] + caps)
-        self._solved = False
-        self._objective = None
 
     def _le_rows(self, coeffs, rel, rhs):
         if isinstance(coeffs, dict):
@@ -695,39 +692,30 @@ class _FractionReference:
             self._pivot(leaving, entering, obj)
 
     def solve(self):
-        cost, _ = self._cost(self.lp.objective)
-        if self._dual_optimize(self._reduced_row([max(c, 0) for c in cost])) == "infeasible":
-            self._solved = False
-            return LpSolution("infeasible")
-        self._solved = True
         return self.resolve(self.lp.objective)
 
     def resolve(self, objective):
-        if not self._solved:
-            raise RuntimeError("resolve requires a previous successful solve")
         cost, _ = self._cost(objective)
         obj = self._reduced_row(cost)
+        if any(row[-1] < 0 for row in self.tableau):
+            dual = obj
+            if min(obj[:-1], default=0) < 0:
+                dual = [max(v, 0) for v in obj[:-1]] + [F(0)]
+            if self._dual_optimize(dual) == "infeasible":
+                return LpSolution("infeasible")
+            if dual is not obj:
+                obj = self._reduced_row(cost)
         if self._optimize(obj) == "unbounded":
-            self._objective = None
             return LpSolution("unbounded")
-        self._objective = list(objective)
         x = [F(0)] * self.n_cols
         for row, b in zip(self.tableau, self.basis):
             x[b] = row[-1]
         return LpSolution("optimal", -obj[-1], x[:len(self.lp.objective)])
 
     def add_rows(self, rows):
-        if self._objective is None:
-            raise RuntimeError("add_rows requires a previous optimal solve or resolve")
         rows = [self.lp.checked_row(row) for row in rows]
         self._append_rows([r for row in rows for r in self._le_rows(*row)])
         self.lp.rows += rows
-        cost, _ = self._cost(self._objective)
-        if self._dual_optimize(self._reduced_row(cost)) == "infeasible":
-            self._solved = False
-            self._objective = None
-            return False
-        return True
 
     def _cost(self, objective):
         if len(objective) != len(self.lp.objective):
@@ -752,14 +740,19 @@ def _pivot_snapshots(solver, gamma):
 
     The integer solver's entries are checked to be ints over a positive
     ``det`` and divided by their scales; ``gamma[0]`` is the scale of the
-    objective in effect.  Returns the snapshot list and the list of
-    ``det`` after each pivot.
+    objective in effect.  A dual phase on a row other than the last one
+    :meth:`_objective_row` built runs on the positive part of the reduced
+    costs, ``det`` times that row, over ``det * gamma[0]`` with ``det`` at
+    its start.  Returns the snapshot list, the list of ``det`` after each
+    pivot and a one-item list: the count of such clipped phases from a
+    basis with ``det > 1``.
     """
-    snapshots, dets = [], []
+    snapshots, dets, clipped = [], [], [0]
+    built, factor = [None], [1]
 
     def pivot(r, e, obj):
         type(solver)._pivot(solver, r, e, obj)
-        det, sigma, scale = solver.det, solver.rhs_scale, gamma[0]
+        det, sigma, scale = solver.det, solver.rhs_scale, gamma[0] * factor[0]
         rows = _dense_rows(solver)
         if isinstance(solver, _FractionReference):
             scale = 1
@@ -775,8 +768,23 @@ def _pivot_snapshots(solver, gamma):
                           [F(obj[-1], det * sigma * scale)]))
         dets.append(det)
 
+    def objective_row(objective):
+        built[0], gamma = type(solver)._objective_row(solver, objective)
+        return built[0], gamma
+
+    def dual(obj):
+        if obj is not built[0]:
+            factor[0] = solver.det
+            clipped[0] += solver.det > 1
+        try:
+            return type(solver)._dual_optimize(solver, obj)
+        finally:
+            factor[0] = 1
+
     solver._pivot = pivot
-    return snapshots, dets
+    if not isinstance(solver, _FractionReference):
+        solver._objective_row, solver._dual_optimize = objective_row, dual
+    return snapshots, dets, clipped
 
 
 def _scale(objective):
@@ -807,20 +815,16 @@ def _lockstep_scenario(rng):
     for cls in (SimplexSolver, _FractionReference):
         solver = cls(LinearProgram(c, rows, upper))
         gamma = [_scale(c)]
-        snapshots, dets = _pivot_snapshots(solver, gamma)
+        snapshots, dets, clipped = _pivot_snapshots(solver, gamma)
         solutions = [solver.solve()]
-        last = c
         for cut, objective in zip(cuts, objectives):
             if solutions[-1].status != "optimal":
                 break
-            gamma[0] = _scale(last)
-            if not solver.add_rows(cut):
-                solutions.append("infeasible")
-                break
+            solver.add_rows(cut)
             gamma[0] = _scale(objective)
             solutions.append(solver.resolve(objective))
-            last = objective
-        runs.append((snapshots, solutions, sum(a != b for a, b in zip([1] + dets, dets))))
+        runs.append((snapshots, solutions, sum(a != b for a, b in zip([1] + dets, dets)),
+                     clipped[0]))
     return runs
 
 
@@ -829,22 +833,22 @@ def test_integer_tableau_is_the_rational_tableau_over_det(monkeypatch):
     # rational simplex's pivots, and its tableau divided by det (the rhs
     # column also by rhs_scale, the objective row by the objective's scale)
     # must be the rational tableau after every one of them
-    rescales = pivots = 0
+    rescales = pivots = clipped = 0
     for _ in _stall_budgets(monkeypatch):
         rng = random.Random(101)
         for _ in range(120):
-            (mine, mine_solutions, changed), (ref, ref_solutions, _) = _lockstep_scenario(rng)
+            (mine, mine_solutions, changed, clips), (ref, ref_solutions, _, _) = \
+                _lockstep_scenario(rng)
             assert mine == ref
             assert len(mine_solutions) == len(ref_solutions)
             for a, b in zip(mine_solutions, ref_solutions):
-                if a == "infeasible":
-                    assert b == "infeasible"
-                    continue
                 assert (a.status, a.value, a.x) == (b.status, b.value, b.x)
                 assert a.x is None or all(type(v) is Fraction for v in a.x)
             rescales += changed
             pivots += len(mine)
-    assert pivots >= 1000 and rescales >= 600
+            clipped += clips
+    # a clipped dual phase at det > 1 runs on det times the positive part
+    assert pivots >= 1000 and rescales >= 600 and clipped >= 100
 
 
 def test_fuzz_non_integral_coefficients(monkeypatch):
@@ -891,7 +895,8 @@ def _fuzz_fraction_rows(linprog, rng):
         if mine.status != "optimal":
             continue
         extra = [_fraction_row(rng, n, ["<=", ">="]) for _ in range(rng.randint(1, 2))]
-        if not solver.add_rows(extra):
+        solver.add_rows(extra)
+        if solver.resolve(c).status == "infeasible":
             assert SimplexSolver(LinearProgram(c, rows + extra, upper)).solve().status == \
                 "infeasible"
             continue
@@ -963,7 +968,7 @@ def test_dict_rows_are_validated_like_dense_rows():
     for bad in ({2: 1}, {"1": 1}):
         with pytest.raises(ValueError):
             solver.add_rows([(bad, ">=", 1)])
-    assert solver.add_rows([({0: 1, 1: 0}, ">=", F(1, 3))])
+    solver.add_rows([({0: 1, 1: 0}, ">=", F(1, 3))])
     assert solver.lp.rows[-1] == ({0: 1}, ">=", F(1, 3))
     dense = SimplexSolver(LinearProgram([1, 1], [([0, 2], ">=", 1), ([1, 0], ">=", F(1, 3))],
                                         [None, None])).solve()

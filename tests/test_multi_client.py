@@ -84,15 +84,17 @@ def test_infeasible_without_feasibility_check(monkeypatch):
     # region itself, whether the seed LP or an appended cut finds it, and
     # the error must carry the certificates of exactly the failing clients
     from mmcast.lp import SimplexSolver
-    refused = []
-    add_rows = SimplexSolver.add_rows
+    calls = []                  # "add_rows", then each resolve's status
+    add_rows, resolve = SimplexSolver.add_rows, SimplexSolver.resolve
 
-    def counting(self, rows):
-        ok = add_rows(self, rows)
-        refused.append(not ok)
-        return ok
+    def resolving(self, objective):
+        solution = resolve(self, objective)
+        calls.append(solution.status)
+        return solution
 
-    monkeypatch.setattr(SimplexSolver, "add_rows", counting)
+    monkeypatch.setattr(SimplexSolver, "add_rows",
+                        lambda self, rows: calls.append("add_rows") or add_rows(self, rows))
+    monkeypatch.setattr(SimplexSolver, "resolve", resolving)
     doc = two_client_symmetric_doc()
     doc["edges"][0]["capacity"] = "2"
     cases = [load_instance(doc)]
@@ -118,7 +120,8 @@ def test_infeasible_without_feasibility_check(monkeypatch):
                 solve_single_client(sub, oracle, instance.costs(), instance.capacities())
             assert err.value.certificates == (cert,)
     assert infeasible >= 20
-    assert any(refused)         # draw 28 of the stream gets past its seed rows
+    # draw 28 of the stream gets past its seed rows: a resolve after a cut finds the LP empty
+    assert ("add_rows", "infeasible") in zip(calls, calls[1:])
 
 
 def test_an_empty_lp_certifies_each_client_once(monkeypatch):

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_instance_doc, random_pmf_doc, region_cases
+from helpers import random_instance_doc, random_pmf_doc, region_cases, tabular_from_oracle
 from mmcast import load_instance
-from mmcast.entropy import EntropyOracle, LinearSource, tabular_from_oracle
+from mmcast.entropy import EntropyOracle, LinearSource
 from mmcast.errors import Infeasible
 from mmcast.feasibility import check_feasible_multi, check_feasible_single
 from mmcast.model import ClientSubproblem, Region, boundary, client_subproblem, cut_capacity

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -152,3 +153,32 @@ def test_bruteforce_source_limit():
     with pytest.raises(GroundTooLarge):
         solve_single_client_bruteforce(sub, oracle, instance.costs(),
                                        instance.capacities())
+
+
+def test_each_cut_round_builds_one_objective_row(monkeypatch):
+    # add_rows only appends, and the resolve after it repairs the cuts and
+    # finishes on one objective row: a cold solve builds one row (no cost is
+    # negative), and each round of cuts one more.  F2's seed rows need no
+    # cut, so the LPs are random 6-7 source draws, on both routes.
+    from mmcast.lp import SimplexSolver
+    from mmcast.multi_client import solve_multi_exact
+    calls = []
+    for name in ("_objective_row", "add_rows"):
+        def counted(self, *args, method=getattr(SimplexSolver, name), name=name, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(SimplexSolver, name, counted)
+    rng = random.Random(163)
+    rounds = Counter()
+    for i in range(10):
+        instance, oracle, _ = random_feasible_instance(rng, n_sources=6 + i % 2, n_clients=2,
+                                                       max_capacity=8)
+        sub = client_subproblem(instance, oracle, instance.clients[0])
+        for route, solve in (("exact", lambda: solve_multi_exact(instance, oracle)),
+                             ("single", lambda: solve_single_client(
+                                 sub, oracle, instance.costs(), instance.capacities()))):
+            calls.clear()
+            solve()
+            rounds[route] += calls.count("add_rows")
+            assert calls.count("_objective_row") == 1 + calls.count("add_rows")
+    assert rounds["exact"] >= 5 and rounds["single"] >= 5

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_instance_doc, random_submodular_function
+from helpers import random_instance_doc, random_submodular_function, slack_function
 from mmcast import client_subproblem, load_instance
 from mmcast.errors import GroundTooLarge, InvalidParameters, MaxIterationsExceeded
-from mmcast.feasibility import slack_function
 from mmcast.model import boundary_vector, cut_capacity
 from mmcast.submodular import (SetFunction, conditional_entropy_function, entropy_function,
                                greedy_base_vertex, in_base_polyhedron, members,
