@@ -21,7 +21,7 @@ from .multi_client import (MulticastRates, StepSchedule, SubgradientResult,
                            step_size)
 from .netcode import (CodeAssignment, CodedNetwork, assign_coefficients, build_coded_network,
                       build_decoder, propagate_global_vectors, simulate, transfer_matrix)
-from .single_client import (SingleClientSolution, achievable_point, solve_single_client,
+from .single_client import (SingleClientSolution, solve_single_client,
                             solve_single_client_bruteforce)
 from .submodular import SetFunction, in_base_polyhedron, sfm_brute_force
 
@@ -29,8 +29,8 @@ __all__ = [
     "__version__",
     "EntropyOracle", "LinearSource", "PmfSource", "TabularSource", "validate_polymatroid",
     "MmcastError",
-    "FeasibilityCertificate", "FeasibilityReport", "achievable_point",
-    "check_feasible_multi", "check_feasible_single",
+    "FeasibilityCertificate", "FeasibilityReport", "check_feasible_multi",
+    "check_feasible_single",
     "load_instance",
     "ClientSubproblem", "Edge", "NetworkInstance", "boundary", "check_reconstructability",
     "client_subproblem", "validate_instance",

@@ -42,6 +42,7 @@ from .submodular import check_enumerable, members, modular_table
 PMF_ROUND_BITS = 40
 PMF_TABLE_CAP = 2 ** 20
 POLYMATROID_EXHAUSTIVE = 12
+POLYMATROID_SAMPLES = 2000
 
 
 def check_linear_parameters(q: int, n_packets: int) -> None:
@@ -329,7 +330,7 @@ class PolymatroidReport:
         return self.normalized and not self.monotone_violations and not self.submodular_violations
 
 
-def validate_polymatroid(oracle: EntropyOracle, samples: int = 2000) -> PolymatroidReport:
+def validate_polymatroid(oracle: EntropyOracle) -> PolymatroidReport:
     """Check H(0)=0, monotonicity and submodularity of the oracle.
 
     Exhaustive when the ground set N has at most ``POLYMATROID_EXHAUSTIVE``
@@ -337,8 +338,8 @@ def validate_polymatroid(oracle: EntropyOracle, samples: int = 2000) -> Polymatr
     H(iK) + H(jK) >= H(ijK) + H(K) for i < j, K in N - {i, j}, which with
     H(0) = 0 are equivalent to the polymatroid axioms; ``pairs_checked``
     then counts those n + C(n, 2) 2^(n-2) inequalities.  Otherwise
-    ``samples`` random subset pairs drawn from a generator seeded with 0
-    are checked for monotonicity and submodularity.
+    ``POLYMATROID_SAMPLES`` random subset pairs drawn from a generator
+    seeded with 0 are checked for monotonicity and submodularity.
     Models with an approximate entropy path declare a ``rounding_slack``
     that the inequality checks absorb; each involves at most 4 entropies.
     """
@@ -387,9 +388,9 @@ def validate_polymatroid(oracle: EntropyOracle, samples: int = 2000) -> Polymatr
         return PolymatroidReport(normalized, mono, sub, True, count)
 
     rng = random.Random(0)
-    for _ in range(samples):
+    for _ in range(POLYMATROID_SAMPLES):
         check_pair(rng.randrange(1 << n), rng.randrange(1 << n))
-    return PolymatroidReport(normalized, mono, sub, False, samples)
+    return PolymatroidReport(normalized, mono, sub, False, POLYMATROID_SAMPLES)
 
 
 def pmf_from_nested(order, alphabets, nested) -> PmfSource:

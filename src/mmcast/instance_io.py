@@ -134,18 +134,13 @@ def parse_source_model(description: dict, sources):
 def load_instance(source) -> tuple:
     """Parse and validate an instance document.
 
-    ``source`` may be a path, a JSON string, or an already-parsed dict.
-    Returns ``(instance, oracle, source_model)``.
+    ``source`` is a path (a ``str`` or a ``Path``) to a JSON file, or an
+    already-parsed dict.  Returns ``(instance, oracle, source_model)``.
     """
     if isinstance(source, dict):
         raw = source
-    elif isinstance(source, Path):
-        raw = json.loads(source.read_text())
-    elif isinstance(source, str):
-        if source.lstrip().startswith("{"):
-            raw = json.loads(source)
-        else:
-            raw = json.loads(Path(source).read_text())
+    elif isinstance(source, (str, Path)):
+        raw = json.loads(Path(source).read_text())
     else:
         raise InvalidInstance(f"cannot load an instance from {type(source).__name__}")
     instance = validate_instance(_object(raw, "instance document"))

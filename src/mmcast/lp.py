@@ -3,15 +3,14 @@
 The tableau holds only ``int``s over one positive common denominator
 (Edmonds' integer-preserving simplex; Bareiss 1968).  With B the basis
 matrix, ``det`` is |det B| and each entry is ``det`` times the rational
-entry, an integer by Cramer's rule, because every row enters with integral
-coefficients: a row with a non-integral coefficient is multiplied by the
-lcm of its coefficient denominators, which scales only its own slack.  The
-right-hand sides also carry sigma, the lcm of their denominators (grown
-when an appended row brings a new one), and the objective row gamma, the
-lcm of the objective's.  A pivot on an entry P (the pivot row negated
-first when P < 0) turns every other entry a into ``(P*a - a_e*p_j) //
-det``, an exact division, and P becomes the new ``det``.  No gcd is taken
-in the loop and no float enters: ratio tests compare ``p/q < r/s`` as
+entry, an integer by Cramer's rule, because every row's coefficients are
+integers (:class:`LinearProgram` takes no others).  The right-hand sides
+also carry sigma, the lcm of their denominators (grown when an appended
+row brings a new one), and the objective row gamma, the lcm of the
+objective's.  A pivot on an entry P (the pivot row negated first when
+P < 0) turns every other entry a into ``(P*a - a_e*p_j) // det``, an
+exact division, and P becomes the new ``det``.  No gcd is taken in the
+loop and no float enters: ratio tests compare ``p/q < r/s`` as
 ``p*s < r*q`` over positive ``q`` and ``s``.  The solution is read out as
 Fractions, ``x_b = rhs / (det*sigma)`` and ``value = -corner /
 (det*sigma*gamma)``; the read-out of x is kept until the basis changes (a
@@ -20,7 +19,7 @@ same Fractions.  The objective row is built in one pass: ``det*gamma``
 times the costs, less the row of each basic column that has a cost.
 
 Each tableau row is a ``{column: int}`` map of its nonzeros, its
-right-hand side kept apart; LP rows may come in as such maps too.  A pivot
+right-hand side kept apart, and LP rows come in as such maps.  A pivot
 touches only the rows with a nonzero in the entering column, over the
 pivot row's nonzeros, and when P equals ``det`` leaves the others as they
 are, like a pivot on 1 over the rationals.  The ratio tests and the dual
@@ -31,8 +30,7 @@ positive factor that is the same across the comparison: the reduced costs
 by ``det*gamma``, the right-hand sides by ``det*sigma``, the primal ratios
 by sigma and the dual ratios by gamma.  So the choices, their ties and the
 degenerate-stall count are those of the same simplex over the rationals,
-and on rows with integral coefficients (every LP the multicast solvers
-pose) the pivot sequence is exactly the rational one.
+and the pivot sequence is exactly the rational one.
 
 The pivot rule is steepest-coefficient (Dantzig), switching for good to
 Bland's rule after a run of degenerate pivots: it cannot cycle, yet rarely
@@ -84,14 +82,14 @@ def _exact(x):
 class LinearProgram:
     """Minimize c.x over x >= 0 subject to the rows and the caps.
 
-    A row's coefficients are a dense list, one per variable, or a ``{column:
-    coefficient}`` dict over columns in [0, n) that keeps only its nonzeros.
-    Every number is stored exact on construction: an ``int`` where integral,
-    a ``Fraction`` elsewhere.
+    A row's coefficients are a ``{column: int}`` dict over columns in [0, n)
+    that keeps only its nonzeros; the right-hand sides, costs and caps may be
+    any exact rationals.  Every number is stored exact on construction: an
+    ``int`` where integral, a ``Fraction`` elsewhere.
     """
 
     objective: list            # c, exact values
-    rows: list                 # (coeffs, rel, rhs), rel in {"<=", ">=", "=="}, exact values
+    rows: list                 # ({column: int}, rel, rhs), rel in {"<=", ">=", "=="}
     upper: list                # cap x_j <= upper[j] >= 0 (exact), None for no cap
 
     def __post_init__(self):
@@ -107,14 +105,13 @@ class LinearProgram:
         """``(coeffs, rel, rhs)`` over exact values; raises ValueError on a malformed row."""
         coeffs, rel, rhs = row
         n = len(self.objective)
-        if isinstance(coeffs, dict):
-            if not all(type(j) is int and 0 <= j < n for j in coeffs):
-                raise ValueError("row columns must be ints in [0, variable count)")
-            coeffs = {j: a for j, c in coeffs.items() if (a := _exact(c))}
-        else:
-            coeffs = [_exact(a) for a in coeffs]
-            if len(coeffs) != n:
-                raise ValueError("row length must match variable count")
+        if not isinstance(coeffs, dict):
+            raise ValueError("row coefficients must be a {column: int} dict")
+        if not all(type(j) is int and 0 <= j < n for j in coeffs):
+            raise ValueError("row columns must be ints in [0, variable count)")
+        coeffs = {j: a for j, c in coeffs.items() if (a := _exact(c))}
+        if not all(type(a) is int for a in coeffs.values()):
+            raise ValueError("row coefficients must be integers")
         if rel not in ("<=", ">=", "=="):
             raise ValueError(f"unknown relation {rel!r}")
         return coeffs, rel, _exact(rhs)
@@ -163,11 +160,6 @@ class SimplexSolver:
         """
         le = []
         for coeffs, rel, rhs in rows:
-            if not isinstance(coeffs, dict):
-                coeffs = {j: a for j, a in enumerate(coeffs) if a}
-            k = lcm(*[a.denominator for a in coeffs.values() if type(a) is not int])
-            if k > 1:
-                coeffs, rhs = {j: int(a * k) for j, a in coeffs.items()}, rhs * k
             if rel != ">=":
                 le.append((coeffs, rhs))
             if rel != "<=":

@@ -55,7 +55,7 @@ from .single_client import BRUTE_FORCE_SOURCES, ClientCuts, RegionOptimizer, cut
 
 DEFAULT_MAX_ITERS = 50000
 DEFAULT_GAP_TOL = Fraction(1, 100)
-DEFAULT_PATIENCE = 5000
+PATIENCE = 5000
 BRUTE_FORCE_MASKS = 1 << BRUTE_FORCE_SOURCES     # the single-client reference's cap
 
 
@@ -225,20 +225,18 @@ def solve_multi_bruteforce(instance: NetworkInstance, oracle) -> MulticastRates:
 def solve_multi_subgradient(instance: NetworkInstance, oracle,
                             schedule: StepSchedule | None = None,
                             max_iters: int = DEFAULT_MAX_ITERS,
-                            gap_tol=DEFAULT_GAP_TOL,
-                            patience: int = DEFAULT_PATIENCE) -> SubgradientResult:
+                            gap_tol=DEFAULT_GAP_TOL) -> SubgradientResult:
     """Projected dual ascent with ergodic primal recovery.
 
     Stops when the relative gap between the recovered primal cost and the
     best dual value reaches ``gap_tol``, when the gap stops improving for
-    ``patience`` iterations (warning ``no_progress``), or at ``max_iters``
+    ``PATIENCE`` iterations (warning ``no_progress``), or at ``max_iters``
     (warning ``max_iters``).  The returned rates are the best recovered
     primal iterate; they satisfy every region constraint exactly.
     """
     schedule = schedule or StepSchedule()
-    for name, count in (("max_iters", max_iters), ("patience", patience)):
-        if type(count) is not int or count < 1:
-            raise InvalidParameters(f"{name} must be an int of at least 1, not {count!r}")
+    if type(max_iters) is not int or max_iters < 1:
+        raise InvalidParameters(f"max_iters must be an int of at least 1, not {max_iters!r}")
     try:
         gap_tol = Fraction(gap_tol).limit_denominator(10 ** 12)
     except (TypeError, ValueError, ArithmeticError):     # nan, inf, not a number
@@ -319,7 +317,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
             since_improvement = 0
         else:
             since_improvement += 1
-            if since_improvement >= patience:
+            if since_improvement >= PATIENCE:
                 warning = "no_progress"
                 break
 

@@ -57,12 +57,9 @@ class Channel(NamedTuple):
 @dataclass
 class CodedNetwork:
     instance: NetworkInstance
-    source_model: LinearSource
     q: int
-    n_packets: int              # N, per coding block
     beta: int                   # block scale factor
-    n_symbols: int              # beta * N, length of the expanded data vector
-    super_node: str
+    n_symbols: int              # beta * N, N the packets per coding block
     channels: tuple
     inputs: tuple               # per channel: indices of channels feeding it
     source_matrix: FieldMatrix  # n_symbols x channel count; edge columns are zero
@@ -176,8 +173,7 @@ def build_coded_network(instance: NetworkInstance, source_model,
         flat[first * n_channels + c:(first + n_packets) * n_channels:n_channels] = row
     source_matrix = FieldMatrix._of(n_symbols, n_channels, tuple(flat), q)
     sinks = {t: tuple(by_head.get(t, ())) for t in instance.clients}
-    return CodedNetwork(instance, source_model, q, n_packets, beta, n_symbols,
-                        super_node, tuple(channels), inputs, source_matrix,
+    return CodedNetwork(instance, q, beta, n_symbols, tuple(channels), inputs, source_matrix,
                         sinks, full_rates)
 
 
@@ -255,8 +251,12 @@ def assign_coefficients(net: CodedNetwork, seed: int = 0,
     Python >= 3.10 it is also the stream of ``randrange(q)``.  Each
     client's received vectors are eliminated directly for its rank; the
     first attempt at which every client has full rank is returned with
-    the attempt count.  Requires q > number of clients.
+    the attempt count.  Requires q > number of clients, and a seed that is
+    an ``int`` >= 0: ``random.Random`` seeds by the absolute value, so a
+    negative seed would share its streams with a positive one.
     """
+    if type(seed) is not int or seed < 0:
+        raise InvalidParameters(f"the code seed must be an int of at least 0, not {seed!r}")
     q = net.q
     k = len(net.clients)
     if q <= k:

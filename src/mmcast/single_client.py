@@ -186,8 +186,3 @@ def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
     return SingleClientSolution(dict(zip((e.id for e in sub.edges), solution.x)), solution.value,
                                 region.tight(solution.x, range(1, region.full + 1)), 1)
 
-
-def achievable_point(sub: ClientSubproblem, oracle, capacities: dict) -> dict:
-    """A rate vector in the client's region and capacity box: the unit-cost single-client optimum."""
-    costs = {e.id: Fraction(1) for e in sub.edges}
-    return solve_single_client(sub, oracle, costs, capacities).rates

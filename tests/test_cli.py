@@ -314,6 +314,13 @@ def test_code_q2_rejected(rates_file, capsys):
     assert doc["error"]["code"] == "FieldTooSmall"
 
 
+def test_code_negative_seed_rejected(rates_file, capsys):
+    code, doc = run_cli(capsys, "code", str(FIXTURE_F2), "--rates", str(rates_file),
+                        "--seed", "-1")
+    assert code == 1
+    assert doc["error"]["code"] == "InvalidParameters"
+
+
 def test_code_accepts_solver_output(tmp_path, capsys):
     code, solved = run_cli(capsys, "solve", str(FIXTURE_F2), "--all-clients",
                            "--method", "exact")

@@ -5,8 +5,8 @@ import pytest
 
 from helpers import long_chain_doc, random_instance_doc, tabular_from_oracle
 from mmcast import client_subproblem, gf, load_instance
-from mmcast.entropy import (EntropyOracle, LinearSource, TabularSource, pmf_from_nested,
-                            validate_polymatroid)
+from mmcast.entropy import (POLYMATROID_SAMPLES, EntropyOracle, LinearSource, TabularSource,
+                            pmf_from_nested, validate_polymatroid)
 from mmcast.errors import GroundTooLarge, InvalidParameters, UnknownSubset
 from mmcast.gf import FieldMatrix
 from mmcast.model import Region
@@ -168,9 +168,9 @@ def test_sampled_polymatroid_path_on_large_ground():
         matrices[f"s{i}"] = FieldMatrix.from_rows(rows, 5, cols=n_packets)
     model = LinearSource(5, n_packets, matrices)
     oracle = EntropyOracle.from_model(tuple(matrices), model)
-    report = validate_polymatroid(oracle, samples=400)
+    report = validate_polymatroid(oracle)
     assert not report.exhaustive
-    assert report.pairs_checked == 400
+    assert report.pairs_checked == POLYMATROID_SAMPLES
     assert report.ok
 
 

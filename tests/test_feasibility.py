@@ -12,7 +12,7 @@ from mmcast.feasibility import check_feasible_multi, check_feasible_single, enum
 from mmcast.model import boundary_vector, client_subproblem
 from mmcast.multi_client import (solve_multi_bruteforce, solve_multi_exact,
                                  solve_multi_subgradient)
-from mmcast.single_client import achievable_point
+from mmcast.single_client import solve_single_client
 from mmcast.submodular import conditional_entropy_function, in_base_polyhedron
 
 
@@ -143,10 +143,15 @@ def test_raising_capacity_keeps_feasible():
         assert check_feasible_single(sub, oracle, bumped).feasible
 
 
+def _unit_costs(sub) -> dict:
+    """Unit costs on the client's edges: their optimum is a point in its region and box."""
+    return {e.id: 1 for e in sub.edges}
+
+
 def test_achievable_point_fixture(f2):
     instance, oracle, _ = f2
     sub = client_subproblem(instance, oracle, "t1")
-    rates = achievable_point(sub, oracle, instance.capacities())
+    rates = solve_single_client(sub, oracle, _unit_costs(sub), instance.capacities()).rates
     g = conditional_entropy_function(oracle, sub.sources)
     assert in_base_polyhedron(boundary_vector(rates, sub), g).member
     for e in sub.edges:
@@ -156,27 +161,27 @@ def test_achievable_point_fixture(f2):
 def test_achievable_point_chain_unique():
     instance, oracle, _ = load_instance(chain_instance(cap1="1", cap2="2"))
     sub = client_subproblem(instance, oracle, "t")
-    assert achievable_point(sub, oracle, instance.capacities()) == {
+    assert solve_single_client(sub, oracle, _unit_costs(sub), instance.capacities()).rates == {
         "c1": Fraction(1), "c2": Fraction(2)}
 
 
 def test_achievable_point_single_edge():
     instance, oracle, _ = load_instance(single_edge_instance(entropy_rows=2, capacity="2"))
     sub = client_subproblem(instance, oracle, "t")
-    assert achievable_point(sub, oracle, instance.capacities()) == {"e": Fraction(2)}
+    assert solve_single_client(sub, oracle, _unit_costs(sub), instance.capacities()).rates == {
+        "e": Fraction(2)}
 
 
 def test_achievable_point_infeasible_raises():
     instance, oracle, _ = load_instance(chain_instance(cap1="0"))
     sub = client_subproblem(instance, oracle, "t")
     with pytest.raises(Infeasible):
-        achievable_point(sub, oracle, instance.capacities())
+        solve_single_client(sub, oracle, _unit_costs(sub), instance.capacities())
 
 
 def test_tabular_model_end_to_end(f2):
     # the whole feasibility + optimization path works from a plain entropy table
     from mmcast.entropy import EntropyOracle
-    from mmcast.single_client import solve_single_client
     instance, oracle, _ = f2
     tabular = EntropyOracle.from_model(oracle.ground, tabular_from_oracle(oracle))
     report = check_feasible_multi(instance, tabular)

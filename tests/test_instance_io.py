@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,15 @@ def test_fixture_serialization_round_trip():
     instance2, oracle2, _ = load_instance(doc)
     assert instance2.edges == instance.edges
     assert oracle2.entropy(instance2.sources) == 4
+
+
+def test_a_path_is_read_whatever_its_first_character(tmp_path, monkeypatch):
+    # a relative path may start with a brace; it is still a file name, not JSON text
+    monkeypatch.chdir(tmp_path)
+    Path("{f2}.json").write_text(FIXTURE_F2.read_text())
+    want = load_instance(FIXTURE_F2)[0].edges
+    for source in ("{f2}.json", Path("{f2}.json")):
+        assert load_instance(source)[0].edges == want
 
 
 def test_tabular_requires_all_subsets():

@@ -11,7 +11,7 @@ F = Fraction
 
 
 def test_lower_bound_only():
-    lp = LinearProgram([1], [([1], ">=", 3), ([1], "<=", 10)], [None])
+    lp = LinearProgram([1], [({0: 1}, ">=", 3), ({0: 1}, "<=", 10)], [None])
     s = SimplexSolver(lp).solve()
     assert (s.status, s.value, s.x) == ("optimal", 3, [3])
 
@@ -19,15 +19,15 @@ def test_lower_bound_only():
 def test_equality_vertex_deterministic():
     # a duplicated and an implied copy of the equality change nothing: each
     # keeps its own slack pair instead of being dropped as redundant
-    for extra in ([], [([1, 1], "==", 1), ([2, 2], "==", 2)]):
-        lp = LinearProgram([1, 1], [([1, 1], "==", 1)] + extra, [None, None])
+    for extra in ([], [({0: 1, 1: 1}, "==", 1), ({0: 2, 1: 2}, "==", 2)]):
+        lp = LinearProgram([1, 1], [({0: 1, 1: 1}, "==", 1)] + extra, [None, None])
         s = SimplexSolver(lp).solve()
         assert s.value == 1
         assert s.x == [1, 0]      # pinned: deterministic pivoting picks this vertex
 
 
 def test_infeasible():
-    lp = LinearProgram([0], [([1], ">=", 1), ([1], "<=", 0)], [None])
+    lp = LinearProgram([0], [({0: 1}, ">=", 1), ({0: 1}, "<=", 0)], [None])
     assert SimplexSolver(lp).solve().status == "infeasible"
     # an empty box is a malformed program, not an infeasible one
     with pytest.raises(ValueError):
@@ -44,7 +44,7 @@ def test_unbounded():
 def test_negative_cost_needs_primal_pivots():
     # the first feasible basis is optimal only for max(c, 0), so under a
     # negative cost the primal pass after the dual one must pivot
-    solver = SimplexSolver(LinearProgram([-1, 1], [([1, 1], ">=", 2)], [5, None]))
+    solver = SimplexSolver(LinearProgram([-1, 1], [({0: 1, 1: 1}, ">=", 2)], [5, None]))
     log = []
     solver._pivot = lambda *a: log.append("pivot") or SimplexSolver._pivot(solver, *a)
     solver._optimize = lambda obj: log.append("optimize") or SimplexSolver._optimize(solver, obj)
@@ -71,14 +71,14 @@ def test_cold_solve_builds_one_objective_row_per_phase_it_needs(monkeypatch):
                                        ([0, F(1, 3)], 1, (0, [2, 0])),
                                        ([-1, 1], 2, (-5, [5, 0]))):
         rows.clear()
-        s = SimplexSolver(LinearProgram(objective, [([1, 1], ">=", 2)], [5, None])).solve()
+        s = SimplexSolver(LinearProgram(objective, [({0: 1, 1: 1}, ">=", 2)], [5, None])).solve()
         assert (s.value, s.x, rows) == (*expected, [objective] * built)
 
 
 def test_resolve_rejects_wrong_objective_length():
     # a short objective must not be padded with zeros, nor extra entries
     # land on the slack columns
-    solver = SimplexSolver(LinearProgram([1, 1], [([1, 1], ">=", 2)], [None, None]))
+    solver = SimplexSolver(LinearProgram([1, 1], [({0: 1, 1: 1}, ">=", 2)], [None, None]))
     assert solver.solve().value == 2
     for objective in ([1, 1, 5, 7], [1]):
         with pytest.raises(ValueError):
@@ -90,7 +90,7 @@ def test_primal_ratio_test_is_exact():
     # the ratios 1/1 and (10**17 - 1)/10**17 are both 1.0 as floats, and the
     # tie-break would then pick the first row, whose bound x <= 1 overshoots
     big = 10 ** 17
-    lp = LinearProgram([-1], [([1], "<=", 1), ([big], "<=", big - 1)], [None])
+    lp = LinearProgram([-1], [({0: 1}, "<=", 1), ({0: big}, "<=", big - 1)], [None])
     s = SimplexSolver(lp).solve()
     assert (s.value, s.x) == (-F(big - 1, big), [F(big - 1, big)])
 
@@ -100,7 +100,8 @@ def test_dual_ratio_test_is_exact():
     # differ by less than 2^-53; the exact test enters x1 at once, so the
     # basis stays dual feasible and the primal pass needs no pivot
     big = 10 ** 17
-    solver = SimplexSolver(LinearProgram([1, big - 1], [([1, big], ">=", 1)], [None, None]))
+    solver = SimplexSolver(LinearProgram([1, big - 1], [({0: 1, 1: big}, ">=", 1)],
+                                         [None, None]))
     log = []
     solver._pivot = lambda *a: log.append("pivot") or SimplexSolver._pivot(solver, *a)
     solver._optimize = lambda obj: log.append("optimize") or SimplexSolver._optimize(solver, obj)
@@ -110,26 +111,36 @@ def test_dual_ratio_test_is_exact():
 
 
 def test_exact_rationals():
+    # rational costs and right-hand side over integer coefficients
     lp = LinearProgram([F(1, 3), F(1, 7)],
-                       [([F(2, 5), 1], ">=", F(9, 10))],
+                       [({0: 2, 1: 5}, ">=", F(9, 2))],
                        [None, None])
     s = SimplexSolver(lp).solve()
     assert s.status == "optimal"
     # cheapest unit of constraint satisfaction: compare the two column rates
-    assert s.value == min(F(1, 3) / F(2, 5), F(1, 7)) * F(9, 10)
+    assert s.value == min(F(1, 3) / 2, F(1, 7) / 5) * F(9, 2)
+
+
+def _int_row(rng, n, lo, hi) -> dict:
+    """A random row over n columns: each coefficient an int in [lo, hi], zeros left out."""
+    return {j: a for j in range(n) if (a := rng.randint(lo, hi))}
+
+
+def _lhs(coeffs, x):
+    return sum(a * x[j] for j, a in coeffs.items())
 
 
 def _random_primal_dual(rng):
     n, m = rng.randint(1, 4), rng.randint(1, 4)
-    a = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+    a = [_int_row(rng, n, -3, 3) for _ in range(m)]
     c = [F(rng.randint(0, 5)) for _ in range(n)]
     x0 = [F(rng.randint(0, 3)) for _ in range(n)]
-    b = [sum(row[j] * x0[j] for j in range(n)) - F(rng.randint(0, 3)) for row in a]
+    b = [_lhs(row, x0) - F(rng.randint(0, 3)) for row in a]
     primal = LinearProgram(c, [(row, ">=", bi) for row, bi in zip(a, b)],
                            [None] * n)
-    dual = LinearProgram(
+    dual = LinearProgram(                   # column j of a is the dual's row j
         [-bi for bi in b],
-        [([a[i][j] for i in range(m)], "<=", c[j]) for j in range(n)],
+        [({i: row[j] for i, row in enumerate(a) if j in row}, "<=", c[j]) for j in range(n)],
         [None] * m)
     return primal, dual
 
@@ -176,7 +187,7 @@ def test_solution_is_a_vertex():
         n, m = rng.randint(1, 4), rng.randint(1, 5)
         rows = []
         for _ in range(m):
-            coeffs = [F(rng.randint(-2, 3)) for _ in range(n)]
+            coeffs = _int_row(rng, n, -2, 3)
             rows.append((coeffs, rng.choice(["<=", ">="]), F(rng.randint(-4, 8))))
         lp = LinearProgram([F(rng.randint(-3, 3)) for _ in range(n)], rows,
                            [6] * n)
@@ -186,9 +197,8 @@ def test_solution_is_a_vertex():
         checked += 1
         active = []
         for coeffs, rel, rhs in lp.rows:
-            lhs = sum(cj * xj for cj, xj in zip(coeffs, s.x))
-            if lhs == rhs:
-                active.append(coeffs)
+            if _lhs(coeffs, s.x) == rhs:
+                active.append([coeffs.get(j, 0) for j in range(n)])
         for j, xj in enumerate(s.x):
             if xj in (F(0), F(6)):
                 active.append([F(1) if i == j else F(0) for i in range(n)])
@@ -197,7 +207,7 @@ def test_solution_is_a_vertex():
 
 
 def test_resolve_reuses_constraints():
-    lp = LinearProgram([1, 1], [([1, 1], ">=", 2), ([1, -1], "<=", 1)],
+    lp = LinearProgram([1, 1], [({0: 1, 1: 1}, ">=", 2), ({0: 1, 1: -1}, "<=", 1)],
                        [5, 5])
     solver = SimplexSolver(lp)
     first = solver.solve()
@@ -234,35 +244,29 @@ def _compare_with_float_solver(linprog, rng):
     compared = 0
     for _ in range(80):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
-        rows = []
-        for _ in range(m):
-            coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
-            rows.append((coeffs, rng.choice(["<=", ">="]), F(rng.randint(-5, 8))))
+        rows = [(_int_row(rng, n, -3, 3), rng.choice(["<=", ">="]), F(rng.randint(-5, 8)))
+                for _ in range(m)]
         c = [F(rng.randint(-4, 4)) for _ in range(n)]
         lp = LinearProgram(c, rows, [7] * n)
         mine = SimplexSolver(lp).solve()
-        a_ub, b_ub = [], []
-        for coeffs, rel, rhs in rows:
-            sign = 1 if rel == "<=" else -1
-            a_ub.append([sign * float(x) for x in coeffs])
-            b_ub.append(sign * float(rhs))
-        ref = linprog([float(x) for x in c], A_ub=a_ub, b_ub=b_ub,
-                      bounds=[(0, 7)] * n, method="highs")
+        status, value = _highs(linprog, c, rows, [7] * n)
         if mine.status == "optimal":
-            assert ref.status == 0
-            assert abs(float(mine.value) - ref.fun) < 1e-7
+            assert status == "optimal"
+            assert abs(float(mine.value) - value) < 1e-7
             compared += 1
         elif mine.status == "infeasible":
-            assert ref.status == 2
+            assert status == "infeasible"
     assert compared >= 20
 
 
 def test_fuzz_mixed_relations_and_bounds(monkeypatch):
     # random LPs with equalities and optional caps: returned optima must
-    # satisfy every row exactly, and statuses must match scipy or be proved
+    # satisfy every row exactly, and statuses must match scipy or be proved;
+    # then rational right-hand sides, caps and costs, also after appended cuts
     from scipy.optimize import linprog
     for _ in _stall_budgets(monkeypatch):
         _fuzz_against_float_solver(linprog, random.Random(83))
+        _fuzz_rational_data(linprog, random.Random(103))
 
 
 def _highs(linprog, c, rows, upper):
@@ -270,11 +274,11 @@ def _highs(linprog, c, rows, upper):
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for coeffs, rel, rhs in rows:
         if rel == "==":
-            a_eq.append([float(x) for x in coeffs])
+            a_eq.append([float(coeffs.get(j, 0)) for j in range(len(c))])
             b_eq.append(float(rhs))
         else:
             sign = 1 if rel == "<=" else -1
-            a_ub.append([sign * float(x) for x in coeffs])
+            a_ub.append([sign * float(coeffs.get(j, 0)) for j in range(len(c))])
             b_ub.append(sign * float(rhs))
     ref = linprog([float(x) for x in c], A_ub=a_ub or None, b_ub=b_ub or None,
                   A_eq=a_eq or None, b_eq=b_eq or None,
@@ -289,16 +293,15 @@ def _fuzz_against_float_solver(linprog, rng):
         n = rng.randint(1, 4)
         m = rng.randint(0, 4)
         upper = [rng.choice([None, F(rng.randint(1, 6))]) for _ in range(n)]
-        rows = []
-        for _ in range(m):
-            coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
-            rows.append((coeffs, rng.choice(["<=", ">=", "=="]), F(rng.randint(-4, 6))))
+        rows = [(_int_row(rng, n, -3, 3), rng.choice(["<=", ">=", "=="]), F(rng.randint(-4, 6)))
+                for _ in range(m)]
         equalities = [row for row in rows if row[1] == "=="]
         if equalities and rng.random() < 0.5:
             # a duplicated equality, or one implied by two others
             (a, _, b), (a2, _, b2) = rng.choice(equalities), rng.choice(equalities)
             k = rng.choice([1, -2, 3])
-            rows.append(([k * x + y for x, y in zip(a, a2)], "==", k * b + b2))
+            rows.append(({j: k * a.get(j, 0) + a2.get(j, 0) for j in a.keys() | a2.keys()},
+                         "==", k * b + b2))
         c = [F(rng.randint(-3, 3)) for _ in range(n)]
         lp = LinearProgram(c, rows, upper)
         solver = SimplexSolver(lp)
@@ -319,7 +322,7 @@ def _fuzz_against_float_solver(linprog, rng):
             _assert_has_feasible_point(lp)
             if mine.status == "unbounded":
                 _assert_has_feasible_point(
-                    LinearProgram(c, rows + [(c, "<=", -10 ** 6)], upper))
+                    LinearProgram(c, rows + [(dict(enumerate(c)), "<=", -10 ** 6)], upper))
             proved += 1
     assert agreements >= 100 and proved <= 2
 
@@ -332,13 +335,12 @@ def _checked_pivot(solver, r, e, obj):
 
 
 def _random_row(rng, n, relations):
-    return ([F(rng.randint(-3, 3)) for _ in range(n)], rng.choice(relations),
-            F(rng.randint(-4, 8)))
+    return _int_row(rng, n, -3, 3), rng.choice(relations), F(rng.randint(-4, 8))
 
 
 def _holds(row, x):
     coeffs, rel, rhs = row
-    lhs = sum(a * xj for a, xj in zip(coeffs, x))
+    lhs = _lhs(coeffs, x)
     return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
 
 
@@ -517,10 +519,10 @@ def _objective_row_runs(cls, seed):
         x0 = [_rational(rng, 0, 2) for _ in range(n)]       # most programs are feasible
         rows = []
         for _ in range(rng.randint(1, 4)):
-            coeffs = [F(rng.randint(-top, top)) for _ in range(n)]
+            coeffs = _int_row(rng, n, -top, top)
             rel = rng.choice(["<=", ">=", "=="])
             gap = {"<=": 1, ">=": -1, "==": 0}[rel] * _rational(rng, 0, 2)
-            rows.append((coeffs, rel, sum(a * x for a, x in zip(coeffs, x0)) + gap))
+            rows.append((coeffs, rel, _lhs(coeffs, x0) + gap))
         c = [_multiplier(rng) for _ in range(n)]
         solver = cls(LinearProgram(c, rows, [x + _rational(rng, 0, 3) for x in x0]))
         solver._objective_row = objective_row.__get__(solver)
@@ -528,8 +530,7 @@ def _objective_row_runs(cls, seed):
         steps = [solver.solve()]
         while steps[-1].status == "optimal" and len(steps) < 10:
             if rng.random() < 0.3:
-                cut = ([F(rng.randint(-top, top)) for _ in range(n)], rng.choice(["<=", ">="]),
-                       _rational(rng, 0, 4))
+                cut = (_int_row(rng, n, -top, top), rng.choice(["<=", ">="]), _rational(rng, 0, 4))
                 solver.add_rows([cut])
             else:
                 c = [_multiplier(rng) for _ in range(n)]
@@ -555,11 +556,11 @@ def test_objective_row_is_the_two_pass_row():
 
 
 def test_add_rows_reports_infeasibility():
-    solver = SimplexSolver(LinearProgram([1, 1], [([1, 1], "==", 4)], [5, 5]))
+    solver = SimplexSolver(LinearProgram([1, 1], [({0: 1, 1: 1}, "==", 4)], [5, 5]))
     assert solver.solve().x == [4, 0]
-    assert solver.add_rows([([0, 1], ">=", 1)]) is None     # cuts off [4, 0]
+    assert solver.add_rows([({1: 1}, ">=", 1)]) is None     # cuts off [4, 0]
     assert solver.resolve([1, 1]).x == [3, 1]
-    solver.add_rows([([1, 0], ">=", 3), ([0, 1], ">=", 2)])
+    solver.add_rows([({0: 1}, ">=", 3), ({1: 1}, ">=", 2)])
     assert solver.resolve([1, 1]).status == "infeasible"
     assert solver.resolve([1, 1]).status == "infeasible"    # the LP stays empty
 
@@ -570,10 +571,9 @@ class _FractionReference:
     Each tableau row is a dense list of the rational entries themselves,
     its right-hand side last, so ``det`` and ``rhs_scale`` stay 1 and
     :meth:`_cost` returns the objective as Fractions with scale 1.  It
-    takes the same LinearProgram (dense or dict rows) and has the solver's
-    public methods, so it can stand in for :class:`SimplexSolver`; the
-    integer solver must reproduce this tableau, divided by its scales,
-    pivot for pivot.
+    takes the same LinearProgram and has the solver's public methods, so
+    it can stand in for :class:`SimplexSolver`; the integer solver must
+    reproduce this tableau, divided by its scales, pivot for pivot.
     """
 
     det = rhs_scale = 1
@@ -587,8 +587,7 @@ class _FractionReference:
         self._append_rows([r for row in lp.rows for r in self._le_rows(*row)] + caps)
 
     def _le_rows(self, coeffs, rel, rhs):
-        if isinstance(coeffs, dict):
-            coeffs = [coeffs.get(j, 0) for j in range(len(self.lp.objective))]
+        coeffs = [coeffs.get(j, 0) for j in range(len(self.lp.objective))]
         rows = [] if rel == ">=" else [(coeffs, rhs)]
         if rel != "<=":
             rows.append(([-a for a in coeffs], -rhs))
@@ -801,12 +800,12 @@ def _lockstep_scenario(rng):
     x0 = [_rational(rng, 0, 2) for _ in range(n)]      # most programs are feasible
     rows = []
     for _ in range(rng.randint(1, 4)):
-        coeffs, rel = [F(rng.randint(-3, 3)) for _ in range(n)], rng.choice(["<=", ">=", "=="])
+        coeffs, rel = _int_row(rng, n, -3, 3), rng.choice(["<=", ">=", "=="])
         gap = {"<=": 1, ">=": -1, "==": 0}[rel] * _rational(rng, 0, 2)
-        rows.append((coeffs, rel, sum(a * x for a, x in zip(coeffs, x0)) + gap))
+        rows.append((coeffs, rel, _lhs(coeffs, x0) + gap))
     upper = [rng.choice([None, x + _rational(rng, 0, 3)]) for x in x0]
     c = [_rational(rng, -2, 3) for _ in range(n)]
-    cuts = [[([F(rng.randint(-3, 3)) for _ in range(n)], rng.choice(["<=", ">="]),
+    cuts = [[(_int_row(rng, n, -3, 3), rng.choice(["<=", ">="]),
               F(rng.randint(-8, 24), rng.choice([5, 6, 7]))) for _ in range(rng.randint(1, 2))]
             for _ in range(2)]
     objectives = [[rng.choice([_rational(rng, -2, 3), rng.randint(-3, 3) / 8])
@@ -851,22 +850,8 @@ def test_integer_tableau_is_the_rational_tableau_over_det(monkeypatch):
     assert pivots >= 1000 and rescales >= 600 and clipped >= 100
 
 
-def test_fuzz_non_integral_coefficients(monkeypatch):
-    # rows and caps with Fraction coefficients, rhs and caps, then appended
-    # cuts: statuses and values must match a cold solve and scipy, and every
-    # returned point must satisfy the program exactly.  Such a row enters the
-    # tableau multiplied by the lcm of its coefficient denominators, which
-    # rescales its slack, so the pivots (and hence the optimal vertex among
-    # ties) may differ from the rational simplex on the unscaled row; only
-    # the status, the value and feasibility are pinned here.
-    from scipy.optimize import linprog
-    for _ in _stall_budgets(monkeypatch):
-        _fuzz_fraction_rows(linprog, random.Random(103))
-
-
-def _fraction_row(rng, n, relations):
-    return ([_rational(rng, -3, 3) for _ in range(n)], rng.choice(relations),
-            _rational(rng, -4, 6))
+def _rational_rhs_row(rng, n, relations):
+    return _int_row(rng, n, -3, 3), rng.choice(relations), _rational(rng, -4, 6)
 
 
 def _check_against(linprog, lp, mine):
@@ -880,12 +865,18 @@ def _check_against(linprog, lp, mine):
     return status == mine.status and (status != "optimal" or abs(float(mine.value) - value) < 1e-7)
 
 
-def _fuzz_fraction_rows(linprog, rng):
+def _fuzz_rational_data(linprog, rng):
+    """Integer rows with rational right-hand sides, caps and costs, solved then cut.
+
+    The statuses and values of the solve and of the resolves after appended
+    cuts must match a cold solve and scipy, and every returned point must
+    satisfy the program exactly.
+    """
     agreements = checked = appended = 0
-    for _ in range(160):
+    for _ in range(200):
         n = rng.randint(1, 4)
         upper = [rng.choice([None, _rational(rng, 1, 6)]) for _ in range(n)]
-        rows = [_fraction_row(rng, n, ["<=", ">=", "=="]) for _ in range(rng.randint(0, 4))]
+        rows = [_rational_rhs_row(rng, n, ["<=", ">=", "=="]) for _ in range(rng.randint(0, 4))]
         c = [_rational(rng, -3, 3) for _ in range(n)]
         lp = LinearProgram(c, rows, upper)
         solver = SimplexSolver(lp)
@@ -894,7 +885,7 @@ def _fuzz_fraction_rows(linprog, rng):
         agreements += _check_against(linprog, lp, mine)
         if mine.status != "optimal":
             continue
-        extra = [_fraction_row(rng, n, ["<=", ">="]) for _ in range(rng.randint(1, 2))]
+        extra = [_rational_rhs_row(rng, n, ["<=", ">="]) for _ in range(rng.randint(1, 2))]
         solver.add_rows(extra)
         if solver.resolve(c).status == "infeasible":
             assert SimplexSolver(LinearProgram(c, rows + extra, upper)).solve().status == \
@@ -921,8 +912,7 @@ def _recorded(pivot, log):
 def test_multi_client_lps_pivot_like_the_rational_reference(monkeypatch):
     # solve_multi_exact's own LPs (dict rows, caps, appended cuts) make the
     # same pivots on the sparse integer tableau as on the dense rational one
-    # and reach the same optimum; its final LP, posed with dict rows and
-    # with dense rows, solves cold with the same pivots and x
+    # and reach the same optimum
     import mmcast.multi_client as multi_client
     from helpers import random_feasible_instance
     pivot = {cls: cls._pivot for cls in (SimplexSolver, _FractionReference)}
@@ -931,38 +921,26 @@ def test_multi_client_lps_pivot_like_the_rational_reference(monkeypatch):
     for i in range(12):
         instance, oracle, _ = random_feasible_instance(rng, n_sources=6 + i % 2, n_clients=2,
                                                        max_capacity=8)
-        runs, programs = [], []
+        runs = []
         for cls in (SimplexSolver, _FractionReference):
             log = []
             monkeypatch.setattr(cls, "_pivot", _recorded(pivot[cls], log))
-            monkeypatch.setattr(multi_client, "LinearProgram",
-                                lambda *a: programs.append(LinearProgram(*a)) or programs[-1])
             monkeypatch.setattr(multi_client, "SimplexSolver", cls)
             rates = multi_client.solve_multi_exact(instance, oracle)
             runs.append((log, rates.cost, rates.envelope, rates.per_client))
         assert runs[0] == runs[1]
         pivots += len(runs[0][0])
-        lp = programs[0]
-        n = len(lp.objective)
-        dense = [([coeffs.get(j, 0) for j in range(n)], rel, rhs) for coeffs, rel, rhs in lp.rows]
-        cold = []
-        for rows in (lp.rows, dense):
-            log = []
-            monkeypatch.setattr(SimplexSolver, "_pivot", _recorded(pivot[SimplexSolver], log))
-            solution = SimplexSolver(LinearProgram(lp.objective, rows, lp.upper)).solve()
-            cold.append((log, solution.status, solution.value, solution.x))
-        assert cold[0] == cold[1] and cold[0][1] == "optimal"
     assert pivots >= 200
 
 
-def test_dict_rows_are_validated_like_dense_rows():
-    # a dict row's columns must be ints in [0, n); its explicit zeros are
-    # dropped, and add_rows checks a dict row the same way
+def test_row_columns_are_validated():
+    # a row's columns must be ints in [0, n); its explicit zeros are dropped,
+    # and add_rows checks a row the same way
     for bad in ({2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}, {True: 1}):
         with pytest.raises(ValueError):
             LinearProgram([1, 1], [(bad, ">=", 1)], [None, None])
-    lp = LinearProgram([1, 1], [({0: 0, 1: F(4, 2)}, ">=", 1)], [None, None])
-    assert lp.rows == [({1: 2}, ">=", 1)] and type(lp.rows[0][0][1]) is int
+    lp = LinearProgram([1, 1], [({0: 0, 1: 2}, ">=", 1)], [None, None])
+    assert lp.rows == [({1: 2}, ">=", 1)]
     solver = SimplexSolver(lp)
     assert solver.solve().x == [0, F(1, 2)]
     for bad in ({2: 1}, {"1": 1}):
@@ -970,6 +948,22 @@ def test_dict_rows_are_validated_like_dense_rows():
             solver.add_rows([(bad, ">=", 1)])
     solver.add_rows([({0: 1, 1: 0}, ">=", F(1, 3))])
     assert solver.lp.rows[-1] == ({0: 1}, ">=", F(1, 3))
-    dense = SimplexSolver(LinearProgram([1, 1], [([0, 2], ">=", 1), ([1, 0], ">=", F(1, 3))],
-                                        [None, None])).solve()
-    assert solver.resolve([1, 1]) == dense
+    cold = SimplexSolver(LinearProgram([1, 1], [({1: 2}, ">=", 1), ({0: 1}, ">=", F(1, 3))],
+                                       [None, None])).solve()
+    assert solver.resolve([1, 1]) == cold
+
+
+def test_rows_are_integer_dicts():
+    # every row is a {column: int} map, so the integer tableau's pivots are the
+    # rational simplex's: a dense list or a non-integral coefficient is refused
+    # by the LP and by add_rows alike, and an integral Fraction becomes an int
+    solver = SimplexSolver(LinearProgram([1, 1], [({0: 1}, ">=", 1)], [None, None]))
+    for bad in ([1, 0], {0: F(1, 2)}, {1: 0.5}):
+        with pytest.raises(ValueError):
+            LinearProgram([1, 1], [(bad, ">=", 1)], [None, None])
+        with pytest.raises(ValueError):
+            solver.add_rows([(bad, ">=", 1)])
+    lp = LinearProgram([1, 1], [({0: F(4, 2)}, ">=", 1)], [None, None])
+    assert lp.rows == [({0: 2}, ">=", 1)] and type(lp.rows[0][0][0]) is int
+    solver.add_rows([({1: F(4, 2)}, "<=", 5)])
+    assert solver.lp.rows[-1] == ({1: 2}, "<=", 5) and type(solver.lp.rows[-1][0][1]) is int

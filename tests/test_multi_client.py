@@ -10,10 +10,11 @@ from mmcast import check_feasible_multi, load_instance
 from mmcast.errors import Infeasible, InvalidParameters
 from mmcast.lp import integral
 from mmcast.model import boundary_vector, client_subproblem
-from mmcast.multi_client import (DEFAULT_GAP_TOL, DEFAULT_MAX_ITERS, DEFAULT_PATIENCE,
-                                 StepSchedule, SubgradientResult, TraceEntry,
-                                 exact_simplex_projection, solve_multi_bruteforce,
-                                 solve_multi_exact, solve_multi_subgradient, step_size)
+import mmcast.multi_client as multi_client
+from mmcast.multi_client import (DEFAULT_GAP_TOL, DEFAULT_MAX_ITERS, StepSchedule,
+                                 SubgradientResult, TraceEntry, exact_simplex_projection,
+                                 solve_multi_bruteforce, solve_multi_exact,
+                                 solve_multi_subgradient, step_size)
 from mmcast.single_client import (RegionOptimizer, solve_single_client,
                                   solve_single_client_bruteforce)
 from mmcast.submodular import conditional_entropy_function, in_base_polyhedron
@@ -385,17 +386,13 @@ def test_step_size_validation():
 
 
 @pytest.mark.parametrize("options", [{"max_iters": 0}, {"gap_tol": -1},
-                                     {"gap_tol": Fraction(-1, 100)}, {"patience": 0},
-                                     {"patience": -3}, {"gap_tol": float("nan")},
-                                     {"gap_tol": float("inf")}, {"max_iters": 2.5},
-                                     {"patience": 1.5}],
-                         ids=["max_iters 0", "gap_tol -1", "gap_tol -1/100", "patience 0",
-                              "patience -3", "gap_tol nan", "gap_tol inf", "max_iters 2.5",
-                              "patience 1.5"])
+                                     {"gap_tol": Fraction(-1, 100)}, {"gap_tol": float("nan")},
+                                     {"gap_tol": float("inf")}, {"max_iters": 2.5}],
+                         ids=["max_iters 0", "gap_tol -1", "gap_tol -1/100", "gap_tol nan",
+                              "gap_tol inf", "max_iters 2.5"])
 def test_subgradient_parameter_validation(f2, options):
     # a relative gap is never negative: a negative tolerance could only run to the cap;
-    # patience counts iterations without progress, so below 1 it stops like 1; the
-    # counts are ints and the tolerance a finite number
+    # the iteration cap is an int and the tolerance a finite number
     instance, oracle, _ = f2
     with pytest.raises(InvalidParameters):
         solve_multi_subgradient(instance, oracle, **options)
@@ -506,7 +503,6 @@ def test_exact_route_separates_a_passed_slice_once(f2, monkeypatch):
     # off: no client's slice is separated twice, every remembered slice
     # passes separation, and the skips happen: fewer separations than
     # slices presented (each round presents every client's slice)
-    import mmcast.multi_client as multi_client
     import mmcast.single_client as single_client
     from mmcast.lp import SimplexSolver
     separate = single_client.most_violated
@@ -555,7 +551,7 @@ def _subgradient_cases(f2):
 
 
 def _dict_keyed_subgradient(instance, oracle, max_iters=DEFAULT_MAX_ITERS,
-                            gap_tol=DEFAULT_GAP_TOL, patience=DEFAULT_PATIENCE):
+                            gap_tol=DEFAULT_GAP_TOL):
     """Reference: the subgradient loop on dicts keyed by edge id and (edge id, client).
 
     Each inner call builds its weights dict and reads the optimizer's x
@@ -623,7 +619,7 @@ def _dict_keyed_subgradient(instance, oracle, max_iters=DEFAULT_MAX_ITERS,
             since_improvement = 0
         else:
             since_improvement += 1
-            if since_improvement >= patience:
+            if since_improvement >= multi_client.PATIENCE:
                 warning = "no_progress"
                 break
         theta = step_size(schedule, n)
@@ -728,10 +724,11 @@ def test_exact_lp_against_independent_assembly():
         assert abs(float(mine.cost) - ref.fun) < 1e-7
 
 
-def test_subgradient_no_progress_warning(f2):
+def test_subgradient_no_progress_warning(monkeypatch, f2):
+    # one iteration without a better gap is enough to stop
+    monkeypatch.setattr(multi_client, "PATIENCE", 1)
     instance, oracle, _ = f2
-    result = solve_multi_subgradient(instance, oracle, gap_tol=0, patience=1,
-                                     max_iters=10000)
+    result = solve_multi_subgradient(instance, oracle, gap_tol=0, max_iters=10000)
     assert result.warning == "no_progress"
     assert not result.converged
     assert result.cost >= result.best_dual   # best iterate still returned
@@ -783,7 +780,6 @@ def test_final_tableau_holds_an_exact_dual_certificate(monkeypatch):
     # columns give a dual y of the <= rows (the LP rows, then the caps, then
     # the cuts); checked exactly against the LP's own rows: y <= 0,
     # c - A^T y >= 0 and b.y equal to the optimal cost
-    import mmcast.multi_client as multi_client
     from mmcast.lp import SimplexSolver
     solvers = []
 

@@ -266,6 +266,15 @@ def test_assignment_deterministic_per_seed(f2_net):
     assert a.attempts == b.attempts
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_code_seed_must_be_an_int_of_at_least_zero(f2_net, seed):
+    # Random seeds by the absolute value, so seed -1 would draw seed 1's attempts
+    assert random.Random(-1_000_003).getrandbits(64) == random.Random(1_000_003).getrandbits(64)
+    _, _, _, net = f2_net
+    with pytest.raises(InvalidParameters, match="seed"):
+        assign_coefficients(net, seed=seed)
+
+
 def test_simulate_rejects_wrong_length(f2_net):
     _, _, _, net = f2_net
     assignment = assign_coefficients(net, seed=0)

@@ -1,13 +1,12 @@
 """The rate LPs against a reference assembly of their region rows.
 
-The reference spells every row out on its own: the dense sum of the
-incidence rows of the sources in S, ``>=`` g(S) from the oracle's
-per-subset entropies, the ground equality ``== H(X_{M_t})`` after the seed
-rows, every route's filter of seed and brute-force rows that x >= 0 implies
-(a cut is violated, so never implied), and the multi-client LP's columns
-indexed by (client, edge id).  Every LP the solvers build must have the
-same rows (as nonzero maps), relations, right-hand sides, caps and
-objective, in the same order.
+The reference spells every row out on its own: the sum of the incidence
+rows of the sources in S, ``>=`` g(S) from the oracle's per-subset
+entropies, the ground equality ``== H(X_{M_t})`` after the seed rows, every
+route's filter of seed and brute-force rows that x >= 0 implies (a cut is
+violated, so never implied), and the multi-client LP's columns indexed by
+(client, edge id).  Every LP the solvers build must have the same rows,
+relations, right-hand sides, caps and objective, in the same order.
 """
 
 import mmcast.multi_client as multi_client
@@ -29,14 +28,14 @@ def _cases(f2):
     yield f2[0], f2[1]
 
 
-def _dense_row(sub, mask: int) -> list:
-    """The sum of the incidence rows (+1 out of v, -1 into v) of the sources v in S."""
-    row = [0] * len(sub.edges)
-    for i, v in enumerate(sub.sources):
-        if mask >> i & 1:
-            for j, e in enumerate(sub.edges):
-                row[j] += (e.tail == v) - (e.head == v)
-    return row
+def _incidence_sum(sub, mask: int) -> dict:
+    """The sum of the incidence rows (+1 out of v, -1 into v) of the sources v in S.
+
+    Edge j of the client is column j; zero sums are left out.
+    """
+    inside = {v for i, v in enumerate(sub.sources) if mask >> i & 1}
+    row = {j: (e.tail in inside) - (e.head in inside) for j, e in enumerate(sub.edges)}
+    return {j: c for j, c in row.items() if c}
 
 
 def _g(sub, oracle, mask: int):
@@ -44,14 +43,15 @@ def _g(sub, oracle, mask: int):
 
 
 def _implied(sub, oracle, mask: int) -> bool:
-    return _g(sub, oracle, mask) <= 0 and all(c >= 0 for c in _dense_row(sub, mask))
+    return _g(sub, oracle, mask) <= 0 and all(c >= 0 for c in _incidence_sum(sub, mask).values())
 
 
 def _single_reference(sub, oracle, costs, caps, masks, cuts=()) -> LinearProgram:
-    rows = [(_dense_row(sub, mask), ">=", _g(sub, oracle, mask)) for mask in masks
+    rows = [(_incidence_sum(sub, mask), ">=", _g(sub, oracle, mask)) for mask in masks
             if not _implied(sub, oracle, mask)]
-    rows.append((_dense_row(sub, (1 << len(sub.sources)) - 1), "==", oracle.entropy(sub.sources)))
-    rows += [(_dense_row(sub, mask), ">=", _g(sub, oracle, mask)) for mask in cuts]
+    rows.append((_incidence_sum(sub, (1 << len(sub.sources)) - 1), "==",
+                 oracle.entropy(sub.sources)))
+    rows += [(_incidence_sum(sub, mask), ">=", _g(sub, oracle, mask)) for mask in cuts]
     return LinearProgram([costs[e.id] for e in sub.edges], rows,
                          [caps[e.id] for e in sub.edges])
 
@@ -73,7 +73,7 @@ class _MultiReference:
     def region_row(self, t, mask: int) -> tuple:
         sub = self.subs[t]
         full = (1 << len(sub.sources)) - 1
-        row = {self.r_index[(t, e.id)]: c for e, c in zip(sub.edges, _dense_row(sub, mask)) if c}
+        row = {self.r_index[(t, sub.edges[j].id)]: c for j, c in _incidence_sum(sub, mask).items()}
         return row, "==" if mask == full else ">=", _g(sub, self.oracle, mask)
 
     def program(self, masks: dict, cuts=()) -> LinearProgram:
@@ -97,10 +97,9 @@ class _MultiReference:
         return LinearProgram(objective, rows, upper)
 
 
-def _normal(lp: LinearProgram) -> tuple:
-    rows = [(coeffs if isinstance(coeffs, dict) else {j: a for j, a in enumerate(coeffs) if a},
-             rel, rhs) for coeffs, rel, rhs in lp.rows]
-    return rows, lp.upper, lp.objective
+def _posed(lp: LinearProgram) -> tuple:
+    """What an LP poses: its rows, caps and objective."""
+    return lp.rows, lp.upper, lp.objective
 
 
 def _record(monkeypatch, module) -> list:
@@ -135,7 +134,7 @@ def test_single_client_lps_have_the_reference_rows(monkeypatch, f2):
                 kinds.add("infeasible")
             assert len(built) == 1
             want = _single_reference(sub, oracle, costs, caps, seeds, opt.pool[len(seeds):])
-            assert _normal(built[0]) == _normal(want)
+            assert _posed(built[0]) == _posed(want)
             if len(opt.pool) > len(seeds):
                 kinds.add("cut")
             if any(_implied(sub, oracle, mask) for mask in seeds):
@@ -149,7 +148,7 @@ def test_single_client_lps_have_the_reference_rows(monkeypatch, f2):
             masks = range(1, (1 << m) - 1)
             if any(_implied(sub, oracle, mask) for mask in masks):
                 kinds.add("implied")
-            assert _normal(built[0]) == _normal(_single_reference(sub, oracle, costs, caps, masks))
+            assert _posed(built[0]) == _posed(_single_reference(sub, oracle, costs, caps, masks))
     assert kinds == {"feasible", "infeasible", "cut", "implied", "implied seed"}
 
 
@@ -179,7 +178,7 @@ def test_multi_client_lps_have_the_reference_rows(monkeypatch, f2):
         # the seed pools, the equalities and couplings, then the cuts in the order added
         seeds = {t: seed_pool(len(sub.sources)) for t, sub in subs.items()}
         assert len(built) == 1
-        assert _normal(built[0]) == _normal(reference.program(seeds, separated))
+        assert _posed(built[0]) == _posed(reference.program(seeds, separated))
         if separated:
             kinds.add("cut")
         built.clear()
@@ -188,6 +187,6 @@ def test_multi_client_lps_have_the_reference_rows(monkeypatch, f2):
         except Infeasible:
             pass
         every = {t: range(1, (1 << len(sub.sources)) - 1) for t, sub in subs.items()}
-        assert _normal(built[0]) == _normal(reference.program(every))
+        assert _posed(built[0]) == _posed(reference.program(every))
     assert kinds == {"feasible", "infeasible", "cut"}
 

@@ -182,3 +182,38 @@ def test_each_cut_round_builds_one_objective_row(monkeypatch):
             rounds[route] += calls.count("add_rows")
             assert calls.count("_objective_row") == 1 + calls.count("add_rows")
     assert rounds["exact"] >= 5 and rounds["single"] >= 5
+
+
+def test_each_cut_round_resolves_once_before_the_next_separation(monkeypatch):
+    # a round of cuts is repaired by one traced resolve: after each add_rows
+    # the solver resolves exactly once before the client separates again, on
+    # the subgradient route's inner LPs and on a single client's LP alone.  A
+    # round that re-optimized outside resolve, or resolved twice, breaks it.
+    from mmcast.lp import SimplexSolver
+    from mmcast.multi_client import solve_multi_subgradient
+    from mmcast.single_client import ClientCuts
+    calls = []
+    for owner, name in ((SimplexSolver, "add_rows"), (SimplexSolver, "resolve"),
+                        (ClientCuts, "separate")):
+        def logged(self, *args, method=getattr(owner, name), name=name):
+            calls.append(name)
+            return method(self, *args)
+        monkeypatch.setattr(owner, name, logged)
+    rng = random.Random(167)
+    rounds = Counter()
+    for _ in range(30):
+        instance, oracle, _ = random_feasible_instance(rng, n_sources=8, n_clients=3,
+                                                       max_capacity=8)
+        sub = client_subproblem(instance, oracle, instance.clients[0])
+        for route, solve in (("subgradient", lambda: solve_multi_subgradient(
+                                 instance, oracle, max_iters=30)),
+                             ("single", lambda: solve_single_client(
+                                 sub, oracle, instance.costs(), instance.capacities()))):
+            calls.clear()
+            solve()
+            separations = [i for i, name in enumerate(calls) if name == "separate"]
+            for i in [i for i, name in enumerate(calls) if name == "add_rows"]:
+                after = next((j for j in separations if j > i), len(calls))
+                assert calls[i + 1:after] == ["resolve"]
+            rounds[route] += calls.count("add_rows")
+    assert rounds["subgradient"] >= 50 and rounds["single"] >= 10
