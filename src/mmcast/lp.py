@@ -156,29 +156,35 @@ class SimplexSolver:
         side may be negative, which dual simplex then repairs.  Each new row
         is rewritten in terms of the current basis, by subtracting the row of
         each basic column it touches, so every basic column stays ``det``
-        times a unit column; the new slacks leave ``det`` unchanged.
+        times a unit column; the new slacks leave ``det`` unchanged.  LP rows
+        touch structural columns only, so with none of them basic (a cold
+        build) a new row is ``det`` times the LP row, its copy when ``det`` is 1.
         """
         le = []
         for coeffs, rel, rhs in rows:
             if rel != ">=":
-                le.append((coeffs, rhs))
+                le.append((coeffs, 1, rhs))
             if rel != "<=":
-                le.append(({j: -a for j, a in coeffs.items()}, -rhs))
-        sigma = lcm(self.rhs_scale, *[rhs.denominator for _, rhs in le])
+                le.append((coeffs, -1, rhs))
+        sigma = lcm(self.rhs_scale, *[rhs.denominator for _, _, rhs in le])
         if sigma != self.rhs_scale:
             self.rhs[:] = [v * (sigma // self.rhs_scale) for v in self.rhs]
             self.rhs_scale = sigma
         det, tab, rhs_col, basis = self.det, self.tableau, self.rhs, self.basis
         self._x = None
-        row_of = dict(zip(basis, range(len(basis))))
-        for row, rhs in le:
-            new = {j: det * a for j, a in row.items()}
-            value = det * rhs.numerator * (sigma // rhs.denominator)
-            for j in row.keys() & row_of.keys():    # new[j] is det * a: subtract a times row i
-                a, i = row[j], row_of[j]
+        n = len(self.lp.objective)
+        row_of = {b: i for i, b in enumerate(basis) if b < n}
+        for row, sign, rhs in le:
+            scale = sign * det
+            new = dict(row) if scale == 1 else {j: scale * a for j, a in row.items()}
+            value = scale * rhs.numerator * (sigma // rhs.denominator)
+            touched = row.keys() & row_of.keys() if row_of else ()
+            for j in touched:       # new[j] is det * a: subtract a times row i
+                a, i = sign * row[j], row_of[j]
                 for c, v in tab[i].items():
                     new[c] = new.get(c, 0) - a * v
                 value -= a * rhs_col[i]
+            if touched:
                 new = {c: v for c, v in new.items() if v}
             new[self.n_cols] = det
             tab.append(new)

@@ -319,9 +319,9 @@ class Region:
                 row[j] = d
         return row
 
-    def implied(self, mask: int) -> bool:
-        """Whether R >= 0 alone implies the row of S: g(S) <= 0 and no edge enters S."""
-        return self.g[mask] <= 0 and -1 not in self.row(mask).values()
+    def implied(self, mask: int, row: dict) -> bool:
+        """Whether R >= 0 alone implies S's ``row`` (:meth:`row`): g(S) <= 0, no edge enters S."""
+        return self.g[mask] <= 0 and -1 not in row.values()
 
     def tight(self, rates: list, masks) -> list:
         """The members of each of ``masks`` whose inequality is tight at ``rates``, in order."""

@@ -5,13 +5,16 @@ every client's rate on edge e and each client's rates lie in its own
 rate-flow region.  Two routes:
 
 * :func:`solve_multi_exact` -- one exact LP over the envelope and every
-  client's rates, with region rows added lazily: it starts from a seed pool
-  per client (singletons, their complements, the ground equality) and the
-  couplings Z_e >= R_e^(t), and runs ``single_client.cutting_planes``, the
-  package's one cutting-plane loop, on it, so the optimum is exact and
-  certified by exact separation.  :func:`solve_multi_bruteforce` builds the
-  same LP with every region row; it is the reference for the lazy route.
-  Both take each client's region rows from its ``ClientCuts.rows``, which
+  client's rates, with region rows added lazily: it starts from the rows
+  of each client's singletons and its ground equality, and the couplings
+  Z_e >= R_e^(t), and runs ``single_client.cutting_planes``, the package's
+  one cutting-plane loop, on it, so the optimum is exact and certified by
+  exact separation.  The single-client routes also seed the complements of
+  the singletons; here they would make the cold tableau denser and bring
+  in pivots off ``det`` (the integer tableau's denominator) to save cut
+  rounds, each of which scans only 2^m masks.  :func:`solve_multi_bruteforce`
+  builds the same LP with every region row; it is the reference for the
+  lazy route.  Both take each client's region rows from its ``ClientCuts.rows``, which
   drops the rows that x >= 0 implies and appends the ground equality.
 * :func:`solve_multi_subgradient` -- dualize the coupling Z_e >= R_e^(t).
   The per-edge multipliers live on scaled simplices {lam >= 0,
@@ -51,7 +54,8 @@ from . import feasibility, model
 from .errors import BudgetExceeded, Infeasible, InvalidParameters
 from .lp import LinearProgram, SimplexSolver, integral
 from .model import NetworkInstance
-from .single_client import BRUTE_FORCE_SOURCES, ClientCuts, RegionOptimizer, cutting_planes
+from .single_client import (BRUTE_FORCE_SOURCES, ClientCuts, RegionOptimizer, cutting_planes,
+                            singletons)
 
 DEFAULT_MAX_ITERS = 50000
 DEFAULT_GAP_TOL = Fraction(1, 100)
@@ -156,8 +160,9 @@ class _MultiLP:
     """Variables, caps, rows and read-out of the exact multi-client LP.
 
     The columns are Z_e for every edge of the instance, then each client's
-    ``ClientCuts`` columns; each row is a ``{column: coefficient}`` dict.
-    The lazy and the brute-force route assemble it from different masks.
+    ``ClientCuts`` columns, seeded with the client's ``singletons``; each
+    row is a ``{column: coefficient}`` dict.  The lazy and the brute-force
+    route assemble it from different masks.
     """
 
     def __init__(self, instance: NetworkInstance, subs: dict, oracle):
@@ -165,7 +170,8 @@ class _MultiLP:
         self.z_index = {e.id: i for i, e in enumerate(instance.edges)}
         self.clients, n = {}, len(instance.edges)
         for t, sub in subs.items():
-            self.clients[t], n = ClientCuts(sub, oracle, self.caps, n), n + len(sub.edges)
+            self.clients[t] = ClientCuts(sub, oracle, self.caps, n, singletons(len(sub.sources)))
+            n += len(sub.edges)
         self.n = n
 
     def program(self, masks: dict) -> LinearProgram:
@@ -193,11 +199,12 @@ class _MultiLP:
 def solve_multi_exact(instance: NetworkInstance, oracle) -> MulticastRates:
     """Exact optimum of the multi-client problem by lazily added region rows.
 
-    Runs ``single_client.cutting_planes`` from the clients' seed pools.
-    Separation reads each client's mask-indexed region tables, so a client
-    may reach at most ``submodular.BRUTE_FORCE_LIMIT`` sources
-    (GroundTooLarge).  Raises Infeasible, with the certificates of the
-    failing clients, when the LP finds no allocation.
+    Runs ``single_client.cutting_planes`` from each client's singleton and
+    ground rows and the couplings.  Separation reads each client's
+    mask-indexed region tables, so a client may reach at most
+    ``submodular.BRUTE_FORCE_LIMIT`` sources (GroundTooLarge).  Raises
+    Infeasible, with the certificates of the failing clients, when the LP
+    finds no allocation.
     """
     lp = _MultiLP(instance, model.client_subproblems(instance, oracle), oracle)
     solver = SimplexSolver(lp.program({t: c.pool for t, c in lp.clients.items()}))

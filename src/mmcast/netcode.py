@@ -251,12 +251,16 @@ def assign_coefficients(net: CodedNetwork, seed: int = 0,
     Python >= 3.10 it is also the stream of ``randrange(q)``.  Each
     client's received vectors are eliminated directly for its rank; the
     first attempt at which every client has full rank is returned with
-    the attempt count.  Requires q > number of clients, and a seed that is
-    an ``int`` >= 0: ``random.Random`` seeds by the absolute value, so a
-    negative seed would share its streams with a positive one.
+    the attempt count.  Requires q > number of clients, ``max_attempts`` an
+    ``int`` >= 1, and a seed that is an ``int`` >= 0: ``random.Random``
+    seeds by the absolute value, so a negative seed would share its streams
+    with a positive one.
     """
     if type(seed) is not int or seed < 0:
         raise InvalidParameters(f"the code seed must be an int of at least 0, not {seed!r}")
+    if type(max_attempts) is not int or max_attempts < 1:
+        raise InvalidParameters(
+            f"max_attempts must be an int of at least 1, not {max_attempts!r}")
     q = net.q
     k = len(net.clients)
     if q <= k:

@@ -8,9 +8,11 @@ masks become LP rows (here and in ``multi_client``), and returning exact optima:
 
 * :func:`solve_single_client` -- :func:`cutting_planes`, the package's one
   cutting-plane loop, which ``multi_client.solve_multi_exact`` runs too.
-  The LP starts from a small pool (singletons, their complements, the
+  The LP starts from :func:`seed_pool` (singletons, their complements, the
   ground equality); each most violated subset, found by exact submodular
   minimization, is appended and re-optimized warm until none is violated.
+  Whoever builds an LP chooses its seed masks: the multi-client LP starts
+  from the :func:`singletons` alone.
 * :func:`solve_single_client_bruteforce` -- every subset inequality at
   once; the baseline the cutting planes are tested against.
 
@@ -39,11 +41,15 @@ class SingleClientSolution:
     iterations: int             # LP solves performed
 
 
+def singletons(m: int) -> list:
+    """The masks of the m single sources, ascending; none when one source is the ground set."""
+    return [1 << i for i in range(m)] if m > 1 else []
+
+
 def seed_pool(m: int) -> list:
-    """Masks the cutting planes start from: the m singletons and their complements."""
+    """Masks a lone client's cutting planes start from: the singletons and their complements."""
     full = (1 << m) - 1
-    pool = {1 << i for i in range(m)} | {full ^ (1 << i) for i in range(m) if m > 1}
-    return sorted(pool - {0, full})
+    return sorted({*singletons(m), *(full ^ s for s in singletons(m))})
 
 
 def most_violated(region: Region, rates: list):
@@ -70,15 +76,17 @@ def _simplex(client: ClientCuts, masks, objective: list) -> SimplexSolver:
 class ClientCuts:
     """One client's columns (its rates in ``sub.edges`` order, from ``offset``) and rows in an LP.
 
-    ``pool`` holds the masks of its region rows: the seed pool, then each cut
-    in order.  A slice of x that passed separation is not separated again:
-    the region never changes, and cuts only remove points outside it.
+    ``pool`` holds the masks of its region rows: the seed masks that the
+    builder of the LP passes (``seed_pool`` for a client alone in its LP,
+    ``singletons`` in the multi-client LP), then each cut in order.  A slice
+    of x that passed separation is not separated again: the region never
+    changes, and cuts only remove points outside it.
     """
 
-    def __init__(self, sub: ClientSubproblem, oracle, capacities: dict, offset: int):
+    def __init__(self, sub: ClientSubproblem, oracle, capacities: dict, offset: int, seeds):
         self.sub, self.oracle, self.capacities, self.offset = sub, oracle, capacities, offset
         self.region = Region(sub, oracle)
-        self.pool = seed_pool(len(sub.sources))
+        self.pool = list(seeds)
         self._certified = set()     # each slice that separation passed, as its exact ratios
         self._passed = None         # the last slice that passed
 
@@ -88,13 +96,19 @@ class ClientCuts:
 
     def row(self, mask: int) -> tuple:
         """boundary(R, S) >= g(S) on the client's columns, an equality at the full set."""
-        row = {self.offset + j: c for j, c in self.region.row(mask).items()}
+        return self._posed(mask, self.region.row(mask))
+
+    def _posed(self, mask: int, row: dict) -> tuple:
+        """The LP row of S from its ``Region.row``."""
+        row = {self.offset + j: c for j, c in row.items()} if self.offset else row
         return row, "==" if mask == self.region.full else ">=", self.region.g[mask]
 
     def rows(self, masks) -> list:
         """The rows of ``masks`` that ``Region.implied`` keeps, then the ground equality."""
-        kept = [mask for mask in masks if not self.region.implied(mask)]
-        return [self.row(mask) for mask in [*kept, self.region.full]]
+        region = self.region
+        rows = [(mask, region.row(mask)) for mask in masks]
+        return [self._posed(mask, row) for mask, row in rows
+                if not region.implied(mask, row)] + [self.row(region.full)]
 
     def separate(self, x: list):
         """The mask of the client's most violated row at x, None if its slice passes."""
@@ -119,18 +133,22 @@ def cutting_planes(solver: SimplexSolver, solution, objective: list, clients: li
     re-optimizes warm in one ``resolve``, whose dual phase repairs the new
     rows, until none is violated; returns the last solution.
     An empty LP raises ``feasibility.infeasible`` with each client's
-    certificate, and a round that leaves x in place raises RuntimeError.
+    certificate.  A round that leaves x in place raises RuntimeError, and so
+    does a cut on a row the LP already holds (the ground set or a mask of the
+    client's pool), before it is appended.
     """
     while solution.status == "optimal":
         cuts = [(c, mask) for c in clients if (mask := c.separate(solution.x)) is not None]
         if not cuts:
             return solution
+        named = {c.sub.client: mask for c, mask in cuts}
+        if any(mask == c.region.full or mask in c.pool for c, mask in cuts):
+            raise RuntimeError(f"the cuts of masks {named} keep their vertex")
         for c, mask in cuts:
             c.pool.append(mask)
         solver.add_rows([c.row(mask) for c, mask in cuts])
         x, solution = solution.x, solver.resolve(objective)
         if solution.x == x:
-            named = {c.sub.client: mask for c, mask in cuts}
             raise RuntimeError(f"the cuts of masks {named} keep their vertex")
     raise feasibility.infeasible([c.certificate() for c in clients])
 
@@ -143,7 +161,7 @@ class RegionOptimizer(ClientCuts):
     """
 
     def __init__(self, sub: ClientSubproblem, oracle, capacities: dict):
-        super().__init__(sub, oracle, capacities, 0)
+        super().__init__(sub, oracle, capacities, 0, seed_pool(len(sub.sources)))
         self._solver = None
 
     def minimize(self, costs: list):
@@ -178,9 +196,9 @@ def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
     m = len(sub.sources)
     if m > BRUTE_FORCE_SOURCES:
         raise GroundTooLarge(f"{m} sources exceeds brute-force limit {BRUTE_FORCE_SOURCES}")
-    client = ClientCuts(sub, oracle, capacities, 0)
+    client = ClientCuts(sub, oracle, capacities, 0, range(1, (1 << m) - 1))
     region = client.region
-    solution = _simplex(client, range(1, region.full), [costs[e.id] for e in sub.edges]).solve()
+    solution = _simplex(client, client.pool, [costs[e.id] for e in sub.edges]).solve()
     if solution.status == "infeasible":
         raise feasibility.infeasible([client.certificate()])
     return SingleClientSolution(dict(zip((e.id for e in sub.edges), solution.x)), solution.value,

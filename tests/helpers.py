@@ -68,13 +68,14 @@ def single_edge_instance(entropy_rows=3, capacity="3", cost="1") -> dict:
 
 def random_instance_doc(rng: random.Random, n_sources: int | None = None,
                         n_clients: int | None = None, max_capacity: int = 5,
-                        max_cost: int = 3) -> dict:
+                        max_cost: int = 3, half_integral: bool = False) -> dict:
     """Random DAG with 0/1 selector sources over q=5.
 
     A source chain backbone plus an edge from the last source into every
     client keeps all sources reachable from every client, so the
     reconstructability precondition always holds; capacities in
-    [0, max_capacity] make feasibility genuinely vary.
+    [0, max_capacity] make feasibility genuinely vary.  ``half_integral``
+    draws them from the half-integer grid {0, 1/2, ..., max_capacity}.
     """
     m = n_sources if n_sources is not None else rng.randint(2, 6)
     k = n_clients if n_clients is not None else rng.randint(1, 2)
@@ -84,9 +85,12 @@ def random_instance_doc(rng: random.Random, n_sources: int | None = None,
     edges = []
 
     def add(u, v):
+        if half_integral:
+            capacity = str(Fraction(rng.randint(0, 2 * max_capacity), 2))
+        else:
+            capacity = str(rng.randint(0, max_capacity))
         edges.append({"id": f"e{len(edges) + 1}", "tail": u, "head": v,
-                      "capacity": str(rng.randint(0, max_capacity)),
-                      "cost": str(rng.randint(1, max_cost))})
+                      "capacity": capacity, "cost": str(rng.randint(1, max_cost))})
 
     for i in range(m - 1):
         add(sources[i], sources[i + 1])

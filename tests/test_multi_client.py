@@ -218,6 +218,28 @@ def test_a_cut_that_keeps_its_vertex_is_an_error(monkeypatch, f2):
             solve_multi_exact(instance, oracle)
 
 
+def test_a_cut_on_a_row_the_lp_holds_is_named_before_it_is_appended(monkeypatch, f2):
+    # the ground equality and every pool row already hold at a correct point, so a
+    # separation that returns one of them is at fault, and no row is appended
+    from mmcast.lp import SimplexSolver
+    from mmcast.single_client import ClientCuts
+    instance, oracle, _ = f2
+    appends = []
+    add_rows = SimplexSolver.add_rows
+    monkeypatch.setattr(SimplexSolver, "add_rows",
+                        lambda self, rows: appends.append(rows) or add_rows(self, rows))
+    sub = client_subproblem(instance, oracle, "t1")
+    for held in (lambda c: c.region.full, lambda c: c.pool[0]):
+        with monkeypatch.context() as m:
+            m.setattr(ClientCuts, "separate", lambda self, x: held(self))
+            with pytest.raises(RuntimeError, match=r"the cuts of masks \{'t1': \d+\} keep"):
+                solve_single_client(sub, oracle, instance.costs(), instance.capacities())
+            with pytest.raises(RuntimeError,
+                               match=r"the cuts of masks \{'t1': \d+, 't2': \d+\} keep"):
+                solve_multi_exact(instance, oracle)
+    assert appends == []
+
+
 def test_lazy_rows_match_bruteforce_random(monkeypatch):
     from mmcast.lp import SimplexSolver
     appends = []
@@ -228,7 +250,8 @@ def test_lazy_rows_match_bruteforce_random(monkeypatch):
     cut = 0                     # instances whose seed rows were not enough
     for _ in range(40):
         instance, oracle, _ = random_feasible_instance(
-            rng, n_sources=rng.randint(4, 6), n_clients=rng.randint(2, 3))
+            rng, n_sources=rng.randint(4, 7), n_clients=rng.randint(2, 3),
+            half_integral=rng.random() < 0.5)
         before = len(appends)
         lazy = solve_multi_exact(instance, oracle)
         cut += len(appends) > before

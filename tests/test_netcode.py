@@ -242,10 +242,12 @@ def test_assignment_success_rate(f2_net):
 
 def test_verification_failure_reports_ranks(f2_net):
     _, _, _, net = f2_net
+    assert assign_coefficients(net, seed=0).attempts > 1     # so its first attempt fails
     with pytest.raises(VerificationFailedAllAttempts) as err:
-        assign_coefficients(net, seed=0, max_attempts=0)
-    assert err.value.attempts == 0
+        assign_coefficients(net, seed=0, max_attempts=1)
+    assert err.value.attempts == 1
     assert set(err.value.best_ranks) == set(net.clients)
+    assert min(err.value.best_ranks.values()) < net.n_symbols
 
 
 def test_unrecoverable_file_rejected():
@@ -273,6 +275,14 @@ def test_code_seed_must_be_an_int_of_at_least_zero(f2_net, seed):
     _, _, _, net = f2_net
     with pytest.raises(InvalidParameters, match="seed"):
         assign_coefficients(net, seed=seed)
+
+
+@pytest.mark.parametrize("max_attempts", [-1, 0, 1.5, True])
+def test_max_attempts_must_be_an_int_of_at_least_one(f2_net, max_attempts):
+    # no attempt count below 1 can find an assignment, and True is no count
+    _, _, _, net = f2_net
+    with pytest.raises(InvalidParameters, match="max_attempts"):
+        assign_coefficients(net, seed=0, max_attempts=max_attempts)
 
 
 def test_simulate_rejects_wrong_length(f2_net):

@@ -64,7 +64,7 @@ def test_every_table_entry_equals_its_per_subset_definition():
                     row = region.row(mask)
                     assert sum(c * rates[sub.edges[j].id] for j, c in row.items()) == b[mask]
                     assert set(row.values()) <= {-1, 1}
-                    assert region.implied(mask) == (region.g[mask] <= 0
+                    assert region.implied(mask, row) == (region.g[mask] <= 0
                                                     and -1 not in row.values())
     for kind, features in seen.items():
         assert features == {"relay", "client edge", "zero capacity"}, kind

@@ -175,8 +175,10 @@ def test_multi_client_lps_have_the_reference_rows(monkeypatch, f2):
             kinds.add("feasible")
         except Infeasible:
             kinds.add("infeasible")
-        # the seed pools, the equalities and couplings, then the cuts in the order added
-        seeds = {t: seed_pool(len(sub.sources)) for t, sub in subs.items()}
+        # each client's singletons (none where its one source is the ground set), its
+        # equality and couplings, then the cuts in the order added
+        seeds = {t: [1 << i for i in range(len(sub.sources))] if len(sub.sources) > 1 else []
+                 for t, sub in subs.items()}
         assert len(built) == 1
         assert _posed(built[0]) == _posed(reference.program(seeds, separated))
         if separated:
