@@ -7,7 +7,8 @@ output.  Rationals are printed as "p/q" strings; floats appear only inside
 subgradient traces and are rounded to 12 significant digits.
 
 Exit codes: 0 success, 2 infeasible or verification failure (diagnostic
-JSON), 1 malformed input or parameters (machine-readable error object).
+JSON), 1 malformed input or parameters, usage errors included
+(machine-readable error object).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import __version__, feasibility, instance_io, model, multi_client, netcod
 from .entropy import EntropyOracle, LinearSource, validate_polymatroid
 from .errors import (Infeasible, InfeasibleRates, InvalidInstance, InvalidParameters, MmcastError,
                      RankDeficient, ReconstructabilityViolated, VerificationFailedAllAttempts)
-from .gf import FieldMatrix
+from .gf import FieldMatrix, is_field_modulus
 from .instance_io import frac_str, rates_to_json
 from .multi_client import StepSchedule
 
@@ -71,6 +72,8 @@ def _override_field(source_model, q: int | None):
         return source_model
     if not isinstance(source_model, LinearSource):
         raise InvalidParameters("--q only applies to the linear source model")
+    if not is_field_modulus(q):
+        raise InvalidParameters(f"--q must be a prime below 2^64, not {q}")
     matrices = {
         node: FieldMatrix(m.rows, m.cols, [x for row in m.to_lists() for x in row], q)
         for node, m in source_model.matrices.items()}
@@ -153,8 +156,6 @@ def _cmd_solve(args) -> tuple:
             "tight_sets": [list(s) for s in solution.tight_sets],
         }
         return payload, 0
-    if not args.all_clients:
-        raise InvalidParameters("solve needs --client <t> or --all-clients")
     params = {"method": args.method}
     if args.method == "exact":
         result = multi_client.solve_multi_exact(instance, oracle)
@@ -272,8 +273,18 @@ def _cmd_oracle(args) -> tuple:
 
 # -- entry point --------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise InvalidParameters (exit 1), not exit 2.
+
+    ``add_subparsers`` builds the subcommand parsers from this class too.
+    """
+
+    def error(self, message):
+        raise InvalidParameters(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mmcast",
         description="Multisource multicast: feasibility, rate allocation, network coding.")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -287,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("feas", "feasibility certificates for every client")
 
     solve = add("solve", "minimum-cost rate allocation")
-    solve.add_argument("--client", help="solve a single client's problem")
-    solve.add_argument("--all-clients", action="store_true")
+    target = solve.add_mutually_exclusive_group(required=True)
+    target.add_argument("--client", help="solve a single client's problem")
+    target.add_argument("--all-clients", action="store_true")
     solve.add_argument("--method", choices=("exact", "subgradient"), default="exact")
     solve.add_argument("--schedule", default="s1:1,1,1", help="s1:a,b,c or s2:a")
     solve.add_argument("--iters", type=int, default=multi_client.DEFAULT_MAX_ITERS)
@@ -321,9 +333,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload, status = _DISPATCH[args.command](args)
     except INFEASIBLE_FAMILY as exc:
         context = {}

@@ -30,6 +30,7 @@ each node tuple, filled once from that table and shared by every caller.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -319,78 +320,62 @@ class EntropyOracle:
 
 @dataclass
 class PolymatroidReport:
-    normalized: bool
-    monotone_violations: list
-    submodular_violations: list
+    """The elemental inequalities that :func:`validate_polymatroid` found violated."""
+
+    monotone_violations: list   # (N - {i}, N, H(N - {i}), H(N))
+    submodular_violations: list  # (iK, jK, H(iK) + H(jK), H(ijK) + H(K)), tuples in ground order
     exhaustive: bool
-    pairs_checked: int          # inequalities checked (exhaustive) or pairs sampled
+    pairs_checked: int          # elemental inequalities checked
 
     @property
     def ok(self) -> bool:
-        return self.normalized and not self.monotone_violations and not self.submodular_violations
+        return not self.monotone_violations and not self.submodular_violations
 
 
 def validate_polymatroid(oracle: EntropyOracle) -> PolymatroidReport:
-    """Check H(0)=0, monotonicity and submodularity of the oracle.
+    """Check the oracle against Yeung's elemental inequalities on its ground set N, |N| = n.
 
-    Exhaustive when the ground set N has at most ``POLYMATROID_EXHAUSTIVE``
-    elements: Yeung's elemental inequalities H(N) >= H(N - i) and
-    H(iK) + H(jK) >= H(ijK) + H(K) for i < j, K in N - {i, j}, which with
-    H(0) = 0 are equivalent to the polymatroid axioms; ``pairs_checked``
-    then counts those n + C(n, 2) 2^(n-2) inequalities.  Otherwise
-    ``POLYMATROID_SAMPLES`` random subset pairs drawn from a generator
-    seeded with 0 are checked for monotonicity and submodularity.
+    They are H(N) >= H(N - {i}) for each i and H(iK) + H(jK) >= H(ijK) +
+    H(K) for i < j, K in N - {i, j}; with H(0) = 0, which every oracle
+    holds, they are equivalent to the polymatroid axioms.  Up to
+    ``POLYMATROID_EXHAUSTIVE`` elements all n + C(n, 2) 2^(n-2) are checked
+    on the oracle's table of N.  Above, the n monotone ones and
+    ``POLYMATROID_SAMPLES`` submodular ones are, read through the memo:
+    each draws i < j uniformly, then K uniformly in N - {i, j}, from
+    ``random.Random(0)``.  ``pairs_checked`` counts the inequalities checked.
     Models with an approximate entropy path declare a ``rounding_slack``
     that the inequality checks absorb; each involves at most 4 entropies.
     """
-    import random
-
-    n = len(oracle.ground)
+    ground, n = oracle.ground, len(oracle.ground)
     slack = getattr(oracle.model, "rounding_slack", Fraction(0))
-    normalized = oracle.entropy(()) == 0
-    mono: list = []
-    sub: list = []
-
-    def check_pair(a_mask: int, b_mask: int):
-        a = members(oracle.ground, a_mask)
-        b = members(oracle.ground, b_mask)
-        ha, hb = oracle.entropy(a), oracle.entropy(b)
-        cap = oracle.entropy(members(oracle.ground, a_mask & b_mask))
-        cup = oracle.entropy(members(oracle.ground, a_mask | b_mask))
-        if cap > ha + slack:  # A cap B is a subset of A and must not exceed its entropy
-            mono.append((members(oracle.ground, a_mask & b_mask), a, cap, ha))
-        if a_mask & b_mask == a_mask and ha > hb + slack:
-            mono.append((a, b, ha, hb))
-        if ha + hb < cup + cap - slack:
-            sub.append((a, b, ha + hb, cup + cap))
-
-    if n <= POLYMATROID_EXHAUSTIVE:
-        ground = oracle.ground
+    full = (1 << n) - 1
+    exhaustive = n <= POLYMATROID_EXHAUSTIVE
+    if exhaustive:
         h = oracle.table(ground)        # local masks over the ground are the global ones
-        full = (1 << n) - 1
-        for i in range(n):
-            rest = full & ~(1 << i)
-            if h[rest] > h[full] + slack:
-                mono.append((members(ground, rest), members(ground, full), h[rest], h[full]))
-        count = n
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair = 1 << i | 1 << j
-                for k in range(1 << n):
-                    if k & pair:
-                        continue
-                    lhs = h[k | 1 << i] + h[k | 1 << j]
-                    rhs = h[k | pair] + h[k]
-                    if lhs < rhs - slack:
-                        sub.append((members(ground, k | 1 << i), members(ground, k | 1 << j),
-                                    lhs, rhs))
-                    count += 1
-        return PolymatroidReport(normalized, mono, sub, True, count)
+        # every K outside {i, j}, in increasing order
+        pairs = [(1 << i, 1 << j, modular_table(1 << v for v in range(n) if v != i and v != j))
+                 for i in range(n) for j in range(i + 1, n)]
+    else:
+        rng = random.Random(0)
+        pairs = []
+        for _ in range(POLYMATROID_SAMPLES):
+            i, j = sorted(rng.sample(range(n), 2))
+            pairs.append((1 << i, 1 << j, [rng.getrandbits(n) & ~(1 << i | 1 << j)]))
+        masks = {full} | {full ^ 1 << i for i in range(n)}
+        masks.update(k | x for a, b, (k,) in pairs for x in (0, a, b, a | b))
+        h = {mask: oracle.entropy_of_mask(mask) for mask in masks}
 
-    rng = random.Random(0)
-    for _ in range(POLYMATROID_SAMPLES):
-        check_pair(rng.randrange(1 << n), rng.randrange(1 << n))
-    return PolymatroidReport(normalized, mono, sub, False, POLYMATROID_SAMPLES)
+    mono = [(members(ground, full ^ 1 << i), ground, h[full ^ 1 << i], h[full])
+            for i in range(n) if h[full ^ 1 << i] > h[full] + slack]
+    sub: list = []
+    for bit_i, bit_j, ks in pairs:
+        pair = bit_i | bit_j
+        for k in ks:
+            lhs = h[k | bit_i] + h[k | bit_j]
+            rhs = h[k | pair] + h[k]
+            if lhs < rhs - slack:
+                sub.append((members(ground, k | bit_i), members(ground, k | bit_j), lhs, rhs))
+    return PolymatroidReport(mono, sub, exhaustive, n + sum(len(ks) for _, _, ks in pairs))
 
 
 def pmf_from_nested(order, alphabets, nested) -> PmfSource:

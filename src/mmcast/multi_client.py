@@ -75,7 +75,7 @@ class TraceEntry:
     n: int
     dual: float
     primal: float
-    gap: float                  # (primal - best dual) / best dual; inf if dual <= 0
+    gap: float                  # (primal - best dual) / best dual; 0 if both are 0
 
 
 @dataclass
@@ -239,7 +239,11 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     best dual value reaches ``gap_tol``, when the gap stops improving for
     ``PATIENCE`` iterations (warning ``no_progress``), or at ``max_iters``
     (warning ``max_iters``).  The returned rates are the best recovered
-    primal iterate; they satisfy every region constraint exactly.
+    primal iterate; they satisfy every region constraint exactly.  The
+    first multipliers alpha_e / (clients on e) and every cost are positive,
+    so the best dual is positive from the first iteration on, unless no
+    client's sources hold any entropy; then every inner optimum is x = 0,
+    the primal and the gap are 0, and the run converges at once.
     """
     schedule = schedule or StepSchedule()
     if type(max_iters) is not int or max_iters < 1:
@@ -309,17 +313,14 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
 
         if best_dual > 0:
             gap = (primal_cost - best_dual) / best_dual
-        elif primal_cost == 0:
-            gap = Fraction(0)   # zero-entropy instance: nothing to transmit
-        else:
-            gap = None
-        trace.append(TraceEntry(n, _float(dual_value), _float(primal_cost),
-                                _float(gap) if gap is not None else float("inf")))
+        else:                   # zero entropy: x = 0 is every inner optimum, the primal is 0
+            gap = Fraction(0)
+        trace.append(TraceEntry(n, _float(dual_value), _float(primal_cost), _float(gap)))
 
-        if gap is not None and gap <= gap_tol:
+        if gap <= gap_tol:
             converged = True
             break
-        if best_gap is None or (gap is not None and gap < best_gap):
+        if best_gap is None or gap < best_gap:
             best_gap = gap
             since_improvement = 0
         else:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from helpers import FIXTURE_F2, REPO, chain_instance, random_instance_doc
+from helpers import (FIXTURE_F2, REPO, chain_instance, load_f2, random_instance_doc,
+                     tabular_from_oracle)
 from mmcast.cli import main
 
 
@@ -442,3 +443,55 @@ def test_bad_schedule_rejected(capsys):
                         "--method", "subgradient", "--schedule", "s3:1")
     assert code == 1
     assert doc["error"]["code"] == "InvalidParameters"
+
+
+HALF_RATES_PATH = str(REPO / HALF_RATES)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["solve", str(FIXTURE_F2), "--all-clients", "--method", "foo"],
+    ["solve", str(FIXTURE_F2), "--client", "t1", "--all-clients"],
+    ["solve", str(FIXTURE_F2), "--all-clients", "--iters", "x"],
+    ["solve", str(FIXTURE_F2), "--all-clients", "--method", "subgradient", "--schedule", "s1:x"],
+    ["code", str(FIXTURE_F2)],
+    ["code", str(FIXTURE_F2), "--rates", HALF_RATES_PATH, "--q", "4"],
+    ["simulate", str(FIXTURE_F2), "--rates", HALF_RATES_PATH, "--w", "1,a"],
+], ids=["no command", "unknown method", "client and all clients", "iters not an int",
+        "schedule not a number", "code without rates", "q not prime", "w not a number"])
+def test_malformed_parameters_exit_one(capsys, argv):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["code"] == "InvalidParameters"
+    assert capsys.readouterr().err == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--all-clients" in capsys.readouterr().out
+
+
+def test_q_applies_to_the_linear_model_only(tmp_path, capsys):
+    doc = json.loads(FIXTURE_F2.read_text())
+    _, oracle, _ = load_f2()
+    table = tabular_from_oracle(oracle)
+    doc["source_model"] = {"kind": "tabular", "unit": "packets",
+                           "entropies": {",".join(sorted(s)): str(h)
+                                         for s, h in table.entropies.items()}}
+    path = tmp_path / "tabular.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "validate", str(path))[0] == 0
+    code, out = run_cli(capsys, "code", str(path), "--rates", HALF_RATES_PATH, "--q", "5")
+    assert code == 1
+    assert out["error"]["code"] == "InvalidParameters"
+    assert "linear" in out["error"]["message"]
+
+
+def test_subgradient_cap_is_reported(capsys):
+    code, doc = run_cli(capsys, "solve", str(FIXTURE_F2), "--all-clients",
+                        "--method", "subgradient", "--iters", "1", "--gap", "0")
+    assert code == 0
+    assert doc["warning"] == "max_iters"
+    assert doc["iterations"] == 1 and doc["converged"] is False

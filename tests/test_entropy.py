@@ -5,8 +5,8 @@ import pytest
 
 from helpers import long_chain_doc, random_instance_doc, tabular_from_oracle
 from mmcast import client_subproblem, gf, load_instance
-from mmcast.entropy import (POLYMATROID_SAMPLES, EntropyOracle, LinearSource, TabularSource,
-                            pmf_from_nested, validate_polymatroid)
+from mmcast.entropy import (POLYMATROID_EXHAUSTIVE, POLYMATROID_SAMPLES, EntropyOracle,
+                            LinearSource, TabularSource, pmf_from_nested, validate_polymatroid)
 from mmcast.errors import GroundTooLarge, InvalidParameters, UnknownSubset
 from mmcast.gf import FieldMatrix
 from mmcast.model import Region
@@ -170,8 +170,41 @@ def test_sampled_polymatroid_path_on_large_ground():
     oracle = EntropyOracle.from_model(tuple(matrices), model)
     report = validate_polymatroid(oracle)
     assert not report.exhaustive
-    assert report.pairs_checked == POLYMATROID_SAMPLES
+    assert report.pairs_checked == n_sources + POLYMATROID_SAMPLES
     assert report.ok
+
+
+@pytest.mark.parametrize("n_sources", [12, 13])
+def test_planted_monotone_violation_is_reported(n_sources):
+    # s1 adds nothing to the other sources here, so H(N - {s1}) = H(N); raising
+    # H(N - {s1}) by one breaks exactly one monotone elemental inequality
+    _, oracle, _ = load_instance(random_instance_doc(random.Random(5), n_sources=n_sources,
+                                                     n_clients=2))
+    table = tabular_from_oracle(oracle)
+    ground = oracle.ground
+    rest = frozenset(ground) - {"s1"}
+    top = table.entropies[frozenset(ground)]
+    assert table.entropies[rest] == top
+    table.entropies[rest] = top + 1
+    report = validate_polymatroid(EntropyOracle.from_model(ground, table))
+    assert report.exhaustive == (n_sources <= POLYMATROID_EXHAUSTIVE)
+    assert report.monotone_violations == [(ground[1:], ground, top + 1, top)]
+    assert not report.ok
+
+
+def test_sampled_submodular_violations_are_reported():
+    # H(S) = |S|^2 grows, so no monotone inequality fails, but every submodular
+    # elemental one does: 2 (k + 1)^2 < (k + 2)^2 + k^2 for |K| = k
+    ground = tuple(f"s{i}" for i in range(13))
+    table = TabularSource(ground, {frozenset(members(ground, mask)): Fraction(mask.bit_count() ** 2)
+                                   for mask in range(1, 1 << 13)})
+    report = validate_polymatroid(EntropyOracle.from_model(ground, table))
+    assert not report.exhaustive and not report.monotone_violations
+    assert len(report.submodular_violations) == POLYMATROID_SAMPLES
+    for i_k, j_k, lhs, rhs in report.submodular_violations:
+        k = len(i_k) - 1
+        assert len(j_k) == k + 1 and len(set(i_k) ^ set(j_k)) == 2
+        assert (lhs, rhs) == (2 * (k + 1) ** 2, (k + 2) ** 2 + k ** 2)
 
 
 def test_pmf_rounding_does_not_fake_violations():

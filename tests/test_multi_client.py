@@ -441,6 +441,23 @@ def test_subgradient_single_client_immediate():
     assert result.trace[0].gap == 0
 
 
+def test_subgradient_zero_entropy_converges_at_once():
+    # the sources observe nothing: every inner optimum is x = 0, so the dual,
+    # the primal and the gap are 0 and the first iteration converges
+    edges = [("ab", "a", "b"), ("b1", "b", "t1"), ("b2", "b", "t2")]
+    doc = {"nodes": ["a", "b", "t1", "t2"], "clients": ["t1", "t2"],
+           "edges": [{"id": e, "tail": u, "head": v, "capacity": "3", "cost": "1"}
+                     for e, u, v in edges],
+           "source_model": {"kind": "linear", "q": 5, "N": 2, "matrices": {}}}
+    instance, oracle, _ = load_instance(doc)
+    result = solve_multi_subgradient(instance, oracle, max_iters=50)
+    assert result.cost == 0 and result.converged and result.warning is None
+    assert result.iterations == 1
+    assert result.trace == [TraceEntry(n=1, dual=0.0, primal=0.0, gap=0.0)]
+    assert set(result.envelope.values()) == {0}
+    assert solve_multi_exact(instance, oracle).cost == 0
+
+
 def test_subgradient_recovered_rates_stay_in_region(f2):
     instance, oracle, _ = f2
     result = solve_multi_subgradient(instance, oracle, max_iters=2000)
