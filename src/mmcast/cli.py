@@ -142,6 +142,10 @@ def _cmd_feas(args) -> tuple:
 
 
 def _cmd_solve(args) -> tuple:
+    given = [f"--{name}" for name in ("schedule", "iters", "gap", "trace-csv")
+             if vars(args)[name.replace("-", "_")] is not None]
+    if given and (args.client is not None or args.method == "exact"):
+        raise InvalidParameters(f"{', '.join(given)}: only for --all-clients --method subgradient")
     instance, oracle, _ = instance_io.load_instance(args.instance)
     if args.client is not None:
         if args.client not in instance.clients:
@@ -161,14 +165,16 @@ def _cmd_solve(args) -> tuple:
         result = multi_client.solve_multi_exact(instance, oracle)
         trace = []
     else:
-        schedule = _parse_schedule(args.schedule)
+        text = "s1:1,1,1" if args.schedule is None else args.schedule
+        iters = multi_client.DEFAULT_MAX_ITERS if args.iters is None else args.iters
+        schedule = _parse_schedule(text)
         try:
-            gap = Fraction(args.gap).limit_denominator(10 ** 12)
+            gap = Fraction("0.01" if args.gap is None else args.gap).limit_denominator(10 ** 12)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameters(f"cannot parse --gap {args.gap!r}: {exc}") from exc
-        params.update({"schedule": args.schedule, "iters": args.iters, "gap": frac_str(gap)})
+        params.update({"schedule": text, "iters": iters, "gap": frac_str(gap)})
         result = multi_client.solve_multi_subgradient(
-            instance, oracle, schedule=schedule, max_iters=args.iters, gap_tol=gap)
+            instance, oracle, schedule=schedule, max_iters=iters, gap_tol=gap)
         trace = [{"n": t.n, "dual": _round12(t.dual), "primal": _round12(t.primal),
                   "gap": _round12(t.gap)} for t in result.trace]
         if args.trace_csv:
@@ -302,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--client", help="solve a single client's problem")
     target.add_argument("--all-clients", action="store_true")
     solve.add_argument("--method", choices=("exact", "subgradient"), default="exact")
-    solve.add_argument("--schedule", default="s1:1,1,1", help="s1:a,b,c or s2:a")
-    solve.add_argument("--iters", type=int, default=multi_client.DEFAULT_MAX_ITERS)
-    solve.add_argument("--gap", default="0.01", help="relative duality gap tolerance")
+    solve.add_argument("--schedule", help="s1:a,b,c or s2:a")    # these four: subgradient only
+    solve.add_argument("--iters", type=int)
+    solve.add_argument("--gap", help="relative duality gap tolerance")
     solve.add_argument("--trace-csv", help="write the per-iteration trace as CSV")
 
     code = add("code", "construct and verify a network code")

@@ -10,8 +10,8 @@ Every region inequality of a client compares a cut or a boundary of a
 source subset S with g(S) = H(X_S | X_rest).  :class:`Region` holds these
 as exact tables indexed by the subset mask over the client's sources, and
 is the only code that builds a mask's row, rules which rows x >= 0 implies
-and finds tight sets, from one incidence list and per-edge lists in the LP
-column order ``sub.edges``.  A table is filled by doubling: the masks with
+and finds tight sets, from one incidence list and per-edge lists in the
+order ``sub.edges``.  A table is filled by doubling: the masks with
 top bit v are the masks below v, each shifted by what adding v changes,
 which is modular in the lower bits; a table costs a few list passes, not an
 edge scan per subset, and assumes no source order.
@@ -26,7 +26,7 @@ from .errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, EmptyReachab
                      InvalidInstance, NegativeCapacity, NonpositiveCost,
                      ReconstructabilityViolated, UnknownEdgeRate)
 from .lp import integral
-from .submodular import members, modular_table
+from .submodular import modular_table
 
 
 @dataclass(frozen=True)
@@ -262,8 +262,8 @@ class Region:
     (``oracle.conditional_table``), a read-only tuple that every Region with
     the same sources on that oracle shares, so one rank sweep serves them all
     for a linear model.  Rows, cuts and boundaries read one incidence list:
-    ``(tail, head)`` source positions per edge, in ``sub.edges`` order (the
-    LP's columns), the client at m.  The cut and boundary tables depend on the
+    ``(tail, head)`` source positions per edge, in ``sub.edges`` order (a
+    row's positions), the client at m.  The cut and boundary tables depend on the
     capacities or rates, lists in that order, and are filled on request, by
     doubling over the sources.  Tables cover all 2^m masks, so they are for
     the brute-force paths (m <= BRUTE_FORCE_LIMIT).  Entries are exact: ints
@@ -277,6 +277,7 @@ class Region:
         self._ends = [(index[e.tail], index[e.head]) for e in sub.edges]
         self.g = oracle.conditional_table(sub.sources)
         self.full = len(self.g) - 1
+        self._rates = None          # the rates of the last boundary table, kept in _boundary
 
     def cut(self, capacities: list) -> list:
         """c(out(S)) for every mask, from the capacities in ``sub.edges`` order.
@@ -298,13 +299,15 @@ class Region:
         return table
 
     def boundary(self, rates: list) -> list:
-        """boundary(R, S) for every mask, from R in ``sub.edges`` order, via the singletons."""
-        net = [0] * (len(self.sub.sources) + 1)    # the last, the client's, is unread
-        for (tail, head), r in zip(self._ends, rates):
-            r = integral(r)
-            net[tail] += r
-            net[head] -= r
-        return modular_table(integral(b) for b in net[:-1])
+        """boundary(R, S) for every mask from R in ``sub.edges`` order; the last table is kept."""
+        if rates != self._rates:
+            net = [0] * (len(self.sub.sources) + 1)    # the last, the client's, is unread
+            for (tail, head), r in zip(self._ends, rates):
+                r = integral(r)
+                net[tail] += r
+                net[head] -= r
+            self._rates, self._boundary = [*rates], modular_table(integral(b) for b in net[:-1])
+        return self._boundary
 
     def row(self, mask: int) -> dict:
         """boundary(R, S) as ``{edge position: +1 or -1}``, the positions ascending.
@@ -323,10 +326,16 @@ class Region:
         """Whether R >= 0 alone implies S's ``row`` (:meth:`row`): g(S) <= 0, no edge enters S."""
         return self.g[mask] <= 0 and -1 not in row.values()
 
-    def tight(self, rates: list, masks) -> list:
-        """The members of each of ``masks`` whose inequality is tight at ``rates``, in order."""
+    def tight(self, rates: list) -> list:
+        """The members of every nonempty S whose row is tight at ``rates``, in mask order."""
+        half, sources = len(self.sub.sources) // 2, self.sub.sources
+        low, high = [()], [()]      # the members of each mask of the low and the high half
+        for table, part in ((low, sources[:half]), (high, sources[half:])):
+            for v in part:
+                table += [s + (v,) for s in table]
         b, g = self.boundary(rates), self.g
-        return [members(self.sub.sources, mask) for mask in masks if b[mask] == g[mask]]
+        return [low[mask & (1 << half) - 1] + high[mask >> half]
+                for mask in range(1, self.full + 1) if b[mask] == g[mask]]
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,17 @@ The multi-client problem minimizes sum(alpha_e * Z_e) where Z_e dominates
 every client's rate on edge e and each client's rates lie in its own
 rate-flow region.  Two routes:
 
-* :func:`solve_multi_exact` -- one exact LP over the envelope and every
-  client's rates, with region rows added lazily: it starts from the rows
-  of each client's singletons and its ground equality, and the couplings
-  Z_e >= R_e^(t), and runs ``single_client.cutting_planes``, the package's
-  one cutting-plane loop, on it, so the optimum is exact and certified by
-  exact separation.  The single-client routes also seed the complements of
-  the singletons; here they would make the cold tableau denser and bring
-  in pivots off ``det`` (the integer tableau's denominator) to save cut
-  rounds, each of which scans only 2^m masks.  :func:`solve_multi_bruteforce`
-  builds the same LP with every region row; it is the reference for the
-  lazy route.  Both take each client's region rows from its ``ClientCuts.rows``, which
-  drops the rows that x >= 0 implies and appends the ground equality.
-* :func:`solve_multi_subgradient` -- dualize the coupling Z_e >= R_e^(t).
+* :func:`solve_multi_exact` -- one exact LP on ``single_client.layout``'s
+  columns: Z_e on each edge some client uses, and a rate column of a client,
+  coupled by Z_e >= R_e^(t), only on an edge that another client also uses.
+  Each client starts from the rows of its singletons and its ground
+  equality (the complements that the single-client routes also seed would
+  make this cold tableau denser), and ``single_client.cutting_planes``, the
+  one loop, adds the rest lazily, so the optimum is exact and certified by
+  exact separation.  :func:`solve_multi_bruteforce` poses every region row
+  at once; it is the reference for the lazy route.
+* :func:`solve_multi_subgradient` -- dualize the couplings that this layout
+  keeps, on the shared edges; an edge of one client keeps lam = alpha_e.
   The per-edge multipliers live on scaled simplices {lam >= 0,
   sum_t lam_e^(t) = alpha_e}; each iteration solves one weighted
   single-client problem per client (exact), takes a projected ascent step
@@ -52,10 +50,10 @@ from operator import truediv
 
 from . import feasibility, model
 from .errors import BudgetExceeded, Infeasible, InvalidParameters
-from .lp import LinearProgram, SimplexSolver, integral
+from .lp import SimplexSolver, integral
 from .model import NetworkInstance
 from .single_client import (BRUTE_FORCE_SOURCES, ClientCuts, RegionOptimizer, cutting_planes,
-                            singletons)
+                            layout, program, singletons)
 
 DEFAULT_MAX_ITERS = 50000
 DEFAULT_GAP_TOL = Fraction(1, 100)
@@ -156,44 +154,19 @@ def exact_simplex_projection(v: list, total: Fraction) -> list:
 
 # -- exact LP route ----------------------------------------------------------
 
-class _MultiLP:
-    """Variables, caps, rows and read-out of the exact multi-client LP.
-
-    The columns are Z_e for every edge of the instance, then each client's
-    ``ClientCuts`` columns, seeded with the client's ``singletons``; each
-    row is a ``{column: coefficient}`` dict.  The lazy and the brute-force
-    route assemble it from different masks.
-    """
-
-    def __init__(self, instance: NetworkInstance, subs: dict, oracle):
-        self.instance, self.caps = instance, instance.capacities()
-        self.z_index = {e.id: i for i, e in enumerate(instance.edges)}
-        self.clients, n = {}, len(instance.edges)
-        for t, sub in subs.items():
-            self.clients[t] = ClientCuts(sub, oracle, self.caps, n, singletons(len(sub.sources)))
-            n += len(sub.edges)
-        self.n = n
-
-    def program(self, masks: dict) -> LinearProgram:
-        """The LP with the region rows of ``masks[t]`` plus every ground equality and coupling."""
-        covered = {e.id for c in self.clients.values() for e in c.sub.edges}
-        upper = [self.caps[e.id] if e.id in covered else 0 for e in self.instance.edges]
-        # R_e^(t) <= Z_e <= c_e already caps the rates; a cap would add a row each
-        upper += [None] * (self.n - len(upper))
-        rows = []
-        for t, c in self.clients.items():
-            rows += c.rows(masks[t])
-            rows += [({self.z_index[e.id]: 1, c.offset + j: -1}, ">=", 0)
-                     for j, e in enumerate(c.sub.edges)]
-        objective = [e.cost for e in self.instance.edges]
-        objective += [0] * (self.n - len(objective))
-        return LinearProgram(objective, rows, upper)
-
-    def result(self, solution) -> MulticastRates:
-        per_client = {t: dict(zip((e.id for e in c.sub.edges), c.rates(solution.x)))
-                      for t, c in self.clients.items()}
-        envelope = {e.id: solution.x[self.z_index[e.id]] for e in self.instance.edges}
-        return MulticastRates(envelope, per_client, solution.value)
+def _solve(instance: NetworkInstance, oracle, subs: dict, seeds) -> MulticastRates:
+    """The rate LP's optimum, each pool seeded with ``seeds(m)``; Z_e = 0 off every E_t."""
+    caps = instance.capacities()
+    z, columns = layout(instance.edges, list(subs.values()))
+    clients = [ClientCuts(sub, oracle, caps, cols, seeds(len(sub.sources)))
+               for sub, cols in zip(subs.values(), columns)]
+    costs = [e.cost for e in instance.edges if e.id in z]
+    solver = SimplexSolver(program(z, caps, clients, costs))
+    solution = cutting_planes(solver, solver.solve(), solver.lp.objective, clients)
+    envelope = {e.id: solution.x[z[e.id]] if e.id in z else Fraction(0) for e in instance.edges}
+    per_client = {c.sub.client: dict(zip((e.id for e in c.sub.edges), c.rates(solution.x)))
+                  for c in clients}
+    return MulticastRates(envelope, per_client, solution.value)
 
 
 def solve_multi_exact(instance: NetworkInstance, oracle) -> MulticastRates:
@@ -206,25 +179,17 @@ def solve_multi_exact(instance: NetworkInstance, oracle) -> MulticastRates:
     Infeasible, with the certificates of the failing clients, when the LP
     finds no allocation.
     """
-    lp = _MultiLP(instance, model.client_subproblems(instance, oracle), oracle)
-    solver = SimplexSolver(lp.program({t: c.pool for t, c in lp.clients.items()}))
-    return lp.result(cutting_planes(solver, solver.solve(), solver.lp.objective,
-                                    list(lp.clients.values())))
+    return _solve(instance, oracle, model.client_subproblems(instance, oracle), singletons)
 
 
 def solve_multi_bruteforce(instance: NetworkInstance, oracle) -> MulticastRates:
-    """Reference optimum: one LP with every region row of every client materialized."""
+    """Reference optimum: one LP with every region row of every client; separation re-checks it."""
     subs = model.client_subproblems(instance, oracle)
     masks = sum(1 << len(s.sources) for s in subs.values())
     if masks > BRUTE_FORCE_MASKS:
         raise BudgetExceeded(
             f"region tables of {masks} masks exceed the {BRUTE_FORCE_MASKS}-mask budget")
-    lp = _MultiLP(instance, subs, oracle)
-    solution = SimplexSolver(lp.program({t: range(1, c.region.full)
-                                         for t, c in lp.clients.items()})).solve()
-    if solution.status != "optimal":
-        raise feasibility.infeasible([c.certificate() for c in lp.clients.values()])
-    return lp.result(solution)
+    return _solve(instance, oracle, subs, lambda m: range(1, (1 << m) - 1))
 
 
 # -- subgradient route -------------------------------------------------------

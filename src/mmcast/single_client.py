@@ -2,17 +2,16 @@
 
 The feasible set is the client's rate-flow region: every source subset S
 must satisfy boundary(R, S) >= H(X_S | X_rest), with equality at the full
-source set, intersected with the capacity box.  Two solvers cover it, both
-taking their rows from ``ClientCuts.rows``, the one place where a client's
-masks become LP rows (here and in ``multi_client``), and returning exact optima:
+source set, intersected with the capacity box.  Every rate LP takes its
+columns from :func:`layout` and its rows from :func:`program`, a client's from
+``ClientCuts.rows``, the one place where masks become LP rows.  Two exact solvers:
 
 * :func:`solve_single_client` -- :func:`cutting_planes`, the package's one
   cutting-plane loop, which ``multi_client.solve_multi_exact`` runs too.
   The LP starts from :func:`seed_pool` (singletons, their complements, the
   ground equality); each most violated subset, found by exact submodular
   minimization, is appended and re-optimized warm until none is violated.
-  Whoever builds an LP chooses its seed masks: the multi-client LP starts
-  from the :func:`singletons` alone.
+  The multi-client LP starts from the :func:`singletons` alone.
 * :func:`solve_single_client_bruteforce` -- every subset inequality at
   once; the baseline the cutting planes are tested against.
 
@@ -21,8 +20,11 @@ The LP decides feasibility; certificates only explain an empty LP.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from operator import ge
 
 from . import feasibility
 from .errors import GroundTooLarge
@@ -37,7 +39,7 @@ BRUTE_FORCE_SOURCES = 16
 class SingleClientSolution:
     rates: dict                 # edge id -> Fraction on E_t
     cost: Fraction
-    tight_sets: list            # subsets whose region inequality is tight
+    tight_sets: list            # every subset whose region inequality is tight, in mask order
     iterations: int             # LP solves performed
 
 
@@ -56,25 +58,45 @@ def most_violated(region: Region, rates: list):
     """Exact separation: the mask minimizing boundary(R, S) - g(S), if that is negative.
 
     R is listed in ``sub.edges`` order.  None certifies that R satisfies every
-    region inequality; it is decided by the minimum of the slack table alone.
-    Only a negative minimum goes on to :func:`sfm_brute_force` for its tie-broken witness.
+    region inequality; it is decided by comparing the boundary table with g alone.
+    Only a violated table goes on to :func:`sfm_brute_force` for its tie-broken witness.
     """
-    slack = [b - g for b, g in zip(region.boundary(rates), region.g)]
-    if min(slack) >= 0:
+    b = region.boundary(rates)
+    if all(map(ge, b, region.g)):
         return None
+    slack = [x - y for x, y in zip(b, region.g)]
     h = SetFunction.tabulated(region.sub.sources, slack, "submodular")
     witness, _ = sfm_brute_force(h)
     return h.mask(witness)
 
 
-def _simplex(client: ClientCuts, masks, objective: list) -> SimplexSolver:
-    """The client's LP alone: its ``rows`` of ``masks`` and the capacity caps."""
-    return SimplexSolver(LinearProgram(objective, client.rows(masks),
-                                       [client.capacities[e.id] for e in client.sub.edges]))
+def layout(edges, subs) -> tuple:
+    """Every rate LP's columns: ``{edge id: Z column}`` and each client's, in ``sub.edges`` order.
+
+    Z_e for each of ``edges`` that a client of ``subs`` uses, in order, then, client by
+    client, a rate column on each edge it shares with another; elsewhere its rate is Z_e,
+    as costs are positive, so Z_e >= R_e^(t) would be tight at every optimum.
+    """
+    users = Counter(e.id for sub in subs for e in sub.edges)
+    z = {e.id: k for k, e in enumerate(e for e in edges if e.id in users)}
+    fresh = count(len(z))
+    return z, [[z[e.id] if users[e.id] == 1 else next(fresh) for e in sub.edges] for sub in subs]
+
+
+def program(z: dict, capacities: dict, clients: list, costs: list) -> LinearProgram:
+    """The rate LP on ``layout``'s columns, with ``costs`` on Z and 0 on the rates.
+
+    Client by client, its pool's rows, then Z_e >= R_e^(t) on each edge it
+    shares.  Only Z is capped, at c_e: R_e^(t) <= Z_e caps the rates."""
+    rows, rates = [], sum(k >= len(z) for c in clients for k in c.columns)   # rate columns
+    for c in clients:
+        rows += c.rows(c.pool) + [({z[e.id]: 1, k: -1}, ">=", 0)
+                                  for e, k in zip(c.sub.edges, c.columns) if k >= len(z)]
+    return LinearProgram(costs + [0] * rates, rows, [capacities[e] for e in z] + [None] * rates)
 
 
 class ClientCuts:
-    """One client's columns (its rates in ``sub.edges`` order, from ``offset``) and rows in an LP.
+    """One client's rows in a rate LP, on its ``layout`` columns (in ``sub.edges`` order).
 
     ``pool`` holds the masks of its region rows: the seed masks that the
     builder of the LP passes (``seed_pool`` for a client alone in its LP,
@@ -83,32 +105,27 @@ class ClientCuts:
     changes, and cuts only remove points outside it.
     """
 
-    def __init__(self, sub: ClientSubproblem, oracle, capacities: dict, offset: int, seeds):
-        self.sub, self.oracle, self.capacities, self.offset = sub, oracle, capacities, offset
+    def __init__(self, sub: ClientSubproblem, oracle, capacities: dict, columns: list, seeds):
+        self.sub, self.oracle, self.capacities, self.columns = sub, oracle, capacities, columns
         self.region = Region(sub, oracle)
         self.pool = list(seeds)
         self._certified = set()     # each slice that separation passed, as its exact ratios
         self._passed = None         # the last slice that passed
 
     def rates(self, x: list) -> list:
-        """The client's slice of x."""
-        return x[self.offset:self.offset + len(self.sub.edges)]
+        """The client's rates in x, in ``sub.edges`` order."""
+        return [x[k] for k in self.columns]
 
     def row(self, mask: int) -> tuple:
         """boundary(R, S) >= g(S) on the client's columns, an equality at the full set."""
-        return self._posed(mask, self.region.row(mask))
-
-    def _posed(self, mask: int, row: dict) -> tuple:
-        """The LP row of S from its ``Region.row``."""
-        row = {self.offset + j: c for j, c in row.items()} if self.offset else row
+        row = {self.columns[j]: c for j, c in self.region.row(mask).items()}
         return row, "==" if mask == self.region.full else ">=", self.region.g[mask]
 
     def rows(self, masks) -> list:
         """The rows of ``masks`` that ``Region.implied`` keeps, then the ground equality."""
-        region = self.region
-        rows = [(mask, region.row(mask)) for mask in masks]
-        return [self._posed(mask, row) for mask, row in rows
-                if not region.implied(mask, row)] + [self.row(region.full)]
+        rows = [(mask, self.row(mask)) for mask in masks]
+        return [row for mask, row in rows
+                if not self.region.implied(mask, row[0])] + [self.row(self.region.full)]
 
     def separate(self, x: list):
         """The mask of the client's most violated row at x, None if its slice passes."""
@@ -161,7 +178,8 @@ class RegionOptimizer(ClientCuts):
     """
 
     def __init__(self, sub: ClientSubproblem, oracle, capacities: dict):
-        super().__init__(sub, oracle, capacities, 0, seed_pool(len(sub.sources)))
+        self._z, (columns,) = layout(sub.edges, [sub])
+        super().__init__(sub, oracle, capacities, columns, seed_pool(len(sub.sources)))
         self._solver = None
 
     def minimize(self, costs: list):
@@ -169,7 +187,7 @@ class RegionOptimizer(ClientCuts):
         solver, self._solver = self._solver, None   # an empty LP drops it
         cuts = len(self.pool)                       # each later LP solve follows one cut
         if solver is None:
-            solver = _simplex(self, self.pool, costs)
+            solver = SimplexSolver(program(self._z, self.capacities, [self], costs))
             solution = solver.solve()
         else:
             solution = solver.resolve(costs)
@@ -178,29 +196,31 @@ class RegionOptimizer(ClientCuts):
         return solution.x, solution.value, 1 + len(self.pool) - cuts
 
 
+def _solution(client: ClientCuts, x: list, value, solves: int) -> SingleClientSolution:
+    """The client's rates at x and every tight subset, in mask order: the ground set last."""
+    region, rates = client.region, client.rates(x)
+    tight = region.tight(rates)
+    if tight[-1:] != [client.sub.sources]:  # with no violated subset, b(R) is in B(g) only then
+        raise RuntimeError(f"client {client.sub.client}: the rates miss the ground equality")
+    return SingleClientSolution(dict(zip((e.id for e in client.sub.edges), rates)), value,
+                                tight, solves)
+
+
 def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
                         capacities: dict) -> SingleClientSolution:
     """Cutting-plane optimum of the single-client allocation problem."""
     opt = RegionOptimizer(sub, oracle, capacities)
-    x, value, solves = opt.minimize([costs[e.id] for e in sub.edges])
-    # no violated subset and the full set tight (listed last): b(R) is in the base polyhedron of g
-    tight = opt.region.tight(x, sorted(opt.pool) + [opt.region.full])
-    if tight[-1:] != [sub.sources]:
-        raise RuntimeError(f"client {sub.client}: the rates miss the ground equality")
-    return SingleClientSolution(dict(zip((e.id for e in sub.edges), x)), value, tight, solves)
+    return _solution(opt, *opt.minimize([costs[e.id] for e in sub.edges]))
 
 
 def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
                                    capacities: dict) -> SingleClientSolution:
-    """Oracle baseline: one LP with every subset inequality materialized."""
+    """Oracle baseline: one LP with every subset inequality; separation only re-checks it."""
     m = len(sub.sources)
     if m > BRUTE_FORCE_SOURCES:
         raise GroundTooLarge(f"{m} sources exceeds brute-force limit {BRUTE_FORCE_SOURCES}")
-    client = ClientCuts(sub, oracle, capacities, 0, range(1, (1 << m) - 1))
-    region = client.region
-    solution = _simplex(client, client.pool, [costs[e.id] for e in sub.edges]).solve()
-    if solution.status == "infeasible":
-        raise feasibility.infeasible([client.certificate()])
-    return SingleClientSolution(dict(zip((e.id for e in sub.edges), solution.x)), solution.value,
-                                region.tight(solution.x, range(1, region.full + 1)), 1)
-
+    z, (columns,) = layout(sub.edges, [sub])
+    client = ClientCuts(sub, oracle, capacities, columns, range(1, (1 << m) - 1))
+    solver = SimplexSolver(program(z, capacities, [client], [costs[e.id] for e in sub.edges]))
+    solution = cutting_planes(solver, solver.solve(), solver.lp.objective, [client])
+    return _solution(client, solution.x, solution.value, 1)

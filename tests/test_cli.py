@@ -495,3 +495,20 @@ def test_subgradient_cap_is_reported(capsys):
     assert code == 0
     assert doc["warning"] == "max_iters"
     assert doc["iterations"] == 1 and doc["converged"] is False
+
+
+@pytest.mark.parametrize("options", [
+    ["--all-clients", "--method", "exact", "--iters", "0", "--schedule", "s9", "--trace-csv"],
+    ["--client", "t1", "--method", "subgradient", "--iters", "0"],
+    ["--all-clients", "--gap", "0.5"],          # --method defaults to exact
+    ["--client", "t1", "--schedule", "s1:1,1,1", "--trace-csv"],
+], ids=["exact", "client", "gap with the default method", "schedule with client"])
+def test_subgradient_options_are_refused_on_other_routes(tmp_path, capsys, options):
+    csv = tmp_path / "x.csv"
+    if options[-1] == "--trace-csv":
+        options = [*options, str(csv)]
+    code, doc = run_cli(capsys, "solve", str(FIXTURE_F2), *options)
+    assert code == 1
+    assert doc["error"]["code"] == "InvalidParameters"
+    assert doc["error"]["message"].endswith(": only for --all-clients --method subgradient")
+    assert not csv.exists()

@@ -918,7 +918,7 @@ def test_multi_client_lps_pivot_like_the_rational_reference(monkeypatch):
     pivot = {cls: cls._pivot for cls in (SimplexSolver, _FractionReference)}
     rng = random.Random(107)
     pivots = 0
-    for i in range(12):
+    for i in range(20):
         instance, oracle, _ = random_feasible_instance(rng, n_sources=6 + i % 2, n_clients=2,
                                                        max_capacity=8)
         runs = []

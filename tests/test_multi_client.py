@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_feasible_instance, random_instance_doc, single_edge_instance
+from helpers import REPO, random_feasible_instance, random_instance_doc, single_edge_instance
 from mmcast import check_feasible_multi, load_instance
 from mmcast.errors import Infeasible, InvalidParameters
 from mmcast.lp import integral
@@ -177,7 +177,7 @@ def test_a_cut_that_keeps_its_vertex_is_an_error(monkeypatch, f2):
     # append the same row forever; the cap turns such a loop into a failure
     from mmcast.lp import SimplexSolver
     from mmcast.model import Region
-    from mmcast.single_client import ClientCuts
+    from mmcast.single_client import ClientCuts, layout
     instance, oracle, _ = f2
     appends = []
     add_rows = SimplexSolver.add_rows
@@ -189,17 +189,17 @@ def test_a_cut_that_keeps_its_vertex_is_an_error(monkeypatch, f2):
 
     monkeypatch.setattr(SimplexSolver, "add_rows", capped)
     boundary = Region.boundary
-    first = len(instance.edges)     # the clients' columns follow the envelope's, in order
+    _, columns = layout(instance.edges, [client_subproblem(instance, oracle, t)
+                                         for t in instance.clients])
+    following = {t: columns[(i + 1) % len(columns)] for i, t in enumerate(instance.clients)}
 
     def next_slice(self, x):
-        # as many columns as the client has, at the next client's offset
-        start = self.offset + len(self.sub.edges)
-        start = first if start == len(x) else start
-        return x[start:start + len(self.sub.edges)]
+        # as many columns as the client has, of the next client's (the first's after the last)
+        return [x[k] for k in following[self.sub.client][:len(self.sub.edges)]]
 
     def late_slice(self, x):
         # one column late, on either route
-        return x[self.offset + 1:self.offset + 1 + len(self.sub.edges)]
+        return [x[k + 1] for k in self.columns if k + 1 < len(x)]
 
     for owner, name, mutant in ((Region, "boundary", lambda self, r: boundary(self, r[::-1])),
                                 (ClientCuts, "rates", late_slice)):
@@ -856,3 +856,44 @@ def test_final_tableau_holds_an_exact_dual_certificate(monkeypatch):
         optima += 1
         cut += len(lp.rows) > solver.seed_rows
     assert cut >= 15
+
+
+def test_the_lp_has_z_on_used_edges_and_couplings_on_shared_edges_only(monkeypatch):
+    # t1 and t2 share e2 and e3; e1 and e4 are t1's alone, e5 and e6 t2's alone, and
+    # e7 runs into the relay r, which reaches no client
+    import mmcast.multi_client as multi_client
+    from mmcast.lp import SimplexSolver
+    from mmcast.single_client import layout
+    built = []
+
+    class Recorded(SimplexSolver):
+        def __init__(self, lp):
+            super().__init__(lp)
+            built.append(lp)
+
+    monkeypatch.setattr(multi_client, "SimplexSolver", Recorded)
+    instance, oracle, _ = load_instance(REPO / "tests" / "data" / "layout.json")
+    subs = [client_subproblem(instance, oracle, t) for t in instance.clients]
+    assert [[e.id for e in sub.edges] for sub in subs] == [["e1", "e2", "e3", "e4"],
+                                                           ["e2", "e3", "e5", "e6"]]
+    used = {f"e{i}": i - 1 for i in range(1, 7)}
+    assert layout(instance.edges, subs) == (used, [[0, 6, 7, 3], [8, 9, 4, 5]])
+    exact = solve_multi_exact(instance, oracle)
+    brute = solve_multi_bruteforce(instance, oracle)
+    assert len(built) == 2
+    edges = instance.edge_map()
+    couplings = [({1: 1, 6: -1}, ">=", 0), ({2: 1, 7: -1}, ">=", 0),     # t1 on e2, e3
+                 ({1: 1, 8: -1}, ">=", 0), ({2: 1, 9: -1}, ">=", 0)]     # t2 on e2, e3
+    for lp in built:
+        # Z on the six used edges, costed and capped, then the four shared rate columns
+        assert lp.objective == [edges[e].cost for e in used] + [0] * 4
+        assert lp.upper == [edges[e].capacity for e in used] + [None] * 4
+        assert [row for row in lp.rows if row in couplings] == couplings
+        # every other row is a region row: on one client's columns, none of them a coupling
+        for coeffs, rel, rhs in lp.rows:
+            if (coeffs, rel, rhs) not in couplings:
+                assert set(coeffs) <= {0, 6, 7, 3} or set(coeffs) <= {8, 9, 4, 5}
+    assert exact.envelope["e7"] == brute.envelope["e7"] == 0
+    assert (exact.cost, exact.envelope, exact.per_client) == (brute.cost, brute.envelope,
+                                                             brute.per_client)
+    assert exact.cost == 10

@@ -8,7 +8,8 @@ from helpers import single_edge_instance
 from mmcast import gf, load_instance
 from mmcast.entropy import LinearSource, TabularSource
 from mmcast.errors import (FieldTooSmall, InfeasibleRates, InvalidParameters, NotLinearModel,
-                           RankDeficient, ScaleOverflow, VerificationFailedAllAttempts)
+                           RankDeficient, ReconstructabilityViolated, ScaleOverflow,
+                           VerificationFailedAllAttempts)
 from mmcast.gf import FieldMatrix
 from mmcast.netcode import (assign_coefficients, assignment_from_coefficients,
                             build_coded_network, build_decoder, propagate_global_vectors,
@@ -257,6 +258,25 @@ def test_unrecoverable_file_rejected():
     instance, oracle, sm = load_instance(doc)
     with pytest.raises(InfeasibleRates):
         build_coded_network(instance, sm, {"e": Fraction(2)}, oracle=oracle)
+
+
+def test_a_client_that_cannot_see_the_file_is_refused_as_infeasible_rates():
+    # the joint rank is N, so the file is determined, but t1 reaches only a, which
+    # holds packet 0 of 2: the rate check's ReconstructabilityViolated becomes
+    # InfeasibleRates, the code stage's one refusal of a rate vector
+    doc = {
+        "nodes": ["a", "b", "t1", "t2"],
+        "edges": [{"id": f"e{i}", "tail": u, "head": v, "capacity": "2", "cost": "1"}
+                  for i, (u, v) in enumerate((("a", "t1"), ("b", "t2"), ("a", "t2")), 1)],
+        "clients": ["t1", "t2"],
+        "source_model": {"kind": "linear", "q": 5, "N": 2,
+                         "matrices": {"a": [[1, 0]], "b": [[0, 1]]}},
+    }
+    instance, oracle, sm = load_instance(doc)
+    assert oracle.entropy(instance.sources) == sm.n_packets
+    with pytest.raises(InfeasibleRates, match=r"\['t1'\] cannot see the full process") as err:
+        build_coded_network(instance, sm, {"e1": 1, "e2": 1, "e3": 1}, oracle=oracle)
+    assert type(err.value.__cause__) is ReconstructabilityViolated
 
 
 def test_assignment_deterministic_per_seed(f2_net):

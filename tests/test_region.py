@@ -70,6 +70,24 @@ def test_every_table_entry_equals_its_per_subset_definition():
         assert features == {"relay", "client edge", "zero capacity"}, kind
 
 
+def test_the_kept_boundary_table_follows_the_rates(f2):
+    # Region keeps its last boundary table for the tight-set scan: equal rates get it
+    # back, and rates changed since, even in the list that was passed, get their own
+    instance, oracle, _ = f2
+    sub = client_subproblem(instance, oracle, "t1")
+    region = Region(sub, oracle)
+
+    def table(rates):
+        return [boundary(dict(zip((e.id for e in sub.edges), rates)), members(sub.sources, mask),
+                         sub.edges) for mask in range(region.full + 1)]
+
+    rates = [Fraction(1)] * len(sub.edges)
+    first = region.boundary(rates)
+    assert region.boundary(list(rates)) is first
+    rates[0] = Fraction(3)
+    assert region.boundary(rates) == table(rates) != first
+
+
 def test_kernel_reproduces_recorded_certificates_and_separations():
     reference = json.loads(REFERENCE.read_text())
     cases = iter(reference["cases"])

@@ -5,8 +5,10 @@ rows of the sources in S, ``>=`` g(S) from the oracle's per-subset
 entropies, the ground equality ``== H(X_{M_t})`` after the seed rows, every
 route's filter of seed and brute-force rows that x >= 0 implies (a cut is
 violated, so never implied), and the multi-client LP's columns indexed by
-(client, edge id).  Every LP the solvers build must have the same rows,
-relations, right-hand sides, caps and objective, in the same order.
+edge id (Z_e, on the edges some client uses) and by (client, edge id) (the
+Z_e of an edge one client uses, else a rate column of its own).  Every LP
+the solvers build must have the same rows, relations, right-hand sides,
+caps and objective, in the same order.
 """
 
 import mmcast.multi_client as multi_client
@@ -57,17 +59,33 @@ def _single_reference(sub, oracle, costs, caps, masks, cuts=()) -> LinearProgram
 
 
 class _MultiReference:
-    """The multi-client LP with its columns indexed by (client, edge id)."""
+    """The multi-client LP with its columns indexed by edge id and by (client, edge id).
+
+    Z_e exists for each edge that some client uses, in instance edge order.
+    A client's rate on an edge that no other client uses is Z_e's column; on
+    a shared edge it has its own column, after every Z, client by client, and
+    a coupling Z_e >= R_e^(t).
+    """
 
     def __init__(self, instance, subs, oracle):
         self.instance, self.subs, self.oracle = instance, subs, oracle
-        self.z_index = {e.id: i for i, e in enumerate(instance.edges)}
-        n = len(instance.edges)
+        users = {}
+        for t, sub in subs.items():
+            for e in sub.edges:
+                users.setdefault(e.id, []).append(t)
+        self.z_index = {}
+        for e in instance.edges:
+            if e.id in users:
+                self.z_index[e.id] = len(self.z_index)
+        n = len(self.z_index)
         self.r_index = {}
         for t, sub in subs.items():
             for e in sub.edges:
-                self.r_index[(t, e.id)] = n
-                n += 1
+                if len(users[e.id]) == 1:
+                    self.r_index[(t, e.id)] = self.z_index[e.id]
+                else:
+                    self.r_index[(t, e.id)] = n
+                    n += 1
         self.n = n
 
     def region_row(self, t, mask: int) -> tuple:
@@ -78,9 +96,8 @@ class _MultiReference:
 
     def program(self, masks: dict, cuts=()) -> LinearProgram:
         caps = self.instance.capacities()
-        covered = {eid for (_, eid) in self.r_index}
-        upper = [caps[e.id] if e.id in covered else 0 for e in self.instance.edges]
-        upper += [None] * len(self.r_index)
+        upper = [caps[e.id] for e in self.instance.edges if e.id in self.z_index]
+        upper += [None] * (self.n - len(upper))
         rows = []
         for t, sub in self.subs.items():
             for mask in masks[t]:
@@ -90,9 +107,9 @@ class _MultiReference:
                 rows.append(row)
             rows.append(self.region_row(t, (1 << len(sub.sources)) - 1))
             rows += [({self.z_index[e.id]: 1, self.r_index[(t, e.id)]: -1}, ">=", 0)
-                     for e in sub.edges]
+                     for e in sub.edges if self.r_index[(t, e.id)] != self.z_index[e.id]]
         rows += [self.region_row(t, mask) for t, mask in cuts]
-        objective = [e.cost for e in self.instance.edges]
+        objective = [e.cost for e in self.instance.edges if e.id in self.z_index]
         objective += [0] * (self.n - len(objective))
         return LinearProgram(objective, rows, upper)
 

@@ -8,10 +8,10 @@ from helpers import chain_instance, random_feasible_instance, single_edge_instan
 from mmcast import load_instance
 from mmcast.errors import Infeasible
 from mmcast.feasibility import check_feasible_single
-from mmcast.model import boundary_vector, client_subproblem
+from mmcast.model import boundary, boundary_vector, client_subproblem
 from mmcast.single_client import solve_single_client, solve_single_client_bruteforce
 from mmcast.submodular import (conditional_entropy_function, entropy_function,
-                               in_base_polyhedron)
+                               in_base_polyhedron, members)
 
 
 def test_chain_forced_rates():
@@ -131,6 +131,30 @@ def test_tight_sets_reported(f2):
     sub = client_subproblem(instance, oracle, "t2")
     s = solve_single_client(sub, oracle, instance.costs(), instance.capacities())
     assert tuple(sub.sources) in s.tight_sets  # the ground equality is always tight
+
+
+def test_both_routes_list_every_tight_subset():
+    # tight_sets has one definition: every nonempty subset S, in mask order, with
+    # boundary(R, S) == g(S) at the returned rates; so both routes list the same
+    # sets wherever they return the same vertex
+    rng = random.Random(173)
+    same = 0
+    for _ in range(30):
+        instance, oracle, _ = random_feasible_instance(rng, half_integral=rng.random() < 0.5)
+        for t in instance.clients:
+            sub = client_subproblem(instance, oracle, t)
+            routes = [solve(sub, oracle, instance.costs(), instance.capacities())
+                      for solve in (solve_single_client, solve_single_client_bruteforce)]
+            for s in routes:
+                subsets = [members(sub.sources, mask) for mask in range(1, 1 << len(sub.sources))]
+                assert s.tight_sets == [
+                    subset for subset in subsets
+                    if boundary(s.rates, subset, sub.edges) == oracle.conditional(subset,
+                                                                                  sub.sources)]
+            if routes[0].rates == routes[1].rates:
+                same += 1
+                assert routes[0].tight_sets == routes[1].tight_sets
+    assert same >= 30
 
 
 def test_zero_weights_still_return_region_point(f2):

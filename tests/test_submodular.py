@@ -7,9 +7,9 @@ from helpers import random_instance_doc, random_submodular_function, slack_funct
 from mmcast import client_subproblem, load_instance
 from mmcast.errors import GroundTooLarge, InvalidParameters, MaxIterationsExceeded
 from mmcast.model import boundary_vector, cut_capacity
-from mmcast.submodular import (SetFunction, conditional_entropy_function, entropy_function,
-                               greedy_base_vertex, in_base_polyhedron, members,
-                               min_norm_point, sfm_brute_force)
+from mmcast.submodular import (MembershipResult, SetFunction, conditional_entropy_function,
+                               entropy_function, greedy_base_vertex, in_base_polyhedron,
+                               members, min_norm_point, sfm_brute_force)
 
 
 def modular(weights):
@@ -96,6 +96,19 @@ def test_membership_violation_certificate():
     assert not result.member
     assert result.violating_set == f.ground   # ground sum is now too large
     assert result.deficit == 1
+
+
+def test_membership_names_the_minimizing_violated_inequality():
+    # the ground totals agree, so the answer comes from the slack table: the set
+    # of the most violated inequality and by how much, for either kind: ``rank`` is
+    # the rank function of the uniform matroid U(2, 3), ``dual`` is rank(N) - rank(N - S)
+    rank = SetFunction((1, 2, 3), lambda s: Fraction(min(len(tuple(s)), 2)), "submodular")
+    dual = SetFunction((1, 2, 3), lambda s: Fraction(max(len(tuple(s)) - 1, 0)), "supermodular")
+    x = {1: Fraction(2), 2: Fraction(0), 3: Fraction(0)}
+    assert in_base_polyhedron(x, rank) == MembershipResult(False, (1,), 1)      # x(1) = 2 > 1
+    assert in_base_polyhedron(x, dual) == MembershipResult(False, (2, 3), 1)    # x(23) = 0 < 1
+    y = {1: Fraction(1), 2: Fraction(1), 3: Fraction(0)}
+    assert in_base_polyhedron(y, rank).member and in_base_polyhedron(y, dual).member
 
 
 def test_membership_fixture_optimal_boundary(f2):
