@@ -117,8 +117,9 @@ class LinearSource:
         Bit i of a mask is ``nodes[i]``.  When every node holds a packet set
         (case (i)), the rank of S is the number of packets its members hold
         between them: the held sets of all subsets are built by doubling the
-        list once per node, ORing the node's set into the earlier entries,
-        and each is counted by ``bit_count``.
+        list once per node, ORing the node's set into the earlier entries
+        (copying them for a node that holds nothing), and each is counted
+        by ``bit_count``.
 
         Otherwise (case (ii)), one depth-first sweep over the subset tree,
         in which the children of S are S + v for v after every member of S:
@@ -135,7 +136,10 @@ class LinearSource:
         if None not in held:
             union = [0]
             for bits in held:
-                union += [x | bits for x in union]
+                if bits:
+                    union += [x | bits for x in union]
+                else:                   # holds nothing: the new half is a copy
+                    union += union
             return [x.bit_count() for x in union]
         return self._rank_sweep(nodes)
 
@@ -306,7 +310,7 @@ class EntropyOracle:
             h = self.table(nodes)
             top = h[-1]
             # mask ^ full runs from full down to 0, so G \ S is read back to front
-            g = self._conditional[nodes] = tuple(top - x for x in reversed(h))
+            g = self._conditional[nodes] = tuple([top - x for x in reversed(h)])
         return g
 
     def conditional(self, nodes, within) -> Fraction:

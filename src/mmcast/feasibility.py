@@ -13,6 +13,7 @@ in :func:`infeasible`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,9 +50,8 @@ def _slack_table(sub: ClientSubproblem, oracle, capacities: dict, scale: int) ->
     """scale * (c(out(S)) - g(S)) for every mask, from scale * capacity on each edge."""
     region = Region(sub, oracle)
     cut = region.cut([capacities[e.id] * scale for e in sub.edges])
-    if scale == 1:
-        return [c - g for c, g in zip(cut, region.g)]
-    return [c - scale * g for c, g in zip(cut, region.g)]
+    g = region.g if scale == 1 else [scale * x for x in region.g]
+    return list(map(operator.sub, cut, g))
 
 
 def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> FeasibilityCertificate:

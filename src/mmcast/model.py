@@ -13,12 +13,14 @@ is the only code that builds a mask's row, rules which rows x >= 0 implies
 and finds tight sets, from one incidence list and per-edge lists in the
 order ``sub.edges``.  A table is filled by doubling: the masks with
 top bit v are the masks below v, each shifted by what adding v changes,
-which is modular in the lower bits; a table costs a few list passes, not an
-edge scan per subset, and assumes no source order.
+which is modular in the lower bits, and where that change is zero the
+half is a copy (``table += table``, done in C); a table costs a few list
+passes, not an edge scan per subset, and assumes no source order.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,21 +186,39 @@ def validate_instance(raw: dict) -> NetworkInstance:
     return NetworkInstance(tuple(node_list), tuple(edges), sources, clients, topo)
 
 
-def reachable_sources(instance: NetworkInstance, t: str) -> tuple:
-    """M_t: all sources with a directed path to t, in topological order."""
+def _reachable(instance: NetworkInstance, clients) -> list:
+    """M_t for each of the clients, every walk on one predecessor map."""
     pred = {v: [] for v in instance.nodes}
     for e in instance.edges:
         pred[e.head].append(e.tail)
-    seen = {t}
-    frontier = [t]
-    while frontier:
-        v = frontier.pop()
-        for u in pred[v]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
     client_set = set(instance.clients)
-    return tuple(v for v in instance.topo_order if v in seen and v not in client_set)
+    reached = []
+    for t in clients:
+        seen = {t}
+        frontier = [t]
+        while frontier:
+            v = frontier.pop()
+            for u in pred[v]:
+                if u not in seen:
+                    seen.add(u)
+                    frontier.append(u)
+        reached.append(tuple(v for v in instance.topo_order if v in seen and v not in client_set))
+    return reached
+
+
+def reachable_sources(instance: NetworkInstance, t: str) -> tuple:
+    """M_t: all sources with a directed path to t, in topological order."""
+    return _reachable(instance, [t])[0]
+
+
+def _restrict(instance: NetworkInstance, t: str, m_t: tuple) -> ClientSubproblem:
+    """Client t's subproblem on its reachable sources m_t."""
+    if not m_t:
+        raise EmptyReachableSet(f"client {t} has no reachable sources")
+    keep = set(m_t) | {t}
+    # clients are sinks, so a tail in keep is a source of M_t
+    e_t = tuple(e for e in instance.edges if e.tail in keep and e.head in keep)
+    return ClientSubproblem(t, m_t, e_t)
 
 
 def client_subproblem(instance: NetworkInstance, oracle, t: str) -> ClientSubproblem:
@@ -208,22 +228,19 @@ def client_subproblem(instance: NetworkInstance, oracle, t: str) -> ClientSubpro
     """
     if t not in instance.clients:
         raise InvalidInstance(f"{t!r} is not a client of this instance")
-    m_t = reachable_sources(instance, t)
-    if not m_t:
-        raise EmptyReachableSet(f"client {t} has no reachable sources")
-    keep = set(m_t) | {t}
-    # clients are sinks, so a tail in keep is a source of M_t
-    e_t = tuple(e for e in instance.edges if e.tail in keep and e.head in keep)
-    return ClientSubproblem(t, m_t, e_t)
+    return _restrict(instance, t, reachable_sources(instance, t))
 
 
 def client_subproblems(instance: NetworkInstance, oracle) -> dict:
-    """``{client: subproblem}`` in client order; ReconstructabilityViolated names clients that fail."""
+    """``{client: subproblem}`` in client order; ReconstructabilityViolated names clients that fail.
+
+    Each subproblem is restricted to the M_t that the reconstructability check walked.
+    """
     recon = check_reconstructability(instance, oracle)
     if not recon.ok:
         failed = [c.client for c in recon.clients if not c.complete]
         raise ReconstructabilityViolated(f"clients {failed} cannot see the full process", recon)
-    return {t: client_subproblem(instance, oracle, t) for t in instance.clients}
+    return {c.client: _restrict(instance, c.client, c.sources) for c in recon.clients}
 
 
 def boundary(rates: dict, nodes, edges) -> Fraction:
@@ -285,6 +302,9 @@ class Region:
         Adding v above every bit of S adds v's out-capacity and drops the
         capacity between v and S, in either direction: the edges from v
         into S no longer leave, and those from S into v now stay inside.
+        That capacity, less out(v), is a modular table over the lower
+        sources that doubles by copy where v has no edge to a source, and
+        one subtraction pass takes it from the lower half.
         """
         leaving = [0] * len(self.sub.sources)
         # capacity between v and each lower source; row m, the client's, is unread
@@ -295,7 +315,8 @@ class Region:
             between[max(tail, head)][min(tail, head)] += c
         table = [0]
         for out, lower in zip(leaving, between):
-            table += [x + out - y for x, y in zip(table, modular_table(lower))]
+            # the new half is x - (y - out): y - out for every lower mask is one modular table
+            table += list(map(operator.sub, table, modular_table(lower, -out)))
         return table
 
     def boundary(self, rates: list) -> list:
@@ -364,8 +385,7 @@ def check_reconstructability(instance: NetworkInstance, oracle) -> Reconstructab
     """
     total = oracle.entropy(instance.sources)
     rows = []
-    for t in instance.clients:
-        m_t = reachable_sources(instance, t)
+    for t, m_t in zip(instance.clients, _reachable(instance, instance.clients)):
         h = oracle.entropy(m_t)
         rows.append(ClientReconstructability(t, m_t, h, h == total))
     return ReconstructabilityReport(total, tuple(rows))

@@ -14,7 +14,8 @@ rate-flow region.  Two routes:
   exact separation.  :func:`solve_multi_bruteforce` poses every region row
   at once; it is the reference for the lazy route.
 * :func:`solve_multi_subgradient` -- dualize the couplings that this layout
-  keeps, on the shared edges; an edge of one client keeps lam = alpha_e.
+  keeps, on the shared edges, which it reads from ``single_client.layout``
+  with their (client, column) pairs; an edge of one client keeps lam = alpha_e.
   The per-edge multipliers live on scaled simplices {lam >= 0,
   sum_t lam_e^(t) = alpha_e}; each iteration solves one weighted
   single-client problem per client (exact), takes a projected ascent step
@@ -222,22 +223,26 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     subs = model.client_subproblems(instance, oracle)
     caps = instance.capacities()
     optimizers = [RegionOptimizer(subs[t], oracle, caps) for t in instance.clients]
-    alpha = [e.cost for e in instance.edges]
+    # the exact LP's layout decides which edges are shared: there a client has its own column
+    z, layout_columns = layout(instance.edges, [opt.sub for opt in optimizers])
+    alpha = [e.cost for e in instance.edges if e.id in z]     # on Z's columns
     int_costs = [integral(c) for c in alpha]
-    index = {e.id: k for k, e in enumerate(instance.edges)}
-    # client i's LP column j is instance edge columns[i][j]
-    columns = [[index[e.id] for e in opt.sub.edges] for opt in optimizers]
-    sharing = {}                # instance edge -> the (client, column) pairs on it
-    for i, cols in enumerate(columns):
-        for j, k in enumerate(cols):
-            sharing.setdefault(k, []).append((i, j))
-    # an edge of one client has the single dual point lam = alpha_e
-    shared = [(int_costs[k], pairs) for k, pairs in sharing.items() if len(pairs) > 1]
+    # client i's LP column j is the edge of Z column columns[i][j]
+    columns = [[z[e.id] for e in opt.sub.edges] for opt in optimizers]
+    sharing = {}                # Z column of a shared edge -> the (client, column) pairs on it
+    for i, (cols, own) in enumerate(zip(columns, layout_columns)):
+        for j, (k, col) in enumerate(zip(cols, own)):
+            if col >= len(z):
+                sharing.setdefault(k, []).append((i, j))
+    shared = [(int_costs[k], pairs) for k, pairs in sharing.items()]
 
     # per client, in its column order: the multipliers (the inner LP's objective), the
     # sums of its inner vertices (n times the ergodic average; the best is divided at
     # return) and its last vertex, read once: (x, (column, edge, rate) per nonzero, floats)
-    lam = [[alpha[k] / len(sharing[k]) for k in cols] for cols in columns]
+    lam = [[alpha[k] for k in cols] for cols in columns]    # one client's edge: lam = alpha_e
+    for k, pairs in sharing.items():
+        for i, j in pairs:
+            lam[i][j] = alpha[k] / len(pairs)
     rate_sum = [[0] * len(cols) for cols in columns]
     seen = [(None, (), ())] * len(optimizers)
     # the sums only grow, so the envelope of the sums (top) and its cost do too
@@ -303,7 +308,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
         warning = "max_iters"
 
     cost, top, sums, k = best_primal
-    envelope = {e.id: Fraction(z, k) for e, z in zip(instance.edges, top)}
+    envelope = {e.id: Fraction(top[z[e.id]] if e.id in z else 0, k) for e in instance.edges}
     per_client = {t: {e.id: Fraction(v, k) for e, v in zip(opt.sub.edges, acc)}
                   for t, opt, acc in zip(instance.clients, optimizers, sums)}
     return SubgradientResult(envelope, per_client, cost, trace, n,

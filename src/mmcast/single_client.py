@@ -108,6 +108,8 @@ class ClientCuts:
     def __init__(self, sub: ClientSubproblem, oracle, capacities: dict, columns: list, seeds):
         self.sub, self.oracle, self.capacities, self.columns = sub, oracle, capacities, columns
         self.region = Region(sub, oracle)
+        # on columns 0..k-1 (a client alone in its LP) a region row is already the LP row
+        self._moved = columns != list(range(len(columns)))
         self.pool = list(seeds)
         self._certified = set()     # each slice that separation passed, as its exact ratios
         self._passed = None         # the last slice that passed
@@ -117,8 +119,13 @@ class ClientCuts:
         return [x[k] for k in self.columns]
 
     def row(self, mask: int) -> tuple:
-        """boundary(R, S) >= g(S) on the client's columns, an equality at the full set."""
-        row = {self.columns[j]: c for j, c in self.region.row(mask).items()}
+        """boundary(R, S) >= g(S) on the client's columns, an equality at the full set.
+
+        ``Region.row`` builds a fresh dict, handed on as it is where the columns are its
+        positions."""
+        row = self.region.row(mask)
+        if self._moved:
+            row = {self.columns[j]: c for j, c in row.items()}
         return row, "==" if mask == self.region.full else ">=", self.region.g[mask]
 
     def rows(self, masks) -> list:

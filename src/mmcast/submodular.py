@@ -10,7 +10,8 @@ A set function is either lazy (each mask evaluated on first use) or
 tabulated: every mask's value given up front as one list indexed by mask.
 Such lists are filled by list passes that double the table once per
 element, as :func:`modular_table` does: the masks with the new top bit
-are the earlier masks, each shifted by that element's contribution.
+are the earlier masks, each shifted by that element's contribution, and
+a copy of them where that contribution is zero.
 
 Tie-breaking for minimizers is fixed everywhere: smallest cardinality
 first, then lexicographically earliest element-index tuple, so certificates
@@ -38,13 +39,20 @@ def check_enumerable(n: int) -> None:
         raise GroundTooLarge(f"{n} elements exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
 
 
-def modular_table(weights) -> list:
-    """x(S) = sum of weights[i] over the bits i of S, for every mask S."""
+def modular_table(weights, first=0) -> list:
+    """x(S) = first + the sum of weights[i] over the bits i of S, for every mask S.
+
+    Each weight doubles the table once; a zero weight doubles it by copy
+    (``table += table``, done in C) instead of a list pass.
+    """
     weights = list(weights)
     check_enumerable(len(weights))
-    table = [0]
+    table = [first]
     for w in weights:
-        table += [x + w for x in table]
+        if w:
+            table += [x + w for x in table]
+        else:
+            table += table
     return table
 
 

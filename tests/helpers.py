@@ -68,7 +68,8 @@ def single_edge_instance(entropy_rows=3, capacity="3", cost="1") -> dict:
 
 def random_instance_doc(rng: random.Random, n_sources: int | None = None,
                         n_clients: int | None = None, max_capacity: int = 5,
-                        max_cost: int = 3, half_integral: bool = False) -> dict:
+                        max_cost: int = 3, half_integral: bool = False,
+                        dense: bool = False) -> dict:
     """Random DAG with 0/1 selector sources over q=5.
 
     A source chain backbone plus an edge from the last source into every
@@ -76,6 +77,9 @@ def random_instance_doc(rng: random.Random, n_sources: int | None = None,
     reconstructability precondition always holds; capacities in
     [0, max_capacity] make feasibility genuinely vary.  ``half_integral``
     draws them from the half-integer grid {0, 1/2, ..., max_capacity}.
+    ``dense`` then gives each observing source 1-3 uniform rows over F_5
+    instead (the paper's case (ii)), drawn after everything else, so the
+    network and the observing sources are those of the same draw without it.
     """
     m = n_sources if n_sources is not None else rng.randint(2, 6)
     k = n_clients if n_clients is not None else rng.randint(1, 2)
@@ -110,6 +114,10 @@ def random_instance_doc(rng: random.Random, n_sources: int | None = None,
                 for i in range(n_packets) if rng.random() < 0.5]
         if rows:
             matrices[s] = rows
+    if dense:
+        for s in matrices:
+            matrices[s] = [[rng.randrange(5) for _ in range(n_packets)]
+                           for _ in range(rng.randint(1, 3))]
     return {"nodes": sources + clients, "edges": edges, "clients": clients,
             "source_model": {"kind": "linear", "q": 5, "N": n_packets,
                              "matrices": matrices}}

@@ -272,6 +272,30 @@ def test_rank_table_all_relays_and_no_packets():
     assert empty.rank_table(("a", "b")) == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("layout", ["rhh", "hrh", "hhr", "rrhrrhrr", "hrrrh", "r", "rhrhr"])
+def test_rank_table_with_relays_anywhere_matches_per_subset_rank(layout):
+    # a relay (h: a holder of packets, r: a relay) doubles the union table by copy:
+    # absent from the model, present with no rows, or with zero rows only
+    rng = random.Random(layout)
+    n_packets, matrices, nodes = 4, {}, []
+    for i, kind in enumerate(layout):
+        node = f"{kind}{i}"
+        nodes.append(node)
+        if kind == "h":
+            rows = [[rng.randrange(1, 5) * (j == p) for j in range(n_packets)]
+                    for p in rng.sample(range(n_packets), rng.randint(1, 3))]
+        else:
+            rows = [[], [[0] * n_packets], None][i % 3]
+        if rows is not None:
+            matrices[node] = FieldMatrix.from_rows(rows, 5, cols=n_packets)
+    model = LinearSource(5, n_packets, matrices)
+    assert None not in model._held.values()
+    table = model.rank_table(tuple(nodes))
+    assert len(table) == 1 << len(nodes)
+    for mask in range(1 << len(nodes)):
+        assert table[mask] == gf.rank(model.stacked(members(nodes, mask))), (layout, mask)
+
+
 def _assert_region_matches(instance, oracle, model, entropy):
     # g(S) = H(G) - H(G \ S) over the client's sources G, against a per-subset
     # entropy; building the Region writes nothing to a fresh oracle's memo

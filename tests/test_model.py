@@ -6,10 +6,11 @@ import pytest
 from helpers import random_instance_doc, single_edge_instance
 from mmcast import load_instance
 from mmcast.errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, InvalidInstance,
-                           NegativeCapacity, NonpositiveCost, UnknownEdgeRate)
+                           NegativeCapacity, NonpositiveCost, ReconstructabilityViolated,
+                           UnknownEdgeRate)
 from mmcast.model import (boundary, boundary_vector, check_reconstructability,
-                          client_subproblem, cut_capacity, reachable_sources,
-                          validate_instance)
+                          client_subproblem, client_subproblems, cut_capacity,
+                          reachable_sources, validate_instance)
 
 
 def minimal_doc():
@@ -232,3 +233,28 @@ def test_cut_capacity(f2):
 def test_reachable_sources_excludes_clients(f2):
     instance, _, _ = f2
     assert "t2" not in reachable_sources(instance, "t1")
+
+
+def test_client_subproblems_are_each_clients_own_subproblem():
+    # every client's M_t comes from one predecessor map: the same sources, in the same
+    # order, and the same edges as a walk for that client alone
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(40):
+        doc = random_instance_doc(rng, n_sources=rng.randint(3, 6), n_clients=rng.randint(2, 3))
+        clients = set(doc["clients"])
+        doc["edges"] = [e for e in doc["edges"] if e["head"] in clients or rng.random() < 0.5]
+        instance, oracle, _ = load_instance(doc)
+        report = check_reconstructability(instance, oracle)
+        reached = [reachable_sources(instance, t) for t in instance.clients]
+        assert [c.sources for c in report.clients] == reached
+        seen.add("different M_t" if len(set(reached)) > 1 else "one M_t")
+        if report.ok:
+            seen.add("reconstructable")
+            assert client_subproblems(instance, oracle) == {
+                t: client_subproblem(instance, oracle, t) for t in instance.clients}
+        else:
+            seen.add("not reconstructable")
+            with pytest.raises(ReconstructabilityViolated):
+                client_subproblems(instance, oracle)
+    assert seen == {"different M_t", "one M_t", "reconstructable", "not reconstructable"}

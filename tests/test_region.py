@@ -34,9 +34,32 @@ def _model_cases():
         yield "tabular", instance, tabular, rates
 
 
+def _loose(make_doc):
+    """``make_doc`` with each edge between two sources dropped at random.
+
+    Every client keeps its edges, so some sources reach it with no edge to another source.
+    """
+    def make(rng, **kwargs):
+        doc = make_doc(rng, **kwargs)
+        clients = set(doc["clients"])
+        doc["edges"] = [e for e in doc["edges"] if e["head"] in clients or rng.random() < 0.5]
+        return doc
+    return make
+
+
+def _loose_cases():
+    """:func:`_model_cases`'s three kinds of model on ``_loose`` networks."""
+    for _, instance, oracle, rates in region_cases(10, 10, make_doc=_loose(random_instance_doc)):
+        yield "linear", instance, oracle, rates
+    for _, instance, oracle, rates in region_cases(11, 6, make_doc=_loose(random_pmf_doc)):
+        yield "pmf", instance, oracle, rates
+        tabular = EntropyOracle.from_model(oracle.ground, tabular_from_oracle(oracle))
+        yield "tabular", instance, tabular, rates
+
+
 def test_every_table_entry_equals_its_per_subset_definition():
     seen = {kind: set() for kind in ("linear", "pmf", "tabular")}
-    for kind, instance, oracle, rates in _model_cases():
+    for kind, instance, oracle, rates in [*_model_cases(), *_loose_cases()]:
         caps = instance.capacities()
         for t in instance.clients:
             sub = client_subproblem(instance, oracle, t)
@@ -46,6 +69,12 @@ def test_every_table_entry_equals_its_per_subset_definition():
                 seen[kind].add("client edge")
             if any(caps[e.id] == 0 for e in sub.edges):
                 seen[kind].add("zero capacity")
+            # the copies of the doubling: a cut step and a boundary step that add zero
+            linked = {v for e in sub.edges if e.head != t for v in (e.tail, e.head)}
+            if set(sub.sources) - linked:
+                seen[kind].add("no source neighbour")
+            if any(boundary(rates, (v,), sub.edges) == 0 for v in sub.sources):
+                seen[kind].add("zero net rate")
             # the reversed sources put every edge from a higher bit to a lower one;
             # the reversed edges put the LP columns, and every per-edge vector, in another order
             reversed_sources = ClientSubproblem(sub.client, sub.sources[::-1], sub.edges)
@@ -67,7 +96,8 @@ def test_every_table_entry_equals_its_per_subset_definition():
                     assert region.implied(mask, row) == (region.g[mask] <= 0
                                                     and -1 not in row.values())
     for kind, features in seen.items():
-        assert features == {"relay", "client edge", "zero capacity"}, kind
+        assert features == {"relay", "client edge", "zero capacity", "no source neighbour",
+                            "zero net rate"}, kind
 
 
 def test_the_kept_boundary_table_follows_the_rates(f2):

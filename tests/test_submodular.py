@@ -9,7 +9,7 @@ from mmcast.errors import GroundTooLarge, InvalidParameters, MaxIterationsExceed
 from mmcast.model import boundary_vector, cut_capacity
 from mmcast.submodular import (MembershipResult, SetFunction, conditional_entropy_function,
                                entropy_function, greedy_base_vertex, in_base_polyhedron,
-                               members, min_norm_point, sfm_brute_force)
+                               members, min_norm_point, modular_table, sfm_brute_force)
 
 
 def modular(weights):
@@ -296,3 +296,17 @@ def test_sfm_tie_break_with_many_planted_ties():
     for mask in (6, 7, 9, 12):
         values[mask] = 0
     assert sfm_brute_force(SetFunction.tabulated("abcd", values)) == (("a", "d"), Fraction(0))
+
+
+@pytest.mark.parametrize("weights", [
+    [], [0], [Fraction(0)], [0, 3, -2], [3, -2, 0], [0, 0, 5, 0, 0, -1, 0], [0] * 6,
+    [Fraction(0)] * 4, [-1, Fraction(0), Fraction(1, 2), 0, Fraction(0)],
+    [Fraction(0), Fraction(-3, 2), 0, 4, Fraction(0), Fraction(5, 3), -7]])
+def test_modular_table_with_zero_weights_equals_each_masks_sum(weights):
+    # a zero weight, int or Fraction, doubles the table by copy instead of a pass
+    for first in (0, -3, Fraction(7, 2)):
+        table = modular_table(iter(weights), first)
+        assert len(table) == 1 << len(weights)
+        for mask, value in enumerate(table):
+            assert value == first + sum(w for i, w in enumerate(weights) if mask >> i & 1)
+    assert all(type(x) is int for x in modular_table([0, 3, 0, -2, 0]))
