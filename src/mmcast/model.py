@@ -23,6 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, EmptyReachableSet,
                      InvalidInstance, NegativeCapacity, NonpositiveCost,
@@ -46,7 +47,7 @@ class NetworkInstance:
     edges: tuple               # Edge tuples, in input order
     sources: tuple             # every non-client node, in topological order
     clients: tuple             # sink nodes, in input order
-    topo_order: tuple          # fixed topological order reused downstream
+    topo_order: tuple          # Kahn's FIFO order, input order as tie-break
 
     def edge_map(self) -> dict:
         return {e.id: e for e in self.edges}
@@ -87,39 +88,19 @@ def parse_rational(value) -> Fraction:
 
 
 def _topological_order(nodes, edges) -> tuple:
-    """Kahn's algorithm, input order as tie-break; raises with a witness cycle."""
-    indeg = {v: 0 for v in nodes}
-    succ = {v: [] for v in nodes}
+    """Kahn's order, FIFO with input order as tie-break, from ``graphlib``.
+
+    Nodes, then edges, are added in input order; a cycle's witness is a closed walk along the edges.
+    """
+    sorter = TopologicalSorter()
+    for v in nodes:
+        sorter.add(v)
     for e in edges:
-        indeg[e.head] += 1
-        succ[e.tail].append(e.head)
-    order = []
-    ready = [v for v in nodes if indeg[v] == 0]
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if len(order) < len(nodes):
-        remaining = {v for v in nodes if indeg[v] > 0}
-        pred = {v: [] for v in nodes}
-        for e in edges:
-            pred[e.head].append(e.tail)
-        # every remaining node keeps a predecessor in the remaining set, so
-        # walking predecessors must revisit a node and exposes a cycle
-        seen = {}
-        path = []
-        v = next(iter(sorted(remaining, key=nodes.index)))
-        while v not in seen:
-            seen[v] = len(path)
-            path.append(v)
-            v = next(u for u in pred[v] if u in remaining)
-        loop = path[seen[v]:]
-        cycle = [v] + loop[::-1]  # reverse the predecessor walk into edge order
-        raise CycleDetected(cycle)
-    return tuple(order)
+        sorter.add(e.head, e.tail)
+    try:
+        return tuple(sorter.static_order())
+    except CycleError as exc:
+        raise CycleDetected(exc.args[1]) from None
 
 
 def validate_instance(raw: dict) -> NetworkInstance:
@@ -170,15 +151,11 @@ def validate_instance(raw: dict) -> NetworkInstance:
     if not client_set <= node_set:
         raise InvalidInstance("client list references unknown node")
 
-    out_deg = {v: 0 for v in node_list}
-    in_deg = {v: 0 for v in node_list}
-    for e in edges:
-        out_deg[e.tail] += 1
-        in_deg[e.head] += 1
+    tails, heads = {e.tail for e in edges}, {e.head for e in edges}
     for t in clients:
-        if out_deg[t] > 0:
+        if t in tails:
             raise ClientNotSink(f"client {t} has outgoing edges")
-        if in_deg[t] == 0:
+        if t not in heads:
             raise InvalidInstance(f"client {t} has no incoming edges")
 
     topo = _topological_order(node_list, edges)
@@ -187,23 +164,14 @@ def validate_instance(raw: dict) -> NetworkInstance:
 
 
 def _reachable(instance: NetworkInstance, clients) -> list:
-    """M_t for each of the clients, every walk on one predecessor map."""
-    pred = {v: [] for v in instance.nodes}
-    for e in instance.edges:
-        pred[e.head].append(e.tail)
-    client_set = set(instance.clients)
-    reached = []
-    for t in clients:
-        seen = {t}
-        frontier = [t]
-        while frontier:
-            v = frontier.pop()
-            for u in pred[v]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        reached.append(tuple(v for v in instance.topo_order if v in seen and v not in client_set))
-    return reached
+    """M_t for each client: one reverse-topological sweep ORs client i's bit from head to tail."""
+    position = {v: i for i, v in enumerate(instance.topo_order)}
+    reach = dict.fromkeys(instance.nodes, 0)
+    for i, t in enumerate(clients):
+        reach[t] |= 1 << i
+    for e in sorted(instance.edges, key=lambda e: position[e.tail], reverse=True):
+        reach[e.tail] |= reach[e.head]
+    return [tuple(v for v in instance.sources if reach[v] >> i & 1) for i in range(len(clients))]
 
 
 def reachable_sources(instance: NetworkInstance, t: str) -> tuple:
@@ -234,7 +202,7 @@ def client_subproblem(instance: NetworkInstance, oracle, t: str) -> ClientSubpro
 def client_subproblems(instance: NetworkInstance, oracle) -> dict:
     """``{client: subproblem}`` in client order; ReconstructabilityViolated names clients that fail.
 
-    Each subproblem is restricted to the M_t that the reconstructability check walked.
+    Each subproblem is restricted to the M_t that the reconstructability check found.
     """
     recon = check_reconstructability(instance, oracle)
     if not recon.ok:

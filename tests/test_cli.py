@@ -322,6 +322,23 @@ def test_code_negative_seed_rejected(rates_file, capsys):
     assert doc["error"]["code"] == "InvalidParameters"
 
 
+def test_code_that_fails_every_attempt_exits_two_with_its_ranks(rates_file, capsys,
+                                                                monkeypatch):
+    # F2's first seed-0 attempt fails, so one attempt raises VerificationFailedAllAttempts
+    from mmcast import netcode
+    assign = netcode.assign_coefficients
+    monkeypatch.setattr(netcode, "assign_coefficients",
+                        lambda net, seed: assign(net, seed=seed, max_attempts=1))
+    code, doc = run_cli(capsys, "code", str(FIXTURE_F2), "--rates", str(rates_file),
+                        "--seed", "0")
+    assert code == 2
+    assert doc["error"]["code"] == "VerificationFailedAllAttempts"
+    context = doc["error"]["context"]
+    assert context["attempts"] == 1
+    assert set(context["best_ranks"]) == {"t1", "t2"}
+    assert min(context["best_ranks"].values()) < 4
+
+
 def test_code_accepts_solver_output(tmp_path, capsys):
     code, solved = run_cli(capsys, "solve", str(FIXTURE_F2), "--all-clients",
                            "--method", "exact")

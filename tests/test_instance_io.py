@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from helpers import FIXTURE_F2
-from mmcast.entropy import LinearSource
+from mmcast.entropy import LinearSource, PmfSource
 from mmcast.errors import InvalidInstance
+from mmcast.gf import FieldMatrix
 from mmcast.instance_io import (frac_str, instance_to_json, load_instance, parse_rates,
                                 parse_source_model)
 from mmcast.model import parse_rational
@@ -139,3 +140,73 @@ def test_linear_model_rejects_a_negative_packet_count():
         LinearSource(5, -1, {})
     assert parse_source_model({"kind": "linear", "q": 5, "N": 0, "matrices": {}},
                               ("a",)).rank_table(("a",)) == [0, 0]
+
+
+def _load(**changes):
+    """Load two sources a, b and a client t, the top-level keys in ``changes`` replaced."""
+    doc = {"nodes": ["a", "b", "t"],
+           "edges": [{"id": f"e{i}", "tail": v, "head": "t", "capacity": "1", "cost": "1"}
+                     for i, v in enumerate("ab", 1)],
+           "clients": ["t"],
+           "source_model": {"kind": "linear", "q": 5, "N": 2,
+                            "matrices": {"a": [[1, 0]], "b": [[0, 1]]}}}
+    return load_instance({**doc, **changes})
+
+
+_LINEAR = {"kind": "linear", "q": 5, "N": 2, "matrices": {"a": [[1, 0]]}}
+_PMF = {"kind": "pmf", "order": ["a"], "alphabets": {"a": 2}, "table": ["1/2", "1/2"]}
+
+
+def _without(model, key):
+    return {k: v for k, v in model.items() if k != key}
+
+
+INPUT_CHECKS = {
+    "model without kind": (lambda: _load(source_model={"q": 5}), "must declare a kind"),
+    "linear without q": (lambda: _load(source_model=_without(_LINEAR, "q")), "malformed linear"),
+    "linear without N": (lambda: _load(source_model=_without(_LINEAR, "N")), "malformed linear"),
+    "linear without matrices": (lambda: _load(source_model=_without(_LINEAR, "matrices")),
+                                "malformed linear"),
+    "tabular without entropies": (lambda: _load(source_model={"kind": "tabular"}),
+                                  "needs an entropies table"),
+    "tabular entry of an unknown node": (
+        lambda: _load(source_model={"kind": "tabular",
+                                    "entropies": {"a": 1, "b": 1, "a,b": 2, "a,z": 2}}),
+        "'a,z' references unknown nodes"),
+    "malformed pmf": (lambda: _load(source_model=_without(_PMF, "table")), "malformed pmf"),
+    "pmf order is not its alphabet nodes": (lambda: _load(source_model={**_PMF, "order": ["b"]}),
+                                            "exactly the alphabet nodes"),
+    "pmf of an unknown node": (
+        lambda: _load(source_model={**_PMF, "order": ["z"], "alphabets": {"z": 2}}),
+        "pmf references unknown nodes"),
+    "source neither a path nor a dict": (lambda: load_instance(42), "cannot load an instance"),
+    "duplicate node ids": (lambda: _load(nodes=["a", "b", "a", "t"]), "duplicate node ids"),
+    "malformed edge entry": (lambda: _load(edges=[{"id": "e1", "tail": "a", "head": "t"}]),
+                             "malformed edge entry"),
+    "edge to an unknown node": (
+        lambda: _load(edges=[{"id": "e1", "tail": "a", "head": "z", "capacity": 1, "cost": 1}]),
+        "edge e1 references unknown node"),
+    "duplicate client ids": (lambda: _load(clients=["t", "t"]), "duplicate client ids"),
+    "client that is not a node": (lambda: _load(clients=["t", "z"]),
+                                  "client list references unknown node"),
+    "matrix with the wrong column count": (
+        lambda: LinearSource(5, 3, {"a": FieldMatrix.from_rows([[1, 0]], 5)}),
+        "has 2 columns, expected 3"),
+    "matrix over another field": (
+        lambda: LinearSource(5, 2, {"a": FieldMatrix.from_rows([[1, 0]], 7)}),
+        "over F_7, expected F_5"),
+    "joint alphabet above the cap": (
+        lambda: PmfSource(("a", "b"), {"a": 2 ** 10, "b": 2 ** 11}, {}), "exceeds cap"),
+    "pmf that does not sum to 1": (lambda: _load(source_model={**_PMF, "table": ["1/2", "1/4"]}),
+                                   "sums to 3/4"),
+    "negative probability": (lambda: _load(source_model={**_PMF, "table": ["-1/2", "3/2"]}),
+                             "negative probability"),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_CHECKS)
+def test_every_input_check_raises_invalid_instance(name):
+    # each case reaches one check, named by its message
+    make, message = INPUT_CHECKS[name]
+    with pytest.raises(InvalidInstance, match=message):
+        make()

@@ -258,3 +258,81 @@ def test_client_subproblems_are_each_clients_own_subproblem():
             with pytest.raises(ReconstructabilityViolated):
                 client_subproblems(instance, oracle)
     assert seen == {"different M_t", "one M_t", "reconstructable", "not reconstructable"}
+
+
+def _kahn(nodes, edges):
+    """The order ``topo_order`` documents: Kahn's FIFO queue, input order as tie-break."""
+    indeg = {v: sum(head == v for _, head in edges) for v in nodes}
+    queue = [v for v in nodes if indeg[v] == 0]
+    for v in queue:                     # the list grows while it is read: a FIFO queue
+        for tail, head in edges:
+            if tail == v:
+                indeg[head] -= 1
+                if indeg[head] == 0:
+                    queue.append(head)
+    return tuple(queue)
+
+
+def _ancestors(pairs, t):
+    """t and every node with a path to t: the set grown until it stops."""
+    reached, grown = set(), {t}
+    while grown != reached:
+        reached, grown = grown, grown | {u for u, v in pairs if v in grown}
+    return reached
+
+
+def _order_cases():
+    rng = random.Random(38)
+    for _ in range(150):
+        doc = random_instance_doc(rng, n_sources=rng.randint(2, 12), n_clients=rng.randint(1, 3))
+        rng.shuffle(doc["nodes"])
+        rng.shuffle(doc["edges"])
+        yield doc
+    hand = [
+        # isolated sources, one listed first and one last
+        (["iso", "a", "t", "late"], [("a", "t")], ["t"]),
+        # parallel edges: b becomes ready only when both are done
+        (["b", "a", "t"], [("a", "b"), ("a", "b"), ("b", "t"), ("a", "t")], ["t"]),
+        # a relay between two sources and two clients, listed last
+        (["t2", "s2", "s1", "t1", "r"],
+         [("s1", "r"), ("s2", "r"), ("r", "t1"), ("r", "t2"), ("s2", "t2")], ["t1", "t2"]),
+    ]
+    for nodes, pairs, clients in hand:
+        yield {"nodes": nodes, "clients": clients,
+               "edges": [{"id": f"e{i}", "tail": u, "head": v, "capacity": "1", "cost": "1"}
+                         for i, (u, v) in enumerate(pairs)]}
+
+
+def test_topo_order_is_fifo_kahn_with_input_order_tie_break():
+    # graphlib documents its order only as depending on insertion order: pin it
+    for doc in _order_cases():
+        instance = validate_instance(doc)
+        pairs = [(e.tail, e.head) for e in instance.edges]
+        assert instance.topo_order == _kahn(instance.nodes, pairs)
+        for t in instance.clients:
+            ancestors = _ancestors(pairs, t)
+            assert reachable_sources(instance, t) == tuple(v for v in instance.sources
+                                                           if v in ancestors)
+
+
+def test_every_cycle_witness_is_a_closed_walk_along_the_edges():
+    rng = random.Random(1738)
+    cyclic = 0
+    for _ in range(300):
+        sources = [f"s{i}" for i in range(rng.randint(2, 8))]
+        pairs = [(u, v) for u in sources for v in sources if u != v and rng.random() < 0.3]
+        pairs += [(rng.choice(sources), "t")]
+        rng.shuffle(pairs)
+        doc = {"nodes": sources + ["t"], "clients": ["t"],
+               "edges": [{"id": f"e{i}", "tail": u, "head": v, "capacity": "1", "cost": "1"}
+                         for i, (u, v) in enumerate(pairs)]}
+        if len(_kahn(doc["nodes"], pairs)) == len(doc["nodes"]):
+            assert validate_instance(doc).topo_order == _kahn(doc["nodes"], pairs)
+            continue
+        cyclic += 1
+        with pytest.raises(CycleDetected) as err:
+            validate_instance(doc)
+        cycle = err.value.cycle
+        assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+        assert all(step in pairs for step in zip(cycle, cycle[1:]))
+    assert cyclic >= 100

@@ -345,6 +345,28 @@ def test_random_end_to_end_pipeline():
         coded += 1
 
 
+def test_a_node_named_s_moves_the_super_node_to_s_star():
+    doc = {
+        "nodes": ["S", "b", "t1", "t2"],
+        "edges": [{"id": f"e{i}", "tail": u, "head": v, "capacity": "2", "cost": "1"}
+                  for i, (u, v) in enumerate((("S", "b"), ("S", "t1"), ("b", "t1"),
+                                              ("b", "t2"), ("S", "t2")), 1)],
+        "clients": ["t1", "t2"],
+        "source_model": {"kind": "linear", "q": 5, "N": 2,
+                         "matrices": {"S": [[1, 0]], "b": [[0, 1]]}},
+    }
+    instance, oracle, sm = load_instance(doc)
+    from mmcast.multi_client import solve_multi_exact
+    net = build_coded_network(instance, sm, solve_multi_exact(instance, oracle).envelope,
+                              oracle=oracle)
+    source = [c for c in net.channels if c.kind == "source"]
+    assert {c.tail for c in source} == {"S*"} and {c.head for c in source} == {"S", "b"}
+    assert all(c.label.startswith("S*->") for c in source)
+    assignment = assign_coefficients(net, seed=0)
+    for w in ([1, 2], [4, 0], [0, 3]):
+        assert all(rep.exact for rep in simulate(net, assignment, w).clients.values())
+
+
 def test_envelope_beyond_literal_membership_is_accepted():
     # an envelope can violate a client's own subset boundary while still
     # dominating a region point; the builder must accept it
