@@ -44,9 +44,9 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest(args, command: str, parameters: dict) -> dict:
+def _manifest(args, parameters: dict) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "input": args.instance,
         "input_sha256": _digest(args.instance),
         "parameters": parameters,
@@ -110,7 +110,7 @@ def _cmd_validate(args) -> tuple:
     poly = validate_polymatroid(oracle)
     recon = model.check_reconstructability(instance, oracle)
     payload = {
-        "manifest": _manifest(args, "validate", {}),
+        "manifest": _manifest(args, {}),
         "nodes": list(instance.nodes),
         "topo_order": list(instance.topo_order),
         "sources": list(instance.sources),
@@ -136,7 +136,7 @@ def _cmd_validate(args) -> tuple:
 def _cmd_feas(args) -> tuple:
     instance, oracle, _ = instance_io.load_instance(args.instance)
     report = feasibility.check_feasible_multi(instance, oracle)
-    payload = {"manifest": _manifest(args, "feas", {})}
+    payload = {"manifest": _manifest(args, {})}
     payload.update(_feas_json(report))
     return payload, 0 if report.feasible else 2
 
@@ -154,7 +154,7 @@ def _cmd_solve(args) -> tuple:
         solution = single_client.solve_single_client(
             sub, oracle, instance.costs(), instance.capacities())
         payload = {
-            "manifest": _manifest(args, "solve", {"client": args.client}),
+            "manifest": _manifest(args, {"client": args.client}),
             "rates": rates_to_json(solution.rates),
             "cost": frac_str(solution.cost),
             "tight_sets": [list(s) for s in solution.tight_sets],
@@ -182,7 +182,7 @@ def _cmd_solve(args) -> tuple:
             lines += [f"{t.n},{t.dual:.12g},{t.primal:.12g},{t.gap:.12g}" for t in result.trace]
             Path(args.trace_csv).write_text("\n".join(lines) + "\n")
     payload = {
-        "manifest": _manifest(args, "solve", params),
+        "manifest": _manifest(args, params),
         "Z": rates_to_json(result.envelope),
         "per_client": {t: rates_to_json(r) for t, r in result.per_client.items()},
         "cost": frac_str(result.cost),
@@ -218,8 +218,7 @@ def _cmd_code(args) -> tuple:
                    "decoder": netcode.build_decoder(net, assignment, t).to_lists()}
                for t in net.clients}
     payload = {
-        "manifest": _manifest(args, "code", {"rates": args.rates, "seed": args.seed,
-                                             "q": net.q}),
+        "manifest": _manifest(args, {"rates": args.rates, "seed": args.seed, "q": net.q}),
         "q": net.q,
         "beta": net.beta,
         "symbols": net.n_symbols,
@@ -242,8 +241,8 @@ def _cmd_simulate(args) -> tuple:
         raise InvalidParameters(f"cannot parse --w {args.w!r}") from exc
     result = netcode.simulate(net, assignment, w)
     payload = {
-        "manifest": _manifest(args, "simulate", {"rates": args.rates, "seed": args.seed,
-                                                 "q": net.q, "w": args.w}),
+        "manifest": _manifest(args, {"rates": args.rates, "seed": args.seed, "q": net.q,
+                                     "w": args.w}),
         "clients": {t: {"received": r.received, "decoded": r.decoded, "exact": r.exact}
                     for t, r in result.clients.items()},
         "edge_symbols": result.edge_symbols,
@@ -259,7 +258,7 @@ def _cmd_oracle(args) -> tuple:
              for sub in subs.values()]
     feasible = all(c.feasible for c in certs)
     payload = {
-        "manifest": _manifest(args, "oracle", {}),
+        "manifest": _manifest(args, {}),
         "feasibility": {c.client: _cert_json(c) for c in certs},
         "feasible": feasible,
     }
@@ -295,15 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multisource multicast: feasibility, rate allocation, network coding.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, run, help_text):
         sp = commands.add_parser(name, help=help_text)
         sp.add_argument("instance", help="instance JSON file")
+        sp.set_defaults(run=run)
         return sp
 
-    add("validate", "validate an instance and its source model")
-    add("feas", "feasibility certificates for every client")
+    add("validate", _cmd_validate, "validate an instance and its source model")
+    add("feas", _cmd_feas, "feasibility certificates for every client")
 
-    solve = add("solve", "minimum-cost rate allocation")
+    solve = add("solve", _cmd_solve, "minimum-cost rate allocation")
     target = solve.add_mutually_exclusive_group(required=True)
     target.add_argument("--client", help="solve a single client's problem")
     target.add_argument("--all-clients", action="store_true")
@@ -313,35 +313,25 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--gap", help="relative duality gap tolerance")
     solve.add_argument("--trace-csv", help="write the per-iteration trace as CSV")
 
-    code = add("code", "construct and verify a network code")
+    code = add("code", _cmd_code, "construct and verify a network code")
     code.add_argument("--rates", required=True, help="JSON file with per-edge rates")
     code.add_argument("--seed", type=int, default=0)
     code.add_argument("--q", type=int, help="override the coding field (prime)")
 
-    sim = add("simulate", "run the coded network on a data vector")
+    sim = add("simulate", _cmd_simulate, "run the coded network on a data vector")
     sim.add_argument("--rates", required=True)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--q", type=int)
     sim.add_argument("--w", required=True, help="comma-separated field elements")
 
-    add("oracle", "brute-force baselines for cross-checking")
+    add("oracle", _cmd_oracle, "brute-force baselines for cross-checking")
     return parser
-
-
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "feas": _cmd_feas,
-    "solve": _cmd_solve,
-    "code": _cmd_code,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        payload, status = _DISPATCH[args.command](args)
+        payload, status = args.run(args)
     except INFEASIBLE_FAMILY as exc:
         context = {}
         if isinstance(exc, Infeasible):

@@ -213,7 +213,8 @@ class PmfSource:
         return Fraction(1, 2 ** (PMF_ROUND_BITS - 2))
 
     def entropy(self, nodes) -> Fraction:
-        keep = [i for i, node in enumerate(self.order) if node in set(nodes)]
+        wanted = set(nodes)
+        keep = [i for i, node in enumerate(self.order) if node in wanted]
         marginal: dict = {}
         for outcome, p in self.table.items():
             if p == 0:

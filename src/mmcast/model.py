@@ -175,7 +175,9 @@ def _reachable(instance: NetworkInstance, clients) -> list:
 
 
 def reachable_sources(instance: NetworkInstance, t: str) -> tuple:
-    """M_t: all sources with a directed path to t, in topological order."""
+    """M_t: all sources with a directed path to client t, in topological order."""
+    if t not in instance.clients:
+        raise InvalidInstance(f"{t!r} is not a client of this instance")
     return _reachable(instance, [t])[0]
 
 
@@ -194,8 +196,6 @@ def client_subproblem(instance: NetworkInstance, oracle, t: str) -> ClientSubpro
 
     ``oracle`` is not read; the parameter stays so that existing callers keep working.
     """
-    if t not in instance.clients:
-        raise InvalidInstance(f"{t!r} is not a client of this instance")
     return _restrict(instance, t, reachable_sources(instance, t))
 
 
@@ -248,7 +248,7 @@ class Region:
     the same sources on that oracle shares, so one rank sweep serves them all
     for a linear model.  Rows, cuts and boundaries read one incidence list:
     ``(tail, head)`` source positions per edge, in ``sub.edges`` order (a
-    row's positions), the client at m.  The cut and boundary tables depend on the
+    row's order), the client at m.  The cut and boundary tables depend on the
     capacities or rates, lists in that order, and are filled on request, by
     doubling over the sources.  Tables cover all 2^m masks, so they are for
     the brute-force paths (m <= BRUTE_FORCE_LIMIT).  Entries are exact: ints
@@ -298,17 +298,18 @@ class Region:
             self._rates, self._boundary = [*rates], modular_table(integral(b) for b in net[:-1])
         return self._boundary
 
-    def row(self, mask: int) -> dict:
-        """boundary(R, S) as ``{edge position: +1 or -1}``, the positions ascending.
+    def row(self, mask: int, columns) -> dict:
+        """boundary(R, S) as ``{columns[j]: +1 or -1}``, edge j in ``sub.edges`` order.
 
         +1 where the tail is in S and the head is not, -1 where the head is in S
-        and the tail is not; the LP row of S, and the only code that builds one.
+        and the tail is not; the LP row of S on the client's columns, and the
+        only code that builds one.
         """
         row = {}
-        for j, (tail, head) in enumerate(self._ends):
+        for k, (tail, head) in zip(columns, self._ends):
             d = (mask >> tail & 1) - (mask >> head & 1)
             if d:
-                row[j] = d
+                row[k] = d
         return row
 
     def implied(self, mask: int, row: dict) -> bool:

@@ -54,7 +54,7 @@ from .errors import BudgetExceeded, Infeasible, InvalidParameters
 from .lp import SimplexSolver, integral
 from .model import NetworkInstance
 from .single_client import (BRUTE_FORCE_SOURCES, ClientCuts, RegionOptimizer, cutting_planes,
-                            layout, program, singletons)
+                            every_mask, layout, program, singletons)
 
 DEFAULT_MAX_ITERS = 50000
 DEFAULT_GAP_TOL = Fraction(1, 100)
@@ -190,7 +190,7 @@ def solve_multi_bruteforce(instance: NetworkInstance, oracle) -> MulticastRates:
     if masks > BRUTE_FORCE_MASKS:
         raise BudgetExceeded(
             f"region tables of {masks} masks exceed the {BRUTE_FORCE_MASKS}-mask budget")
-    return _solve(instance, oracle, subs, lambda m: range(1, (1 << m) - 1))
+    return _solve(instance, oracle, subs, every_mask)
 
 
 # -- subgradient route -------------------------------------------------------
@@ -255,7 +255,6 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     converged = False
     warning = None
 
-    n = 0
     for n in range(1, max_iters + 1):
         dual_value = Fraction(0)
         for i, (opt, acc) in enumerate(zip(optimizers, rate_sum)):

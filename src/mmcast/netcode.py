@@ -79,7 +79,6 @@ class CodeAssignment:
     coefficients: dict          # (feeding index, fed index) -> int in [0, q)
     global_vectors: tuple       # per channel: tuple of n_symbols field elements
     attempts: int
-    seed: int | None
     bases: dict                 # client -> indices of the greedy basis of its received vectors
 
 
@@ -153,8 +152,7 @@ def build_coded_network(instance: NetworkInstance, source_model,
                 channels.append(Channel(len(channels), "source", super_node, m, None,
                                         f"{super_node}->{m}#{r}b{b}"))
 
-    edge_order = {e.id: i for i, e in enumerate(instance.edges)}
-    for e in sorted(instance.edges, key=lambda e: (topo_pos[e.tail], edge_order[e.id])):
+    for e in sorted(instance.edges, key=lambda e: topo_pos[e.tail]):  # stable: input order
         r = full_rates[e.id]
         for i in range(r.numerator * (beta // r.denominator)):
             channels.append(Channel(len(channels), "edge", e.tail, e.head, e.id,
@@ -236,7 +234,7 @@ def assignment_from_coefficients(net: CodedNetwork, coefficients: dict) -> CodeA
         raise InvalidParameters(f"coefficient {bad[0]!r} is not an integer")
     coeffs = {k: int(v) % net.q for k, v in coefficients.items()}
     vectors = _propagate(net, [coeffs.get(pair, 0) for pair in pairs])
-    return CodeAssignment(coeffs, tuple(vectors), 1, None, _received_bases(net, vectors))
+    return CodeAssignment(coeffs, tuple(vectors), 1, _received_bases(net, vectors))
 
 
 def assign_coefficients(net: CodedNetwork, seed: int = 0,
@@ -280,8 +278,7 @@ def assign_coefficients(net: CodedNetwork, seed: int = 0,
         for t, kept in bases.items():
             best_ranks[t] = max(best_ranks[t], len(kept))
         if all(len(kept) == net.n_symbols for kept in bases.values()):
-            return CodeAssignment(dict(zip(pairs, coeffs)), tuple(vectors), attempt + 1, seed,
-                                  bases)
+            return CodeAssignment(dict(zip(pairs, coeffs)), tuple(vectors), attempt + 1, bases)
     raise VerificationFailedAllAttempts(
         f"no full-rank assignment in {max_attempts} attempts "
         f"(best ranks {best_ranks}, need {net.n_symbols})",

@@ -40,7 +40,6 @@ class SingleClientSolution:
     rates: dict                 # edge id -> Fraction on E_t
     cost: Fraction
     tight_sets: list            # every subset whose region inequality is tight, in mask order
-    iterations: int             # LP solves performed
 
 
 def singletons(m: int) -> list:
@@ -52,6 +51,11 @@ def seed_pool(m: int) -> list:
     """Masks a lone client's cutting planes start from: the singletons and their complements."""
     full = (1 << m) - 1
     return sorted({*singletons(m), *(full ^ s for s in singletons(m))})
+
+
+def every_mask(m: int) -> range:
+    """Every proper nonempty mask of m sources: the brute-force routes' pool."""
+    return range(1, (1 << m) - 1)
 
 
 def most_violated(region: Region, rates: list):
@@ -98,18 +102,17 @@ def program(z: dict, capacities: dict, clients: list, costs: list) -> LinearProg
 class ClientCuts:
     """One client's rows in a rate LP, on its ``layout`` columns (in ``sub.edges`` order).
 
-    ``pool`` holds the masks of its region rows: the seed masks that the
-    builder of the LP passes (``seed_pool`` for a client alone in its LP,
-    ``singletons`` in the multi-client LP), then each cut in order.  A slice
-    of x that passed separation is not separated again: the region never
-    changes, and cuts only remove points outside it.
+    ``Region.row`` writes each row on these columns.  ``pool`` holds the
+    masks of its region rows: the seed masks that the builder of the LP
+    passes (``seed_pool`` for a client alone in its LP, ``singletons`` in the
+    multi-client LP, ``every_mask`` on the brute-force routes), then each cut
+    in order.  A slice of x that passed separation is not separated again:
+    the region never changes, and cuts only remove points outside it.
     """
 
     def __init__(self, sub: ClientSubproblem, oracle, capacities: dict, columns: list, seeds):
         self.sub, self.oracle, self.capacities, self.columns = sub, oracle, capacities, columns
         self.region = Region(sub, oracle)
-        # on columns 0..k-1 (a client alone in its LP) a region row is already the LP row
-        self._moved = columns != list(range(len(columns)))
         self.pool = list(seeds)
         self._certified = set()     # each slice that separation passed, as its exact ratios
         self._passed = None         # the last slice that passed
@@ -119,14 +122,9 @@ class ClientCuts:
         return [x[k] for k in self.columns]
 
     def row(self, mask: int) -> tuple:
-        """boundary(R, S) >= g(S) on the client's columns, an equality at the full set.
-
-        ``Region.row`` builds a fresh dict, handed on as it is where the columns are its
-        positions."""
-        row = self.region.row(mask)
-        if self._moved:
-            row = {self.columns[j]: c for j, c in row.items()}
-        return row, "==" if mask == self.region.full else ">=", self.region.g[mask]
+        """boundary(R, S) >= g(S), ``Region.row`` on the client's columns; == at the full set."""
+        region = self.region
+        return region.row(mask, self.columns), "==" if mask == region.full else ">=", region.g[mask]
 
     def rows(self, masks) -> list:
         """The rows of ``masks`` that ``Region.implied`` keeps, then the ground equality."""
@@ -203,21 +201,21 @@ class RegionOptimizer(ClientCuts):
         return solution.x, solution.value, 1 + len(self.pool) - cuts
 
 
-def _solution(client: ClientCuts, x: list, value, solves: int) -> SingleClientSolution:
+def _solution(client: ClientCuts, x: list, value) -> SingleClientSolution:
     """The client's rates at x and every tight subset, in mask order: the ground set last."""
     region, rates = client.region, client.rates(x)
     tight = region.tight(rates)
     if tight[-1:] != [client.sub.sources]:  # with no violated subset, b(R) is in B(g) only then
         raise RuntimeError(f"client {client.sub.client}: the rates miss the ground equality")
-    return SingleClientSolution(dict(zip((e.id for e in client.sub.edges), rates)), value,
-                                tight, solves)
+    return SingleClientSolution(dict(zip((e.id for e in client.sub.edges), rates)), value, tight)
 
 
 def solve_single_client(sub: ClientSubproblem, oracle, costs: dict,
                         capacities: dict) -> SingleClientSolution:
     """Cutting-plane optimum of the single-client allocation problem."""
     opt = RegionOptimizer(sub, oracle, capacities)
-    return _solution(opt, *opt.minimize([costs[e.id] for e in sub.edges]))
+    x, value, _ = opt.minimize([costs[e.id] for e in sub.edges])
+    return _solution(opt, x, value)
 
 
 def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
@@ -227,7 +225,7 @@ def solve_single_client_bruteforce(sub: ClientSubproblem, oracle, costs: dict,
     if m > BRUTE_FORCE_SOURCES:
         raise GroundTooLarge(f"{m} sources exceeds brute-force limit {BRUTE_FORCE_SOURCES}")
     z, (columns,) = layout(sub.edges, [sub])
-    client = ClientCuts(sub, oracle, capacities, columns, range(1, (1 << m) - 1))
+    client = ClientCuts(sub, oracle, capacities, columns, every_mask(m))
     solver = SimplexSolver(program(z, capacities, [client], [costs[e.id] for e in sub.edges]))
     solution = cutting_planes(solver, solver.solve(), solver.lp.objective, [client])
-    return _solution(client, solution.x, solution.value, 1)
+    return _solution(client, solution.x, solution.value)

@@ -438,3 +438,15 @@ def test_region_matches_per_mask_evaluation_without_memo_writes_on_selector_mode
         assert None not in model._held.values()        # the generator draws 0/1 selectors
         _assert_region_matches(instance, oracle, model,
                                lambda nodes: gf.rank(model.stacked(nodes)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda oracle: oracle.mask(["m1", "zz"]), "'zz' is not in the ground set"),
+    (lambda oracle: oracle.conditional(["m1", "m3"], ["m1", "m2"]),
+     r"\['m3'\] not contained in the conditioning ground set"),
+])
+def test_a_subset_outside_the_ground_set_is_unknown(f2, call, message):
+    # each case reaches one check, named by its message
+    _, oracle, _ = f2
+    with pytest.raises(UnknownSubset, match=message):
+        call(oracle)

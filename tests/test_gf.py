@@ -256,3 +256,24 @@ def test_solve_right_matches_gauss_jordan():
             assert gf.inverse(m) == _reference_solve_right(m, FieldMatrix.identity(r, q))
             outcomes["inverted"] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+_I2 = FieldMatrix.identity(2, 5)
+_I3 = FieldMatrix.identity(3, 5)
+SHAPE_CHECKS = {
+    "entry count": (lambda: FieldMatrix(2, 2, [1, 2, 3], 5), "expected 4 entries, got 3"),
+    "stack": (lambda: _I2.stack(_I3), "column mismatch in stack"),
+    "matmul": (lambda: _I2.matmul(_I3), "shape mismatch 2x2 @ 3x3"),
+    "mat_vec": (lambda: _I2.mat_vec([1, 2, 3]), "vector length mismatch"),
+    "solve_right": (lambda: gf.solve_right(_I2, _I3),
+                    "row mismatch between system and right-hand side"),
+    "inverse": (lambda: gf.inverse(FieldMatrix.zeros(2, 3, 5)), "inverse of a non-square matrix"),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_CHECKS)
+def test_every_shape_check_raises_value_error(name):
+    # each case reaches one check, named by its message
+    call, message = SHAPE_CHECKS[name]
+    with pytest.raises(ValueError, match=message):
+        call()

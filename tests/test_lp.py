@@ -967,3 +967,14 @@ def test_rows_are_integer_dicts():
     assert lp.rows == [({0: 2}, ">=", 1)] and type(lp.rows[0][0][0]) is int
     solver.add_rows([({1: F(4, 2)}, "<=", 5)])
     assert solver.lp.rows[-1] == ({1: 2}, "<=", 5) and type(solver.lp.rows[-1][0][1]) is int
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LinearProgram([1], [({0: 1}, "<", 1)], [None]), "unknown relation '<'"),
+    (lambda: SimplexSolver(LinearProgram([1], [({0: 1}, ">=", 1)], [None])).add_rows(
+        [({0: 1}, "==", 2)]), "add_rows takes <= and >= rows only"),
+])
+def test_every_row_check_raises_value_error(call, message):
+    # each case reaches one check, named by its message
+    with pytest.raises(ValueError, match=message):
+        call()

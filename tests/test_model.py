@@ -10,7 +10,7 @@ from mmcast.errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, Invali
                            UnknownEdgeRate)
 from mmcast.model import (boundary, boundary_vector, check_reconstructability,
                           client_subproblem, client_subproblems, cut_capacity,
-                          reachable_sources, validate_instance)
+                          parse_rational, reachable_sources, validate_instance)
 
 
 def minimal_doc():
@@ -336,3 +336,23 @@ def test_every_cycle_witness_is_a_closed_walk_along_the_edges():
         assert len(cycle) >= 3 and cycle[0] == cycle[-1]
         assert all(step in pairs for step in zip(cycle, cycle[1:]))
     assert cyclic >= 100
+
+
+def test_reachable_sources_are_for_clients_only(f2):
+    # a client gets its M_t; a source and a name that is no node are refused alike,
+    # and client_subproblem refuses them through the same check
+    instance, oracle, _ = f2
+    assert reachable_sources(instance, "t2") == ("m1", "m2", "m4")
+    assert client_subproblem(instance, oracle, "t2").sources == ("m1", "m2", "m4")
+    for name in ("m1", "zz"):
+        message = f"'{name}' is not a client of this instance"
+        with pytest.raises(InvalidInstance, match=message):
+            reachable_sources(instance, name)
+        with pytest.raises(InvalidInstance, match=message):
+            client_subproblem(instance, oracle, name)
+
+
+def test_parse_rational_refuses_a_value_of_no_number_type():
+    # a list is no int, Fraction, float or string: the last check names it
+    with pytest.raises(InvalidInstance, match=r"cannot parse rational from \[1\]"):
+        parse_rational([1])

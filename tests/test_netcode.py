@@ -9,7 +9,7 @@ from mmcast import gf, load_instance
 from mmcast.entropy import LinearSource, TabularSource
 from mmcast.errors import (FieldTooSmall, InfeasibleRates, InvalidParameters, NotLinearModel,
                            RankDeficient, ReconstructabilityViolated, ScaleOverflow,
-                           VerificationFailedAllAttempts)
+                           UnknownEdgeRate, VerificationFailedAllAttempts)
 from mmcast.gf import FieldMatrix
 from mmcast.netcode import (assign_coefficients, assignment_from_coefficients,
                             build_coded_network, build_decoder, propagate_global_vectors,
@@ -501,3 +501,16 @@ def test_coefficient_stream_is_randrange_per_attempt(f2_net):
         assert list(assignment.coefficients) == pairs
         assert list(assignment.coefficients.values()) == [rng.randrange(coded.q)
                                                           for _ in pairs]
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda instance, sm, net: build_coded_network(instance, sm, {"e1": 0, "zz": 1, "yy": 2}),
+     UnknownEdgeRate, r"rates given for unknown edges \['yy', 'zz'\]"),
+    (lambda instance, sm, net: assignment_from_coefficients(net, {(0, 0): 1}),
+     InvalidParameters, r"coefficients on non-adjacent channel pairs: \[\(0, 0\)\]"),
+])
+def test_every_code_input_check_names_its_input(f2_net, call, exc, message):
+    # each case reaches one check, named by its message
+    instance, _, sm, net = f2_net
+    with pytest.raises(exc, match=message):
+        call(instance, sm, net)

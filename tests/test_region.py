@@ -90,7 +90,7 @@ def test_every_table_entry_equals_its_per_subset_definition():
                     assert cut[mask] == cut_capacity(caps, nodes, sub.edges)
                     assert b[mask] == boundary(rates, nodes, sub.edges)
                     assert region.g[mask] == oracle.conditional(nodes, sub.sources)
-                    row = region.row(mask)
+                    row = region.row(mask, range(len(sub.edges)))
                     assert sum(c * rates[sub.edges[j].id] for j, c in row.items()) == b[mask]
                     assert set(row.values()) <= {-1, 1}
                     assert region.implied(mask, row) == (region.g[mask] <= 0

@@ -310,3 +310,11 @@ def test_modular_table_with_zero_weights_equals_each_masks_sum(weights):
         for mask, value in enumerate(table):
             assert value == first + sum(w for i, w in enumerate(weights) if mask >> i & 1)
     assert all(type(x) is int for x in modular_table([0, 3, 0, -2, 0]))
+
+
+def test_a_search_with_no_set_is_refused():
+    # the empty ground without its empty set leaves no set to minimize over
+    f = SetFunction((), lambda s: Fraction(0), "submodular")
+    with pytest.raises(InvalidParameters, match="empty search space"):
+        sfm_brute_force(f, include_empty=False)
+    assert sfm_brute_force(f) == ((), 0)
