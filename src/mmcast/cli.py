@@ -168,8 +168,9 @@ def _cmd_solve(args) -> tuple:
         text = "s1:1,1,1" if args.schedule is None else args.schedule
         iters = multi_client.DEFAULT_MAX_ITERS if args.iters is None else args.iters
         schedule = _parse_schedule(text)
+        gap = multi_client.DEFAULT_GAP_TOL if args.gap is None else args.gap
         try:
-            gap = Fraction("0.01" if args.gap is None else args.gap).limit_denominator(10 ** 12)
+            gap = Fraction(gap).limit_denominator(10 ** 12)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameters(f"cannot parse --gap {args.gap!r}: {exc}") from exc
         params.update({"schedule": text, "iters": iters, "gap": frac_str(gap)})
@@ -314,14 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace-csv", help="write the per-iteration trace as CSV")
 
     code = add("code", _cmd_code, "construct and verify a network code")
-    code.add_argument("--rates", required=True, help="JSON file with per-edge rates")
-    code.add_argument("--seed", type=int, default=0)
-    code.add_argument("--q", type=int, help="override the coding field (prime)")
-
     sim = add("simulate", _cmd_simulate, "run the coded network on a data vector")
-    sim.add_argument("--rates", required=True)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--q", type=int)
+    for coded in (code, sim):
+        coded.add_argument("--rates", required=True, help="JSON file with per-edge rates")
+        coded.add_argument("--seed", type=int, default=0)
+        coded.add_argument("--q", type=int, help="override the coding field (prime)")
     sim.add_argument("--w", required=True, help="comma-separated field elements")
 
     add("oracle", _cmd_oracle, "brute-force baselines for cross-checking")

@@ -217,8 +217,6 @@ class PmfSource:
         keep = [i for i, node in enumerate(self.order) if node in wanted]
         marginal: dict = {}
         for outcome, p in self.table.items():
-            if p == 0:
-                continue
             k = tuple(outcome[i] for i in keep)
             marginal[k] = marginal.get(k, Fraction(0)) + p
         h = -sum(float(p) * math.log2(float(p)) for p in marginal.values() if p > 0)

@@ -41,10 +41,6 @@ class DuplicateEdgeId(InvalidInstance):
     pass
 
 
-class EmptyReachableSet(MmcastError):
-    pass
-
-
 class UnknownEdgeRate(MmcastError):
     pass
 

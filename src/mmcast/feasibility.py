@@ -123,7 +123,7 @@ def enumerate_feasibility(sub: ClientSubproblem, oracle, capacities: dict) -> Fe
         nodes = members(sub.sources, mask)
         cut = cut_capacity(capacities, nodes, sub.edges)
         required = oracle.conditional(nodes, sub.sources)
-        key = (cut - required, len(nodes), tuple(i for i in range(n) if mask >> i & 1))
+        key = (cut - required, len(nodes), members(range(n), mask))
         if best is None or key < best[0]:
             best = (key, nodes, cut, required)
     (slack, _, _), nodes, cut, required = best

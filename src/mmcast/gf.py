@@ -109,9 +109,6 @@ class FieldMatrix:
                 and self.rows == other.rows and self.cols == other.cols
                 and self._data == other._data)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.q, self._data))
-
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols} over F_{self.q})"
 
@@ -146,9 +143,6 @@ class FieldMatrix:
                 cj = ot.row(j)
                 out.append(sum(a * b for a, b in zip(ri, cj)) % q)
         return FieldMatrix._of(self.rows, other.cols, tuple(out), q)
-
-    def __matmul__(self, other):
-        return self.matmul(other)
 
     def select_columns(self, indices) -> "FieldMatrix":
         indices = list(indices)

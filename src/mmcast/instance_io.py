@@ -24,7 +24,7 @@ from .entropy import (EntropyOracle, LinearSource, TabularSource, check_linear_p
                       pmf_from_nested)
 from .errors import InvalidInstance
 from .gf import FieldMatrix
-from .model import NetworkInstance, parse_rational, validate_instance
+from .model import parse_rational, validate_instance
 
 
 def frac_str(value: Fraction) -> str:
@@ -150,17 +150,3 @@ def load_instance(source) -> tuple:
     oracle = EntropyOracle.from_model(instance.sources, source_model)
     return instance, oracle, source_model
 
-
-def instance_to_json(instance: NetworkInstance, source_model=None) -> dict:
-    doc = {
-        "nodes": list(instance.nodes),
-        "edges": [{"id": e.id, "tail": e.tail, "head": e.head,
-                   "capacity": frac_str(e.capacity), "cost": frac_str(e.cost)}
-                  for e in instance.edges],
-        "clients": list(instance.clients),
-    }
-    if isinstance(source_model, LinearSource):
-        doc["source_model"] = {
-            "kind": "linear", "q": source_model.q, "N": source_model.n_packets,
-            "matrices": {node: m.to_lists() for node, m in sorted(source_model.matrices.items())}}
-    return doc

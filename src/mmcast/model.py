@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 
-from .errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, EmptyReachableSet,
-                     InvalidInstance, NegativeCapacity, NonpositiveCost,
-                     ReconstructabilityViolated, UnknownEdgeRate)
+from .errors import (ClientNotSink, CycleDetected, DuplicateEdgeId, InvalidInstance,
+                     NegativeCapacity, NonpositiveCost, ReconstructabilityViolated,
+                     UnknownEdgeRate)
 from .lp import integral
 from .submodular import modular_table
 
@@ -182,9 +182,7 @@ def reachable_sources(instance: NetworkInstance, t: str) -> tuple:
 
 
 def _restrict(instance: NetworkInstance, t: str, m_t: tuple) -> ClientSubproblem:
-    """Client t's subproblem on its reachable sources m_t."""
-    if not m_t:
-        raise EmptyReachableSet(f"client {t} has no reachable sources")
+    """Client t's subproblem on m_t, never empty: the tail of t's in-edge is a source in it."""
     keep = set(m_t) | {t}
     # clients are sinks, so a tail in keep is a source of M_t
     e_t = tuple(e for e in instance.edges if e.tail in keep and e.head in keep)
@@ -312,9 +310,10 @@ class Region:
                 row[k] = d
         return row
 
-    def implied(self, mask: int, row: dict) -> bool:
-        """Whether R >= 0 alone implies S's ``row`` (:meth:`row`): g(S) <= 0, no edge enters S."""
-        return self.g[mask] <= 0 and -1 not in row.values()
+    def implied(self, mask: int) -> bool:
+        """Whether R >= 0 alone implies S's row: g(S) <= 0 and no edge enters S."""
+        return self.g[mask] <= 0 and not any(mask >> head & 1 > mask >> tail & 1
+                                             for tail, head in self._ends)
 
     def tight(self, rates: list) -> list:
         """The members of every nonempty S whose row is tight at ``rates``, in mask order."""

@@ -225,8 +225,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     optimizers = [RegionOptimizer(subs[t], oracle, caps) for t in instance.clients]
     # the exact LP's layout decides which edges are shared: there a client has its own column
     z, layout_columns = layout(instance.edges, [opt.sub for opt in optimizers])
-    alpha = [e.cost for e in instance.edges if e.id in z]     # on Z's columns
-    int_costs = [integral(c) for c in alpha]
+    int_costs = [integral(e.cost) for e in instance.edges if e.id in z]     # on Z's columns
     # client i's LP column j is the edge of Z column columns[i][j]
     columns = [[z[e.id] for e in opt.sub.edges] for opt in optimizers]
     sharing = {}                # Z column of a shared edge -> the (client, column) pairs on it
@@ -239,14 +238,14 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     # per client, in its column order: the multipliers (the inner LP's objective), the
     # sums of its inner vertices (n times the ergodic average; the best is divided at
     # return) and its last vertex, read once: (x, (column, edge, rate) per nonzero, floats)
-    lam = [[alpha[k] for k in cols] for cols in columns]    # one client's edge: lam = alpha_e
+    lam = [[int_costs[k] for k in cols] for cols in columns]    # one client's edge: lam = alpha_e
     for k, pairs in sharing.items():
         for i, j in pairs:
-            lam[i][j] = alpha[k] / len(pairs)
+            lam[i][j] = Fraction(int_costs[k], len(pairs))
     rate_sum = [[0] * len(cols) for cols in columns]
     seen = [(None, (), ())] * len(optimizers)
     # the sums only grow, so the envelope of the sums (top) and its cost do too
-    top, top_cost = [0] * len(alpha), 0
+    top, top_cost = [0] * len(int_costs), 0
 
     trace, dual_history = [], []
     best_dual = best_gap = None

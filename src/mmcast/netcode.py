@@ -105,7 +105,12 @@ def _verify_rates_serve_all_clients(instance, oracle, rates):
 
 def build_coded_network(instance: NetworkInstance, source_model,
                         rates: dict, oracle=None) -> CodedNetwork:
-    """Expand a feasible rate vector into a unit-capacity symbol network."""
+    """Expand a feasible rate vector into a unit-capacity symbol network.
+
+    ``oracle``, when given, must be over ``source_model``: its entropies decide the rate checks.
+    """
+    if oracle is not None and oracle.model != source_model:
+        raise InvalidParameters("the oracle is over another source model than the code")
     if not isinstance(source_model, LinearSource):
         raise NotLinearModel("code construction requires the linear source model")
     if oracle is None:

@@ -128,9 +128,8 @@ class ClientCuts:
 
     def rows(self, masks) -> list:
         """The rows of ``masks`` that ``Region.implied`` keeps, then the ground equality."""
-        rows = [(mask, self.row(mask)) for mask in masks]
-        return [row for mask, row in rows
-                if not self.region.implied(mask, row[0])] + [self.row(self.region.full)]
+        region = self.region
+        return [self.row(m) for m in masks if not region.implied(m)] + [self.row(region.full)]
 
     def separate(self, x: list):
         """The mask of the client's most violated row at x, None if its slice passes."""

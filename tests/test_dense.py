@@ -1,4 +1,4 @@
-"""The paper's case (ii), dense linear observations over F_5, through feasibility and rates.
+"""The paper's case (ii), dense linear observations over F_5, through feasibility, rates and codes.
 
 Each draw is ``random_instance_doc(..., dense=True)``: every observing source
 holds 1-3 uniform rows, so the rank tables come from the elimination sweep,
@@ -15,6 +15,7 @@ from mmcast.errors import Infeasible
 from mmcast.feasibility import check_feasible_multi, check_feasible_single, enumerate_feasibility
 from mmcast.model import client_subproblems
 from mmcast.multi_client import solve_multi_bruteforce, solve_multi_exact
+from mmcast.netcode import assign_coefficients, build_coded_network, simulate
 from mmcast.single_client import solve_single_client, solve_single_client_bruteforce
 
 
@@ -77,6 +78,26 @@ def test_dense_multi_client_routes_agree():
         else:
             assert sum(e.cost * exact_value.envelope[e.id] for e in instance.edges) == exact
     assert verdicts == {True, False}
+
+
+def test_dense_codes_at_the_exact_envelope_decode_everywhere():
+    # draws whose joint rank is below N leave the file undetermined: not coded here
+    rng = random.Random(25)
+    coded = 0
+    for instance, oracle, model in _dense_draws(24, 120):
+        if oracle.entropy(instance.sources) < model.n_packets:
+            continue
+        exact, solution = _outcome(solve_multi_exact, instance, oracle)
+        if exact == "infeasible":
+            continue
+        net = build_coded_network(instance, model, solution.envelope, oracle=oracle)
+        assignment = assign_coefficients(net, seed=coded)
+        w = [rng.randrange(net.q) for _ in range(net.n_symbols)]
+        result = simulate(net, assignment, w)
+        assert result.clients.keys() == set(instance.clients)
+        assert all(c.exact and c.decoded == w for c in result.clients.values())
+        coded += 1
+    assert coded >= 40
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -8,8 +8,7 @@ from helpers import FIXTURE_F2
 from mmcast.entropy import LinearSource, PmfSource
 from mmcast.errors import InvalidInstance
 from mmcast.gf import FieldMatrix
-from mmcast.instance_io import (frac_str, instance_to_json, load_instance, parse_rates,
-                                parse_source_model)
+from mmcast.instance_io import frac_str, load_instance, parse_rates, parse_source_model
 from mmcast.model import parse_rational
 
 
@@ -39,14 +38,6 @@ def test_parse_rates_accepts_solver_output():
     assert parse_rates({"e1": "1/2"}) == {"e1": Fraction(1, 2)}
     assert parse_rates({"Z": {"e1": "2"}}) == {"e1": Fraction(2)}
     assert parse_rates({"rates": {"e1": 3}}) == {"e1": Fraction(3)}
-
-
-def test_fixture_serialization_round_trip():
-    instance, _, model = load_instance(FIXTURE_F2)
-    doc = instance_to_json(instance, model)
-    instance2, oracle2, _ = load_instance(doc)
-    assert instance2.edges == instance.edges
-    assert oracle2.entropy(instance2.sources) == 4
 
 
 def test_a_path_is_read_whatever_its_first_character(tmp_path, monkeypatch):

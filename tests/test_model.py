@@ -236,7 +236,7 @@ def test_reachable_sources_excludes_clients(f2):
 
 
 def test_client_subproblems_are_each_clients_own_subproblem():
-    # every client's M_t comes from one predecessor map: the same sources, in the same
+    # every client's M_t comes from one reverse-topological sweep: the same sources, in the same
     # order, and the same edges as a walk for that client alone
     rng = random.Random(37)
     seen = set()

@@ -279,6 +279,31 @@ def test_a_client_that_cannot_see_the_file_is_refused_as_infeasible_rates():
     assert type(err.value.__cause__) is ReconstructabilityViolated
 
 
+def test_an_oracle_over_another_model_is_refused():
+    # a = [1, 1] and b = [1, 4] span F_5^2 but one line of F_3^2 (4 = 1 mod 3): coding
+    # over F_3 with an F_5 oracle would pass the rank checks and fail every attempt
+    doc = {
+        "nodes": ["a", "b", "t"],
+        "edges": [{"id": f"e{v}", "tail": v, "head": "t", "capacity": "1", "cost": "1"}
+                  for v in ("a", "b")],
+        "clients": ["t"],
+        "source_model": {"kind": "linear", "q": 5, "N": 2,
+                         "matrices": {"a": [[1, 1]], "b": [[1, 4]]}},
+    }
+    instance, oracle5, sm5 = load_instance(doc)
+    doc["source_model"]["q"] = 3
+    _, oracle3, sm3 = load_instance(doc)
+    rates = {"ea": 1, "eb": 1}
+    with pytest.raises(InfeasibleRates, match="joint observations have rank 1 < 2"):
+        build_coded_network(instance, sm3, rates, oracle=oracle3)
+    with pytest.raises(InvalidParameters, match="the oracle is over another source model"):
+        build_coded_network(instance, sm3, rates, oracle=oracle5)
+    # an equal model loaded apart is the same model
+    doc["source_model"]["q"] = 5
+    net = build_coded_network(instance, load_instance(doc)[2], rates, oracle=oracle5)
+    assert simulate(net, assign_coefficients(net), [2, 3]).clients["t"].exact
+
+
 def test_assignment_deterministic_per_seed(f2_net):
     _, _, _, net = f2_net
     a = assign_coefficients(net, seed=7)

@@ -241,3 +241,39 @@ def test_each_cut_round_resolves_once_before_the_next_separation(monkeypatch):
                 assert calls[i + 1:after] == ["resolve"]
             rounds[route] += calls.count("add_rows")
     assert rounds["subgradient"] >= 50 and rounds["single"] >= 10
+
+
+def _lone_client(f2, client, seeds):
+    """(client cuts, solver) of one F2 client alone in its LP, from ``seeds``."""
+    from mmcast.lp import SimplexSolver
+    from mmcast.single_client import ClientCuts, layout, program
+    instance, oracle, _ = f2
+    sub, caps = client_subproblem(instance, oracle, client), instance.capacities()
+    z, (columns,) = layout(sub.edges, [sub])
+    cuts = ClientCuts(sub, oracle, caps, columns, seeds)
+    costs = instance.costs()
+    return cuts, SimplexSolver(program(z, caps, [cuts], [costs[e.id] for e in sub.edges]))
+
+
+def test_a_resolve_that_leaves_x_in_place_is_refused(f2):
+    # from the ground equality alone, t2's first vertex violates a region row; a solver
+    # whose resolve hands back that vertex after the real cut is refused before the
+    # client separates again (where the cut, now in its pool, would be refused too)
+    from mmcast.single_client import cutting_planes
+    cuts, solver = _lone_client(f2, "t2", [])
+    first = solver.solve()
+    masks, separate = [], cuts.separate
+    cuts.separate = lambda x: masks.append(separate(x)) or masks[-1]
+    solver.resolve = lambda objective: first
+    with pytest.raises(RuntimeError, match=r"the cuts of masks \{'t2': \d+\} keep their vertex"):
+        cutting_planes(solver, first, solver.lp.objective, [cuts])
+    assert len(masks) == 1 and masks[0] is not None and cuts.pool == masks
+
+
+def test_rates_below_the_ground_entropy_are_refused(f2):
+    # all-zero rates pass no row with g > 0: the ground set is not tight, so no solution
+    from mmcast.single_client import _solution
+    cuts, _ = _lone_client(f2, "t1", [])
+    assert cuts.region.g[cuts.region.full] > 0
+    with pytest.raises(RuntimeError, match="client t1: the rates miss the ground equality"):
+        _solution(cuts, [Fraction(0)] * len(cuts.columns), Fraction(0))
