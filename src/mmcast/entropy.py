@@ -68,7 +68,6 @@ class LinearSource:
     q: int
     n_packets: int                      # N, length of the data vector W
     matrices: dict                      # node -> FieldMatrix (ell_m x N)
-    unit: str = "packets"
     _held: dict = field(init=False, repr=False, compare=False)   # node -> bitmask or None
 
     def __post_init__(self):
@@ -176,7 +175,6 @@ class TabularSource:
 
     ground: tuple
     entropies: dict                     # frozenset -> Fraction, all nonempty subsets
-    unit: str = "packets"
 
     def entropy(self, nodes) -> Fraction:
         key = frozenset(nodes)
@@ -194,7 +192,6 @@ class PmfSource:
     order: tuple                        # node evaluation order for the table
     alphabets: dict                     # node -> alphabet size
     table: dict                         # outcome tuple -> Fraction probability
-    unit: str = "bits"
 
     def __post_init__(self):
         size = 1
@@ -236,7 +233,6 @@ class EntropyOracle:
 
     ground: tuple
     model: object
-    unit: str = "packets"
     _index: dict = field(init=False, repr=False)
     _memo: dict = field(init=False, repr=False)
     _conditional: dict = field(init=False, repr=False)
@@ -248,7 +244,7 @@ class EntropyOracle:
 
     @classmethod
     def from_model(cls, ground, model) -> "EntropyOracle":
-        return cls(tuple(ground), model, unit=model.unit)
+        return cls(tuple(ground), model)
 
     def mask(self, nodes) -> int:
         """Bitmask of the nodes over the oracle's ground order."""
@@ -261,7 +257,7 @@ class EntropyOracle:
         return mask
 
     def entropy(self, nodes) -> Fraction:
-        """H(X_S) for S = nodes, in the oracle's declared unit."""
+        """H(X_S) for S = nodes, in the model's unit (packets if linear, bits if pmf)."""
         return self.entropy_of_mask(self.mask(nodes))
 
     def entropy_of_mask(self, mask: int) -> Fraction:

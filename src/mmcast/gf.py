@@ -116,42 +116,6 @@ class FieldMatrix:
         if self.q != other.q:
             raise ModulusMismatch(f"mixed moduli {self.q} and {other.q}")
 
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix._of(
-            self.cols, self.rows,
-            tuple([self[i, j] for j in range(self.cols) for i in range(self.rows)]),
-            self.q)
-
-    def stack(self, other: "FieldMatrix") -> "FieldMatrix":
-        """Vertical concatenation [self; other]."""
-        self._check_same_field(other)
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return FieldMatrix._of(self.rows + other.rows, self.cols,
-                               self._data + other._data, self.q)
-
-    def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        q = self.q
-        out = []
-        ot = other.transpose()
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                cj = ot.row(j)
-                out.append(sum(a * b for a, b in zip(ri, cj)) % q)
-        return FieldMatrix._of(self.rows, other.cols, tuple(out), q)
-
-    def select_columns(self, indices) -> "FieldMatrix":
-        indices = list(indices)
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            out.extend(ri[j] for j in indices)
-        return FieldMatrix._of(self.rows, len(indices), tuple(out), self.q)
-
     def mat_vec(self, vec) -> list:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")

@@ -5,7 +5,7 @@ capacity and cost as exact-rational strings or integers), ``clients`` and
 ``source_model``.  Source models:
 
 * ``{"kind": "linear", "q": 5, "N": 4, "matrices": {"m1": [[...]], ...}}``
-* ``{"kind": "tabular", "unit": "packets", "entropies": {"m1": 2, "m1,m2": 3, ...}}``
+* ``{"kind": "tabular", "entropies": {"m1": 2, "m1,m2": 3, ...}}``
   (one entry per nonempty source subset, keys are comma-joined node ids)
 * ``{"kind": "pmf", "order": [...], "alphabets": {...}, "table": [...]}``
   (dense nested table of rational probability strings)
@@ -89,7 +89,6 @@ def parse_source_model(description: dict, sources):
             matrices[node] = FieldMatrix.from_rows(entries, q, cols=n)
         return LinearSource(q, n, matrices)
     if kind == "tabular":
-        unit = description.get("unit", "packets")
         try:
             raw = _object(description["entropies"], "tabular entropies")
         except KeyError as exc:
@@ -108,7 +107,7 @@ def parse_source_model(description: dict, sources):
         if len(table) < (1 << n) - 1:
             raise InvalidInstance(
                 f"tabular model has {len(table)} entries, needs all {(1 << n) - 1} nonempty subsets")
-        return TabularSource(tuple(sources), table, unit=unit)
+        return TabularSource(tuple(sources), table)
     if kind == "pmf":
         try:
             alphabets = {str(k): parse_integer(v)

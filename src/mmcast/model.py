@@ -49,9 +49,6 @@ class NetworkInstance:
     clients: tuple             # sink nodes, in input order
     topo_order: tuple          # Kahn's FIFO order, input order as tie-break
 
-    def edge_map(self) -> dict:
-        return {e.id: e for e in self.edges}
-
     def capacities(self) -> dict:
         return {e.id: e.capacity for e in self.edges}
 
@@ -259,7 +256,7 @@ class Region:
         index[sub.client] = len(sub.sources)    # past every mask bit: the client is no source
         self._ends = [(index[e.tail], index[e.head]) for e in sub.edges]
         self.g = oracle.conditional_table(sub.sources)
-        self.full = len(self.g) - 1
+        self.full = (1 << len(sub.sources)) - 1
         self._rates = None          # the rates of the last boundary table, kept in _boundary
 
     def cut(self, capacities: list) -> list:

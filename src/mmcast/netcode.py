@@ -229,19 +229,6 @@ def _propagate(net: CodedNetwork, coefficients: list) -> list:
     return vectors
 
 
-def assignment_from_coefficients(net: CodedNetwork, coefficients: dict) -> CodeAssignment:
-    """Wrap explicit local coefficients (e.g. hand-built routing codes)."""
-    pairs = _input_pairs(net)
-    bad = set(coefficients) - set(pairs)
-    if bad:
-        raise InvalidParameters(f"coefficients on non-adjacent channel pairs: {sorted(bad)}")
-    if bad := [v for v in coefficients.values() if int(v) != v]:
-        raise InvalidParameters(f"coefficient {bad[0]!r} is not an integer")
-    coeffs = {k: int(v) % net.q for k, v in coefficients.items()}
-    vectors = _propagate(net, [coeffs.get(pair, 0) for pair in pairs])
-    return CodeAssignment(coeffs, tuple(vectors), 1, _received_bases(net, vectors))
-
-
 def assign_coefficients(net: CodedNetwork, seed: int = 0,
                         max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> CodeAssignment:
     """Draw local coefficients uniformly from F_q until all clients decode.

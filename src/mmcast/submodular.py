@@ -26,6 +26,7 @@ from fractions import Fraction
 from .errors import GroundTooLarge, InvalidParameters, MaxIterationsExceeded
 
 BRUTE_FORCE_LIMIT = 20
+MIN_NORM_MAX_MAJOR = 10000     # Wolfe major cycles before MaxIterationsExceeded
 
 
 def members(ground, mask: int) -> tuple:
@@ -232,7 +233,7 @@ def _negative_part(x: list):
     return sum(1 << i for i, v in enumerate(x) if v < 0), sum(v for v in x if v < 0)
 
 
-def min_norm_point(f: SetFunction, max_major: int = 10000):
+def min_norm_point(f: SetFunction):
     """Fujishige-Wolfe minimum-norm point in the base polyhedron of f, exact.
 
     Returns ``(x, members, value)``: the min-norm point x* keyed by ground
@@ -251,7 +252,7 @@ def min_norm_point(f: SetFunction, max_major: int = 10000):
     n = len(f.ground)
     x = _greedy_vertex(f, range(n))
     points, lam, gram = [x], [Fraction(1)], [[_dot(x, x)]]
-    for _ in range(max_major):
+    for _ in range(MIN_NORM_MAX_MAJOR):
         q = _greedy_vertex(f, sorted(range(n), key=x.__getitem__))
         if _dot(x, x) <= _dot(x, q):
             mask, lower = _negative_part(x)
@@ -278,7 +279,7 @@ def min_norm_point(f: SetFunction, max_major: int = 10000):
         x = [_dot(lam, column) for column in zip(*points)]
     mask, lower = _negative_part(x)
     raise MaxIterationsExceeded(
-        f"minimum-norm point did not converge in {max_major} major cycles",
+        f"minimum-norm point did not converge in {MIN_NORM_MAX_MAJOR} major cycles",
         best_point=dict(zip(f.ground, x)),
         best_set=members(f.ground, mask),
         gap=f.value(mask) - lower)

@@ -1,5 +1,6 @@
-"""Shared test utilities: fixture paths, seeded random generators, and test-only tables
-(a client's slack function, the tabular copy of an oracle)."""
+"""Shared test utilities: fixture paths, seeded random generators, test-only tables
+(a client's slack function, the tabular copy of an oracle), the matrix algebra over F_q
+that only tests use, and a code from explicit coefficients."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from mmcast import load_instance
+from mmcast import gf, load_instance
 from mmcast.entropy import EntropyOracle, TabularSource
+from mmcast.gf import FieldMatrix
 from mmcast.model import ClientSubproblem, Region
+from mmcast.netcode import CodeAssignment, CodedNetwork, propagate_global_vectors
 from mmcast.submodular import SetFunction, members
 
 REPO = Path(__file__).resolve().parent.parent
@@ -29,14 +32,50 @@ def slack_function(sub: ClientSubproblem, oracle, capacities: dict) -> SetFuncti
 
 
 def tabular_from_oracle(oracle: EntropyOracle) -> TabularSource:
-    """Materialize the full subset table of an oracle, in its unit.
+    """Materialize the full subset table of an oracle.
 
     Grounds above ``submodular.BRUTE_FORCE_LIMIT`` raise GroundTooLarge.
     """
     h = oracle.table(oracle.ground)
     table = {frozenset(members(oracle.ground, mask)): Fraction(h[mask])
              for mask in range(1, len(h))}
-    return TabularSource(oracle.ground, table, unit=oracle.unit)
+    return TabularSource(oracle.ground, table)
+
+
+def transpose(m: FieldMatrix) -> FieldMatrix:
+    return FieldMatrix.from_rows([m.column(j) for j in range(m.cols)], m.q, cols=m.rows)
+
+
+def stack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    """Vertical concatenation [a; b]."""
+    assert a.q == b.q
+    return FieldMatrix.from_rows(a.to_lists() + b.to_lists(), a.q, cols=a.cols)
+
+
+def matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    assert a.q == b.q and a.cols == b.rows
+    columns = [b.column(j) for j in range(b.cols)]
+    return FieldMatrix.from_rows([[sum(x * y for x, y in zip(row, c)) for c in columns]
+                                  for row in a.to_lists()], a.q, cols=b.cols)
+
+
+def select_columns(m: FieldMatrix, indices) -> FieldMatrix:
+    indices = list(indices)
+    return FieldMatrix.from_rows([[row[j] for j in indices] for row in m.to_lists()], m.q,
+                                 cols=len(indices))
+
+
+def assignment_from_coefficients(net: CodedNetwork, coefficients: dict) -> CodeAssignment:
+    """The code of explicit local coefficients (e.g. a hand-built routing code).
+
+    Keys are (feeding, fed) channel pairs; pairs left out are 0.  The vectors
+    and each client's greedy basis are what ``assign_coefficients`` would keep.
+    """
+    coefficients = {pair: c % net.q for pair, c in coefficients.items()}
+    vectors = tuple(propagate_global_vectors(net, CodeAssignment(coefficients, (), 1, {})))
+    bases = {t: gf.row_basis([vectors[c] for c in net.sink_channels[t]], net.q)
+             for t in net.clients}
+    return CodeAssignment(coefficients, vectors, 1, bases)
 
 
 def chain_instance(cap1="4", cap2="4", cost1="1", cost2="1") -> dict:

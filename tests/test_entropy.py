@@ -21,7 +21,6 @@ def test_fixture_linear_entropies(f2):
     assert oracle.entropy(["m4"]) == 1
     assert oracle.entropy(["m1", "m2", "m3", "m4"]) == 4
     assert oracle.entropy([]) == 0
-    assert oracle.unit == "packets"
 
 
 def test_fixture_conditionals(f2):
@@ -38,7 +37,6 @@ def test_pmf_two_fair_bits():
     nested = [[quarter, quarter], [quarter, quarter]]
     model = pmf_from_nested(["x", "y"], {"x": 2, "y": 2}, nested)
     oracle = EntropyOracle.from_model(("x", "y"), model)
-    assert oracle.unit == "bits"
     assert oracle.entropy(["x"]) == 1
     assert oracle.entropy(["x", "y"]) == 2
 

@@ -86,7 +86,6 @@ def test_pmf_instance_loads_and_solves():
                          "table": [["1/4", "1/4"], ["1/4", "1/4"]]},
     }
     instance, oracle, _ = load_instance(doc)
-    assert oracle.unit == "bits"
     assert oracle.entropy(["x", "y"]) == 2
     from mmcast import check_feasible_multi
     assert check_feasible_multi(instance, oracle).feasible

@@ -750,10 +750,11 @@ def test_exact_lp_against_independent_assembly():
         c = [0.0] * n
         covered = {eid for (t, eid) in var if t != "Z"}
         bounds = [None] * n
+        edges = {e.id: e for e in instance.edges}
         for (t, eid), idx in var.items():
-            cap = float(instance.edge_map()[eid].capacity)
+            cap = float(edges[eid].capacity)
             if t == "Z":
-                c[idx] = float(instance.edge_map()[eid].cost)
+                c[idx] = float(edges[eid].cost)
                 bounds[idx] = (0.0, cap if eid in covered else 0.0)
             else:
                 bounds[idx] = (0.0, cap)
@@ -881,7 +882,7 @@ def test_the_lp_has_z_on_used_edges_and_couplings_on_shared_edges_only(monkeypat
     exact = solve_multi_exact(instance, oracle)
     brute = solve_multi_bruteforce(instance, oracle)
     assert len(built) == 2
-    edges = instance.edge_map()
+    edges = {e.id: e for e in instance.edges}
     couplings = [({1: 1, 6: -1}, ">=", 0), ({2: 1, 7: -1}, ">=", 0),     # t1 on e2, e3
                  ({1: 1, 8: -1}, ">=", 0), ({2: 1, 9: -1}, ">=", 0)]     # t2 on e2, e3
     for lp in built:

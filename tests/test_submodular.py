@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_instance_doc, random_submodular_function, slack_function
-from mmcast import client_subproblem, load_instance
+from mmcast import client_subproblem, load_instance, submodular
 from mmcast.errors import GroundTooLarge, InvalidParameters, MaxIterationsExceeded
 from mmcast.model import boundary_vector, cut_capacity
 from mmcast.submodular import (MembershipResult, SetFunction, conditional_entropy_function,
@@ -109,6 +109,17 @@ def test_membership_names_the_minimizing_violated_inequality():
     assert in_base_polyhedron(x, dual) == MembershipResult(False, (2, 3), 1)    # x(23) = 0 < 1
     y = {1: Fraction(1), 2: Fraction(1), 3: Fraction(0)}
     assert in_base_polyhedron(y, rank).member and in_base_polyhedron(y, dual).member
+
+
+def test_membership_result_is_truthy_exactly_for_members():
+    # callers gate on ``if not in_base_polyhedron(...)``, so the truth value is the verdict
+    rank = SetFunction((1, 2, 3), lambda s: Fraction(min(len(tuple(s)), 2)), "submodular")
+    member = {1: Fraction(1), 2: Fraction(1), 3: Fraction(0)}
+    wrong_total = {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}     # x(123) = 3 > 2
+    violates_a_subset = {1: Fraction(2), 2: Fraction(0), 3: Fraction(0)}    # x(1) = 2 > 1
+    assert in_base_polyhedron(member, rank)
+    assert not in_base_polyhedron(wrong_total, rank)
+    assert not in_base_polyhedron(violates_a_subset, rank)
 
 
 def test_membership_fixture_optimal_boundary(f2):
@@ -252,11 +263,12 @@ def test_dual_pair_membership_on_random_instances():
         assert in_base_polyhedron(greedy_base_vertex(g, order), f).member
 
 
-def test_min_norm_point_iteration_cap():
+def test_min_norm_point_iteration_cap(monkeypatch):
     rng = random.Random(433)
     f = random_submodular_function(rng, 6)
-    with pytest.raises(MaxIterationsExceeded) as err:
-        min_norm_point(f, max_major=0)
+    monkeypatch.setattr(submodular, "MIN_NORM_MAX_MAJOR", 0)
+    with pytest.raises(MaxIterationsExceeded, match="in 0 major cycles") as err:
+        min_norm_point(f)
     assert err.value.best_set is not None
     assert err.value.gap is not None
     lower = sum(min(v, 0) for v in err.value.best_point.values())
