@@ -4,10 +4,12 @@ The coupled LP of demo 03 has a region per client and an envelope on top.
 Dualizing the envelope splits the edge cost alpha_e into per-client prices
 lam_e^(t) that live on a scaled simplex.  Each iteration then solves one
 cheap single-client problem per client at its current prices, takes a
-diminishing ascent step, projects the prices back onto the simplices, and
-averages the inner solutions into a primal iterate.  The running average
-is a convex combination of exact region points, so it stays exactly
-feasible; the duality gap tells us when to stop.
+diminishing ascent step, and projects the prices back onto the simplices.
+Two primal points come out of each iteration: the running average of the
+inner solutions, a convex combination of exact region points, and the
+envelope of this iteration's inner solutions themselves.  Both are exactly
+feasible; the cheapest point so far is the primal, and its duality gap
+tells us when to stop.
 """
 
 from pathlib import Path

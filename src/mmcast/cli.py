@@ -170,10 +170,11 @@ def _cmd_solve(args) -> tuple:
         schedule = _parse_schedule(text)
         gap = multi_client.DEFAULT_GAP_TOL if args.gap is None else args.gap
         try:
-            gap = Fraction(gap).limit_denominator(10 ** 12)
+            gap = Fraction(gap)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameters(f"cannot parse --gap {args.gap!r}: {exc}") from exc
-        params.update({"schedule": text, "iters": iters, "gap": frac_str(gap)})
+        params.update({"schedule": text, "iters": iters,
+                       "gap": frac_str(gap.limit_denominator(10 ** 12))})
         result = multi_client.solve_multi_subgradient(
             instance, oracle, schedule=schedule, max_iters=iters, gap_tol=gap)
         trace = [{"n": t.n, "dual": _round12(t.dual), "primal": _round12(t.primal),

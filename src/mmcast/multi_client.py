@@ -19,11 +19,12 @@ rate-flow region.  Two routes:
   The per-edge multipliers live on scaled simplices {lam >= 0,
   sum_t lam_e^(t) = alpha_e}; each iteration solves one weighted
   single-client problem per client (exact), takes a projected ascent step
-  on the multipliers, and recovers a primal point as the running average
-  of the inner minimizers.  Inner solutions are exact vertices and the
-  average is kept as an exact sum (divided once, at return), so every
-  recovered point is exactly region-feasible and every recorded dual value
-  is a true lower bound.
+  on the multipliers, and recovers two primal points: the running average
+  of the inner minimizers, and the envelope of this iteration's minimizers
+  themselves.  Inner solutions are exact vertices and the average is kept
+  as an exact sum (divided once, at return), so every recovered point is
+  exactly region-feasible and every recorded dual value is a true lower
+  bound.
 
 Each route starts from ``model.client_subproblems``, which checks only
 reconstructability; its own LPs decide feasibility, and an empty LP (or
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import truediv
+from operator import mul, truediv
 
 from . import feasibility, model
 from .errors import BudgetExceeded, Infeasible, InvalidParameters
@@ -73,7 +74,7 @@ class MulticastRates:
 class TraceEntry:
     n: int
     dual: float
-    primal: float
+    primal: float               # the best primal so far: the cost of the point returned
     gap: float                  # (primal - best dual) / best dual; 0 if both are 0
 
 
@@ -99,6 +100,8 @@ class StepSchedule:
     c: Fraction = Fraction(1)
 
     def __post_init__(self):
+        if type(self.kind) is not int:     # True == 1 would pass for kind 1
+            raise InvalidParameters(f"the schedule kind must be an int, not {self.kind!r}")
         if self.kind == 1:
             if not (self.a > 0 and self.b >= 0 and self.c > 0):
                 raise InvalidParameters("kind 1 needs a > 0, b >= 0, c > 0")
@@ -199,13 +202,22 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
                             schedule: StepSchedule | None = None,
                             max_iters: int = DEFAULT_MAX_ITERS,
                             gap_tol=DEFAULT_GAP_TOL) -> SubgradientResult:
-    """Projected dual ascent with ergodic primal recovery.
+    """Projected dual ascent with primal recovery from the inner vertices.
 
-    Stops when the relative gap between the recovered primal cost and the
-    best dual value reaches ``gap_tol``, when the gap stops improving for
+    Each iteration offers two primal points: the ergodic average of the
+    inner minimizers so far, and the envelope max_t x_t,e of this
+    iteration's minimizers, whose ``per_client`` rates are the vertices
+    themselves.  The best primal is the cheapest point so far; the
+    average is weighed first, and the envelope replaces it only when
+    strictly cheaper, so on a tie the average is kept.  The gap test and
+    ``TraceEntry.primal`` read the best primal's cost, and the returned
+    rates are that point, so the run stops as soon as the point it returns
+    is within ``gap_tol`` of the best dual value.  Both bests are monotone,
+    so the gap never rises; the run also stops when it stays the same for
     ``PATIENCE`` iterations (warning ``no_progress``), or at ``max_iters``
-    (warning ``max_iters``).  The returned rates are the best recovered
-    primal iterate; they satisfy every region constraint exactly.  The
+    (warning ``max_iters``).  The returned rates satisfy every region
+    constraint exactly.  ``gap_tol`` is rounded to a denominator of at
+    most 10**12; a positive tolerance that this makes 0 is refused.  The
     first multipliers alpha_e / (clients on e) and every cost are positive,
     so the best dual is positive from the first iteration on, unless no
     client's sources hold any entropy; then every inner optimum is x = 0,
@@ -214,12 +226,17 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     schedule = schedule or StepSchedule()
     if type(max_iters) is not int or max_iters < 1:
         raise InvalidParameters(f"max_iters must be an int of at least 1, not {max_iters!r}")
+    if isinstance(gap_tol, bool):
+        raise InvalidParameters(f"gap_tol must be a number, not {gap_tol!r}")
     try:
-        gap_tol = Fraction(gap_tol).limit_denominator(10 ** 12)
+        exact_tol = Fraction(gap_tol)
     except (TypeError, ValueError, ArithmeticError):     # nan, inf, not a number
         raise InvalidParameters(f"gap_tol must be a finite number, not {gap_tol!r}") from None
-    if gap_tol < 0:
-        raise InvalidParameters("gap_tol must be nonnegative")
+    if exact_tol < 0:
+        raise InvalidParameters(f"gap_tol must be nonnegative, not {gap_tol!r}")
+    tol = exact_tol.limit_denominator(10 ** 12)
+    if exact_tol and not tol:
+        raise InvalidParameters(f"gap_tol {gap_tol!r} is positive but rounds to 0 at 10**-12")
     subs = model.client_subproblems(instance, oracle)
     caps = instance.capacities()
     optimizers = [RegionOptimizer(subs[t], oracle, caps) for t in instance.clients]
@@ -248,14 +265,15 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     top, top_cost = [0] * len(int_costs), 0
 
     trace, dual_history = [], []
-    best_dual = best_gap = None
-    best_primal = None          # (cost, envelope sums, per-client sums, n)
+    best_dual = last_gap = None
+    best_primal = None          # (cost, envelope, per-client rates, divisor k)
     since_improvement = 0
     converged = False
     warning = None
 
     for n in range(1, max_iters + 1):
         dual_value = Fraction(0)
+        new_vertex = False
         for i, (opt, acc) in enumerate(zip(optimizers, rate_sum)):
             try:
                 x, value, _ = opt.minimize(lam[i])
@@ -266,6 +284,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
             if x != seen[i][0]:         # a resolve without a pivot hands back the same Fractions
                 seen[i] = (x, [(j, columns[i][j], integral(r)) for j, r in enumerate(x) if r],
                            [_float(r) for r in x])
+                new_vertex = True
             for j, k, r in seen[i][1]:
                 acc[j] = total = acc[j] + r
                 if total > top[k]:
@@ -275,21 +294,33 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
         if best_dual is None or dual_value > best_dual:
             best_dual = dual_value
 
-        primal_cost = Fraction(top_cost, n)
-        if best_primal is None or primal_cost < best_primal[0]:
-            best_primal = (primal_cost, list(top), [list(acc) for acc in rate_sum], n)
+        # the best primal: the ergodic average, then this iteration's vertices' envelope
+        # when it is strictly cheaper (unmoved vertices were already weighed)
+        ergodic_cost = Fraction(top_cost, n)
+        if best_primal is None or ergodic_cost < best_primal[0]:
+            best_primal = (ergodic_cost, list(top), [list(acc) for acc in rate_sum], n)
+        if new_vertex:
+            vertex_top = [0] * len(int_costs)
+            for _, rates, _ in seen:
+                for _, k, r in rates:
+                    if r > vertex_top[k]:
+                        vertex_top[k] = r
+            vertex_cost = sum(map(mul, int_costs, vertex_top))
+            if vertex_cost < best_primal[0]:
+                best_primal = (Fraction(vertex_cost), vertex_top, [x for x, _, _ in seen], 1)
 
+        primal_cost = best_primal[0]
         if best_dual > 0:
             gap = (primal_cost - best_dual) / best_dual
         else:                   # zero entropy: x = 0 is every inner optimum, the primal is 0
             gap = Fraction(0)
         trace.append(TraceEntry(n, _float(dual_value), _float(primal_cost), _float(gap)))
 
-        if gap <= gap_tol:
+        if gap <= tol:
             converged = True
             break
-        if best_gap is None or gap < best_gap:
-            best_gap = gap
+        if gap != last_gap:     # the gap never rises: it fell
+            last_gap = gap
             since_improvement = 0
         else:
             since_improvement += 1

@@ -447,7 +447,7 @@ def test_solve_subgradient_power_schedule(capsys):
     assert doc["converged"] is True
 
 
-@pytest.mark.parametrize("gap", ["abc", "1/0", "-1", "-0.01"])
+@pytest.mark.parametrize("gap", ["abc", "1/0", "-1", "-0.01", "1e-13"])
 def test_bad_gap_rejected(capsys, gap):
     code, doc = run_cli(capsys, "solve", str(FIXTURE_F2), "--all-clients",
                         "--method", "subgradient", "--iters", "300", "--gap", gap)

@@ -404,21 +404,28 @@ def test_step_size_validation():
         StepSchedule(2, a=1)
     with pytest.raises(InvalidParameters):
         StepSchedule(3)
+    with pytest.raises(InvalidParameters, match="True"):
+        StepSchedule(kind=True)
     with pytest.raises(InvalidParameters):
         step_size(StepSchedule(), 0)
 
 
 @pytest.mark.parametrize("options", [{"max_iters": 0}, {"gap_tol": -1},
                                      {"gap_tol": Fraction(-1, 100)}, {"gap_tol": float("nan")},
-                                     {"gap_tol": float("inf")}, {"max_iters": 2.5}],
+                                     {"gap_tol": float("inf")}, {"max_iters": 2.5},
+                                     {"max_iters": True}, {"gap_tol": True},
+                                     {"gap_tol": 1e-13}, {"gap_tol": Fraction(1, 10 ** 13)}],
                          ids=["max_iters 0", "gap_tol -1", "gap_tol -1/100", "gap_tol nan",
-                              "gap_tol inf", "max_iters 2.5"])
+                              "gap_tol inf", "max_iters 2.5", "max_iters True", "gap_tol True",
+                              "gap_tol 1e-13", "gap_tol 1/10^13"])
 def test_subgradient_parameter_validation(f2, options):
     # a relative gap is never negative: a negative tolerance could only run to the cap;
-    # the iteration cap is an int and the tolerance a finite number
+    # the iteration cap is an int and the tolerance a finite number, neither a bool; a
+    # positive tolerance that the 10**-12 rounding would make 0 could only run to the cap
     instance, oracle, _ = f2
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidParameters) as err:
         solve_multi_subgradient(instance, oracle, **options)
+    assert repr(*options.values()) in str(err.value)
 
 
 def test_subgradient_fixture_converges(f2):
@@ -473,10 +480,14 @@ def test_subgradient_recovered_rates_stay_in_region(f2):
 
 
 def test_subgradient_envelope_and_cost_of_the_recovered_point(f2):
-    # on F2 the first iterate stays the best; the 3-client draw improves on it
-    # at iteration 35, so its point is an average of many inner solutions
+    # on F2 the first iterate stays the best; on the 3-client draw the envelope of
+    # iteration 2's vertices improves on it, and on the benchmark pool's member
+    # subgradient:m8:1 the average of 19 iterations does, so its point is an average
+    # of many inner solutions
     rng = random.Random(140)
-    cases = [f2[:2], random_feasible_instance(rng, n_clients=3)[:2]]
+    doc = random_instance_doc(random.Random("subgradient:m8:1"), n_sources=8, n_clients=3,
+                              max_capacity=8)
+    cases = [f2[:2], random_feasible_instance(rng, n_clients=3)[:2], load_instance(doc)[:2]]
     for instance, oracle in cases:
         result = solve_multi_subgradient(instance, oracle, max_iters=100)
         assert len(result.per_client) == len(instance.clients)
@@ -490,6 +501,41 @@ def test_subgradient_envelope_and_cost_of_the_recovered_point(f2):
         # the returned point is the best recovered one
         assert float(result.cost) == min(entry.primal for entry in result.trace)
     assert result.trace[0].primal > result.cost
+    assert result.iterations == 19 and 19 in {z.denominator for z in result.envelope.values()}
+
+
+def test_subgradient_stops_once_the_returned_point_is_within_the_gap():
+    # the trace's primal is the point returned so far, the cheapest recovered one, so
+    # it and the gap never rise, and the run stops at the first iteration where the gap
+    # is within the tolerance.  The first draw is the benchmark pool's member
+    # subgradient:m8:11: the point it returned, its first iterate, was within 1% of the
+    # best dual from iteration 6 on, yet the gap of the current average sent the run on
+    # to the cap of 30
+    doc = random_instance_doc(random.Random("subgradient:m8:11"), n_sources=8, n_clients=3,
+                              max_capacity=8)
+    rng = random.Random(152)
+    cases = [load_instance(doc)[:2]]
+    cases += [random_feasible_instance(rng, n_sources=8, n_clients=3, max_capacity=8)[:2]
+              for _ in range(5)]
+    tol, cap = Fraction(1, 100), 30
+    results = [solve_multi_subgradient(instance, oracle, max_iters=cap, gap_tol=tol)
+               for instance, oracle in cases]
+    assert results[0].converged
+    for (instance, oracle), result in zip(cases, results):
+        primals = [entry.primal for entry in result.trace]
+        gaps = [entry.gap for entry in result.trace]
+        assert primals == sorted(primals, reverse=True)
+        assert gaps == sorted(gaps, reverse=True)
+        within = [entry.n for entry in result.trace if entry.gap <= tol]
+        assert within == ([result.iterations] if result.converged else [])
+        assert result.converged or result.iterations == cap
+        assert float(result.cost) == min(primals)
+        if result.converged:
+            assert result.cost - result.best_dual <= tol * result.best_dual
+        for t, rates in result.per_client.items():
+            sub = client_subproblem(instance, oracle, t)
+            g = conditional_entropy_function(oracle, sub.sources)
+            assert in_base_polyhedron(boundary_vector(rates, sub), g).member
 
 
 def test_subgradient_trace_is_deterministic(f2):
@@ -595,7 +641,9 @@ def _dict_keyed_subgradient(instance, oracle, max_iters=DEFAULT_MAX_ITERS,
     """Reference: the subgradient loop on dicts keyed by edge id and (edge id, client).
 
     Each inner call builds its weights dict and reads the optimizer's x
-    back into a rates dict; the step reads float() of each multiplier.
+    back into a rates dict; the step reads float() of each multiplier.  The
+    best primal is the ergodic average, or the envelope of the iteration's
+    rates dicts when that is strictly cheaper; the trace and the gap read it.
     """
     schedule = StepSchedule()
     gap_tol = Fraction(gap_tol).limit_denominator(10 ** 12)
@@ -634,15 +682,23 @@ def _dict_keyed_subgradient(instance, oracle, max_iters=DEFAULT_MAX_ITERS,
         if best_dual is None or dual_value > best_dual:
             best_dual = dual_value
         top = dict.fromkeys(costs, 0)
+        vertex_top = dict.fromkeys(costs, 0)
         for t, (rates, _) in zip(clients, results):
             acc = rate_sum[t]
             for eid, r in rates.items():
                 acc[eid] = total = acc[eid] + integral(r)
                 if total > top[eid]:
                     top[eid] = total
-        primal_cost = Fraction(sum(c * top[eid] for eid, c in int_costs.items()), n)
-        if best_primal is None or primal_cost < best_primal[0]:
-            best_primal = (primal_cost, top, {t: dict(rate_sum[t]) for t in clients}, n)
+                if r > vertex_top[eid]:
+                    vertex_top[eid] = r
+        ergodic_cost = Fraction(sum(c * top[eid] for eid, c in int_costs.items()), n)
+        if best_primal is None or ergodic_cost < best_primal[0]:
+            best_primal = (ergodic_cost, top, {t: dict(rate_sum[t]) for t in clients}, n)
+        vertex_cost = sum(c * vertex_top[eid] for eid, c in int_costs.items())
+        if vertex_cost < best_primal[0]:
+            best_primal = (Fraction(vertex_cost), vertex_top,
+                           {t: rates for t, (rates, _) in zip(clients, results)}, 1)
+        primal_cost = best_primal[0]
         if best_dual > 0:
             gap = (primal_cost - best_dual) / best_dual
         elif primal_cost == 0:
