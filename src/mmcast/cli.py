@@ -1,10 +1,12 @@
 """Command-line front end with reproducible JSON output.
 
-Subcommands: validate, feas, solve, code, simulate, oracle.  Every output
-carries a run manifest (subcommand, input digest, resolved parameters,
-tool version); reruns with an identical manifest produce byte-identical
-output.  Rationals are printed as "p/q" strings; floats appear only inside
-subgradient traces and are rounded to 12 significant digits.
+Subcommands: validate, feas, solve, code, simulate, oracle.  ``main`` loads
+the document once for the subcommand, which returns ``(parameters, payload,
+status)``; main adds the run manifest (subcommand, input digest, resolved
+parameters, tool version).  Reruns with an identical manifest produce
+byte-identical output.  Rationals are printed as "p/q" strings; floats
+appear only inside subgradient traces and are rounded to 12 significant
+digits.
 
 Exit codes: 0 success, 2 infeasible or verification failure (diagnostic
 JSON), 1 malformed input or parameters, usage errors included
@@ -40,15 +42,11 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _manifest(args, parameters: dict) -> dict:
     return {
         "command": args.command,
         "input": args.instance,
-        "input_sha256": _digest(args.instance),
+        "input_sha256": hashlib.sha256(Path(args.instance).read_bytes()).hexdigest(),
         "parameters": parameters,
         "version": __version__,
     }
@@ -80,18 +78,6 @@ def _override_field(source_model, q: int | None):
     return LinearSource(q, source_model.n_packets, matrices)
 
 
-def _feas_json(report: feasibility.FeasibilityReport) -> dict:
-    clients = {}
-    for cert in report.certificates:
-        clients[cert.client] = {
-            "status": "feasible" if cert.feasible else "infeasible",
-            "violating_set": list(cert.witness_set) if not cert.feasible else [],
-            "deficit": frac_str(cert.deficit),
-            "slack": frac_str(cert.slack),
-        }
-    return {"feasible": report.feasible, "clients": clients}
-
-
 def _cert_json(cert: feasibility.FeasibilityCertificate) -> dict:
     return {
         "client": cert.client,
@@ -105,12 +91,10 @@ def _cert_json(cert: feasibility.FeasibilityCertificate) -> dict:
 
 # -- subcommands -------------------------------------------------------------
 
-def _cmd_validate(args) -> tuple:
-    instance, oracle, _ = instance_io.load_instance(args.instance)
+def _cmd_validate(args, instance, oracle, _) -> tuple:
     poly = validate_polymatroid(oracle)
     recon = model.check_reconstructability(instance, oracle)
     payload = {
-        "manifest": _manifest(args, {}),
         "nodes": list(instance.nodes),
         "topo_order": list(instance.topo_order),
         "sources": list(instance.sources),
@@ -130,23 +114,29 @@ def _cmd_validate(args) -> tuple:
                         for c in recon.clients},
         },
     }
-    return payload, 0
+    return {}, payload, 0
 
 
-def _cmd_feas(args) -> tuple:
-    instance, oracle, _ = instance_io.load_instance(args.instance)
+def _cmd_feas(args, instance, oracle, _) -> tuple:
     report = feasibility.check_feasible_multi(instance, oracle)
-    payload = {"manifest": _manifest(args, {})}
-    payload.update(_feas_json(report))
-    return payload, 0 if report.feasible else 2
+    clients = {cert.client: {
+        "status": "feasible" if cert.feasible else "infeasible",
+        "violating_set": list(cert.witness_set) if not cert.feasible else [],
+        "deficit": frac_str(cert.deficit),
+        "slack": frac_str(cert.slack),
+    } for cert in report.certificates}
+    return {}, {"feasible": report.feasible, "clients": clients}, 0 if report.feasible else 2
 
 
-def _cmd_solve(args) -> tuple:
+def _refuse_subgradient_options(args) -> None:
+    """Options of the subgradient route given on another: a usage error, before any reading."""
     given = [f"--{name}" for name in ("schedule", "iters", "gap", "trace-csv")
-             if vars(args)[name.replace("-", "_")] is not None]
+             if getattr(args, name.replace("-", "_"), None) is not None]
     if given and (args.client is not None or args.method == "exact"):
         raise InvalidParameters(f"{', '.join(given)}: only for --all-clients --method subgradient")
-    instance, oracle, _ = instance_io.load_instance(args.instance)
+
+
+def _cmd_solve(args, instance, oracle, _) -> tuple:
     if args.client is not None:
         if args.client not in instance.clients:
             raise InvalidInstance(f"{args.client!r} is not a client of this instance")
@@ -154,12 +144,11 @@ def _cmd_solve(args) -> tuple:
         solution = single_client.solve_single_client(
             sub, oracle, instance.costs(), instance.capacities())
         payload = {
-            "manifest": _manifest(args, {"client": args.client}),
             "rates": rates_to_json(solution.rates),
             "cost": frac_str(solution.cost),
             "tight_sets": [list(s) for s in solution.tight_sets],
         }
-        return payload, 0
+        return {"client": args.client}, payload, 0
     params = {"method": args.method}
     if args.method == "exact":
         result = multi_client.solve_multi_exact(instance, oracle)
@@ -168,13 +157,9 @@ def _cmd_solve(args) -> tuple:
         text = "s1:1,1,1" if args.schedule is None else args.schedule
         iters = multi_client.DEFAULT_MAX_ITERS if args.iters is None else args.iters
         schedule = _parse_schedule(text)
-        gap = multi_client.DEFAULT_GAP_TOL if args.gap is None else args.gap
-        try:
-            gap = Fraction(gap)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidParameters(f"cannot parse --gap {args.gap!r}: {exc}") from exc
-        params.update({"schedule": text, "iters": iters,
-                       "gap": frac_str(gap.limit_denominator(10 ** 12))})
+        gap = multi_client.gap_tolerance(
+            multi_client.DEFAULT_GAP_TOL if args.gap is None else args.gap)
+        params.update({"schedule": text, "iters": iters, "gap": frac_str(gap)})
         result = multi_client.solve_multi_subgradient(
             instance, oracle, schedule=schedule, max_iters=iters, gap_tol=gap)
         trace = [{"n": t.n, "dual": _round12(t.dual), "primal": _round12(t.primal),
@@ -184,7 +169,6 @@ def _cmd_solve(args) -> tuple:
             lines += [f"{t.n},{t.dual:.12g},{t.primal:.12g},{t.gap:.12g}" for t in result.trace]
             Path(args.trace_csv).write_text("\n".join(lines) + "\n")
     payload = {
-        "manifest": _manifest(args, params),
         "Z": rates_to_json(result.envelope),
         "per_client": {t: rates_to_json(r) for t, r in result.per_client.items()},
         "cost": frac_str(result.cost),
@@ -196,31 +180,25 @@ def _cmd_solve(args) -> tuple:
         payload["iterations"] = result.iterations
         if result.warning:
             payload["warning"] = result.warning
-    return payload, 0
+    return params, payload, 0
 
 
-def _load_rates(path: str) -> dict:
-    return instance_io.parse_rates(json.loads(Path(path).read_text()))
-
-
-def _build_code(args):
-    instance, oracle, source_model = instance_io.load_instance(args.instance)
+def _build_code(args, instance, oracle, source_model):
     source_model = _override_field(source_model, args.q)
     if args.q is not None:
         oracle = EntropyOracle.from_model(instance.sources, source_model)
-    rates = _load_rates(args.rates)
+    rates = instance_io.parse_rates(json.loads(Path(args.rates).read_text()))
     net = netcode.build_coded_network(instance, source_model, rates, oracle=oracle)
     assignment = netcode.assign_coefficients(net, seed=args.seed)
-    return instance, net, assignment
+    return net, assignment
 
 
-def _cmd_code(args) -> tuple:
-    _, net, assignment = _build_code(args)
+def _cmd_code(args, *loaded) -> tuple:
+    net, assignment = _build_code(args, *loaded)
     clients = {t: {"rank": len(assignment.bases[t]),      # the rank of t's transfer matrix
                    "decoder": netcode.build_decoder(net, assignment, t).to_lists()}
                for t in net.clients}
     payload = {
-        "manifest": _manifest(args, {"rates": args.rates, "seed": args.seed, "q": net.q}),
         "q": net.q,
         "beta": net.beta,
         "symbols": net.n_symbols,
@@ -232,35 +210,32 @@ def _cmd_code(args) -> tuple:
         "clients": clients,
         "edge_symbols": net.edge_symbol_counts(),
     }
-    return payload, 0
+    return {"rates": args.rates, "seed": args.seed, "q": net.q}, payload, 0
 
 
-def _cmd_simulate(args) -> tuple:
-    _, net, assignment = _build_code(args)
+def _cmd_simulate(args, *loaded) -> tuple:
+    net, assignment = _build_code(args, *loaded)
     try:
         w = [int(x) for x in args.w.split(",")]
     except ValueError as exc:
         raise InvalidParameters(f"cannot parse --w {args.w!r}") from exc
     result = netcode.simulate(net, assignment, w)
     payload = {
-        "manifest": _manifest(args, {"rates": args.rates, "seed": args.seed, "q": net.q,
-                                     "w": args.w}),
         "clients": {t: {"received": r.received, "decoded": r.decoded, "exact": r.exact}
                     for t, r in result.clients.items()},
         "edge_symbols": result.edge_symbols,
     }
-    return payload, 0 if all(r.exact for r in result.clients.values()) else 2
+    params = {"rates": args.rates, "seed": args.seed, "q": net.q, "w": args.w}
+    return params, payload, 0 if all(r.exact for r in result.clients.values()) else 2
 
 
-def _cmd_oracle(args) -> tuple:
+def _cmd_oracle(args, instance, oracle, _) -> tuple:
     """Brute-force baselines: enumerated feasibility and full-materialization LPs."""
-    instance, oracle, _ = instance_io.load_instance(args.instance)
     subs = model.client_subproblems(instance, oracle)
     certs = [feasibility.enumerate_feasibility(sub, oracle, instance.capacities())
              for sub in subs.values()]
     feasible = all(c.feasible for c in certs)
     payload = {
-        "manifest": _manifest(args, {}),
         "feasibility": {c.client: _cert_json(c) for c in certs},
         "feasible": feasible,
     }
@@ -275,7 +250,7 @@ def _cmd_oracle(args) -> tuple:
         payload["single_client"] = singles
         payload["multi"] = {"Z": rates_to_json(multi.envelope),
                             "cost": frac_str(multi.cost)}
-    return payload, 0 if feasible else 2
+    return {}, payload, 0 if feasible else 2
 
 
 # -- entry point --------------------------------------------------------------
@@ -330,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        payload, status = args.run(args)
+        _refuse_subgradient_options(args)
+        parameters, payload, status = args.run(args, *instance_io.load_instance(args.instance))
+        payload["manifest"] = _manifest(args, parameters)
     except INFEASIBLE_FAMILY as exc:
         context = {}
         if isinstance(exc, Infeasible):

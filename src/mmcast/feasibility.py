@@ -12,8 +12,6 @@ in :func:`infeasible`.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,23 +44,14 @@ class FeasibilityReport:
         return {c.client: c for c in self.certificates}
 
 
-def _slack_table(sub: ClientSubproblem, oracle, capacities: dict, scale: int) -> list:
-    """scale * (c(out(S)) - g(S)) for every mask, from scale * capacity on each edge."""
-    region = Region(sub, oracle)
-    cut = region.cut([capacities[e.id] * scale for e in sub.edges])
-    g = region.g if scale == 1 else [scale * x for x in region.g]
-    return list(map(operator.sub, cut, g))
-
-
 def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> FeasibilityCertificate:
     """Certificate for one client: worst subset of the slack function.
 
-    The slack is tabulated over one common denominator: D, the lcm of the
-    denominators of the client's edge capacities.  When D > 1 the cut table
-    is filled in ints of D * capacity, ``cut - D * g`` is minimized (a
-    positive scale keeps the minimizer and its tie-break) and the minimum
-    is divided by D once; when D = 1 the table is the slack itself.  The
-    empty set is skipped (its slack is identically zero).  The cut and the
+    ``Region.cut_slack`` tabulates the slack times D, the lcm of the
+    denominators of the client's edge capacities; ``D * (cut - g)`` is
+    minimized (a positive scale keeps the minimizer and its tie-break), the
+    empty set skipped (its slack is identically zero), and the minimum is
+    divided by D once.  The cut and the
     requirement of the witness are evaluated again from their per-subset
     definitions, the requirement from the oracle's per-subset entropies
     (a linear model's rank table writes none of them, so they come from the
@@ -70,12 +59,10 @@ def check_feasible_single(sub: ClientSubproblem, oracle, capacities: dict) -> Fe
     RuntimeError: the tables, the oracle's shared conditional table
     included, disagree with them.
     """
-    scale = math.lcm(*(capacities[e.id].denominator for e in sub.edges))
-    f = SetFunction.tabulated(sub.sources, _slack_table(sub, oracle, capacities, scale),
-                              "submodular")
+    scale, slack = Region(sub, oracle).cut_slack([capacities[e.id] for e in sub.edges])
+    f = SetFunction.tabulated(sub.sources, slack, "submodular")
     witness, worst = sfm_brute_force(f, include_empty=False)
-    if scale > 1:
-        worst /= scale
+    worst /= scale
     required = oracle.conditional(witness, sub.sources)
     cut = cut_capacity(capacities, witness, sub.edges)
     if worst != cut - required:

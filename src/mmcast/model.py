@@ -9,9 +9,9 @@ exact rationals in the entropy unit of the attached source model
 Every region inequality of a client compares a cut or a boundary of a
 source subset S with g(S) = H(X_S | X_rest).  :class:`Region` holds these
 as exact tables indexed by the subset mask over the client's sources, and
-is the only code that builds a mask's row, rules which rows x >= 0 implies
-and finds tight sets, from one incidence list and per-edge lists in the
-order ``sub.edges``.  A table is filled by doubling: the masks with
+is the only code that reads g, builds a mask's row, rules which rows x >= 0
+implies and finds tight sets, from one incidence list and per-edge lists in
+the order ``sub.edges``.  A table is filled by doubling: the masks with
 top bit v are the masks below v, each shifted by what adding v changes,
 which is modular in the lower bits, and where that change is zero the
 half is a copy (``table += table``, done in C); a table costs a few list
@@ -20,6 +20,7 @@ passes, not an edge scan per subset, and assumes no source order.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -293,19 +294,32 @@ class Region:
             self._rates, self._boundary = [*rates], modular_table(integral(b) for b in net[:-1])
         return self._boundary
 
-    def row(self, mask: int, columns) -> dict:
-        """boundary(R, S) as ``{columns[j]: +1 or -1}``, edge j in ``sub.edges`` order.
+    def violations(self, rates: list) -> list | None:
+        """boundary(R, S) - g(S) for every mask, R in ``sub.edges`` order; None if none is < 0."""
+        b = self.boundary(rates)
+        if all(map(operator.ge, b, self.g)):    # decided on the tables alone
+            return None
+        return list(map(operator.sub, b, self.g))
 
-        +1 where the tail is in S and the head is not, -1 where the head is in S
-        and the tail is not; the LP row of S on the client's columns, and the
-        only code that builds one.
+    def cut_slack(self, capacities: list) -> tuple:
+        """(D, D * (c(out(S)) - g(S)) for every mask), D the lcm of the capacities' denominators."""
+        scale = math.lcm(*(c.denominator for c in capacities))
+        g = self.g if scale == 1 else [scale * x for x in self.g]
+        return scale, list(map(operator.sub, self.cut([c * scale for c in capacities]), g))
+
+    def row(self, mask: int, columns) -> tuple:
+        """S's LP row on ``columns``: ``(coefficients, ">=" or "==" at the full mask, g(S))``.
+
+        boundary(R, S) as ``{columns[j]: +1 or -1}``, edge j in ``sub.edges`` order:
+        +1 where the tail is in S and the head is not, -1 where the head is in S and
+        the tail is not.  The only code that builds a row.
         """
         row = {}
         for k, (tail, head) in zip(columns, self._ends):
             d = (mask >> tail & 1) - (mask >> head & 1)
             if d:
                 row[k] = d
-        return row
+        return row, "==" if mask == self.full else ">=", self.g[mask]
 
     def implied(self, mask: int) -> bool:
         """Whether R >= 0 alone implies S's row: g(S) <= 0 and no edge enters S."""

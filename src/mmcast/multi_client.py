@@ -92,7 +92,7 @@ class SubgradientResult(MulticastRates):
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Diminishing step sizes: kind 1 is a/(b + c*n), kind 2 is n**(-a)."""
+    """Diminishing step sizes: kind 1 is a/(b + c*n), kind 2 is n**(-a); each a finite float."""
 
     kind: int = 1
     a: Fraction = Fraction(1)
@@ -102,12 +102,19 @@ class StepSchedule:
     def __post_init__(self):
         if type(self.kind) is not int:     # True == 1 would pass for kind 1
             raise InvalidParameters(f"the schedule kind must be an int, not {self.kind!r}")
+        abc = f"{self.a}, {self.b}, {self.c}"
         if self.kind == 1:
-            if not (self.a > 0 and self.b >= 0 and self.c > 0):
-                raise InvalidParameters("kind 1 needs a > 0, b >= 0, c > 0")
+            if not (self.a > 0 and self.b >= 0 and self.c > 0):     # nan fails too
+                raise InvalidParameters(f"kind 1 needs a > 0, b >= 0, c > 0, not {abc}")
+            try:            # inf, or a value past the float range, raises; so does b + c = 0.0
+                finite = math.isfinite(step_size(self, 1))
+            except (OverflowError, ZeroDivisionError):
+                finite = False
+            if not finite:
+                raise InvalidParameters(f"kind 1 needs finite a, b, c and a/(b + c), not {abc}")
         elif self.kind == 2:
             if not 0 < self.a < 1:
-                raise InvalidParameters("kind 2 needs 0 < a < 1")
+                raise InvalidParameters(f"kind 2 needs 0 < a < 1, not {self.a}")
         else:
             raise InvalidParameters(f"unknown schedule kind {self.kind}")
 
@@ -143,7 +150,10 @@ def exact_simplex_projection(v: list, total: Fraction) -> list:
         raise InvalidParameters(f"the simplex total must be positive, not {total}")
     if not v:
         raise InvalidParameters(f"no empty vector sums to the simplex total {total}")
-    ratios = [x.as_integer_ratio() for x in v]
+    try:
+        ratios = [x.as_integer_ratio() for x in v]
+    except (OverflowError, ValueError):     # inf or nan: an ascent step too large for its rates
+        raise InvalidParameters(f"the simplex projection needs finite entries, not {v}") from None
     d = math.lcm(t_den, *[den for _, den in ratios])
     a = [num * (d // den) for num, den in ratios]
     rho, excess = 0, -t_num * (d // t_den)      # excess = acc_rho - T
@@ -198,6 +208,25 @@ def solve_multi_bruteforce(instance: NetworkInstance, oracle) -> MulticastRates:
 
 # -- subgradient route -------------------------------------------------------
 
+def gap_tolerance(gap_tol) -> Fraction:
+    """The relative gap tolerance that a subgradient run uses.
+
+    ``gap_tol`` is a finite number >= 0, or its text, rounded to a denominator
+    of at most 10**12; a positive value that this makes 0 is refused."""
+    if isinstance(gap_tol, bool):
+        raise InvalidParameters(f"gap_tol must be a number, not {gap_tol!r}")
+    try:
+        exact_tol = Fraction(gap_tol)
+    except (TypeError, ValueError, ArithmeticError):     # nan, inf, not a number
+        raise InvalidParameters(f"gap_tol must be a finite number, not {gap_tol!r}") from None
+    if exact_tol < 0:
+        raise InvalidParameters(f"gap_tol must be nonnegative, not {gap_tol!r}")
+    tol = exact_tol.limit_denominator(10 ** 12)
+    if exact_tol and not tol:
+        raise InvalidParameters(f"gap_tol {gap_tol!r} is positive but rounds to 0 at 10**-12")
+    return tol
+
+
 def solve_multi_subgradient(instance: NetworkInstance, oracle,
                             schedule: StepSchedule | None = None,
                             max_iters: int = DEFAULT_MAX_ITERS,
@@ -216,8 +245,8 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     so the gap never rises; the run also stops when it stays the same for
     ``PATIENCE`` iterations (warning ``no_progress``), or at ``max_iters``
     (warning ``max_iters``).  The returned rates satisfy every region
-    constraint exactly.  ``gap_tol`` is rounded to a denominator of at
-    most 10**12; a positive tolerance that this makes 0 is refused.  The
+    constraint exactly.  ``gap_tol`` is read by :func:`gap_tolerance`, which
+    checks it and rounds it to a denominator of at most 10**12.  The
     first multipliers alpha_e / (clients on e) and every cost are positive,
     so the best dual is positive from the first iteration on, unless no
     client's sources hold any entropy; then every inner optimum is x = 0,
@@ -226,17 +255,7 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     schedule = schedule or StepSchedule()
     if type(max_iters) is not int or max_iters < 1:
         raise InvalidParameters(f"max_iters must be an int of at least 1, not {max_iters!r}")
-    if isinstance(gap_tol, bool):
-        raise InvalidParameters(f"gap_tol must be a number, not {gap_tol!r}")
-    try:
-        exact_tol = Fraction(gap_tol)
-    except (TypeError, ValueError, ArithmeticError):     # nan, inf, not a number
-        raise InvalidParameters(f"gap_tol must be a finite number, not {gap_tol!r}") from None
-    if exact_tol < 0:
-        raise InvalidParameters(f"gap_tol must be nonnegative, not {gap_tol!r}")
-    tol = exact_tol.limit_denominator(10 ** 12)
-    if exact_tol and not tol:
-        raise InvalidParameters(f"gap_tol {gap_tol!r} is positive but rounds to 0 at 10**-12")
+    tol = gap_tolerance(gap_tol)
     subs = model.client_subproblems(instance, oracle)
     caps = instance.capacities()
     optimizers = [RegionOptimizer(subs[t], oracle, caps) for t in instance.clients]

@@ -24,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from operator import ge
 
 from . import feasibility
 from .errors import GroundTooLarge
@@ -62,13 +61,12 @@ def most_violated(region: Region, rates: list):
     """Exact separation: the mask minimizing boundary(R, S) - g(S), if that is negative.
 
     R is listed in ``sub.edges`` order.  None certifies that R satisfies every
-    region inequality; it is decided by comparing the boundary table with g alone.
-    Only a violated table goes on to :func:`sfm_brute_force` for its tie-broken witness.
+    region inequality, as ``Region.violations`` decides; only a violated table
+    goes on to :func:`sfm_brute_force` for its tie-broken witness.
     """
-    b = region.boundary(rates)
-    if all(map(ge, b, region.g)):
+    slack = region.violations(rates)
+    if slack is None:
         return None
-    slack = [x - y for x, y in zip(b, region.g)]
     h = SetFunction.tabulated(region.sub.sources, slack, "submodular")
     witness, _ = sfm_brute_force(h)
     return h.mask(witness)
@@ -102,7 +100,8 @@ def program(z: dict, capacities: dict, clients: list, costs: list) -> LinearProg
 class ClientCuts:
     """One client's rows in a rate LP, on its ``layout`` columns (in ``sub.edges`` order).
 
-    ``Region.row`` writes each row on these columns.  ``pool`` holds the
+    ``Region.row`` writes each row, its right-hand side g(S) included, on
+    these columns; the class itself never reads g.  ``pool`` holds the
     masks of its region rows: the seed masks that the builder of the LP
     passes (``seed_pool`` for a client alone in its LP, ``singletons`` in the
     multi-client LP, ``every_mask`` on the brute-force routes), then each cut
@@ -122,9 +121,8 @@ class ClientCuts:
         return [x[k] for k in self.columns]
 
     def row(self, mask: int) -> tuple:
-        """boundary(R, S) >= g(S), ``Region.row`` on the client's columns; == at the full set."""
-        region = self.region
-        return region.row(mask, self.columns), "==" if mask == region.full else ">=", region.g[mask]
+        """S's row, boundary(R, S) >= g(S) (== at the full set): ``Region.row`` on these columns."""
+        return self.region.row(mask, self.columns)
 
     def rows(self, masks) -> list:
         """The rows of ``masks`` that ``Region.implied`` keeps, then the ground equality."""

@@ -462,6 +462,45 @@ def test_bad_schedule_rejected(capsys):
     assert doc["error"]["code"] == "InvalidParameters"
 
 
+def test_overflowing_schedule_rejected(capsys):
+    # its first step 1e300/1e-300 is no finite float: refused, where a traceback was printed
+    code, doc = run_cli(capsys, "solve", str(FIXTURE_F2), "--all-clients", "--method",
+                        "subgradient", "--schedule", "s1:1e300,0,1e-300", "--iters", "5")
+    assert code == 1
+    assert doc["error"]["code"] == "InvalidParameters"
+
+
+def test_manifest_records_the_gap_the_run_uses(capsys):
+    code, doc = run_cli(capsys, "solve", str(FIXTURE_F2), "--all-clients", "--method",
+                        "subgradient", "--gap", "1/1000000000001", "--iters", "3")
+    assert code == 0
+    assert doc["manifest"]["parameters"]["gap"] == "1/1000000000000"
+
+
+def test_every_subcommand_output_has_one_manifest(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    runs = [["validate"], ["oracle"], *F2_PINNED.values()]
+    for command, *options in runs:
+        assert main([command, "fixtures/fixture-F2.json", *options]) == 0
+        out = capsys.readouterr().out
+        assert out.count('"manifest"') == 1, command
+        manifest = json.loads(out)["manifest"]
+        assert (manifest["command"], manifest["input"]) == (command, "fixtures/fixture-F2.json")
+
+
+def test_a_usage_error_wins_over_an_unreadable_document(tmp_path, capsys):
+    # subgradient options on another route are refused before the document is read;
+    # an unparsable schedule is read after it
+    missing = str(tmp_path / "missing.json")
+    code, doc = run_cli(capsys, "solve", missing, "--client", "t1", "--schedule", "s1")
+    assert code == 1
+    assert doc["error"]["code"] == "InvalidParameters"
+    code, doc = run_cli(capsys, "solve", missing, "--all-clients", "--method", "subgradient",
+                        "--schedule", "s3:1")
+    assert code == 1
+    assert doc["error"]["code"] == "FileNotFoundError"
+
+
 HALF_RATES_PATH = str(REPO / HALF_RATES)
 
 

@@ -410,6 +410,30 @@ def test_step_size_validation():
         step_size(StepSchedule(), 0)
 
 
+@pytest.mark.parametrize("kind, params", [
+    (1, {"a": float("inf")}), (1, {"a": 1e300, "b": 0, "c": 1e-300}),
+    (1, {"b": float("inf")}), (1, {"c": float("nan")}), (1, {"b": 0, "c": Fraction(1, 10 ** 400)}),
+    (2, {"a": float("inf")}), (2, {"a": float("nan")}),
+], ids=["a inf", "a/(b + c) overflows", "b inf", "c nan", "b + c underflows", "kind 2 a inf",
+        "kind 2 a nan"])
+def test_a_step_that_is_not_a_finite_float_is_refused(kind, params):
+    # each used to reach the projection, which died with a bare OverflowError or ValueError
+    with pytest.raises(InvalidParameters) as err:
+        StepSchedule(kind, **params)
+    assert all(str(value) in str(err.value) for value in params.values())
+
+
+def test_an_ascent_step_that_overflows_is_refused():
+    # a finite first step times a rate of 2 overflows a float: the projection names the entry
+    for v in ([1.0, float("inf")], [float("nan"), 0.5]):
+        with pytest.raises(InvalidParameters, match="finite"):
+            exact_simplex_projection(v, 1)
+    instance, oracle, _ = random_feasible_instance(random.Random(152), n_sources=6, n_clients=3)
+    with pytest.raises(InvalidParameters, match="inf"):
+        solve_multi_subgradient(instance, oracle, schedule=StepSchedule(1, 1e308, 0, 1),
+                                max_iters=5, gap_tol=0)
+
+
 @pytest.mark.parametrize("options", [{"max_iters": 0}, {"gap_tol": -1},
                                      {"gap_tol": Fraction(-1, 100)}, {"gap_tol": float("nan")},
                                      {"gap_tol": float("inf")}, {"max_iters": 2.5},

@@ -1,6 +1,7 @@
 """The mask-indexed region tables against their per-subset definitions."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -83,21 +84,37 @@ def test_every_table_entry_equals_its_per_subset_definition():
                 region = Region(sub, oracle)
                 cut = region.cut([caps[e.id] for e in sub.edges])
                 b = region.boundary([rates[e.id] for e in sub.edges])
+                violations = region.violations([rates[e.id] for e in sub.edges])
+                # the rates are half-integers: as capacities they draw a common denominator D > 1
+                slacks = [(draw, *region.cut_slack([draw[e.id] for e in sub.edges]))
+                          for draw in (caps, rates)]
+                for draw, scale, _ in slacks:
+                    assert scale == math.lcm(*(draw[e.id].denominator for e in sub.edges))
+                    if scale > 1:
+                        seen[kind].add("D > 1")
                 assert (len(region.g) == len(cut) == len(b) == region.full + 1
                         == 1 << len(sub.sources))
                 for mask in range(region.full + 1):
                     nodes = members(sub.sources, mask)
+                    required = oracle.conditional(nodes, sub.sources)
                     assert cut[mask] == cut_capacity(caps, nodes, sub.edges)
                     assert b[mask] == boundary(rates, nodes, sub.edges)
-                    assert region.g[mask] == oracle.conditional(nodes, sub.sources)
-                    row = region.row(mask, range(len(sub.edges)))
+                    assert region.g[mask] == required
+                    row, relation, rhs = region.row(mask, range(len(sub.edges)))
                     assert sum(c * rates[sub.edges[j].id] for j, c in row.items()) == b[mask]
                     assert set(row.values()) <= {-1, 1}
                     assert region.implied(mask) == (region.g[mask] <= 0
                                                     and -1 not in row.values())
+                    assert (relation, rhs) == ("==" if mask == region.full else ">=", required)
+                    want = boundary(rates, nodes, sub.edges) - required
+                    assert want >= 0 if violations is None else violations[mask] == want
+                    for draw, scale, slack in slacks:
+                        assert slack[mask] == scale * (cut_capacity(draw, nodes, sub.edges)
+                                                       - required)
+                assert violations is None or min(violations) < 0
     for kind, features in seen.items():
         assert features == {"relay", "client edge", "zero capacity", "no source neighbour",
-                            "zero net rate"}, kind
+                            "zero net rate", "D > 1"}, kind
 
 
 def test_the_kept_boundary_table_follows_the_rates(f2):
