@@ -105,7 +105,15 @@ class BudgetExceeded(MmcastError):
 
 
 class InvalidParameters(MmcastError):
-    pass
+    """A parameter outside its range, or a run that it drove past what it can compute.
+
+    A run stopped part way, as a subgradient step that overflows a float,
+    carries the best result it holds in ``result``; otherwise it is None.
+    """
+
+    def __init__(self, message, result=None):
+        self.result = result
+        super().__init__(message)
 
 
 # --- network coding -------------------------------------------------------

@@ -37,10 +37,15 @@ the same Fractions, so each client's vertex is read (its nonzero rates for
 the sums, its floats for the step) only when it moves; the envelope of the
 sums and its cost only grow, and are kept up to date.  Floating point
 appears only in the ascent step, the step-size schedule and the trace's
-copies of exact values: the moved multipliers are floats, which the
-projection reads exactly, scales to ints by the lcm of their denominators
-and returns as exact Fractions, so every multiplier, inner solve,
-separation, average and cost is exact.
+copies of exact values: each multiplier's float is kept beside it and
+recomputed only when the multiplier changes; the moved multipliers are
+floats, which the projection reads exactly, scales to ints by the lcm of
+their denominators and returns as exact Fractions, so every multiplier,
+inner solve, separation, average and cost is exact.  A shared edge whose
+moved multipliers are equal and finite (the step is uniform there, as
+when every client's rate on it is the same) takes its uniform point
+alpha_e / k without a call: the projection of equal entries, whatever
+their value.
 """
 
 from __future__ import annotations
@@ -138,7 +143,10 @@ def step_size(schedule: StepSchedule, n: int) -> float:
 def exact_simplex_projection(v: list, total: Fraction) -> list:
     """Euclidean projection of v onto {x >= 0, sum(x) = total}, total > 0 (sort-and-threshold).
 
-    v holds exact numbers or floats, read exactly.  Everything is scaled
+    v holds exact numbers or floats, read exactly; a non-finite entry is
+    refused.  The projection commutes with a shift along the all-ones
+    vector (Duchi et al., ICML 2008), so k equal entries, whatever their
+    value, project to total/k each.  Everything is scaled
     by the lcm d of the denominators (powers of 2 for the ascent step's
     floats), so the search runs in ints: with a = d*v sorted descending,
     prefix sums acc_j and T = d*total, the support is the first rho
@@ -245,12 +253,16 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     so the gap never rises; the run also stops when it stays the same for
     ``PATIENCE`` iterations (warning ``no_progress``), or at ``max_iters``
     (warning ``max_iters``).  The returned rates satisfy every region
-    constraint exactly.  ``gap_tol`` is read by :func:`gap_tolerance`, which
-    checks it and rounds it to a denominator of at most 10**12.  The
-    first multipliers alpha_e / (clients on e) and every cost are positive,
-    so the best dual is positive from the first iteration on, unless no
-    client's sources hold any entropy; then every inner optimum is x = 0,
-    the primal and the gap are 0, and the run converges at once.
+    constraint exactly.  A shared edge's uniform step keeps the uniform
+    point alpha_e / k without a projection.  A step that overflows a float
+    raises InvalidParameters naming the entry; its ``result`` is the run so
+    far, its best point and best dual, with warning ``step_overflow``.
+    ``gap_tol`` is read by :func:`gap_tolerance`, which checks it and
+    rounds it to a denominator of at most 10**12.  The first multipliers
+    alpha_e / (clients on e) and every cost are positive, so the best dual
+    is positive from the first iteration on, unless no client's sources
+    hold any entropy; then every inner optimum is x = 0, the primal and
+    the gap are 0, and the run converges at once.
     """
     schedule = schedule or StepSchedule()
     if type(max_iters) is not int or max_iters < 1:
@@ -269,15 +281,21 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
         for j, (k, col) in enumerate(zip(cols, own)):
             if col >= len(z):
                 sharing.setdefault(k, []).append((i, j))
-    shared = [(int_costs[k], pairs) for k, pairs in sharing.items()]
-
-    # per client, in its column order: the multipliers (the inner LP's objective), the
-    # sums of its inner vertices (n times the ergodic average; the best is divided at
-    # return) and its last vertex, read once: (x, (column, edge, rate) per nonzero, floats)
-    lam = [[int_costs[k] for k in cols] for cols in columns]    # one client's edge: lam = alpha_e
+    # per shared edge: alpha_e, its pairs and its uniform point alpha_e / k with its float
+    shared = []
     for k, pairs in sharing.items():
+        uniform = Fraction(int_costs[k], len(pairs))
+        shared.append((int_costs[k], pairs, uniform, _float(uniform)))
+
+    # per client, in its column order: the multipliers (the inner LP's objective) and
+    # their floats, the sums of its inner vertices (n times the ergodic average; the best
+    # is divided at return) and its last vertex, read once: (x, (column, edge, rate) per
+    # nonzero, floats)
+    lam = [[int_costs[k] for k in cols] for cols in columns]    # one client's edge: lam = alpha_e
+    lam_float = [[0.0] * len(cols) for cols in columns]         # read on shared edges only
+    for _, pairs, uniform, uniform_float in shared:
         for i, j in pairs:
-            lam[i][j] = Fraction(int_costs[k], len(pairs))
+            lam[i][j], lam_float[i][j] = uniform, uniform_float
     rate_sum = [[0] * len(cols) for cols in columns]
     seen = [(None, (), ())] * len(optimizers)
     # the sums only grow, so the envelope of the sums (top) and its cost do too
@@ -286,6 +304,16 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
     trace, dual_history = [], []
     best_dual = last_gap = None
     best_primal = None          # (cost, envelope, per-client rates, divisor k)
+
+    def result(converged, warning):
+        """The best primal point so far, divided by its k, and the run's record."""
+        cost, top, sums, k = best_primal
+        envelope = {e.id: Fraction(top[z[e.id]] if e.id in z else 0, k) for e in instance.edges}
+        per_client = {t: {e.id: Fraction(v, k) for e, v in zip(opt.sub.edges, acc)}
+                      for t, opt, acc in zip(instance.clients, optimizers, sums)}
+        return SubgradientResult(envelope, per_client, cost, trace, n,
+                                 converged, warning, best_dual, dual_history)
+
     since_improvement = 0
     converged = False
     warning = None
@@ -348,16 +376,19 @@ def solve_multi_subgradient(instance: NetworkInstance, oracle,
                 break
 
         theta = step_size(schedule, n)
-        for total, pairs in shared:
-            moved = [_float(lam[i][j]) + theta * seen[i][2][j] for i, j in pairs]
-            for (i, j), value in zip(pairs, exact_simplex_projection(moved, total)):
-                lam[i][j] = value
+        for total, pairs, uniform, uniform_float in shared:
+            moved = [lam_float[i][j] + theta * seen[i][2][j] for i, j in pairs]
+            # equal entries project to the uniform point; inf == inf, so check finiteness
+            if math.isfinite(moved[0]) and moved.count(moved[0]) == len(moved):
+                for i, j in pairs:
+                    lam[i][j], lam_float[i][j] = uniform, uniform_float
+                continue
+            try:
+                projected = exact_simplex_projection(moved, total)
+            except InvalidParameters as err:    # a non-finite entry: the step overflowed
+                raise InvalidParameters(str(err), result(False, "step_overflow")) from None
+            for (i, j), value in zip(pairs, projected):
+                lam[i][j], lam_float[i][j] = value, _float(value)
     else:
         warning = "max_iters"
-
-    cost, top, sums, k = best_primal
-    envelope = {e.id: Fraction(top[z[e.id]] if e.id in z else 0, k) for e in instance.edges}
-    per_client = {t: {e.id: Fraction(v, k) for e, v in zip(opt.sub.edges, acc)}
-                  for t, opt, acc in zip(instance.clients, optimizers, sums)}
-    return SubgradientResult(envelope, per_client, cost, trace, n,
-                             converged, warning, best_dual, dual_history)
+    return result(converged, warning)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -391,6 +392,16 @@ def test_projection_of_ascent_floats_equals_the_fraction_threshold():
         assert x == [max(Fraction(vi) - tau, 0) for vi in v]
 
 
+def test_equal_entries_project_to_the_uniform_point():
+    # the projection commutes with a shift along the all-ones vector, so k equal entries
+    # land on total / k each whatever their value: the subgradient keeps that point
+    # without a call
+    for total in (1, 7, Fraction(5, 3), Fraction(1, 12)):
+        for k in range(1, 6):
+            for value in (-1e300, -3.75, -1e-30, -0.0, 0.0, 0.1, 2.0 ** 40, 1e300):
+                assert exact_simplex_projection([value] * k, total) == [Fraction(total, k)] * k
+
+
 def test_step_size_schedules():
     assert step_size(StepSchedule(1, 1, 1, 1), 2) == pytest.approx(1 / 3)
     assert step_size(StepSchedule(2, Fraction(1, 2)), 4) == pytest.approx(1 / 2)
@@ -432,6 +443,27 @@ def test_an_ascent_step_that_overflows_is_refused():
     with pytest.raises(InvalidParameters, match="inf"):
         solve_multi_subgradient(instance, oracle, schedule=StepSchedule(1, 1e308, 0, 1),
                                 max_iters=5, gap_tol=0)
+
+
+def test_an_overflowing_step_keeps_the_partial_result():
+    # Random(266)'s first non-finite step has equal entries, [inf, inf, inf], which must
+    # not pass for a uniform step; Random(152)'s mixes finite and infinite ones.  Either
+    # way the error carries the best point and the best dual that the run already holds
+    for seed, entries in ((266, "[inf, inf, inf]"), (152, "[0.3333333333333333, inf")):
+        instance, oracle, _ = random_feasible_instance(random.Random(seed), n_sources=6,
+                                                       n_clients=3)
+        with pytest.raises(InvalidParameters, match=re.escape(entries)) as err:
+            solve_multi_subgradient(instance, oracle, schedule=StepSchedule(1, 1e308, 0, 1),
+                                    max_iters=5, gap_tol=0)
+        partial = err.value.result
+        assert type(partial) is SubgradientResult
+        assert partial.warning == "step_overflow" and not partial.converged
+        assert partial.iterations == len(partial.trace) == len(partial.dual_history) >= 1
+        assert partial.best_dual <= solve_multi_exact(instance, oracle).cost <= partial.cost
+        for t, rates in partial.per_client.items():
+            sub = client_subproblem(instance, oracle, t)
+            g = conditional_entropy_function(oracle, sub.sources)
+            assert in_base_polyhedron(boundary_vector(rates, sub), g).member
 
 
 @pytest.mark.parametrize("options", [{"max_iters": 0}, {"gap_tol": -1},
@@ -775,6 +807,33 @@ def test_subgradient_matches_the_dict_keyed_loop(f2):
         assert repr(got) == repr(want)
         warnings.add(got.warning)
     assert warnings == {None, "max_iters"}
+
+
+def test_the_subgradient_projects_only_steps_with_unequal_entries(f2, monkeypatch):
+    # the dict-keyed reference projects every shared edge's step; the loop calls the
+    # projection once for each of those steps whose moved entries differ, in the same
+    # order, and for no other step
+    project = exact_simplex_projection
+    calls = {"loop": [], "reference": []}
+
+    def spy(name):
+        def projection(v, total):
+            calls[name].append((list(v), total))
+            return project(v, total)
+        return projection
+    monkeypatch.setattr(multi_client, "exact_simplex_projection", spy("loop"))
+    monkeypatch.setitem(globals(), "exact_simplex_projection", spy("reference"))
+    uniform = projected = 0
+    for instance, oracle in _subgradient_cases(f2):
+        calls["loop"].clear()
+        calls["reference"].clear()
+        got = solve_multi_subgradient(instance, oracle, max_iters=30)
+        assert repr(got) == repr(_dict_keyed_subgradient(instance, oracle, max_iters=30))
+        unequal = [(v, total) for v, total in calls["reference"] if len(set(v)) > 1]
+        assert calls["loop"] == unequal
+        uniform += len(calls["reference"]) - len(unequal)
+        projected += len(unequal)
+    assert uniform > 0 and projected > 0
 
 
 def test_subgradient_power_schedule(f2):
